@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .grid import RadialField, RadialGrid, integrate, make_grid
+from .functional import Parts
+from .grid import RadialField, RadialGrid, integrate, kinetic_energy, make_grid
 from .profiles import talenti_peak
 from .riesz import interaction_energy
 
@@ -25,14 +26,6 @@ __all__ = ["RescaleRecord", "RateFit", "rescale_family", "concentration_scale",
 
 
 @dataclass(frozen=True)
-class NormLedger:
-    kinetic: float
-    mass: float
-    riesz: float
-    power: float
-
-
-@dataclass(frozen=True)
 class RescaleRecord:
     coupling: float
     map_tag: str
@@ -40,20 +33,18 @@ class RescaleRecord:
     rescaled: RadialField
     scale: float               # xi (spatial factor of the applied map)
     amplitude: float
-    ledger_before: NormLedger
-    ledger_after: NormLedger
+    ledger_before: Parts
+    ledger_after: Parts
     identity_defects: dict
     mass_loss: float           # fraction of L2 mass pushed past r_max (0 when none)
 
 
-def _ledger(f: RadialField, p: float, q: float, alpha: float) -> NormLedger:
-    from .grid import gradient_seminorm, kinetic_energy
+def _ledger(f: RadialField, p: float, q: float, alpha: float) -> Parts:
     g = f.grid
-    kin = kinetic_energy(g, f.values)
-    return NormLedger(kinetic=kin,
-                      mass=integrate(g, f.values ** 2),
-                      riesz=interaction_energy(g, f, p, alpha),
-                      power=integrate(g, np.abs(f.values) ** q))
+    return Parts(kinetic=kinetic_energy(g, f.values),
+                 mass=integrate(g, f.values ** 2),
+                 riesz=interaction_energy(g, f, p, alpha),
+                 power=integrate(g, np.abs(f.values) ** q))
 
 
 def _map_exponents(tag: str, N: int, p: float, q: float, alpha: float):
@@ -108,10 +99,10 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
     out = RadialField.from_values(target_grid, vals, origin=amp * f.origin)
     after = _ledger(out, p, q, alpha)
     # exact scaling laws of the four integrals under u -> amp u(arg .)
-    pred = NormLedger(kinetic=amp ** 2 * arg ** (2 - N) * before.kinetic,
-                      mass=amp ** 2 * arg ** (-N) * before.mass,
-                      riesz=amp ** (2 * p) * arg ** (-N - alpha) * before.riesz,
-                      power=amp ** q * arg ** (-N) * before.power)
+    pred = Parts(kinetic=amp ** 2 * arg ** (2 - N) * before.kinetic,
+                 mass=amp ** 2 * arg ** (-N) * before.mass,
+                 riesz=amp ** (2 * p) * arg ** (-N - alpha) * before.riesz,
+                 power=amp ** q * arg ** (-N) * before.power)
     defects = {}
     for name in ("kinetic", "mass", "riesz", "power"):
         a = getattr(after, name)

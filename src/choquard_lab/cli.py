@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import rate_fit, rescale_family, tail_exponent_fit
+from .asymptotics import rate_fit
 from .constants import (ConstantsReport, coefficient_table, gn_constant,
                         hls_constant, rayleigh_constants, riesz_normalization,
                         sobolev_constant)
 from .errors import ChoquardLabError
-from .functional import ProblemParams, compute_parts, fiber_profile
+from .functional import ProblemParams, fiber_profile
 from .grid import RadialField, integrate, make_grid
-from .lab import (RunManifest, coupling_gap_scan, monotonicity_scan,
-                  multiplicity_experiment, persist_run, scan_threshold)
+from .lab import (RunManifest, coupling_gap_scan, multiplicity_experiment, persist_run,
+                  scan_threshold)
 from .profiles import talenti
 from .solver import (SolverOptions, ground_state, normalized_branches,
                      shoot_local_ground_state)

@@ -9,9 +9,13 @@ Four problem modes share one parts-based implementation:
   with the critical term carrying coefficient one.
 
 K, M, R, P are the four integrals (kinetic, mass, Riesz interaction,
-q-power).  Fibers are evaluated from the exact scaling laws of the parts,
-never by re-quadrature, so critical-point classification is free of
-interpolation noise.
+q-power).  Every energy-type quantity is one sum over them,
+sum_i c_i t^e_i X_i, with the coefficients c of the params (`_weights`) and
+the exponents e of a fiber (`_fiber_exponents`): the energy is the sum at
+t = 1, a fiber energy the sum at t, and the Nehari, P_nu and Pohozaev
+defects are fiber derivatives at t = 1.  Fibers are evaluated from these
+exact scaling laws, never by re-quadrature, so critical-point
+classification is free of interpolation noise.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import (ConstraintViolation, InvalidParameter, NoProjection,
                      UndefinedDefect)
-from .grid import RadialField, RadialGrid, integrate, kinetic_energy, gradient_seminorm
+from .grid import RadialField, integrate, kinetic_energy, gradient_seminorm
 from .riesz import kernel_table
 
 __all__ = ["ProblemParams", "EnergyBreakdown", "Parts", "compute_parts",
@@ -182,42 +186,28 @@ def compute_parts(params: ProblemParams, u: RadialField, use_deriv: bool = True)
 
 
 def energy_from_parts(params: ProblemParams, parts: Parts) -> float:
-    """Total energy from precomputed parts (exact algebraic identity)."""
-    K, M, R, P = parts.kinetic, parts.mass, parts.riesz, parts.power
-    if params.normalized:
-        if params.mode == "normalized-hls":
-            return 0.5 * K - R / (2 * params.two_alpha_star) - params.nu / params.q * P
-        return 0.5 * K - params.nu / (2 * params.p) * R - P / params.two_star
-    return (0.5 * (K + params.mass_coeff * M)
-            - params.riesz_coeff / (2 * params.p) * R
-            - params.power_coeff / params.q * P)
+    """Total energy from precomputed parts: the fiber sum at t = 1."""
+    return float(_fiber_sum(params, _weights(params), parts, "ray", 1.0, 0))
 
 
 def _defects_from_parts(params: ProblemParams, parts: Parts):
-    K, M, R, P = parts.kinetic, parts.mass, parts.riesz, parts.power
-    N, alpha, p, q = params.N, params.alpha, params.p, params.q
+    """Constraint and Pohozaev defects as fiber derivatives at t = 1.
+
+    Free modes: the ray (Nehari) and dilation (Pohozaev) derivatives.
+    Normalized modes: the mass-fiber derivative (the multiplier-free P_nu
+    constraint) and the dilation derivative with the least-squares
+    multiplier lam_hat = -(ray derivative)/a^2 in the mass slot.
+    """
+    g = _weights(params)
     if params.normalized:
-        # multiplier-free constraint P_nu(u) plus the free Pohozaev identity
-        # with the least-squares multiplier
-        cR = params.riesz_coeff
-        cP = params.power_coeff
-        if params.mode == "normalized-hls":
-            pnu = K - cR * R - params.nu * params.gamma_q * P
-        else:
-            pnu = K - params.nu * params.eta_p * R - P
-        lam_hat = (cR * R + cP * P - K) / params.a ** 2
-        poho = (0.5 * (N - 2) * K + 0.5 * N * lam_hat * M
-                - (N + alpha) / (2 * p) * cR * R - N / q * cP * P)
-        scale = max(abs(K), abs(cR * R), abs(cP * P), abs(lam_hat) * M, 1e-300)
-        return pnu / scale, poho / scale
-    cR = params.riesz_coeff
-    cP = params.power_coeff
-    mc = params.mass_coeff
-    nehari = K + mc * M - cR * R - cP * P
-    poho = (0.5 * (N - 2) * K + 0.5 * N * mc * M
-            - (N + alpha) / (2 * p) * cR * R - N / q * cP * P)
-    scale = max(abs(K), abs(mc * M), abs(cR * R), abs(cP * P), 1e-300)
-    return nehari / scale, poho / scale
+        constraint = _fiber_sum(params, g, parts, "mass", 1.0, 1)
+        lam_hat = -_fiber_sum(params, g, parts, "ray", 1.0, 1) / params.a ** 2
+        g = (g[0], lam_hat, g[2], g[3])
+    else:
+        constraint = _fiber_sum(params, g, parts, "ray", 1.0, 1)
+    poho = _fiber_sum(params, g, parts, "dilation", 1.0, 1)
+    scale = max(max(abs(gi * x) for gi, x in zip(g, _values(parts))), 1e-300)
+    return constraint / scale, poho / scale
 
 
 def energy_breakdown(params: ProblemParams, u: RadialField) -> EnergyBreakdown:
@@ -241,10 +231,7 @@ def stationarity_defects(params: ProblemParams, u: RadialField):
     return _defects_from_parts(params, parts)
 
 
-# fibering maps ---------------------------------------------------------
-
-_FIBER_KINDS = ("ray", "dilation", "mass")
-
+# the four-part algebra and the fibering maps ---------------------------
 
 def _fiber_exponents(params: ProblemParams, kind: str):
     """Exponents (eK, eM, eR, eP) of the four parts under the fiber map."""
@@ -258,62 +245,106 @@ def _fiber_exponents(params: ProblemParams, kind: str):
     raise InvalidParameter(f"unknown fiber kind {kind!r}")
 
 
+def _weights(params: ProblemParams):
+    """Nehari weights g of the parts (K, M, R, P).
+
+    The ray-fiber derivative at t = 1 (the Nehari functional) is
+    sum_i g_i X_i, and the energy coefficients are c_i = g_i / rho_i with
+    rho the ray exponents: c = (1/2, m/2, -cR/(2p), -cP/q).  The free modes
+    weigh the mass with `mass_coeff`; in the normalized modes the mass is
+    the constraint and stays out of the energy.
+    """
+    m = 0.0 if params.normalized else params.mass_coeff
+    return (1.0, m, -params.riesz_coeff, -params.power_coeff)
+
+
+def _values(parts: Parts):
+    return parts.kinetic, parts.mass, parts.riesz, parts.power
+
+
+def _fiber_sum(params: ProblemParams, g, parts: Parts, kind: str, t, order: int):
+    """(d/dt)^order of sum_i c_i t^e_i X_i, e the exponents of `kind`.
+
+    Every energy-type quantity is this sum: the energy at t = 1, the fiber
+    energies at t, the defects as first derivatives at t = 1.  Derivative
+    coefficients are formed as g_i (e_i / rho_i), so the ray derivative
+    carries the Nehari weights exactly.  Terms with zero weight are skipped.
+    """
+    rho = _fiber_exponents(params, "ray")
+    out = 0.0
+    for gi, ri, ei, x in zip(g, rho, _fiber_exponents(params, kind), _values(parts)):
+        if not gi:
+            continue
+        c = gi / ri if order == 0 else gi * (ei / ri)
+        for k in range(1, order):
+            c = c * (ei - k)
+        out = out + c * t ** (ei - order) * x
+    return out
+
+
 def fiber_energy(params: ProblemParams, parts: Parts, kind: str, t):
     """Energy along the fiber, from the closed scaling laws of the parts."""
-    t = np.asarray(t, dtype=float)
-    eK, eM, eR, eP = _fiber_exponents(params, kind)
-    scaled = Parts(kinetic=parts.kinetic, mass=parts.mass, riesz=parts.riesz,
-                   power=parts.power)
-    K, M, R, P = scaled.kinetic, scaled.mass, scaled.riesz, scaled.power
-    if params.normalized:
-        if params.mode == "normalized-hls":
-            return (0.5 * t ** eK * K - t ** eR * R / (2 * params.two_alpha_star)
-                    - params.nu / params.q * t ** eP * P)
-        return (0.5 * t ** eK * K - params.nu / (2 * params.p) * t ** eR * R
-                - t ** eP * P / params.two_star)
-    return (0.5 * (t ** eK * K + params.mass_coeff * t ** eM * M)
-            - params.riesz_coeff / (2 * params.p) * t ** eR * R
-            - params.power_coeff / params.q * t ** eP * P)
+    return _fiber_sum(params, _weights(params), parts, kind, np.asarray(t, dtype=float), 0)
 
 
 def _fiber_derivative(params: ProblemParams, parts: Parts, kind: str):
-    """d/dt of the fiber energy as a callable, from exact exponents."""
-    eK, eM, eR, eP = _fiber_exponents(params, kind)
-    K, M, R, P = parts.kinetic, parts.mass, parts.riesz, parts.power
-    if params.normalized:
-        if params.mode == "normalized-hls":
-            cK, cM = 0.5 * K, 0.0
-            cR = R / (2 * params.two_alpha_star)
-            cP = params.nu / params.q * P
-        else:
-            cK, cM = 0.5 * K, 0.0
-            cR = params.nu / (2 * params.p) * R
-            cP = P / params.two_star
-    else:
-        cK = 0.5 * K
-        cM = 0.5 * params.mass_coeff * M
-        cR = params.riesz_coeff / (2 * params.p) * R
-        cP = params.power_coeff / params.q * P
+    """d/dt and d^2/dt^2 of the fiber energy as callables, and the size of
+    the individual first-derivative terms (for degeneracy tests)."""
+    g = _weights(params)
+    size = tuple(abs(gi) for gi in g)
 
     def d(t):
-        out = eK * cK * t ** (eK - 1)
-        if cM:
-            out = out + eM * cM * t ** (eM - 1)
-        return out - eR * cR * t ** (eR - 1) - eP * cP * t ** (eP - 1)
+        return _fiber_sum(params, g, parts, kind, t, 1)
 
     def d2(t):
-        out = eK * (eK - 1) * cK * t ** (eK - 2)
-        if cM:
-            out = out + eM * (eM - 1) * cM * t ** (eM - 2)
-        return (out - eR * (eR - 1) * cR * t ** (eR - 2)
-                - eP * (eP - 1) * cP * t ** (eP - 2))
+        return _fiber_sum(params, g, parts, kind, t, 2)
 
     def dscale(t):
-        """Magnitude of the individual t-derivative pieces (for degeneracy tests)."""
-        return (eK * cK * t ** (eK - 1) + (eM * cM * t ** (eM - 1) if cM else 0.0)
-                + eR * cR * t ** (eR - 1) + eP * cP * t ** (eP - 1))
+        return _fiber_sum(params, size, parts, kind, t, 1)
 
     return d, d2, dscale
+
+
+def _fiber_roots(d, t_lo: float, t_hi: float, samples: int):
+    """Zeros of d on [t_lo, t_hi]: sign changes on a log-spaced scan of
+    `samples` points, refined by brentq; a sample where d vanishes exactly
+    counts as a zero, and zeros closer than 1e-10 relative are merged."""
+    ts = np.exp(np.linspace(np.log(t_lo), np.log(t_hi), samples))
+    vals = d(ts)
+    change = vals[:-1] * vals[1:] < 0
+    roots = []
+    for i in np.nonzero(change | (vals[:-1] == 0.0))[0]:
+        t0 = brentq(d, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-13) if change[i] else ts[i]
+        if not roots or abs(t0 - roots[-1]) >= 1e-10 * t0:
+            roots.append(t0)
+    return roots
+
+
+def _ray_root(params: ProblemParams, parts: Parts):
+    """The unique t* > 0 with t* u on the Nehari manifold, or None.
+
+    Solves t^2 (K + mc M) = cR t^(2p) R + cP t^q P, i.e. the zero of
+    B t^(2p-2) + C t^(q-2) - A, which is strictly increasing (p > 1, q > 2);
+    None when both nonlinear terms vanish or the bracket leaves [1e-14, 1e14].
+    """
+    g, (K, M, R, P) = _weights(params), _values(parts)
+    A = g[0] * K + g[1] * M
+    B = -(g[2] * R)
+    C = -(g[3] * P)
+    if B <= 0 and C <= 0:
+        return None
+    f = lambda t: B * t ** (2 * params.p - 2) + C * t ** (params.q - 2) - A
+    t_hi = 1.0
+    while f(t_hi) < 0:
+        t_hi *= 2.0
+        if t_hi > 1e14:
+            return None
+    t_lo = 0.5 * t_hi
+    while f(t_lo) > 0:
+        t_lo *= 0.5
+        if t_lo < 1e-14:
+            return None
+    return brentq(f, t_lo, t_hi, xtol=1e-15, rtol=1e-14)
 
 
 @dataclass(frozen=True)
@@ -340,20 +371,11 @@ def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> Fiber
     parts = compute_parts(params, u)
     energies = fiber_energy(params, parts, kind, ts)
     d, d2, dscale = _fiber_derivative(params, parts, kind)
-    tdense = np.exp(np.linspace(np.log(ts.min()), np.log(ts.max()), max(4 * len(ts), 400)))
-    vals = d(tdense)
-    crit = []
+    crit = _fiber_roots(d, ts.min(), ts.max(), max(4 * len(ts), 400))
     signs = []
-    for i in range(len(tdense) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            t0 = brentq(d, tdense[i], tdense[i + 1], xtol=1e-14, rtol=1e-13) \
-                if vals[i] * vals[i + 1] < 0 else tdense[i]
-            if crit and abs(t0 - crit[-1]) < 1e-10 * t0:
-                continue
-            curv = d2(t0)
-            crit.append(t0)
-            signs.append(0 if abs(curv) * t0 < 1e-10 * dscale(t0)
-                         else int(np.sign(curv)))
+    for t0 in crit:
+        curv = d2(t0)
+        signs.append(0 if abs(curv) * t0 < 1e-10 * dscale(t0) else int(np.sign(curv)))
     return FiberProfile(kind=kind, ts=ts, energies=energies,
                         critical_ts=tuple(crit), second_derivative_signs=tuple(signs))
 
@@ -366,28 +388,10 @@ def nehari_project(params: ProblemParams, u: RadialField):
     """
     if params.normalized:
         raise InvalidParameter("ray projection applies to the free modes only")
-    parts = compute_parts(params, u)
-    A = parts.kinetic + params.mass_coeff * parts.mass
-    B = params.riesz_coeff * parts.riesz
-    C = params.power_coeff * parts.power
-    if B <= 0.0 and C <= 0.0:
-        raise NoProjection("both nonlinear terms vanish; no Nehari projection")
-    p2, q2 = 2 * params.p - 2, params.q - 2
-
-    def f(t):
-        return B * t ** p2 + C * t ** q2 - A
-
-    t_hi = 1.0
-    while f(t_hi) < 0:
-        t_hi *= 2.0
-        if t_hi > 1e12:
-            raise NoProjection("projection bracket exceeded range")
-    t_lo = 0.5 * t_hi
-    while f(t_lo) > 0:
-        t_lo *= 0.5
-        if t_lo < 1e-12:
-            break
-    t_star = brentq(f, t_lo, t_hi, xtol=1e-15, rtol=1e-14)
+    t_star = _ray_root(params, compute_parts(params, u))
+    if t_star is None:
+        raise NoProjection("no Nehari projection: the nonlinear terms vanish or "
+                           "the ray root leaves [1e-14, 1e14]")
     deriv = t_star * u.deriv if u.deriv is not None else None
     return t_star, u.with_values(t_star * u.values, deriv=deriv)
 
@@ -413,18 +417,14 @@ def mass_fiber_classify(params: ProblemParams, u: RadialField,
     if mdef > mass_rtol:
         raise ConstraintViolation(f"field off the mass sphere: |mass - a^2|/a^2 = {mdef:.2e}")
     d, d2, dscale = _fiber_derivative(params, parts, "mass")
-    tdense = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 6001))
-    vals = d(tdense)
     points = []
-    for i in range(len(tdense) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            t0 = brentq(d, tdense[i], tdense[i + 1], xtol=1e-14, rtol=1e-13)
-            curv = d2(t0) * t0
-            if abs(curv) < degenerate_rtol * dscale(t0):
-                branch = "0"
-            elif curv > 0:
-                branch = "+"
-            else:
-                branch = "-"
-            points.append(FiberPoint(t=t0, branch=branch))
+    for t0 in _fiber_roots(d, 1e-6, 1e6, 6001):
+        curv = d2(t0) * t0
+        if abs(curv) < degenerate_rtol * dscale(t0):
+            branch = "0"
+        elif curv > 0:
+            branch = "+"
+        else:
+            branch = "-"
+        points.append(FiberPoint(t=t0, branch=branch))
     return points

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import comb, gamma, pi
 
 import numpy as np
@@ -232,12 +232,15 @@ class RadialField:
             return True
         return abs(self.values[-1]) <= self.tail_floor * scale
 
-    def is_positive(self) -> bool:
-        return bool(np.all(self.values[:-1] > 0))
-
     def interpolator(self) -> PchipInterpolator:
+        """Monotone cubic through (0, origin) and the nodes.
+
+        Values below 1e-200 of the peak are flushed to zero: PCHIP's harmonic
+        mean of neighbouring slopes overflows on them.
+        """
         rr = np.concatenate(([0.0], self.grid.r))
         uu = np.concatenate(([self.origin], self.values))
+        uu[np.abs(uu) < 1e-200 * np.max(np.abs(uu))] = 0.0
         return PchipInterpolator(rr, uu, extrapolate=False)
 
     def __call__(self, r_targets) -> np.ndarray:
@@ -321,14 +324,15 @@ def kinetic_energy(grid: RadialGrid, values: np.ndarray) -> float:
     Variationally consistent with the solver's discrete operator; agrees
     with `gradient_seminorm` to O(h^2) on smooth fields.
     """
-    Au = apply_stiffness(grid, values)
+    Au = apply_stiffness(grid.stiff_diag, grid.stiff_off, values)
     return float(grid.sphere_area * np.dot(values, Au))
 
 
-def apply_stiffness(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    out = grid.stiff_diag * values
-    out[:-1] += grid.stiff_off * values[1:]
-    out[1:] += grid.stiff_off * values[:-1]
+def apply_stiffness(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal product: diagonal `diag`, off-diagonal `off`."""
+    out = diag * values
+    out[:-1] += off * values[1:]
+    out[1:] += off * values[:-1]
     return out
 
 

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CoefficientTable, coefficient_table
+from .constants import CoefficientTable
 from .errors import BracketFailure, ChoquardLabError, InvalidConfiguration, InvalidParameter
-from .functional import ProblemParams
-from .grid import RadialGrid, make_grid
-from .solver import (GroundStateResult, NormalizedBranchResult, SolverOptions,
-                     ground_state, normalized_branches, second_solution_via_rescale)
+from .functional import ProblemParams, compute_parts
+from .grid import RadialGrid
+from .solver import (SolverOptions, ground_state, normalized_branches,
+                     second_solution_via_rescale)
 
 __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
            "scan_threshold", "monotonicity_scan", "multiplicity_experiment",
@@ -138,9 +138,8 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
 
     def attained(c, init_field=None):
         params = _coupled_params(base, c)
-        init = init_field if init_field is not None else None
-        if init is not None:
-            res = ground_state(params, grid, init=init, opts=opts)
+        if init_field is not None:
+            res = ground_state(params, grid, init=init_field, opts=opts)
             if not res.converged or res.level >= crit_level - delta:
                 res2 = ground_state(params, grid, schedule=schedule, opts=opts)
                 if res2.level < res.level:
@@ -265,7 +264,6 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
             continue
         gs = ground_state(resc.params_effective, resc.field.grid,
                           schedule=("gaussian", ("bubble", 0.5)), opts=opts)
-        from .functional import compute_parts, energy_from_parts
         gparts = compute_parts(resc.params_effective, gs.field, use_deriv=False)
         g_no_mass = gs.level - 0.5 * gparts.mass
         u1 = resc.field.values

@@ -20,7 +20,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
 
 from .errors import IncompatibleGrid, InvalidParameter
-from .grid import RadialField, RadialGrid, _moment_weights
+from .grid import RadialField, RadialGrid, _check_same_grid, sphere_surface
 
 __all__ = ["kernel_value", "RieszKernelTable", "kernel_table", "convolve",
            "interaction_energy", "potential_at"]
@@ -33,10 +33,6 @@ def riesz_normalization(N: int, alpha: float) -> float:
     if not 0 < alpha < N:
         raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
     return gamma((N - alpha) / 2) / (gamma(alpha / 2) * pi ** (N / 2) * 2 ** alpha)
-
-
-def _sphere_surface(d: int) -> float:
-    return 2.0 * pi ** (d / 2) / gamma(d / 2)
 
 
 def kernel_value(N: int, alpha: float, r, s):
@@ -59,19 +55,25 @@ def kernel_value(N: int, alpha: float, r, s):
         F = np.ones_like(z2)
     else:
         F = hyp2f1((N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0, z2)
-    pref = (riesz_normalization(N, alpha) * _sphere_surface(N - 1)
+    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
             * beta_fn((N - 1) / 2.0, 0.5))
     out = pref * hi ** (alpha - N) * F
     return out
 
 
 def _refined_pieces(a: float, b: float, sing: float, depth: int = 14, ratio: float = 0.25):
-    """Sub-intervals of [a, b] geometrically graded toward the endpoint `sing`."""
+    """Sub-intervals of [a, b] geometrically graded toward the endpoint `sing`.
+
+    Grading stops before a sub-piece gets shorter than 1e-11 |sing|: closer
+    to a nonzero singular point the kernel's hypergeometric factor
+    overflows (z rounds to 1), and the rows would turn into inf - inf.
+    """
     L = b - a
+    ks = [k for k in range(1, depth) if L * ratio ** k >= 1e-11 * abs(sing)]
     if sing <= a:
-        pts = [a] + [a + L * ratio ** k for k in range(depth - 1, 0, -1)] + [b]
+        pts = [a] + [a + L * ratio ** k for k in reversed(ks)] + [b]
     else:
-        pts = [a] + [b - L * ratio ** k for k in range(1, depth)] + [b]
+        pts = [a] + [b - L * ratio ** k for k in ks] + [b]
     return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
 
 
@@ -97,7 +99,7 @@ def _panel_product_row(N: int, alpha: float, t: float, a: float, b: float, nodes
     xs = np.concatenate(xs)
     ws = np.concatenate(ws)
     K = kernel_value(N, alpha, t, xs) if t > 0 else (
-        riesz_normalization(N, alpha) * _sphere_surface(N) * xs ** (alpha - N))
+        riesz_normalization(N, alpha) * sphere_surface(N) * xs ** (alpha - N))
     x0, x1, x2 = nodes
     l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
     l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
@@ -154,44 +156,53 @@ class RieszKernelTable:
                    origin_row=data["origin_row"])
 
 
+def _near_mask(grid: RadialGrid, targets) -> np.ndarray:
+    """near[k, i]: panel i lies within one panel-width of targets[k]; the
+    head segment counts when the target is at most r[2]."""
+    starts = np.array([p[0] for p in grid.panels])
+    ends = np.array([p[1] for p in grid.panels])
+    width = ends - starts
+    t = np.asarray(targets, dtype=float)[:, None]
+    near = (starts - width <= t) & (t <= ends + width)
+    near[:, 0] = t[:, 0] <= grid.r[2]
+    return near
+
+
+def _correct_near(grid: RadialGrid, alpha: float, t: float, row, far, panels):
+    """Redo `panels` of a quadrature row by product integration at target t.
+
+    `row` (changed in place) holds the kernel sampled at the nodes times the
+    weights, and far[j] the kernel value it sampled at node j; on each panel
+    the sampled contribution is swapped for the exact one.
+    """
+    r = grid.r
+    for pi in panels:
+        a, b, idx = grid.panels[pi]
+        cor = _panel_product_row(grid.N, alpha, t, a, b, tuple(r[list(idx)]))
+        old = grid.panel_weights[pi]
+        for m, j in enumerate(idx):
+            row[j] += cor[m] - far[j] * old[m]
+
+
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
     N = grid.N
     r = grid.r
     w = grid.w
-    n = len(r)
     R, S = np.meshgrid(r, r, indexing="ij")
     K = kernel_value(N, alpha, R, S)
     np.fill_diagonal(K, 0.0)  # replaced by product integration below
     M = K * w[None, :]
-    # near-diagonal corrections: for each target, redo the panels whose
-    # interval lies within one panel-width of it
-    starts = np.array([p[0] for p in grid.panels])
-    ends = np.array([p[1] for p in grid.panels])
-    for i in range(n):
-        t = r[i]
-        width = ends - starts
-        near = (starts - width <= t) & (t <= ends + width)
-        near[0] = t <= r[2]  # head segment
-        for pi in np.nonzero(near)[0]:
-            a, b, idx = grid.panels[pi]
-            nodes = tuple(r[list(idx)])
-            old = grid.panel_weights[pi]
-            cor = _panel_product_row(N, alpha, t, a, b, nodes)
-            for m, j in enumerate(idx):
-                M[i, j] += cor[m] - K[i, j] * old[m]
+    for i, near in enumerate(_near_mask(grid, r)):
+        _correct_near(grid, alpha, r[i], M[i], K[i], np.nonzero(near)[0])
     Wf = grid.weights_full
     WM = Wf[:, None] * M
     G = 0.5 * (WM + WM.T)
-    # origin row: kernel ~ s^(alpha-N), integrand ~ s^(alpha-1) near 0
-    c0 = riesz_normalization(N, alpha) * _sphere_surface(N)
+    # origin row: kernel ~ s^(alpha-N), integrand ~ s^(alpha-1) near 0; the
+    # first three panels use nodes 0..4
+    c0 = riesz_normalization(N, alpha) * sphere_surface(N)
     row0 = c0 * r ** (alpha - N) * w
-    for pi in range(min(3, len(grid.panels))):
-        a, b, idx = grid.panels[pi]
-        nodes = tuple(r[list(idx)])
-        old = grid.panel_weights[pi]
-        cor = _panel_product_row(N, alpha, 0.0, a, b, nodes)
-        for m, j in enumerate(idx):
-            row0[j] += cor[m] - c0 * r[j] ** (alpha - N) * old[m]
+    far0 = [c0 * x ** (alpha - N) for x in r[:5]]
+    _correct_near(grid, alpha, 0.0, row0, far0, range(min(3, len(grid.panels))))
     return RieszKernelTable(grid=grid, alpha=alpha, M=M, G=G, origin_row=row0)
 
 
@@ -210,8 +221,7 @@ def kernel_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
 
 def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
     """I_alpha * g on the grid; positive whenever g is nontrivial and >= 0."""
-    if g.grid is not grid and not g.grid.same_as(grid):
-        raise IncompatibleGrid("field lives on a different grid")
+    _check_same_grid(grid, g)
     tab = kernel_table(grid, alpha)
     vals = tab.convolve_values(g.values)
     return RadialField(grid=grid, values=vals, origin=tab.origin_value(g.values),
@@ -221,40 +231,23 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:
     """Potential values at arbitrary radii (rows built on demand)."""
     r_targets = np.atleast_1d(np.asarray(r_targets, dtype=float))
-    N = grid.N
     r = grid.r
-    w = grid.w
     out = np.zeros(len(r_targets))
-    starts = np.array([p[0] for p in grid.panels])
-    ends = np.array([p[1] for p in grid.panels])
-    for k, t in enumerate(r_targets):
+    for k, (t, near) in enumerate(zip(r_targets, _near_mask(grid, r_targets))):
         if t == 0.0:
-            tab = kernel_table(grid, alpha)
-            out[k] = tab.origin_value(g.values)
+            out[k] = kernel_table(grid, alpha).origin_value(g.values)
             continue
-        row = kernel_value(N, alpha, t, r)
-        row[np.isclose(r, t)] = 0.0
-        row = row * w
-        width = ends - starts
-        near = (starts - width <= t) & (t <= ends + width)
-        near[0] = t <= r[2]
-        for pi in np.nonzero(near)[0]:
-            a, b, idx = grid.panels[pi]
-            nodes = tuple(r[list(idx)])
-            old = grid.panel_weights[pi]
-            kv = kernel_value(N, alpha, t, np.array(nodes))
-            kv[np.isclose(np.array(nodes), t)] = 0.0
-            cor = _panel_product_row(N, alpha, t, a, b, nodes)
-            for m, j in enumerate(idx):
-                row[j] += cor[m] - kv[m] * old[m]
+        far = kernel_value(grid.N, alpha, t, r)
+        far[np.isclose(r, t)] = 0.0
+        row = far * grid.w
+        _correct_near(grid, alpha, t, row, far, np.nonzero(near)[0])
         out[k] = np.dot(row, g.values)
     return out
 
 
 def interaction_energy(grid: RadialGrid, u: RadialField, p: float, alpha: float) -> float:
     """int (I_alpha * u^p) u^p  (nonnegative, bilinear-symmetric)."""
-    if u.grid is not grid and not u.grid.same_as(grid):
-        raise IncompatibleGrid("field lives on a different grid")
+    _check_same_grid(grid, u)
     tab = kernel_table(grid, alpha)
     up = np.abs(u.values) ** p
     return tab.bilinear(up, up)

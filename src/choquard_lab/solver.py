@@ -13,16 +13,18 @@ strong-form residual can be driven to solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 
 from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
                      RescaleInconsistency, ShootingFailure)
 from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
-                         _defects_from_parts, _fiber_derivative)
+                         fiber_energy, _defects_from_parts, _fiber_derivative,
+                         _fiber_roots, _ray_root)
 from .grid import RadialField, RadialGrid, apply_stiffness, make_grid
 from .profiles import gaussian, smoothstep_cutoff, talenti, talenti_peak
 from .riesz import kernel_table
@@ -44,7 +46,6 @@ class SolverOptions:
     identity_tol: float = 1e-3       # Nehari/Pohozaev defect gate for `converged`
     sup_residual_tol: float = 1e-6   # spec metric: max|F| / max|u|
     step: float = 1.0
-    window: float = 0.95             # residual window: r <= window * r_max
     positivity_floor: float = 1e-9   # Jacobian clamp where u < floor * max(u)
     min_scale_nodes: int = 24        # resolvability floor: xi >= r[min_scale_nodes]
 
@@ -185,9 +186,11 @@ def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 120
 # ------------------------------------------------------- discrete problems
 
 class _Discrete:
-    """Grid-bound arrays shared by the free and normalized solvers."""
+    """Grid-bound arrays and the strong form shared by the free and
+    normalized solvers; `shift` is the coefficient of u in the gradient
+    (`mass_coeff` for the free modes, the multiplier for the normalized)."""
 
-    def __init__(self, params: ProblemParams, grid: RadialGrid):
+    def __init__(self, params: ProblemParams, grid: RadialGrid, opts: SolverOptions):
         self.params = params
         self.grid = grid
         self.W = grid.weights_full
@@ -200,7 +203,7 @@ class _Discrete:
         # residual window: drop the last 5% of radius, and start at the
         # resolvability floor -- below it the stiffness/weight ratio amplifies
         # roundoff on graded grids and no trusted structure lives there anyway
-        self.nlo = min(24, grid.n // 4)
+        self.nlo = min(opts.min_scale_nodes, grid.n // 4)
 
     def xi_of(self, u):
         """Talenti-matched concentration scale from the peak value."""
@@ -213,18 +216,17 @@ class _Discrete:
         k = min(opts.min_scale_nodes, self.n - 1)
         return self.grid.r[k]
 
-    def stiff(self, u):
-        out = self.Ad * u
-        out[:-1] += self.Ao * u[1:]
-        out[1:] += self.Ao * u[:-1]
-        return out
-
     def conv_p(self, u):
         up = u ** self.params.p
         return (self.tab.G @ up) / self.W
 
+    @cached_property
+    def conv_matrix(self):
+        """Pointwise convolution operator G / W of the Newton Jacobian."""
+        return self.tab.G / self.W[:, None]
+
     def parts(self, u) -> Parts:
-        K = float(np.dot(u, self.stiff(u)))
+        K = float(np.dot(u, apply_stiffness(self.Ad, self.Ao, u)))
         M = float(np.dot(self.W, u * u))
         if self.tab is not None:
             up = u ** self.params.p
@@ -233,6 +235,72 @@ class _Discrete:
             R = 0.0
         P = float(np.dot(self.W, u ** self.params.q))
         return Parts(kinetic=K, mass=M, riesz=R, power=P)
+
+    def energy(self, u):
+        return energy_from_parts(self.params, self.parts(u))
+
+    def grad(self, u, shift):
+        """Strong-form gradient F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1)."""
+        p = self.params
+        F = apply_stiffness(self.Ad, self.Ao, u) / self.W + shift * u
+        if self.tab is not None and p.riesz_coeff:
+            F -= p.riesz_coeff * self.conv_p(u) * u ** (p.p - 1)
+        if p.power_coeff:
+            F -= p.power_coeff * u ** (p.q - 1)
+        return F
+
+    def term_scale(self, u, shift):
+        """Largest single term of the strong form on the residual window."""
+        p = self.params
+        s = np.abs(apply_stiffness(self.Ad, self.Ao, u) / self.W) + abs(shift) * np.abs(u)
+        if self.tab is not None and p.riesz_coeff:
+            s += p.riesz_coeff * np.abs(self.conv_p(u)) * u ** (p.p - 1)
+        if p.power_coeff:
+            s += p.power_coeff * u ** (p.q - 1)
+        return float(np.max(s[self.nlo: self.ncut]))
+
+    def residual(self, u, shift):
+        """F = grad(u, shift) and max |F| on the residual window over the term scale."""
+        F = self.grad(u, shift)
+        m = float(np.max(np.abs(F[self.nlo: self.ncut])))
+        return F, m / max(self.term_scale(u, shift), 1e-300)
+
+    def jacobian(self, u, shift, opts: SolverOptions, border):
+        """Dense Jacobian of W * grad(., shift) at u, Dirichlet at the last node.
+
+        A `border` vector (or None) is appended as the last row and column:
+        the constraint gradient of a bordered KKT system.
+        """
+        p = self.params
+        n, W = self.n, self.W
+        J = np.zeros((n, n) if border is None else (n + 1, n + 1))
+        Jn = J[:n, :n]
+        idx = np.arange(n)
+        Jn[idx, idx] = self.Ad + shift * W
+        Jn[idx[:-1], idx[1:]] = self.Ao
+        Jn[idx[1:], idx[:-1]] = self.Ao
+        mask = u > opts.positivity_floor * max(u.max(), 1e-300)
+        um = np.where(mask, u, 1.0)
+        if self.tab is not None and p.riesz_coeff:
+            D1 = np.where(mask, u ** (p.p - 1), 0.0)
+            Jnl = p.p * (D1[:, None] * self.conv_matrix * D1[None, :])
+            if p.p < 2:
+                # u^(p-2) is unbounded at small u: regularize the diagonal
+                ureg = u + 1e-8 * max(u.max(), 1e-300)
+                diag_nl = (p.p - 1) * self.conv_p(u) * ureg ** (p.p - 2)
+            else:
+                diag_nl = np.where(mask, (p.p - 1) * self.conv_p(u) * um ** (p.p - 2), 0.0)
+            Jn -= p.riesz_coeff * (W[:, None] * Jnl + np.diag(W * diag_nl))
+        if p.power_coeff:
+            Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
+            Jn -= p.power_coeff * np.diag(W * Jq)
+        if border is not None:
+            J[:n, n] = border
+            J[n, :n] = border
+        J[n - 1, :] = 0.0
+        J[:, n - 1] = 0.0
+        J[n - 1, n - 1] = 1.0
+        return J
 
     def solve_shifted(self, shift, rhs):
         """(A + shift W) x = rhs with Dirichlet at the last node."""
@@ -256,53 +324,13 @@ class _Discrete:
 class _FreeSolver(_Discrete):
     """Nehari-constrained descent + Newton polish for the free modes."""
 
-    def energy(self, u):
-        return energy_from_parts(self.params, self.parts(u))
-
-    def grad(self, u):
-        """Strong-form gradient F(u) = -lap u + mc u - cR conv(u^p) u^(p-1) - cP u^(q-1)."""
-        p = self.params
-        F = self.stiff(u) / self.W + p.mass_coeff * u
-        if self.tab is not None and p.riesz_coeff:
-            F -= p.riesz_coeff * self.conv_p(u) * u ** (p.p - 1)
-        if p.power_coeff:
-            F -= p.power_coeff * u ** (p.q - 1)
-        return F
-
-    def term_scale(self, u):
-        p = self.params
-        s = np.abs(self.stiff(u) / self.W) + p.mass_coeff * np.abs(u)
-        if self.tab is not None and p.riesz_coeff:
-            s += p.riesz_coeff * np.abs(self.conv_p(u)) * u ** (p.p - 1)
-        if p.power_coeff:
-            s += p.power_coeff * u ** (p.q - 1)
-        return float(np.max(s[self.nlo: self.ncut]))
-
     def residuals(self, u):
-        F = self.grad(u)[self.nlo: self.ncut]
-        m = float(np.max(np.abs(F)))
-        return m / max(np.max(u), 1e-300), m / max(self.term_scale(u), 1e-300)
+        """(max |F| / max u, max |F| / term scale) on the residual window."""
+        F, scaled = self.residual(u, self.params.mass_coeff)
+        return float(np.max(np.abs(F[self.nlo: self.ncut]))) / max(np.max(u), 1e-300), scaled
 
     def nehari_t(self, u):
-        p = self.params
-        parts = self.parts(u)
-        A = parts.kinetic + p.mass_coeff * parts.mass
-        B = p.riesz_coeff * parts.riesz
-        C = p.power_coeff * parts.power
-        if B <= 0 and C <= 0:
-            return None
-        f = lambda t: B * t ** (2 * p.p - 2) + C * t ** (p.q - 2) - A
-        t_hi = 1.0
-        while f(t_hi) < 0:
-            t_hi *= 2.0
-            if t_hi > 1e14:
-                return None
-        t_lo = 0.5 * t_hi
-        while f(t_lo) > 0:
-            t_lo *= 0.5
-            if t_lo < 1e-14:
-                return None
-        return brentq(f, t_lo, t_hi, xtol=1e-15, rtol=1e-14)
+        return _ray_root(self.params, self.parts(u))
 
     def descend(self, u, opts: SolverOptions):
         t = self.nehari_t(u)
@@ -312,7 +340,7 @@ class _FreeSolver(_Discrete):
         hist = 0
         res_scaled = np.inf
         for k in range(opts.max_iters):
-            g = self.grad(u)
+            g = self.grad(u, self.params.mass_coeff)
             d = self.solve_shifted(max(self.params.mass_coeff, 1e-10), g * self.W)
             E0 = self.energy(u)
             endgame = res_scaled < opts.flow_tol
@@ -344,21 +372,11 @@ class _FreeSolver(_Discrete):
         return u, hist
 
     def newton(self, u, opts: SolverOptions):
-        p = self.params
-        n = self.n
-        W = self.W
-        A = np.zeros((n, n))
-        idx = np.arange(n)
-        A[idx, idx] = self.Ad
-        A[idx[:-1], idx[1:]] = self.Ao
-        A[idx[1:], idx[:-1]] = self.Ao
-        C = None if self.tab is None else self.tab.G / W[:, None]
+        mc = self.params.mass_coeff
         res_best = np.inf
         best = u
         for k in range(opts.newton_iters):
-            F = self.grad(u)
-            scale = self.term_scale(u)
-            res = float(np.max(np.abs(F[self.nlo: self.ncut]))) / max(scale, 1e-300)
+            F, res = self.residual(u, mc)
             # Newton on the strong form is not residual-monotone (positive-part
             # clipping re-shapes the tail); keep the best iterate, tolerate the
             # early transient, and only bail on genuine blow-up
@@ -368,26 +386,8 @@ class _FreeSolver(_Discrete):
                 best, res_best = u, res
             if res < opts.residual_tol:
                 return u, k, res
-            mask = u > opts.positivity_floor * max(u.max(), 1e-300)
-            um = np.where(mask, u, 1.0)
-            J = A + p.mass_coeff * np.diag(W)
-            if C is not None and p.riesz_coeff:
-                D1 = np.where(mask, u ** (p.p - 1), 0.0)
-                Jnl = p.p * (D1[:, None] * C * D1[None, :])
-                if p.p < 2:
-                    # u^(p-2) is unbounded at small u: regularize the diagonal
-                    ureg = u + 1e-8 * max(u.max(), 1e-300)
-                    diag_nl = (p.p - 1) * self.conv_p(u) * ureg ** (p.p - 2)
-                else:
-                    diag_nl = np.where(mask, (p.p - 1) * self.conv_p(u) * um ** (p.p - 2), 0.0)
-                J -= p.riesz_coeff * (W[:, None] * Jnl + np.diag(W * diag_nl))
-            if p.power_coeff:
-                Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
-                J -= p.power_coeff * np.diag(W * Jq)
-            J[n - 1, :] = 0.0
-            J[:, n - 1] = 0.0
-            J[n - 1, n - 1] = 1.0
-            rhs = -(W * F)
+            J = self.jacobian(u, mc, opts, None)
+            rhs = -(self.W * F)
             rhs[-1] = 0.0
             try:
                 du = np.linalg.solve(J, rhs)
@@ -425,7 +425,7 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
     best = None
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
-        solver = _FreeSolver(params, grid)
+        solver = _FreeSolver(params, grid, opts)
         u, iters = solver.descend(u0, opts)
         u, k_newton, res = solver.newton(u, opts)
         parts = solver.parts(u)
@@ -459,23 +459,6 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
 class _MassSolver(_Discrete):
     """Fiber-projected constrained flow + KKT Newton for the normalized modes."""
 
-    def energy(self, u):
-        return energy_from_parts(self.params, self.parts(u))
-
-    def gradE(self, u):
-        p = self.params
-        F = self.stiff(u) / self.W
-        F -= p.riesz_coeff * self.conv_p(u) * u ** (p.p - 1)
-        F -= p.power_coeff * u ** (p.q - 1)
-        return F
-
-    def term_scale(self, u, lam):
-        p = self.params
-        s = np.abs(self.stiff(u) / self.W) + abs(lam) * np.abs(u) \
-            + p.riesz_coeff * np.abs(self.conv_p(u)) * u ** (p.p - 1) \
-            + p.power_coeff * u ** (p.q - 1)
-        return float(np.max(s[self.nlo: self.ncut]))
-
     def mass(self, u):
         return float(np.dot(self.W, u * u))
 
@@ -487,14 +470,14 @@ class _MassSolver(_Discrete):
 
     def fiber_points(self, parts: Parts):
         d, d2, _ = _fiber_derivative(self.params, parts, "mass")
-        tdense = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 4001))
-        vals = d(tdense)
-        out = []
-        for i in range(len(tdense) - 1):
-            if vals[i] * vals[i + 1] < 0:
-                t0 = brentq(d, tdense[i], tdense[i + 1], xtol=1e-14, rtol=1e-13)
-                out.append((t0, 1 if d2(t0) > 0 else -1))
-        return out
+        return [(t0, 1 if d2(t0) > 0 else -1) for t0 in _fiber_roots(d, 1e-6, 1e6, 4001)]
+
+    def fiber_point(self, parts: Parts, which):
+        """The first fiber minimum (which = 1) or the last maximum (which = -1)."""
+        match = [t for t, kind in self.fiber_points(parts) if kind == which]
+        if not match:
+            return None
+        return match[0] if which == 1 else match[-1]
 
     def dilate(self, u, t, max_loss: float = 0.1):
         """Mass-preserving dilation; None when too much mass leaves the window."""
@@ -510,11 +493,9 @@ class _MassSolver(_Discrete):
 
     def project(self, u, which):
         """Dilate to the fiber critical point of the requested kind."""
-        pts = self.fiber_points(self.parts(u))
-        match = [t for t, kind in pts if kind == which]
-        if not match:
+        t = self.fiber_point(self.parts(u), which)
+        if t is None:
             return None
-        t = match[0] if which == 1 else match[-1]
         v = self.dilate(u, t)
         if v is None:
             return None
@@ -522,22 +503,15 @@ class _MassSolver(_Discrete):
 
     def objective(self, u, which):
         """Flow objective: energy at the fiber point (max for P-, value for P+)."""
-        pts = self.fiber_points(self.parts(u))
-        match = [t for t, kind in pts if kind == which]
-        if not match:
+        parts = self.parts(u)
+        t = self.fiber_point(parts, which)
+        if t is None:
             return None
-        t = match[0] if which == 1 else match[-1]
-        from .functional import fiber_energy
-        return float(fiber_energy(self.params, self.parts(u), "mass", t))
+        return float(fiber_energy(self.params, parts, "mass", t))
 
     def multiplier(self, u):
-        g = self.gradE(u)
+        g = self.grad(u, 0.0)
         return -float(np.dot(self.W, g * u)) / self.params.a ** 2
-
-    def residual(self, u, lam):
-        rho = self.gradE(u) + lam * u
-        m = float(np.max(np.abs(rho[self.nlo: self.ncut])))
-        return m / max(self.term_scale(u, lam), 1e-300)
 
     def flow(self, u0, which, opts: SolverOptions):
         u = self.normalize(u0)
@@ -548,10 +522,10 @@ class _MassSolver(_Discrete):
         for k in range(opts.flow_iters):
             parts = self.parts(v)
             lam = self.multiplier(v)
-            res = self.residual(v, lam)
+            res = self.residual(v, lam)[1]
             if res < opts.flow_tol:
                 return v, k, "handoff"
-            g = self.gradE(v) + lam * v
+            g = self.grad(v, lam)
             kappa = max(lam, kappa_floor * parts.kinetic / self.params.a ** 2)
             d = self.solve_shifted(kappa, g * self.W)
             d -= np.dot(self.W, d * v) / self.params.a ** 2 * v
@@ -576,52 +550,25 @@ class _MassSolver(_Discrete):
         return v, opts.flow_iters, "handoff"
 
     def newton(self, u, lam, opts: SolverOptions):
-        p = self.params
         n = self.n
         W = self.W
-        a2 = p.a ** 2
-        A = np.zeros((n, n))
-        idx = np.arange(n)
-        A[idx, idx] = self.Ad
-        A[idx[:-1], idx[1:]] = self.Ao
-        A[idx[1:], idx[:-1]] = self.Ao
-        C = self.tab.G / W[:, None]
+        a2 = self.params.a ** 2
         best = (u, lam)
         res_best = np.inf
         for k in range(opts.newton_iters):
-            F1 = self.gradE(u) + lam * u
+            F1, res = self.residual(u, lam)
             F2 = 0.5 * (self.mass(u) - a2)
-            res = float(np.max(np.abs(F1[self.nlo: self.ncut]))) / max(self.term_scale(u, lam), 1e-300)
             if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
                 return best[0], best[1], k, res_best
             if res < res_best:
                 best, res_best = (u, lam), res
             if res < opts.residual_tol and abs(F2) < 1e-13 * a2:
                 return u, lam, k, res
-            mask = u > opts.positivity_floor * max(u.max(), 1e-300)
-            um = np.where(mask, u, 1.0)
-            J = A + lam * np.diag(W)
-            D1 = np.where(mask, u ** (p.p - 1), 0.0)
-            Jnl = p.p * (D1[:, None] * C * D1[None, :])
-            if p.p < 2:
-                ureg = u + 1e-8 * max(u.max(), 1e-300)
-                diag_nl = (p.p - 1) * self.conv_p(u) * ureg ** (p.p - 2)
-            else:
-                diag_nl = np.where(mask, (p.p - 1) * self.conv_p(u) * um ** (p.p - 2), 0.0)
-            J -= p.riesz_coeff * (W[:, None] * Jnl + np.diag(W * diag_nl))
-            Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
-            J -= p.power_coeff * np.diag(W * Jq)
-            K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = J
-            K[:n, n] = W * u
-            K[n, :n] = W * u
+            J = self.jacobian(u, lam, opts, border=W * u)
             rhs = np.concatenate((-(W * F1), [-F2]))
-            K[n - 1, :] = 0.0
-            K[:, n - 1] = 0.0
-            K[n - 1, n - 1] = 1.0
             rhs[n - 1] = 0.0
             try:
-                sol = np.linalg.solve(K, rhs)
+                sol = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
                 return best[0], best[1], k, res_best
             u = np.maximum(u + sol[:n], 0.0)
@@ -690,7 +637,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
     if not params.normalized:
         raise InvalidParameter("normalized_branches needs a normalized mode")
     opts = opts or SolverOptions()
-    solver = _MassSolver(params, grid)
+    solver = _MassSolver(params, grid, opts)
     if plus_widths is None:
         plus_widths = (1.5, grid.r_max / 3.0)
 
@@ -702,10 +649,9 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
     candidates = []
     for wdt in np.geomspace(plus_widths[0], plus_widths[-1], 6):
         u0 = solver.normalize(gaussian(grid, width=float(wdt)).values)
-        pts = solver.fiber_points(solver.parts(u0))
-        tplus = [t for t, kind in pts if kind == 1]
-        if tplus:
-            candidates.append((abs(np.log(tplus[0])), u0))
+        tplus = solver.fiber_point(solver.parts(u0), 1)
+        if tplus is not None:
+            candidates.append((abs(np.log(tplus)), u0))
     if not candidates:
         plus_reason = "fiber admits no local minimum at this (nu, a)"
     else:
@@ -784,7 +730,7 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
         coupling = params.nu * lam ** (-(N + params.alpha - params.p * (N - 2)) / 2.0)
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
                             mode="mu", mu=coupling)
-    solver = _FreeSolver(eff, grid)
+    solver = _FreeSolver(eff, grid, SolverOptions())
     u = np.maximum(vals, 0.0)
     u[-1] = 0.0
     res_sup, res_scaled = solver.residuals(u)

@@ -4,14 +4,14 @@ energy-expansion ledger used by the concentration-rate sweeps."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InvalidParameter, ResolutionError
-from .grid import RadialField, RadialGrid, integrate, kinetic_energy, make_grid
+from .grid import (RadialField, RadialGrid, integrate, kinetic_energy, make_grid,
+                   sphere_surface)
 from .profiles import smoothstep_cutoff, talenti, talenti_peak
 from .riesz import interaction_energy
 
@@ -57,7 +57,6 @@ def bubble(spec: BubbleSpec, grid: RadialGrid) -> RadialField:
 
 def _mass_integral(N: int, eps: float, R: float) -> float:
     """||V_eps||_2^2 by adaptive quadrature of the closed-form integrand."""
-    sa = 2.0 * pi ** (N / 2) / gamma(N / 2)
     c = talenti_peak(N) ** 2
 
     def f(r):
@@ -69,7 +68,7 @@ def _mass_integral(N: int, eps: float, R: float) -> float:
         if hi > lo:
             val, _ = quad(f, lo, hi, limit=200)
             total += val
-    return sa * total
+    return sphere_surface(N) * total
 
 
 def mass_radius(N: int, a: float, eps: float, r_hi_factor: float = 1e12) -> float:

@@ -148,6 +148,13 @@ class TestNehariProject:
         with pytest.raises(NoProjection):
             nehari_project(pp, gaussian(grid3))
 
+    def test_negative_linear_part_raises_no_projection(self):
+        # K + mc M <= 0: the ray derivative never changes sign
+        pp = ProblemParams(N=3, alpha=2.0, p=2.0, q=3.0, mode="general",
+                           mu=1.0, lam=1.0, mass_coeff=-50.0)
+        with pytest.raises(NoProjection):
+            nehari_project(pp, gaussian(make_grid(3, 25.0, 300, 2.0)))
+
     def test_normalized_mode_rejected(self, grid3):
         pp = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=0.1)
         with pytest.raises(InvalidParameter):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from math import gamma, pi
 
 from scipy.integrate import quad
+from scipy.special import hyp1f1
 
 from choquard_lab.constants import interaction_bound_constant
 from choquard_lab.errors import IncompatibleGrid, InvalidParameter
@@ -110,6 +111,26 @@ class TestConvolve:
             outer, _ = quad(lambda s: gi(s) * s, r, np.inf)
             exact = inner / r + outer
             assert abs(D.values[i] - exact) < 1e-6 * abs(exact)
+
+
+class TestPotentialNearPanelEnds:
+    """Off-grid targets just inside or outside a panel end, where the graded
+    sub-panels used to come so close to the target that 2F1 overflowed."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_finite_and_accurate(self, alpha):
+        grid = make_grid(3, 25.0, 400, 2.0)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        ends = np.array([b for _, b, _ in grid.panels[1:-1]])
+        ends = ends[(ends > grid.r[20]) & (ends < 0.8 * grid.r_max)][::8]
+        offsets = [s * 10.0 ** k for k in range(-7, -2) for s in (-1, 1)]
+        probes = np.outer(ends, 1 + np.array(offsets)).ravel()
+        vals = potential_at(grid, g, alpha, probes)
+        # I_alpha * exp(-r^2) in closed form (N = 3)
+        exact = (gamma((3 - alpha) / 2) / (2 ** alpha * gamma(1.5))
+                 * hyp1f1((3 - alpha) / 2, 1.5, -probes ** 2))
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals - exact) / exact) < 1e-3
 
 
 class TestInteractionEnergy:
