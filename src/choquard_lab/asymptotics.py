@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .functional import Parts
-from .grid import RadialField, RadialGrid, integrate, kinetic_energy, make_grid
-from .profiles import talenti_peak
-from .riesz import interaction_energy
+from .functional import Parts, ProblemParams, compute_parts, scaled_parts
+from .grid import RadialField, RadialGrid, integrate, make_grid
+from .profiles import talenti_scale
 
 __all__ = ["RescaleRecord", "RateFit", "rescale_family", "concentration_scale",
            "kelvin", "tail_exponent_fit", "rate_fit"]
@@ -37,14 +36,6 @@ class RescaleRecord:
     ledger_after: Parts
     identity_defects: dict
     mass_loss: float           # fraction of L2 mass pushed past r_max (0 when none)
-
-
-def _ledger(f: RadialField, p: float, q: float, alpha: float) -> Parts:
-    g = f.grid
-    return Parts(kinetic=kinetic_energy(g, f.values),
-                 mass=integrate(g, f.values ** 2),
-                 riesz=interaction_energy(g, f, p, alpha),
-                 power=integrate(g, np.abs(f.values) ** q))
 
 
 def _map_exponents(tag: str, N: int, p: float, q: float, alpha: float):
@@ -76,7 +67,8 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
         raise InvalidParameter("coupling must be positive")
     g = f.grid
     N = g.N
-    before = _ledger(f, p, q, alpha)
+    params = ProblemParams(N, alpha, p, q)
+    before = compute_parts(params, f, use_deriv=False)
     if map_tag == "bubble-normalized":
         xi = concentration_scale(f)
         amp = xi ** ((N - 2) / 2.0)
@@ -97,12 +89,8 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
         lost = integrate(g, np.where(lost_mask, f.values ** 2, 0.0))
         mass_loss = lost / total if total > 0 else 0.0
     out = RadialField.from_values(target_grid, vals, origin=amp * f.origin)
-    after = _ledger(out, p, q, alpha)
-    # exact scaling laws of the four integrals under u -> amp u(arg .)
-    pred = Parts(kinetic=amp ** 2 * arg ** (2 - N) * before.kinetic,
-                 mass=amp ** 2 * arg ** (-N) * before.mass,
-                 riesz=amp ** (2 * p) * arg ** (-N - alpha) * before.riesz,
-                 power=amp ** q * arg ** (-N) * before.power)
+    after = compute_parts(params, out, use_deriv=False)
+    pred = scaled_parts(params, before, amp, arg)
     defects = {}
     for name in ("kinetic", "mass", "riesz", "power"):
         a = getattr(after, name)
@@ -116,11 +104,9 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
 
 def concentration_scale(f: RadialField) -> float:
     """xi = (W_1(0)/w(0))^(2/(N-2)): the dilation matching the peak to the bubble."""
-    N = f.grid.N
-    peak = f.origin
-    if peak <= 0:
+    if f.origin <= 0:
         raise InvalidParameter("concentration scale undefined for vanishing peak")
-    return float((talenti_peak(N) / peak) ** (2.0 / (N - 2)))
+    return float(talenti_scale(f.grid.N, f.origin))
 
 
 def kelvin(f: RadialField, target_grid: RadialGrid | None = None) -> RadialField:

@@ -22,8 +22,8 @@ from .constants import (ConstantsReport, coefficient_table, gn_constant,
 from .errors import ChoquardLabError
 from .functional import ProblemParams, fiber_profile
 from .grid import RadialField, integrate, make_grid
-from .lab import (RunManifest, coupling_gap_scan, multiplicity_experiment, persist_run,
-                  scan_threshold)
+from .lab import (RunManifest, coupling_gap_scan, frame_exponents, multiplicity_experiment,
+                  persist_run, scan_threshold)
 from .profiles import talenti
 from .solver import (SolverOptions, ground_state, normalized_branches,
                      shoot_local_ground_state)
@@ -161,10 +161,7 @@ def cmd_asymptotics(args):
     ref, points = coupling_gap_scan(N, alpha, p, q, couplings, grid, which=which)
     gaps = [pt.gap for pt in points]
     fit = rate_fit([pt.coupling for pt in points], gaps)
-    if which == "lambda":
-        expected = -2 * (p - 1) / (q - 2)
-    else:
-        expected = -(q - 2) / (2 * (p - 1))
+    expected = frame_exponents(which, p, q)[0]
     print(f"fitted slope = {fit.slope:.4f} (expected {expected:.4f}), R^2 = {fit.r_squared:.5f}")
     if args.out:
         rows = "coupling,frame_level,level,gap\n" + "\n".join(

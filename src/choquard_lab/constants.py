@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from math import gamma, pi
 
 from .errors import DependencyMissing, InvalidParameter
+from .functional import ProblemParams
 from .grid import RadialField, RadialGrid, gradient_seminorm, integrate
 from .riesz import interaction_energy, riesz_normalization
 
@@ -134,12 +135,6 @@ class CoefficientTable:
     crit_level_sob: float
 
 
-def mass_scaling_exponents(N: int, alpha: float, p: float, q: float):
-    gamma_q = N * (q - 2.0) / (2.0 * q)
-    eta_p = (N * p - N - alpha) / (2.0 * p)
-    return gamma_q, eta_p
-
-
 def coefficient_table(N: int, alpha: float, p: float, q: float,
                       S_alpha: float, S: float | None = None,
                       C_Nq: float | None = None, C_Np: float | None = None,
@@ -151,17 +146,8 @@ def coefficient_table(N: int, alpha: float, p: float, q: float,
     constant and S, for p in ((N+alpha)/N, 1+(2+alpha)/N).  Outside those
     windows the corresponding entries are None.
     """
-    two_star = 2.0 * N / (N - 2)
-    t2a = (N + alpha) / (N - 2.0)
-    if not 0 < alpha < N:
-        raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
-    if not (N + alpha) / N < p <= t2a:
-        raise InvalidParameter(f"p={p} outside ((N+alpha)/N, (N+alpha)/(N-2)]")
-    if not 2 < q <= two_star:
-        raise InvalidParameter(f"q={q} outside (2, 2*]")
-    gamma_q, eta_p = mass_scaling_exponents(N, alpha, p, q)
-    if not 0 < gamma_q:
-        raise InvalidParameter(f"gamma_q={gamma_q} violates gamma_q > 0 (q={q} at boundary)")
+    params = ProblemParams(N, alpha, p, q)
+    t2a, gamma_q, eta_p = params.two_alpha_star, params.gamma_q, params.eta_p
     crit_level_hls = (2 + alpha) / (2 * (N + alpha)) * S_alpha ** ((N + alpha) / (2 + alpha))
     if S is None:
         S = sobolev_constant(N)

@@ -15,7 +15,9 @@ the exponents e of a fiber (`_fiber_exponents`): the energy is the sum at
 t = 1, a fiber energy the sum at t, and the Nehari, P_nu and Pohozaev
 defects are fiber derivatives at t = 1.  Fibers are evaluated from these
 exact scaling laws, never by re-quadrature, so critical-point
-classification is free of interpolation noise.
+classification is free of interpolation noise.  The same exponent rows give
+the multiplier of the normalized modes, its P_nu + Pohozaev prediction and
+the parts of a rescaled field amp * u(arg x).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .riesz import kernel_table
 
 __all__ = ["ProblemParams", "EnergyBreakdown", "Parts", "compute_parts",
            "energy_breakdown", "energy_from_parts", "stationarity_defects",
+           "multiplier_from_parts", "identity_prediction", "scaled_parts",
            "nehari_project", "fiber_profile", "FiberProfile",
            "mass_fiber_classify", "FiberPoint"]
 
@@ -99,13 +102,6 @@ class ProblemParams:
         return (self.N * self.p - self.N - self.alpha) / (2.0 * self.p)
 
     @property
-    def sigma(self) -> float:
-        """Frame exponent of the coupling->frequency rescalings."""
-        if self.mode == "mu" or self.mode == "normalized-sobolev":
-            return 2.0 / ((self.N - 2) * (self.p - 1) - self.alpha)
-        return (self.two_star - 2) / (self.q - 2)
-
-    @property
     def gamma_exp(self) -> float:
         return 2.0 * self.N - (self.N - 2) * self.q
 
@@ -155,11 +151,7 @@ class Parts:
 
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
-    kinetic: float
-    mass: float
-    riesz: float
-    power: float
+class EnergyBreakdown(Parts):
     total: float
     nehari_defect: float
     pohozaev_defect: float
@@ -201,8 +193,7 @@ def _defects_from_parts(params: ProblemParams, parts: Parts):
     g = _weights(params)
     if params.normalized:
         constraint = _fiber_sum(params, g, parts, "mass", 1.0, 1)
-        lam_hat = -_fiber_sum(params, g, parts, "ray", 1.0, 1) / params.a ** 2
-        g = (g[0], lam_hat, g[2], g[3])
+        g = (g[0], multiplier_from_parts(params, parts), g[2], g[3])
     else:
         constraint = _fiber_sum(params, g, parts, "ray", 1.0, 1)
     poho = _fiber_sum(params, g, parts, "dilation", 1.0, 1)
@@ -213,8 +204,7 @@ def _defects_from_parts(params: ProblemParams, parts: Parts):
 def energy_breakdown(params: ProblemParams, u: RadialField) -> EnergyBreakdown:
     parts = compute_parts(params, u)
     nd, pd = _defects_from_parts(params, parts)
-    return EnergyBreakdown(kinetic=parts.kinetic, mass=parts.mass, riesz=parts.riesz,
-                           power=parts.power, total=energy_from_parts(params, parts),
+    return EnergyBreakdown(*_values(parts), total=energy_from_parts(params, parts),
                            nehari_defect=nd, pohozaev_defect=pd)
 
 
@@ -280,6 +270,29 @@ def _fiber_sum(params: ProblemParams, g, parts: Parts, kind: str, t, order: int)
             c = c * (ei - k)
         out = out + c * t ** (ei - order) * x
     return out
+
+
+def multiplier_from_parts(params: ProblemParams, parts: Parts) -> float:
+    """Least-squares multiplier of a normalized mode: lam_hat = -ray'(1)/a^2."""
+    return -_fiber_sum(params, _weights(params), parts, "ray", 1.0, 1) / params.a ** 2
+
+
+def identity_prediction(params: ProblemParams, parts: Parts) -> float:
+    """lam a^2 as the P_nu + Pohozaev identity predicts it: mass'(1) - ray'(1).
+
+    At a normalized solution the mass-fiber derivative vanishes and the ray
+    derivative is -lam a^2; the difference keeps only the nonlinear terms.
+    """
+    g = _weights(params)
+    return (_fiber_sum(params, g, parts, "mass", 1.0, 1)
+            - _fiber_sum(params, g, parts, "ray", 1.0, 1))
+
+
+def scaled_parts(params: ProblemParams, parts: Parts, amp, arg) -> Parts:
+    """The parts of amp * u(arg x): X_i -> amp^ray_i * arg^(-dilation_i) * X_i."""
+    ray = _fiber_exponents(params, "ray")
+    dil = _fiber_exponents(params, "dilation")
+    return Parts(*(amp ** r * arg ** (-d) * x for r, d, x in zip(ray, dil, _values(parts))))
 
 
 def fiber_energy(params: ProblemParams, parts: Parts, kind: str, t):

@@ -296,20 +296,28 @@ def derivative_values(f: RadialField) -> np.ndarray:
     """
     if f.deriv is not None:
         return f.deriv
-    r = f.grid.r
-    u = f.values
-    n = len(r)
-    rp = np.concatenate(([0.0], r))
-    up = np.concatenate(([f.origin], u))
-    d = np.zeros(n)
-    # non-uniform central difference, exact for quadratics
-    h0 = rp[1:-1] - rp[:-2]
-    h1 = rp[2:] - rp[1:-1]
-    d[:-1] = (-h1 / (h0 * (h0 + h1)) * up[:-2]
-              + (h1 - h0) / (h0 * h1) * up[1:-1]
-              + h0 / (h1 * (h0 + h1)) * up[2:])
+    r, u = f.grid.r, f.values
+    d = np.zeros(len(r))
+    d[:-1] = _central_stencil(r, u, f.origin)[0]
     d[-1] = (u[-1] - u[-2]) / (r[-1] - r[-2])
     return d
+
+
+def _central_stencil(r: np.ndarray, u: np.ndarray, origin: float):
+    """Non-uniform central first difference at r[:-1], exact for quadratics,
+    with the origin value as the left neighbor of r[0].
+
+    Returns (u', h0, h1, up): the spacings to the left and right neighbors and
+    the values padded with the origin, for callers that add a second difference.
+    """
+    rp = np.concatenate(([0.0], r))
+    up = np.concatenate(([origin], u))
+    h0 = rp[1:-1] - rp[:-2]
+    h1 = rp[2:] - rp[1:-1]
+    d1 = (-h1 / (h0 * (h0 + h1)) * up[:-2]
+          + (h1 - h0) / (h0 * h1) * up[1:-1]
+          + h0 / (h1 * (h0 + h1)) * up[2:])
+    return d1, h0, h1, up
 
 
 def gradient_seminorm(f: RadialField) -> float:
@@ -350,16 +358,10 @@ def apply_radial_laplacian(grid: RadialGrid, f: RadialField) -> RadialField:
     if n < 3:
         raise InvalidConfiguration("Laplacian needs at least 3 nodes")
     N = grid.N
-    rp = np.concatenate(([0.0], r))
-    up = np.concatenate(([f.origin], u))
     out = np.zeros(n)
-    h0 = rp[1:-1] - rp[:-2]
-    h1 = rp[2:] - rp[1:-1]
+    d1, h0, h1, up = _central_stencil(r, u, f.origin)
     d2 = 2.0 * (up[:-2] / (h0 * (h0 + h1)) - up[1:-1] / (h0 * h1)
                 + up[2:] / (h1 * (h0 + h1)))
-    d1 = (-h1 / (h0 * (h0 + h1)) * up[:-2]
-          + (h1 - h0) / (h0 * h1) * up[1:-1]
-          + h0 / (h1 * (h0 + h1)) * up[2:])
     out[:-1] = d2 + (N - 1) / r[:-1] * d1
     # one-sided at the boundary node
     hm1 = r[-2] - r[-3]

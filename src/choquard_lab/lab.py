@@ -50,16 +50,15 @@ def _frame_params(N, alpha, p, q, which, coeff):
                          mu=1.0, lam=coeff)
 
 
-def frame_coefficient(which: str, coupling: float, p: float, q: float) -> float:
+def frame_exponents(which: str, p: float, q: float):
+    """(coefficient, level) exponents of the frame: the weak-term coefficient
+    is coupling^e_c and the original-frame level is coupling^e_l times the
+    frame level; e_c is also the predicted decay rate of the level gap."""
     if which == "lambda":
-        return coupling ** (-2.0 * (p - 1) / (q - 2))
-    return coupling ** (-(q - 2) / (2.0 * (p - 1)))
-
-
-def level_back_map(which: str, coupling: float, frame_level: float, p: float, q: float) -> float:
-    if which == "lambda":
-        return coupling ** (-2.0 / (q - 2)) * frame_level
-    return coupling ** (-1.0 / (p - 1)) * frame_level
+        return -2.0 * (p - 1) / (q - 2), -2.0 / (q - 2)
+    if which == "mu":
+        return -(q - 2) / (2.0 * (p - 1)), -1.0 / (p - 1)
+    raise InvalidParameter("which must be 'lambda' or 'mu'")
 
 
 def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
@@ -71,8 +70,7 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
     warm-starting each solve from the previous one.  The gap column is the
     quantity whose decay rate the scan probes.
     """
-    if which not in ("lambda", "mu"):
-        raise InvalidParameter("which must be 'lambda' or 'mu'")
+    e_coeff, e_level = frame_exponents(which, p, q)
     couplings = sorted(float(c) for c in couplings)
     opts = opts or SolverOptions()
     ref_params = _frame_params(N, alpha, p, q, which, 0.0)
@@ -81,13 +79,13 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
     warm = ref.field
     # scan from the largest coupling (smallest perturbation) downward
     for c in sorted(couplings, reverse=True):
-        coeff = frame_coefficient(which, c, p, q)
+        coeff = c ** e_coeff
         params = _frame_params(N, alpha, p, q, which, coeff)
         res = ground_state(params, grid, init=warm, opts=opts)
         warm = res.field
         points.append(ScanPoint(coupling=c, frame_coeff=coeff,
                                 frame_level=res.level,
-                                level=level_back_map(which, c, res.level, p, q),
+                                level=c ** e_level * res.level,
                                 gap=ref.level - res.level,
                                 converged=res.converged))
     points.sort(key=lambda s: s.coupling)

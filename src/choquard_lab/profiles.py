@@ -7,11 +7,17 @@ import numpy as np
 
 from .grid import RadialField, RadialGrid
 
-__all__ = ["talenti_peak", "talenti", "hls_extremizer", "gaussian", "smoothstep_cutoff"]
+__all__ = ["talenti_peak", "talenti_scale", "talenti", "hls_extremizer", "gaussian",
+           "smoothstep_cutoff"]
 
 
 def talenti_peak(N: int) -> float:
     return (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
+
+
+def talenti_scale(N: int, peak: float) -> float:
+    """xi = (W_1(0)/peak)^(2/(N-2)): the bubble scale whose peak is `peak`."""
+    return (talenti_peak(N) / peak) ** (2.0 / (N - 2))
 
 
 def talenti(grid: RadialGrid, eps: float = 1.0) -> RadialField:

@@ -23,10 +23,10 @@ from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
                      RescaleInconsistency, ShootingFailure)
 from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
-                         fiber_energy, _defects_from_parts, _fiber_derivative,
-                         _fiber_roots, _ray_root)
+                         fiber_energy, identity_prediction, multiplier_from_parts,
+                         _defects_from_parts, _fiber_derivative, _fiber_roots, _ray_root)
 from .grid import RadialField, RadialGrid, apply_stiffness, make_grid
-from .profiles import gaussian, smoothstep_cutoff, talenti, talenti_peak
+from .profiles import gaussian, smoothstep_cutoff, talenti, talenti_scale
 from .riesz import kernel_table
 
 __all__ = ["GroundStateResult", "NormalizedBranchResult", "NormalizedBranches",
@@ -208,9 +208,7 @@ class _Discrete:
     def xi_of(self, u):
         """Talenti-matched concentration scale from the peak value."""
         peak = float(np.max(u))
-        if peak <= 0:
-            return np.inf
-        return (talenti_peak(self.grid.N) / peak) ** (2.0 / (self.grid.N - 2))
+        return talenti_scale(self.grid.N, peak) if peak > 0 else np.inf
 
     def xi_floor(self, opts):
         k = min(opts.min_scale_nodes, self.n - 1)
@@ -423,9 +421,9 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
     opts = opts or SolverOptions()
     seeds = list(schedule) if schedule is not None else [init]
     best = None
+    solver = _FreeSolver(params, grid, opts)
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
-        solver = _FreeSolver(params, grid, opts)
         u, iters = solver.descend(u0, opts)
         u, k_newton, res = solver.newton(u, opts)
         parts = solver.parts(u)
@@ -501,17 +499,12 @@ class _MassSolver(_Discrete):
             return None
         return self.normalize(v)
 
-    def objective(self, u, which):
+    def objective(self, parts: Parts, which):
         """Flow objective: energy at the fiber point (max for P-, value for P+)."""
-        parts = self.parts(u)
         t = self.fiber_point(parts, which)
         if t is None:
             return None
         return float(fiber_energy(self.params, parts, "mass", t))
-
-    def multiplier(self, u):
-        g = self.grad(u, 0.0)
-        return -float(np.dot(self.W, g * u)) / self.params.a ** 2
 
     def flow(self, u0, which, opts: SolverOptions):
         u = self.normalize(u0)
@@ -519,17 +512,17 @@ class _MassSolver(_Discrete):
         if v is None:
             return None, 0, "no-fiber-point"
         kappa_floor = 0.02
+        parts = self.parts(v)
         for k in range(opts.flow_iters):
-            parts = self.parts(v)
-            lam = self.multiplier(v)
-            res = self.residual(v, lam)[1]
+            # one parts(v) per iterate serves the multiplier, kappa and obj0
+            lam = multiplier_from_parts(self.params, parts)
+            g, res = self.residual(v, lam)
             if res < opts.flow_tol:
                 return v, k, "handoff"
-            g = self.grad(v, lam)
             kappa = max(lam, kappa_floor * parts.kinetic / self.params.a ** 2)
             d = self.solve_shifted(kappa, g * self.W)
             d -= np.dot(self.W, d * v) / self.params.a ** 2 * v
-            obj0 = self.objective(v, which)
+            obj0 = self.objective(parts, which)
             tau = 0.5
             accepted = False
             for _ in range(20):
@@ -539,14 +532,15 @@ class _MassSolver(_Discrete):
                     cand = self.normalize(cand)
                     proj = self.project(cand, which)
                     if proj is not None:
-                        obj = self.objective(proj, which)
+                        proj_parts = self.parts(proj)
+                        obj = self.objective(proj_parts, which)
                         if obj is not None and obj <= obj0 + 1e-13 * abs(obj0):
                             accepted = True
                             break
                 tau *= 0.5
             if not accepted:
                 return v, k, "handoff"
-            v = proj
+            v, parts = proj, proj_parts
         return v, opts.flow_iters, "handoff"
 
     def newton(self, u, lam, opts: SolverOptions):
@@ -577,22 +571,10 @@ class _MassSolver(_Discrete):
         return best[0], best[1], opts.newton_iters, res_best
 
 
-def _identity_coefficient(params: ProblemParams) -> float:
-    if params.mode == "normalized-hls":
-        ts = params.two_star
-        return 2 * (ts - params.q) / (params.q * (ts - 2))
-    return (params.N + params.alpha - params.p * (params.N - 2)) / (2 * params.p)
-
-
 def multiplier_check(result: NormalizedBranchResult) -> float:
     """Relative defect of the Nehari+Pohozaev multiplier identity."""
     params = result.params
-    parts = compute_parts(params, result.field, use_deriv=False)
-    coeff = _identity_coefficient(params)
-    if params.mode == "normalized-hls":
-        pred = coeff * params.nu * parts.power
-    else:
-        pred = coeff * params.nu * parts.riesz
+    pred = identity_prediction(params, compute_parts(params, result.field, use_deriv=False))
     lhs = result.lambda_nu * params.a ** 2
     return float((lhs - pred) / lhs) if lhs != 0 else np.inf
 
@@ -622,7 +604,7 @@ def _bubble_seed(solver: _MassSolver, scales) -> np.ndarray | None:
             u = solver.normalize(vals)
         except InvalidConfiguration:
             continue
-        obj = solver.objective(u, -1)
+        obj = solver.objective(solver.parts(u), -1)
         if obj is not None and obj < best_obj:
             best, best_obj = u, obj
     return best
@@ -661,7 +643,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
             if u is None:
                 plus_reason = status
                 continue
-            lam = solver.multiplier(u)
+            lam = multiplier_from_parts(params, solver.parts(u))
             u, lam, it_newton, res = solver.newton(u, lam, opts)
             cand = _branch_result(solver, u, lam, it_flow + it_newton, res, 1, opts)
             if plus is None or (cand.converged and (not plus.converged or cand.level < plus.level)):
@@ -679,7 +661,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
         if u is None:
             minus_reason = status
         else:
-            lam = solver.multiplier(u)
+            lam = multiplier_from_parts(params, solver.parts(u))
             u, lam, it_newton, res = solver.newton(u, lam, opts)
             minus = _branch_result(solver, u, lam, it_flow + it_newton, res, -1, opts)
 
@@ -723,11 +705,11 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
     amp = lam ** (-(N - 2) / 4.0)
     vals = amp * old(grid.r / scale)
     if params.mode == "normalized-hls":
-        coupling = params.nu * lam ** (-(2 * N - params.q * (N - 2)) / 4.0)
+        coupling = params.nu * lam ** (-params.gamma_exp / 4.0)
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
                             mode="lambda", lam=coupling)
     else:
-        coupling = params.nu * lam ** (-(N + params.alpha - params.p * (N - 2)) / 2.0)
+        coupling = params.nu * lam ** (-params.eta_exp / 2.0)
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
                             mode="mu", mu=coupling)
     solver = _FreeSolver(eff, grid, SolverOptions())

@@ -1,13 +1,19 @@
 """Property tests of the four-part algebra over the admissible (N, alpha, p, q)
 box: the energy, the defects, the fiber energies and their derivatives are
-one coefficient sum, checked against the per-mode formulas written out."""
+one coefficient sum, checked against the per-mode formulas written out; the
+multiplier, its P_nu + Pohozaev prediction and the rescaled parts come from
+the same exponent rows."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquard_lab.functional import (Parts, ProblemParams, _defects_from_parts,
                                      _fiber_derivative, _fiber_roots, _ray_root,
-                                     energy_from_parts, fiber_energy)
+                                     energy_from_parts, fiber_energy, identity_prediction,
+                                     multiplier_from_parts, scaled_parts)
+from choquard_lab.grid import make_grid
+from choquard_lab.solver import SolverOptions, _MassSolver
 
 KINDS = ("ray", "dilation", "mass")
 MODES = ("lambda", "mu", "general", "normalized-hls", "normalized-sobolev")
@@ -155,3 +161,67 @@ class TestFourPartAlgebra:
                 d, _, dscale = _fiber_derivative(pp, parts, "ray")
                 tol, eps = 4e-15 + 4e-14 * t_star, 1e-14 * dscale(t_star)
                 assert d(t_star - tol) >= -eps and d(t_star + tol) <= eps
+
+
+# ----------------------------------------------------- the scaling law
+
+def _fiber_map(pp, kind, t):
+    """(amp, arg) with the fiber point at t equal to amp * u(arg x)."""
+    return {"ray": (t, 1.0), "dilation": (1.0, 1.0 / t),
+            "mass": (t ** (pp.N / 2.0), t)}[kind]
+
+
+def _close(a: Parts, b: Parts, rtol):
+    for x, y in zip((a.kinetic, a.mass, a.riesz, a.power),
+                    (b.kinetic, b.mass, b.riesz, b.power)):
+        assert abs(x - y) <= rtol * abs(y), (a, b)
+
+
+class TestScalingLaw:
+    @given(problems(), st.floats(0.05, 20.0))
+    @settings(max_examples=300, deadline=None)
+    def test_fibers_are_rescaled_parts(self, draw, t):
+        pp, parts = draw
+        for kind in KINDS:
+            amp, arg = _fiber_map(pp, kind, t)
+            got = energy_from_parts(pp, scaled_parts(pp, parts, amp, arg))
+            want = float(fiber_energy(pp, parts, kind, t))
+            assert abs(got - want) <= 1e-12 * _term_size(pp, parts, kind, t)
+
+    @given(problems(), st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+           st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rescalings_compose(self, draw, a1, b1, a2, b2):
+        pp, parts = draw
+        twice = scaled_parts(pp, scaled_parts(pp, parts, a1, b1), a2, b2)
+        _close(twice, scaled_parts(pp, parts, a1 * a2, b1 * b2), 1e-12)
+        _close(scaled_parts(pp, parts, 1.0, 1.0), parts, 0.0)
+
+    @given(problems().filter(lambda d: d[0].normalized))
+    @settings(max_examples=300, deadline=None)
+    def test_identity_prediction_matches_the_closed_forms(self, draw):
+        pp, parts = draw
+        N, alpha, p, q = pp.N, pp.alpha, pp.p, pp.q
+        if pp.mode == "normalized-hls":
+            ts = pp.two_star
+            want = 2 * (ts - q) / (q * (ts - 2)) * pp.nu * parts.power
+        else:
+            want = (N + alpha - p * (N - 2)) / (2 * p) * pp.nu * parts.riesz
+        size = parts.kinetic + pp.riesz_coeff * parts.riesz + pp.power_coeff * parts.power
+        assert abs(identity_prediction(pp, parts) - want) <= 1e-13 * size
+
+    @given(problems().filter(lambda d: d[0].normalized),
+           st.floats(0.3, 3.0), st.floats(0.1, 5.0))
+    @settings(max_examples=20, deadline=None)
+    def test_multiplier_matches_the_strong_form(self, draw, width, amplitude):
+        # small grid: the table is rebuilt for every draw
+        pp = draw[0]
+        solver = _MassSolver(pp, make_grid(pp.N, 12.0, 60, 2.0), SolverOptions())
+        u = amplitude * np.exp(-(solver.grid.r / width) ** 2)
+        u[-1] = 0.0
+        # the oracle: -<W grad(u, 0), u> / a^2 from the strong form
+        oracle = -float(np.dot(solver.W, solver.grad(u, 0.0) * u)) / pp.a ** 2
+        parts = solver.parts(u)
+        size = (parts.kinetic + pp.riesz_coeff * parts.riesz
+                + pp.power_coeff * parts.power) / pp.a ** 2
+        assert abs(multiplier_from_parts(pp, parts) - oracle) <= 1e-13 * size

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
-from choquard_lab.functional import (ProblemParams, compute_parts, fiber_profile,
-                                     mass_fiber_classify)
+from choquard_lab.functional import (Parts, ProblemParams, compute_parts, fiber_profile,
+                                     identity_prediction, mass_fiber_classify)
 from choquard_lab.grid import gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import talenti
 from choquard_lab.solver import (NormalizedBranchResult, SolverOptions,
                                  ground_state, multiplier_check,
                                  normalized_branches,
                                  second_solution_via_rescale,
-                                 shoot_local_ground_state,
-                                 _identity_coefficient)
+                                 shoot_local_ground_state)
 
 
 @pytest.fixture(scope="module")
@@ -156,16 +155,21 @@ class TestNormalizedBranches:
 
 
 class TestMultiplierCoefficients:
+    # the identity prediction keeps one nonlinear term per mode; the parts
+    # below make the kinetic and the other term large, so a leftover shows
+    PARTS = Parts(kinetic=3.7, mass=1.0, riesz=2.3, power=1.9)
+
     def test_hls_identity_coefficient(self):
-        # N=3, q=4: 2(2*-q)/(q(2*-2)) = 2(6-4)/(4(6-2)) = 1/4
-        pp = ProblemParams(N=3, alpha=2.0, p=5.0, q=4.0, mode="normalized-hls", nu=1.0)
-        assert np.isclose(_identity_coefficient(pp), 0.25, rtol=1e-14)
+        # N=3, q=4: 2(2*-q)/(q(2*-2)) nu P = 2(6-4)/(4(6-2)) nu P = 1/4 nu P
+        pp = ProblemParams(N=3, alpha=2.0, p=5.0, q=4.0, mode="normalized-hls", nu=1.3)
+        assert np.isclose(identity_prediction(pp, self.PARTS), 0.25 * 1.3 * 1.9,
+                          rtol=1e-14)
 
     def test_sobolev_identity_coefficient(self):
         pp = ProblemParams(N=4, alpha=1.0, p=1.4, q=4.0, mode="normalized-sobolev",
-                           nu=1.0)
-        assert np.isclose(_identity_coefficient(pp), (4 + 1 - 1.4 * 2) / (2 * 1.4),
-                          rtol=1e-14)
+                           nu=1.3)
+        assert np.isclose(identity_prediction(pp, self.PARTS),
+                          (4 + 1 - 1.4 * 2) / (2 * 1.4) * 1.3 * 2.3, rtol=1e-14)
 
 
 class TestSecondSolutionRescale:
