@@ -125,7 +125,6 @@ def kelvin(f: RadialField, target_grid: RadialGrid | None = None) -> RadialField
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / r
     vals = np.where(inv <= g.r_max, r ** (-(N - 2.0)) * f(np.minimum(inv, g.r_max)), 0.0)
-    vals[inv > g.r_max] = 0.0
     return RadialField.from_values(target_grid, vals, origin=0.0)
 
 

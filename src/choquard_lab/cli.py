@@ -11,6 +11,7 @@ import argparse
 import configparser
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def cmd_fiber(args):
     grid = _grid_from(cfg)
     field = talenti(grid) if cfg.get("field", "talenti") == "talenti" else None
     if field is None:
-        field = RadialField.from_csv(grid, open(cfg["field"]).read())
+        field = RadialField.from_csv(grid, Path(cfg["field"]).read_text())
     kind = cfg.get("kind", "ray")
     ts = np.geomspace(float(cfg.get("t_min", 0.1)), float(cfg.get("t_max", 10.0)),
                       int(cfg.get("t_count", 100)))

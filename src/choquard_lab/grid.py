@@ -103,7 +103,7 @@ def _panel_weights(a: float, b: float, nodes, N: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Graded radial grid with quadrature weights for int f(r) r^(N-1) dr.
 
@@ -124,12 +124,6 @@ class RadialGrid:
     panel_weights: tuple
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
     @property
     def key(self):

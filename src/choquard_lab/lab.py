@@ -40,24 +40,18 @@ class ScanPoint:
     converged: bool
 
 
-def _frame_params(N, alpha, p, q, which, coeff):
+def frame_exponents(which: str, p: float, q: float):
+    """(coefficient exponent, level exponent, weak term) of the frame: the
+    weak term's coefficient (`mu` or `lam` of the frame params, the other
+    one is 1) is coupling^e_c, and the original-frame level is coupling^e_l
+    times the frame level; e_c is also the predicted decay rate of the
+    level gap."""
     if which == "lambda":
         # w = lam^(1/(q-2)) v: Riesz coefficient becomes eps = lam^(-2(p-1)/(q-2))
-        return ProblemParams(N=N, alpha=alpha, p=p, q=q, mode="general",
-                             mu=coeff, lam=1.0)
-    # w = mu^(1/(2(p-1))) v: power coefficient becomes delta = mu^(-(q-2)/(2(p-1)))
-    return ProblemParams(N=N, alpha=alpha, p=p, q=q, mode="general",
-                         mu=1.0, lam=coeff)
-
-
-def frame_exponents(which: str, p: float, q: float):
-    """(coefficient, level) exponents of the frame: the weak-term coefficient
-    is coupling^e_c and the original-frame level is coupling^e_l times the
-    frame level; e_c is also the predicted decay rate of the level gap."""
-    if which == "lambda":
-        return -2.0 * (p - 1) / (q - 2), -2.0 / (q - 2)
+        return -2.0 * (p - 1) / (q - 2), -2.0 / (q - 2), "mu"
     if which == "mu":
-        return -(q - 2) / (2.0 * (p - 1)), -1.0 / (p - 1)
+        # w = mu^(1/(2(p-1))) v: power coefficient becomes delta = mu^(-(q-2)/(2(p-1)))
+        return -(q - 2) / (2.0 * (p - 1)), -1.0 / (p - 1), "lam"
     raise InvalidParameter("which must be 'lambda' or 'mu'")
 
 
@@ -70,18 +64,21 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
     warm-starting each solve from the previous one.  The gap column is the
     quantity whose decay rate the scan probes.
     """
-    e_coeff, e_level = frame_exponents(which, p, q)
+    e_coeff, e_level, weak = frame_exponents(which, p, q)
     couplings = sorted(float(c) for c in couplings)
     opts = opts or SolverOptions()
-    ref_params = _frame_params(N, alpha, p, q, which, 0.0)
-    ref = ground_state(ref_params, grid, init="gaussian", opts=opts)
+
+    def frame_params(coeff):
+        return ProblemParams(N=N, alpha=alpha, p=p, q=q, mode="general",
+                             **{"mu": 1.0, "lam": 1.0, weak: coeff})
+
+    ref = ground_state(frame_params(0.0), grid, init="gaussian", opts=opts)
     points = []
     warm = ref.field
     # scan from the largest coupling (smallest perturbation) downward
     for c in sorted(couplings, reverse=True):
         coeff = c ** e_coeff
-        params = _frame_params(N, alpha, p, q, which, coeff)
-        res = ground_state(params, grid, init=warm, opts=opts)
+        res = ground_state(frame_params(coeff), grid, init=warm, opts=opts)
         warm = res.field
         points.append(ScanPoint(coupling=c, frame_coeff=coeff,
                                 frame_level=res.level,

@@ -11,7 +11,6 @@ product integration on geometrically refined sub-panels.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from math import gamma, pi
 
@@ -19,7 +18,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
 
-from .errors import IncompatibleGrid, InvalidParameter
+from .errors import InvalidParameter
 from .grid import RadialField, RadialGrid, _check_same_grid, sphere_surface
 
 __all__ = ["kernel_value", "RieszKernelTable", "kernel_table", "convolve",
@@ -41,11 +40,11 @@ def kernel_value(N: int, alpha: float, r, s):
     Exact angular average of A_alpha(N)|x-y|^(alpha-N) over the sphere |y| = s:
         K = A_alpha |S^(N-2)| B((N-1)/2, 1/2) max(r,s)^(alpha-N)
             * 2F1((N-alpha)/2, 1-alpha/2; N/2; (min/max)^2).
-    Diverges on the diagonal for alpha <= 1; the convolution table never
-    samples it there (product integration takes over).
+    Diverges on the diagonal for alpha <= 1; the quadrature rows never
+    sample it there (product integration takes over).
     """
-    if not 0 < alpha < N:
-        raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
+    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
+            * beta_fn((N - 1) / 2.0, 0.5))
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     hi = np.maximum(r, s)
@@ -55,10 +54,7 @@ def kernel_value(N: int, alpha: float, r, s):
         F = np.ones_like(z2)
     else:
         F = hyp2f1((N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0, z2)
-    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
-            * beta_fn((N - 1) / 2.0, 0.5))
-    out = pref * hi ** (alpha - N) * F
-    return out
+    return pref * hi ** (alpha - N) * F
 
 
 def _refined_pieces(a: float, b: float, sing: float, depth: int = 14, ratio: float = 0.25):
@@ -98,8 +94,7 @@ def _panel_product_row(N: int, alpha: float, t: float, a: float, b: float, nodes
         ws.append(half * _GL8[1])
     xs = np.concatenate(xs)
     ws = np.concatenate(ws)
-    K = kernel_value(N, alpha, t, xs) if t > 0 else (
-        riesz_normalization(N, alpha) * sphere_surface(N) * xs ** (alpha - N))
+    K = kernel_value(N, alpha, t, xs)
     x0, x1, x2 = nodes
     l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
     l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
@@ -138,23 +133,6 @@ class RieszKernelTable:
     def bilinear(self, fvals: np.ndarray, gvals: np.ndarray) -> float:
         return float(fvals @ (self.G @ gvals))
 
-    @property
-    def key_hash(self) -> str:
-        h = hashlib.sha256(repr((self.grid.key, self.alpha)).encode())
-        return h.hexdigest()[:16]
-
-    def save(self, path):
-        np.savez_compressed(path, M=self.M, G=self.G, origin_row=self.origin_row,
-                            meta=np.array(repr((self.grid.key, self.alpha))))
-
-    @classmethod
-    def load(cls, path, grid: RadialGrid, alpha: float) -> "RieszKernelTable":
-        data = np.load(path, allow_pickle=False)
-        if str(data["meta"]) != repr((grid.key, alpha)):
-            raise IncompatibleGrid("kernel table on disk was built for another grid")
-        return cls(grid=grid, alpha=alpha, M=data["M"], G=data["G"],
-                   origin_row=data["origin_row"])
-
 
 def _near_mask(grid: RadialGrid, targets) -> np.ndarray:
     """near[k, i]: panel i lies within one panel-width of targets[k]; the
@@ -184,34 +162,38 @@ def _correct_near(grid: RadialGrid, alpha: float, t: float, row, far, panels):
             row[j] += cor[m] - far[j] * old[m]
 
 
+def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
+    """Quadrature rows: rows[k] @ g.values is (I_alpha * g)(targets[k]).
+
+    The kernel is sampled at the nodes, except at a node that coincides with
+    the target (relative tolerance only: graded grids put distinct nodes
+    closer than any absolute one), and the panels near each target are redone
+    by product integration.
+    """
+    t = np.asarray(targets, dtype=float)
+    far = kernel_value(grid.N, alpha, t[:, None], grid.r[None, :])
+    far[np.isclose(grid.r[None, :], t[:, None], atol=0.0)] = 0.0
+    rows = far * grid.w
+    for k, near in enumerate(_near_mask(grid, t)):
+        _correct_near(grid, alpha, t[k], rows[k], far[k], np.nonzero(near)[0])
+    return rows
+
+
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
-    N = grid.N
-    r = grid.r
-    w = grid.w
-    R, S = np.meshgrid(r, r, indexing="ij")
-    K = kernel_value(N, alpha, R, S)
-    np.fill_diagonal(K, 0.0)  # replaced by product integration below
-    M = K * w[None, :]
-    for i, near in enumerate(_near_mask(grid, r)):
-        _correct_near(grid, alpha, r[i], M[i], K[i], np.nonzero(near)[0])
-    Wf = grid.weights_full
-    WM = Wf[:, None] * M
+    M = _rows(grid, alpha, grid.r)
+    WM = grid.weights_full[:, None] * M
     G = 0.5 * (WM + WM.T)
-    # origin row: kernel ~ s^(alpha-N), integrand ~ s^(alpha-1) near 0; the
-    # first three panels use nodes 0..4
-    c0 = riesz_normalization(N, alpha) * sphere_surface(N)
-    row0 = c0 * r ** (alpha - N) * w
-    far0 = [c0 * x ** (alpha - N) for x in r[:5]]
-    _correct_near(grid, alpha, 0.0, row0, far0, range(min(3, len(grid.panels))))
-    return RieszKernelTable(grid=grid, alpha=alpha, M=M, G=G, origin_row=row0)
+    return RieszKernelTable(grid=grid, alpha=alpha, M=M, G=G,
+                            origin_row=_rows(grid, alpha, [0.0])[0])
 
 
 _TABLE_CACHE: dict = {}
 
 
 def kernel_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
-    """Build or reuse the convolution table for (grid, alpha)."""
-    key = (id(grid), float(alpha))
+    """Build or reuse the convolution table for (grid, alpha); equal grids
+    share one table."""
+    key = (grid.key, float(alpha))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         tab = _build_table(grid, alpha)
@@ -230,19 +212,7 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
 
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:
     """Potential values at arbitrary radii (rows built on demand)."""
-    r_targets = np.atleast_1d(np.asarray(r_targets, dtype=float))
-    r = grid.r
-    out = np.zeros(len(r_targets))
-    for k, (t, near) in enumerate(zip(r_targets, _near_mask(grid, r_targets))):
-        if t == 0.0:
-            out[k] = kernel_table(grid, alpha).origin_value(g.values)
-            continue
-        far = kernel_value(grid.N, alpha, t, r)
-        far[np.isclose(r, t)] = 0.0
-        row = far * grid.w
-        _correct_near(grid, alpha, t, row, far, np.nonzero(near)[0])
-        out[k] = np.dot(row, g.values)
-    return out
+    return _rows(grid, alpha, np.atleast_1d(r_targets)) @ g.values
 
 
 def interaction_energy(grid: RadialGrid, u: RadialField, p: float, alpha: float) -> float:

@@ -315,6 +315,50 @@ class _Discrete:
         b[-1] = 0.0
         return solve_banded((1, 1), ab, b)
 
+    def polish(self, u, shift, opts: SolverOptions, bordered: bool):
+        """Newton on the strong form at `shift`; `bordered` adds the mass
+        constraint, with the shift as its multiplier (a KKT system).
+
+        Returns (u, shift, steps, residual) of the best iterate.  Newton on
+        the strong form is not residual-monotone (positive-part clipping
+        re-shapes the tail): keep the best iterate, tolerate the early
+        transient, and stop on genuine blow-up, a singular Jacobian or a
+        step below the resolvability floor.
+        """
+        n, W = self.n, self.W
+        a2 = self.params.a ** 2 if bordered else None
+        best, res_best = (u, shift), np.inf
+        for k in range(opts.newton_iters):
+            F, res = self.residual(u, shift)
+            if bordered:
+                F2 = 0.5 * (self.mass(u) - a2)
+            if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
+                return (*best, k, res_best)
+            if res < res_best:
+                best, res_best = (u, shift), res
+            if res < opts.residual_tol and (not bordered or abs(F2) < 1e-13 * a2):
+                return u, shift, k, res
+            J = self.jacobian(u, shift, opts, W * u if bordered else None)
+            rhs = -(W * F)
+            if bordered:
+                rhs = np.append(rhs, -F2)
+            rhs[n - 1] = 0.0
+            try:
+                step = np.linalg.solve(J, rhs)
+            except np.linalg.LinAlgError:
+                return (*best, k, res_best)
+            cand = np.maximum(u + step[:n], 0.0)
+            cand[-1] = 0.0
+            if self.xi_of(cand) < self.xi_floor(opts):
+                return (*best, k, res_best)
+            u = cand
+            if bordered:
+                shift = shift + step[n]
+        return (*best, opts.newton_iters, res_best)
+
+    def mass(self, u):
+        return float(np.dot(self.W, u * u))
+
     def field(self, u) -> RadialField:
         return RadialField.from_values(self.grid, u)
 
@@ -370,33 +414,8 @@ class _FreeSolver(_Discrete):
         return u, hist
 
     def newton(self, u, opts: SolverOptions):
-        mc = self.params.mass_coeff
-        res_best = np.inf
-        best = u
-        for k in range(opts.newton_iters):
-            F, res = self.residual(u, mc)
-            # Newton on the strong form is not residual-monotone (positive-part
-            # clipping re-shapes the tail); keep the best iterate, tolerate the
-            # early transient, and only bail on genuine blow-up
-            if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
-                return best, k, res_best
-            if res < res_best:
-                best, res_best = u, res
-            if res < opts.residual_tol:
-                return u, k, res
-            J = self.jacobian(u, mc, opts, None)
-            rhs = -(self.W * F)
-            rhs[-1] = 0.0
-            try:
-                du = np.linalg.solve(J, rhs)
-            except np.linalg.LinAlgError:
-                return best, k, res_best
-            cand = np.maximum(u + du, 0.0)
-            cand[-1] = 0.0
-            if self.xi_of(cand) < self.xi_floor(opts):
-                return best, k, res_best
-            u = cand
-        return best, opts.newton_iters, res_best
+        u, _, k, res = self.polish(u, self.params.mass_coeff, opts, bordered=False)
+        return u, k, res
 
 
 def _initial_field(tag, grid: RadialGrid) -> tuple[str, np.ndarray]:
@@ -457,9 +476,6 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
 class _MassSolver(_Discrete):
     """Fiber-projected constrained flow + KKT Newton for the normalized modes."""
 
-    def mass(self, u):
-        return float(np.dot(self.W, u * u))
-
     def normalize(self, u):
         m = self.mass(u)
         if m <= 0:
@@ -507,10 +523,12 @@ class _MassSolver(_Discrete):
         return float(fiber_energy(self.params, parts, "mass", t))
 
     def flow(self, u0, which, opts: SolverOptions):
+        """Constrained descent to the `which` fiber branch; returns
+        (v, iterations, status, parts of v)."""
         u = self.normalize(u0)
         v = self.project(u, which)
         if v is None:
-            return None, 0, "no-fiber-point"
+            return None, 0, "no-fiber-point", None
         kappa_floor = 0.02
         parts = self.parts(v)
         for k in range(opts.flow_iters):
@@ -518,7 +536,7 @@ class _MassSolver(_Discrete):
             lam = multiplier_from_parts(self.params, parts)
             g, res = self.residual(v, lam)
             if res < opts.flow_tol:
-                return v, k, "handoff"
+                return v, k, "handoff", parts
             kappa = max(lam, kappa_floor * parts.kinetic / self.params.a ** 2)
             d = self.solve_shifted(kappa, g * self.W)
             d -= np.dot(self.W, d * v) / self.params.a ** 2 * v
@@ -539,36 +557,12 @@ class _MassSolver(_Discrete):
                             break
                 tau *= 0.5
             if not accepted:
-                return v, k, "handoff"
+                return v, k, "handoff", parts
             v, parts = proj, proj_parts
-        return v, opts.flow_iters, "handoff"
+        return v, opts.flow_iters, "handoff", parts
 
     def newton(self, u, lam, opts: SolverOptions):
-        n = self.n
-        W = self.W
-        a2 = self.params.a ** 2
-        best = (u, lam)
-        res_best = np.inf
-        for k in range(opts.newton_iters):
-            F1, res = self.residual(u, lam)
-            F2 = 0.5 * (self.mass(u) - a2)
-            if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
-                return best[0], best[1], k, res_best
-            if res < res_best:
-                best, res_best = (u, lam), res
-            if res < opts.residual_tol and abs(F2) < 1e-13 * a2:
-                return u, lam, k, res
-            J = self.jacobian(u, lam, opts, border=W * u)
-            rhs = np.concatenate((-(W * F1), [-F2]))
-            rhs[n - 1] = 0.0
-            try:
-                sol = np.linalg.solve(J, rhs)
-            except np.linalg.LinAlgError:
-                return best[0], best[1], k, res_best
-            u = np.maximum(u + sol[:n], 0.0)
-            u[-1] = 0.0
-            lam = lam + sol[n]
-        return best[0], best[1], opts.newton_iters, res_best
+        return self.polish(u, lam, opts, bordered=True)
 
 
 def multiplier_check(result: NormalizedBranchResult) -> float:
@@ -592,6 +586,17 @@ def _branch_result(solver: _MassSolver, u, lam, iters, res, which,
                                  pde_residual_scaled=float(res), iterations=iters,
                                  converged=bool(conv))
     return replace(out, multiplier_identity_defect=abs(multiplier_check(out)))
+
+
+def _polish_branch(solver: _MassSolver, u0, which, opts: SolverOptions):
+    """Flow from u0 to the `which` branch, then the bordered Newton polish;
+    returns (result, None), or (None, reason) when the flow finds no branch."""
+    u, it_flow, status, parts = solver.flow(u0, which, opts)
+    if u is None:
+        return None, status
+    lam = multiplier_from_parts(solver.params, parts)
+    u, lam, it_newton, res = solver.newton(u, lam, opts)
+    return _branch_result(solver, u, lam, it_flow + it_newton, res, which, opts), None
 
 
 def _bubble_seed(solver: _MassSolver, scales) -> np.ndarray | None:
@@ -639,13 +644,10 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
     else:
         candidates.sort(key=lambda c: c[0])
         for _, u0 in candidates[:3]:
-            u, it_flow, status = solver.flow(u0, 1, opts)
-            if u is None:
-                plus_reason = status
+            cand, reason = _polish_branch(solver, u0, 1, opts)
+            if cand is None:
+                plus_reason = reason
                 continue
-            lam = multiplier_from_parts(params, solver.parts(u))
-            u, lam, it_newton, res = solver.newton(u, lam, opts)
-            cand = _branch_result(solver, u, lam, it_flow + it_newton, res, 1, opts)
             if plus is None or (cand.converged and (not plus.converged or cand.level < plus.level)):
                 plus = cand
                 plus_reason = None
@@ -657,13 +659,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
     if u0 is None:
         minus_reason = "no bubble seed admits a fiber maximum"
     else:
-        u, it_flow, status = solver.flow(u0, -1, opts)
-        if u is None:
-            minus_reason = status
-        else:
-            lam = multiplier_from_parts(params, solver.parts(u))
-            u, lam, it_newton, res = solver.newton(u, lam, opts)
-            minus = _branch_result(solver, u, lam, it_flow + it_newton, res, -1, opts)
+        minus, minus_reason = _polish_branch(solver, u0, -1, opts)
 
     return NormalizedBranches(plus=plus, minus=minus,
                               plus_absent_reason=plus_reason,

@@ -1,0 +1,49 @@
+"""The benchmark's tracer patches solver attributes by name and reads their
+return tuples; this checks those names and tuples against the package.
+
+The tracer rebinds module globals (numpy's dense solve among them), so it
+runs in a subprocess and leaves this test session untouched.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from choquard_lab import grid, solver
+from tracing import Tracer, instrument
+
+tracer = instrument(Tracer())
+from choquard_lab.functional import ProblemParams, multiplier_from_parts
+from choquard_lab.profiles import gaussian
+
+g = grid.make_grid(3, 20.0, 200, 2.0)
+opts = solver.SolverOptions()
+free = solver._FreeSolver(ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general",
+                                        mu=1.0, lam=1.0), g, opts)
+_, k_free, _ = free.newton(gaussian(g, width=1.5).values, opts)
+params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)
+mass = solver._MassSolver(params, g, opts)
+u = mass.normalize(gaussian(g, width=1.5).values)
+_, _, k_mass, _ = mass.newton(u, multiplier_from_parts(params, mass.parts(u)), opts)
+print(json.dumps({"k": k_free + k_mass,
+                  "newton_iters": tracer.value["solver.newton_iters"],
+                  "newton_calls": tracer.count["solver.newton"],
+                  "dense_solves": tracer.count["solver.dense_solve"]}))
+"""
+
+
+def test_traced_newton_counts_match_returned_steps():
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["newton_calls"] == 2
+    assert out["k"] > 0
+    assert out["newton_iters"] == out["k"]
+    assert out["dense_solves"] >= out["k"]

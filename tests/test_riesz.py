@@ -11,9 +11,8 @@ from choquard_lab.constants import interaction_bound_constant
 from choquard_lab.errors import IncompatibleGrid, InvalidParameter
 from choquard_lab.grid import RadialField, integrate, make_grid
 from choquard_lab.profiles import hls_extremizer
-from choquard_lab.riesz import (RieszKernelTable, convolve, interaction_energy,
-                                kernel_table, kernel_value, potential_at,
-                                riesz_normalization)
+from choquard_lab.riesz import (convolve, interaction_energy, kernel_table,
+                                kernel_value, potential_at, riesz_normalization)
 
 
 def kernel_bruteforce(N, alpha, r, s):
@@ -133,6 +132,29 @@ class TestPotentialNearPanelEnds:
         assert np.max(np.abs(vals - exact) / exact) < 1e-3
 
 
+class TestPotentialAt:
+    """`potential_at` and the table share one row builder."""
+
+    @pytest.fixture(scope="class")
+    def gauss(self):
+        grid = make_grid(3, 25.0, 400, 2.0)
+        return grid, RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_matches_convolve_bit_for_bit(self, gauss, alpha):
+        grid, g = gauss
+        D = convolve(grid, g, alpha)
+        assert potential_at(grid, g, alpha, [0.0])[0] == D.origin
+        assert np.array_equal(potential_at(grid, g, alpha, grid.r), D.values)
+
+    def test_origin_closed_form(self, gauss):
+        # (I_alpha * exp(-r^2))(0) = Gamma((N-alpha)/2) / (2^alpha Gamma(N/2)); the
+        # origin is integrated like any other target, near-panel rule included
+        grid, g = gauss
+        exact = gamma((3 - 0.5) / 2) / (2 ** 0.5 * gamma(1.5))
+        assert abs(convolve(grid, g, 0.5).origin - exact) < 1e-3 * exact
+
+
 class TestInteractionEnergy:
     def test_coulomb_ball_self_energy(self, ball_grid, ball_one):
         val = interaction_energy(ball_grid, ball_one, 1.0, 2.0)
@@ -181,20 +203,10 @@ class TestInteractionEnergy:
 
 
 class TestKernelTable:
-    def test_save_load_round_trip(self, tmp_path, ball_grid):
-        tab = kernel_table(ball_grid, 2.0)
-        path = tmp_path / f"kernel_{tab.key_hash}.npz"
-        tab.save(path)
-        tab2 = RieszKernelTable.load(path, ball_grid, 2.0)
-        assert np.array_equal(tab2.G, tab.G)
-
-    def test_load_wrong_grid_rejected(self, tmp_path, ball_grid):
-        tab = kernel_table(ball_grid, 2.0)
-        path = tmp_path / "kernel.npz"
-        tab.save(path)
-        other = make_grid(3, 1.0, 820, 1.0)
-        with pytest.raises(IncompatibleGrid):
-            RieszKernelTable.load(path, other, 2.0)
-
     def test_cache_reuse(self, ball_grid):
         assert kernel_table(ball_grid, 2.0) is kernel_table(ball_grid, 2.0)
+
+    def test_equal_grids_share_a_table(self):
+        a, b = make_grid(3, 2.0, 300, 1.5), make_grid(3, 2.0, 300, 1.5)
+        assert a is not b
+        assert kernel_table(a, 2.0) is kernel_table(b, 2.0)

@@ -3,10 +3,11 @@ import pytest
 
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
 from choquard_lab.functional import (Parts, ProblemParams, compute_parts, fiber_profile,
-                                     identity_prediction, mass_fiber_classify)
+                                     identity_prediction, mass_fiber_classify,
+                                     multiplier_from_parts)
 from choquard_lab.grid import gradient_seminorm, integrate, make_grid
-from choquard_lab.profiles import talenti
-from choquard_lab.solver import (NormalizedBranchResult, SolverOptions,
+from choquard_lab.profiles import gaussian, talenti
+from choquard_lab.solver import (NormalizedBranchResult, SolverOptions, _MassSolver,
                                  ground_state, multiplier_check,
                                  normalized_branches,
                                  second_solution_via_rescale,
@@ -152,6 +153,23 @@ class TestNormalizedBranches:
         for res in (out.plus, out.minus):
             m = integrate(res.field.grid, res.field.values ** 2)
             assert abs(m - params.a ** 2) < 1e-8 * params.a ** 2
+
+
+class TestNewtonFloor:
+    def test_mass_newton_stops_below_resolvability_floor(self):
+        # the floor sits at the last node, so the first Newton candidate from
+        # this Gaussian falls below it and the polish keeps its input, as the
+        # free solver does
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        opts = SolverOptions(min_scale_nodes=199)
+        solver = _MassSolver(params, grid, opts)
+        u = solver.normalize(gaussian(grid).values)
+        lam = multiplier_from_parts(params, solver.parts(u))
+        u_out, lam_out, k, _ = solver.newton(u, lam, opts)
+        assert k == 0
+        assert u_out is u and lam_out == lam
 
 
 class TestMultiplierCoefficients:
