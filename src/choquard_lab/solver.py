@@ -12,7 +12,7 @@ strong-form residual can be driven to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,8 @@ from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
                      RescaleInconsistency, ShootingFailure)
 from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
                          fiber_energy, identity_prediction, multiplier_from_parts,
-                         _defects_from_parts, _fiber_derivative, _fiber_roots, _ray_root)
+                         scaled_parts, _defects_from_parts, _fiber_derivative,
+                         _fiber_roots, _ray_root, _values)
 from .grid import RadialField, RadialGrid, apply_stiffness, make_grid
 from .profiles import gaussian, smoothstep_cutoff, talenti, talenti_scale
 from .riesz import kernel_table
@@ -185,6 +186,14 @@ def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 120
 
 # ------------------------------------------------------- discrete problems
 
+@dataclass(frozen=True)
+class _IterateParts(Parts):
+    """The parts of a solver iterate u and conv = (G @ u^p) / W, the Riesz
+    potential its strong form needs (None without a Riesz term)."""
+
+    conv: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
 class _Discrete:
     """Grid-bound arrays and the strong form shared by the free and
     normalized solvers; `shift` is the coefficient of u in the gradient
@@ -223,51 +232,62 @@ class _Discrete:
         """Pointwise convolution operator G / W of the Newton Jacobian."""
         return self.tab.G / self.W[:, None]
 
-    def parts(self, u) -> Parts:
+    def conv_of(self, u):
+        """conv(u^p), or None without a Riesz term."""
+        return None if self.tab is None else self.conv_p(u)
+
+    def parts(self, u) -> _IterateParts:
+        """The parts of u and its conv(u^p): the one `G @ u^p` of an iterate."""
         K = float(np.dot(u, apply_stiffness(self.Ad, self.Ao, u)))
         M = float(np.dot(self.W, u * u))
         if self.tab is not None:
             up = u ** self.params.p
-            R = float(up @ (self.tab.G @ up))
+            Gup = self.tab.G @ up
+            R, conv = float(up @ Gup), Gup / self.W
         else:
-            R = 0.0
+            R, conv = 0.0, None
         P = float(np.dot(self.W, u ** self.params.q))
-        return Parts(kinetic=K, mass=M, riesz=R, power=P)
+        return _IterateParts(kinetic=K, mass=M, riesz=R, power=P, conv=conv)
 
-    def energy(self, u):
-        return energy_from_parts(self.params, self.parts(u))
+    def ray(self, parts: _IterateParts, t) -> _IterateParts:
+        """The parts and conv of t * u from those of u, by the ray scaling law."""
+        conv = None if parts.conv is None else t ** self.params.p * parts.conv
+        return _IterateParts(*_values(scaled_parts(self.params, parts, t, 1.0)), conv=conv)
 
-    def grad(self, u, shift):
-        """Strong-form gradient F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1)."""
+    def grad(self, u, shift, conv=None):
+        """Strong-form gradient F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1);
+        `conv` is conv(u^p) when the caller holds it."""
         p = self.params
         F = apply_stiffness(self.Ad, self.Ao, u) / self.W + shift * u
-        if self.tab is not None and p.riesz_coeff:
-            F -= p.riesz_coeff * self.conv_p(u) * u ** (p.p - 1)
+        conv = self.conv_of(u) if conv is None else conv
+        if conv is not None:
+            F -= p.riesz_coeff * conv * u ** (p.p - 1)
         if p.power_coeff:
             F -= p.power_coeff * u ** (p.q - 1)
         return F
 
-    def term_scale(self, u, shift):
+    def term_scale(self, u, shift, conv):
         """Largest single term of the strong form on the residual window."""
         p = self.params
         s = np.abs(apply_stiffness(self.Ad, self.Ao, u) / self.W) + abs(shift) * np.abs(u)
-        if self.tab is not None and p.riesz_coeff:
-            s += p.riesz_coeff * np.abs(self.conv_p(u)) * u ** (p.p - 1)
+        if conv is not None:
+            s += p.riesz_coeff * np.abs(conv) * u ** (p.p - 1)
         if p.power_coeff:
             s += p.power_coeff * u ** (p.q - 1)
         return float(np.max(s[self.nlo: self.ncut]))
 
-    def residual(self, u, shift):
-        """F = grad(u, shift) and max |F| on the residual window over the term scale."""
-        F = self.grad(u, shift)
+    def residual(self, u, shift, conv):
+        """F = grad(u, shift) and max |F| on the residual window over the term scale;
+        `conv` is conv(u^p)."""
+        F = self.grad(u, shift, conv)
         m = float(np.max(np.abs(F[self.nlo: self.ncut])))
-        return F, m / max(self.term_scale(u, shift), 1e-300)
+        return F, m / max(self.term_scale(u, shift, conv), 1e-300)
 
-    def jacobian(self, u, shift, opts: SolverOptions, border):
+    def jacobian(self, u, shift, opts: SolverOptions, border, conv):
         """Dense Jacobian of W * grad(., shift) at u, Dirichlet at the last node.
 
         A `border` vector (or None) is appended as the last row and column:
-        the constraint gradient of a bordered KKT system.
+        the constraint gradient of a bordered KKT system; `conv` is conv(u^p).
         """
         p = self.params
         n, W = self.n, self.W
@@ -279,15 +299,15 @@ class _Discrete:
         Jn[idx[1:], idx[:-1]] = self.Ao
         mask = u > opts.positivity_floor * max(u.max(), 1e-300)
         um = np.where(mask, u, 1.0)
-        if self.tab is not None and p.riesz_coeff:
+        if conv is not None:
             D1 = np.where(mask, u ** (p.p - 1), 0.0)
             Jnl = p.p * (D1[:, None] * self.conv_matrix * D1[None, :])
             if p.p < 2:
                 # u^(p-2) is unbounded at small u: regularize the diagonal
                 ureg = u + 1e-8 * max(u.max(), 1e-300)
-                diag_nl = (p.p - 1) * self.conv_p(u) * ureg ** (p.p - 2)
+                diag_nl = (p.p - 1) * conv * ureg ** (p.p - 2)
             else:
-                diag_nl = np.where(mask, (p.p - 1) * self.conv_p(u) * um ** (p.p - 2), 0.0)
+                diag_nl = np.where(mask, (p.p - 1) * conv * um ** (p.p - 2), 0.0)
             Jn -= p.riesz_coeff * (W[:, None] * Jnl + np.diag(W * diag_nl))
         if p.power_coeff:
             Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
@@ -329,7 +349,8 @@ class _Discrete:
         a2 = self.params.a ** 2 if bordered else None
         best, res_best = (u, shift), np.inf
         for k in range(opts.newton_iters):
-            F, res = self.residual(u, shift)
+            conv = self.conv_of(u)      # the step's one mat-vec
+            F, res = self.residual(u, shift, conv)
             if bordered:
                 F2 = 0.5 * (self.mass(u) - a2)
             if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
@@ -338,7 +359,7 @@ class _Discrete:
                 best, res_best = (u, shift), res
             if res < opts.residual_tol and (not bordered or abs(F2) < 1e-13 * a2):
                 return u, shift, k, res
-            J = self.jacobian(u, shift, opts, W * u if bordered else None)
+            J = self.jacobian(u, shift, opts, W * u if bordered else None, conv)
             rhs = -(W * F)
             if bordered:
                 rhs = np.append(rhs, -F2)
@@ -366,25 +387,30 @@ class _Discrete:
 class _FreeSolver(_Discrete):
     """Nehari-constrained descent + Newton polish for the free modes."""
 
-    def residuals(self, u):
+    def residuals(self, u, conv):
         """(max |F| / max u, max |F| / term scale) on the residual window."""
-        F, scaled = self.residual(u, self.params.mass_coeff)
+        F, scaled = self.residual(u, self.params.mass_coeff, conv)
         return float(np.max(np.abs(F[self.nlo: self.ncut]))) / max(np.max(u), 1e-300), scaled
 
-    def nehari_t(self, u):
-        return _ray_root(self.params, self.parts(u))
+    def nehari_t(self, parts: Parts):
+        return _ray_root(self.params, parts)
 
     def descend(self, u, opts: SolverOptions):
-        t = self.nehari_t(u)
+        """Nehari-projected descent.  Each line-search trial v pays one
+        `parts` mat-vec; the parts and conv of the projected t*v follow by
+        the ray scaling law and serve its energy or residual and, once it
+        is accepted, the next gradient, residual and E0."""
+        pu = self.parts(u)
+        t = self.nehari_t(pu)
         if t is None:
             raise NoProjection("initial field admits no Nehari projection")
-        u = t * u
+        u, pu = t * u, self.ray(pu, t)
         hist = 0
         res_scaled = np.inf
         for k in range(opts.max_iters):
-            g = self.grad(u, self.params.mass_coeff)
+            g = self.grad(u, self.params.mass_coeff, pu.conv)
             d = self.solve_shifted(max(self.params.mass_coeff, 1e-10), g * self.W)
-            E0 = self.energy(u)
+            E0 = energy_from_parts(self.params, pu)
             endgame = res_scaled < opts.flow_tol
             tau = opts.step
             accepted = False
@@ -392,23 +418,24 @@ class _FreeSolver(_Discrete):
             for _ in range(40):
                 v = np.maximum(u - tau * d, 0.0)
                 v[-1] = 0.0
-                tv = self.nehari_t(v)
+                pv = self.parts(v)
+                tv = self.nehari_t(pv)
                 if tv is not None and self.xi_of(tv * v) >= floor:
-                    v = tv * v
+                    v, pv = tv * v, self.ray(pv, tv)
                     if endgame:
-                        rv = self.residuals(v)[1]
+                        rv = self.residuals(v, pv.conv)[1]
                         if rv < res_scaled:
                             accepted = True
                             break
-                    elif self.energy(v) <= E0 + 1e-14 * abs(E0):
+                    elif energy_from_parts(self.params, pv) <= E0 + 1e-14 * abs(E0):
                         accepted = True
                         break
                 tau *= 0.5
             if not accepted:
                 break
-            u = v
+            u, pu = v, pv
             hist = k + 1
-            res_scaled = self.residuals(u)[1]
+            res_scaled = self.residuals(u, pu.conv)[1]
             if res_scaled < opts.flow_tol * 1e-2:
                 break
         return u, hist
@@ -448,7 +475,7 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
         parts = solver.parts(u)
         level = energy_from_parts(params, parts)
         nd, pd = _defects_from_parts(params, parts)
-        res_sup, res_scaled = solver.residuals(u)
+        res_sup, res_scaled = solver.residuals(u, parts.conv)
         fld = solver.field(u)
         umax = u.max()
         noninc = bool(np.all(np.diff(u) <= 1e-8 * umax + 1e-300))
@@ -532,9 +559,9 @@ class _MassSolver(_Discrete):
         kappa_floor = 0.02
         parts = self.parts(v)
         for k in range(opts.flow_iters):
-            # one parts(v) per iterate serves the multiplier, kappa and obj0
+            # one parts(v) per iterate serves the multiplier, the residual, kappa and obj0
             lam = multiplier_from_parts(self.params, parts)
-            g, res = self.residual(v, lam)
+            g, res = self.residual(v, lam, parts.conv)
             if res < opts.flow_tol:
                 return v, k, "handoff", parts
             kappa = max(lam, kappa_floor * parts.kinetic / self.params.a ** 2)
@@ -711,12 +738,12 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
     solver = _FreeSolver(eff, grid, SolverOptions())
     u = np.maximum(vals, 0.0)
     u[-1] = 0.0
-    res_sup, res_scaled = solver.residuals(u)
+    parts = solver.parts(u)
+    res_sup, res_scaled = solver.residuals(u, parts.conv)
     if res_scaled > residual_tol:
         raise RescaleInconsistency(
             f"rescaled candidate residual {res_scaled:.2e} exceeds {residual_tol:.0e}; "
             "multiplier extraction or interpolation is inconsistent")
-    parts = solver.parts(u)
     level = energy_from_parts(eff, parts)
     return RescaledSolution(field=solver.field(u), params_effective=eff,
                             coupling=float(coupling),

@@ -1,5 +1,6 @@
 """The benchmark's tracer patches solver attributes by name and reads their
-return tuples; this checks those names and tuples against the package.
+return tuples; this checks those names and tuples against the package, and
+that the mat-vecs it counts are all the solvers do.
 
 The tracer rebinds module globals (numpy's dense solve among them), so it
 runs in a subprocess and leaves this test session untouched.
@@ -38,6 +39,29 @@ print(json.dumps({"k": k_free + k_mass,
 """
 
 
+DESCENT_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from choquard_lab import grid, solver
+from tracing import Tracer, instrument
+
+tracer = instrument(Tracer())
+from choquard_lab.functional import ProblemParams
+from choquard_lab.profiles import gaussian
+
+g = grid.make_grid(3, 20.0, 200, 2.0)
+opts = solver.SolverOptions()
+free = solver._FreeSolver(ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=4.0),
+                          g, opts)
+u, iters = free.descend(gaussian(g, width=1.5).values, opts)
+descent = dict(tracer.count)
+_, k, _ = free.newton(u, opts)
+print(json.dumps({"iters": iters, "descent": descent, "k": k,
+                  "newton_conv_p": tracer.count["riesz.matvec.conv_p"]
+                                   - descent.get("riesz.matvec.conv_p", 0)}))
+"""
+
+
 def test_traced_newton_counts_match_returned_steps():
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
@@ -47,3 +71,15 @@ def test_traced_newton_counts_match_returned_steps():
     assert out["k"] > 0
     assert out["newton_iters"] == out["k"]
     assert out["dense_solves"] >= out["k"]
+
+
+def test_one_matvec_per_projection_and_per_newton_step():
+    proc = subprocess.run([sys.executable, "-c", DESCENT_SCRIPT, str(ROOT / "bench"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    c = out["descent"]
+    assert out["iters"] > 0
+    # the descent's only dense products are the parts of each projected trial
+    assert c["riesz.matvec.parts"] + c.get("riesz.matvec.conv_p", 0) == c["solver.nehari_t"]
+    assert out["newton_conv_p"] <= out["k"] + 1

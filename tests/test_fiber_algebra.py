@@ -13,7 +13,7 @@ from choquard_lab.functional import (Parts, ProblemParams, _defects_from_parts,
                                      energy_from_parts, fiber_energy, identity_prediction,
                                      multiplier_from_parts, scaled_parts)
 from choquard_lab.grid import make_grid
-from choquard_lab.solver import SolverOptions, _MassSolver
+from choquard_lab.solver import SolverOptions, _Discrete, _MassSolver
 
 KINDS = ("ray", "dilation", "mass")
 MODES = ("lambda", "mu", "general", "normalized-hls", "normalized-sobolev")
@@ -196,6 +196,18 @@ class TestScalingLaw:
         twice = scaled_parts(pp, scaled_parts(pp, parts, a1, b1), a2, b2)
         _close(twice, scaled_parts(pp, parts, a1 * a2, b1 * b2), 1e-12)
         _close(scaled_parts(pp, parts, 1.0, 1.0), parts, 0.0)
+
+    @given(problems(), st.floats(0.05, 20.0), st.floats(0.3, 3.0))
+    @settings(max_examples=20, deadline=None)
+    def test_ray_law_on_discrete_fields(self, draw, t, width):
+        # small grid: the table is rebuilt for every draw
+        pp = draw[0]
+        solver = _Discrete(pp, make_grid(pp.N, 12.0, 60, 2.0), SolverOptions())
+        v = np.exp(-(solver.grid.r / width) ** 2)
+        v[-1] = 0.0
+        got, want = solver.ray(solver.parts(v), t), solver.parts(t * v)
+        _close(got, want, 1e-12)
+        assert np.max(np.abs(got.conv - want.conv)) <= 1e-12 * np.max(np.abs(want.conv))
 
     @given(problems().filter(lambda d: d[0].normalized))
     @settings(max_examples=300, deadline=None)
