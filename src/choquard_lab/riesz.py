@@ -2,17 +2,27 @@
 
 The reduced radial kernel is the exact angular average of
 A_alpha(N) |x-y|^(alpha-N) over a sphere, evaluated in closed form through
-a Gauss hypergeometric function.  A per-(grid, alpha) table turns the
-convolution into a dense matrix-vector product; panels near the diagonal,
-where the kernel has a kink (alpha = 2), a logarithmic singularity
-(alpha = 1) or an integrable algebraic one (alpha < 1), are assembled by
-product integration on geometrically refined sub-panels.
+a Gauss hypergeometric function F of z = (min/max)^2 (see `kernel_value`).
+F has two evaluation branches, chosen from z and alpha alone: scipy's
+`hyp2f1` for z <= 1/2 and whenever alpha - 1 is within 0.01 of an integer,
+and otherwise the z -> 1-z connection formula (DLMF 15.8.4), two series in
+w = 1 - z summed in numpy with w formed from max - min.  Near the diagonal,
+where the quadrature samples most, the connection branch is about a hundred
+times faster than `hyp2f1` and does not suffer the rounding of z to 1.
+
+A per-(grid, alpha) table turns the convolution into a dense
+matrix-vector product; panels near the diagonal, where the kernel has a
+kink (alpha = 2), a logarithmic singularity (alpha = 1) or an integrable
+algebraic one (alpha < 1), are assembled by product integration on
+geometrically refined sub-panels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma, pi
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -34,17 +44,132 @@ def riesz_normalization(N: int, alpha: float) -> float:
     return gamma((N - alpha) / 2) / (gamma(alpha / 2) * pi ** (N / 2) * 2 ** alpha)
 
 
+# alpha - 1 closer than this to an integer keeps the direct branch: the
+# connection coefficients have poles there
+_INTEGER_GAP = 0.01
+# series terms below this no longer change an O(1) sum in double precision
+_SERIES_TOL = 2.0 ** -56
+
+
+class _Connection(NamedTuple):
+    """DLMF 15.8.4 for F(a, b; c; z) with eps = c - a - b = alpha - 1, w = 1 - z:
+
+        F = A1 S1 + A2 w^eps S2,   S1 = F(a, b; 1-eps; w),  S2 = F(b+eps, a+eps; 1+eps; w),
+
+    rearranged as F = A1 (S1 - S2) + S2 (B0 + A2 expm1(eps log w)) with
+    B0 = A1 + A2.  Near an integer eps, A1 and A2 are large and of opposite
+    sign, and so are the two terms of the textbook form; in this one every
+    term stays of the size of F.  The coefficients of S1 - S2 are differenced
+    with the factor eps taken out, and B0 is fixed by continuity with `hyp2f1`
+    at z = 1/2 instead of being formed from the cancelling A1 + A2.
+
+    coefs[k]: the k-th coefficients of S1 - S2 and of S2.
+    """
+
+    eps: float
+    A1: float
+    A2: float
+    B0: float
+    coefs: np.ndarray
+
+
+class _KernelConstants(NamedTuple):
+    """What `kernel_value` needs of (N, alpha) beyond the points.
+
+    pref: A_alpha |S^(N-2)| B((N-1)/2, 1/2); (a, b, c): the parameters of F.
+    `connection` is None where alpha keeps the direct branch, else the
+    `_Connection` of (N, alpha).
+    """
+
+    pref: float
+    a: float
+    b: float
+    c: float
+    connection: _Connection | None
+
+
+def _series_coefficients(a: float, b: float, eps: float) -> np.ndarray:
+    """Rows k of [coefficient of S1 - S2, coefficient of S2] (see `_Connection`),
+    up to where every term at w = 1/2 is below _SERIES_TOL and the next ones
+    shrink by a factor of at most 3/4 per step."""
+    d, c2 = 0.0, 1.0
+    rows = [(d, c2)]
+    k = 0
+    while True:
+        A, B, C = a + k, b + k, 1.0 + k
+        r1 = A * B / ((C - eps) * C)
+        r2 = (A + eps) * (B + eps) / ((C + eps) * C)
+        # r1 - r2, with the factor eps taken out by hand
+        dr = (eps * (2 * A * B - (A + B) * C + eps * (A + B - C) + eps * eps)
+              / ((C - eps) * (C + eps) * C))
+        d, c2 = d * r1 + c2 * dr, c2 * r2
+        rows.append((d, c2))
+        k += 1
+        if (max(abs(d), abs(c2)) * 0.5 ** k < _SERIES_TOL
+                and max(abs(r1), abs(r2)) <= 1.5):
+            return np.array(rows)
+
+
+def _sum_series(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Both series of `coefs` at w, by Horner, to the last term that matters."""
+    terms = np.abs(coefs).max(axis=1) * w.max(initial=0.0) ** np.arange(len(coefs))
+    K = np.flatnonzero(terms >= _SERIES_TOL)[-1] + 1
+    S = np.empty((2, w.size))
+    S[:] = coefs[K - 1, :, None]
+    for ck in coefs[:K - 1, :, None][::-1]:
+        S *= w
+        S += ck
+    return S
+
+
+@lru_cache(maxsize=64)
+def _kernel_constants(N: int, alpha: float) -> _KernelConstants:
+    """The constants of (N, alpha), computed once; InvalidParameter unless
+    0 < alpha < N."""
+    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
+            * beta_fn((N - 1) / 2.0, 0.5))
+    a, b, c = (N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0
+    eps = alpha - 1.0
+    if abs(eps - round(eps)) < _INTEGER_GAP:
+        return _KernelConstants(pref, a, b, c, None)
+    A1 = gamma(c) * gamma(eps) / (gamma(c - a) * gamma(c - b))
+    A2 = gamma(c) * gamma(-eps) / (gamma(a) * gamma(b))
+    coefs = _series_coefficients(a, b, eps)
+    coefs.flags.writeable = False
+    D, S2 = _sum_series(coefs, np.array([0.5]))[:, 0]
+    B0 = (hyp2f1(a, b, c, 0.5) - A1 * D) / S2 - A2 * np.expm1(-eps * np.log(2.0))
+    return _KernelConstants(pref, a, b, c, _Connection(eps, A1, A2, B0, coefs))
+
+
+def _connection_branch(con: _Connection, hi, lo):
+    """F((lo/hi)^2) through DLMF 15.8.4, for lo/hi > 1/sqrt(2)."""
+    w = ((hi - lo) / hi) * ((hi + lo) / hi)      # hi - lo is exact here
+    D, S2 = _sum_series(con.coefs, w)
+    logw = np.log(w, out=np.zeros_like(w), where=w > 0)
+    F = con.A1 * D + S2 * (con.B0 + con.A2 * np.expm1(con.eps * logw))
+    # on the diagonal w^eps vanishes for alpha > 1, leaving Gauss's value A1,
+    # and diverges for alpha < 1
+    F[w == 0] = con.A1 if con.eps > 0 else np.inf
+    return F
+
+
 def kernel_value(N: int, alpha: float, r, s):
     """Reduced radial kernel K(r, s) with (I_alpha * g)(r) = int K(r,s) g(s) s^(N-1) ds.
 
     Exact angular average of A_alpha(N)|x-y|^(alpha-N) over the sphere |y| = s:
         K = A_alpha |S^(N-2)| B((N-1)/2, 1/2) max(r,s)^(alpha-N)
             * 2F1((N-alpha)/2, 1-alpha/2; N/2; (min/max)^2).
-    Diverges on the diagonal for alpha <= 1; the quadrature rows never
-    sample it there (product integration takes over).
+    With z = (min/max)^2 and (a, b, c) the parameters of 2F1, F is
+      - scipy's `hyp2f1` at z <= 1/2, and at every z when alpha - 1 lies
+        within 0.01 of an integer (alpha = 1, 3, ...; alpha = 2 gives F = 1);
+      - otherwise, for z > 1/2, the z -> 1-z connection formula
+        F = A1 F(a, b; 2-alpha; w) + A2 w^(alpha-1) F(c-a, c-b; alpha; w)
+        (DLMF 15.8.4, see `_Connection`) with w = 1 - z formed from
+        max - min, within 1e-13 relative of the exact value up to the diagonal.
+    On the diagonal K is +inf for alpha <= 1 and finite for alpha > 1; the
+    quadrature rows never use it there (product integration takes over).
     """
-    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
-            * beta_fn((N - 1) / 2.0, 0.5))
+    kc = _kernel_constants(N, alpha)
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     hi = np.maximum(r, s)
@@ -52,17 +177,24 @@ def kernel_value(N: int, alpha: float, r, s):
     z2 = np.where(hi > 0, (lo / np.where(hi > 0, hi, 1.0)) ** 2, 0.0)
     if alpha == 2.0:
         F = np.ones_like(z2)
+    elif kc.connection is None:
+        F = hyp2f1(kc.a, kc.b, kc.c, z2)
     else:
-        F = hyp2f1((N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0, z2)
-    return pref * hi ** (alpha - N) * F
+        near = z2 > 0.5
+        F = np.empty_like(z2)
+        F[~near] = hyp2f1(kc.a, kc.b, kc.c, z2[~near])
+        F[near] = _connection_branch(kc.connection, hi[near], lo[near])
+    return kc.pref * hi ** (alpha - N) * F
 
 
 def _refined_pieces(a: float, b: float, sing: float, depth: int = 14, ratio: float = 0.25):
     """Sub-intervals of [a, b] geometrically graded toward the endpoint `sing`.
 
     Grading stops before a sub-piece gets shorter than 1e-11 |sing|: closer
-    to a nonzero singular point the kernel's hypergeometric factor
-    overflows (z rounds to 1), and the rows would turn into inf - inf.
+    to a nonzero singular point the direct `hyp2f1` branch of `kernel_value`
+    overflows (z rounds to 1), and the rows would turn into inf - inf.  The
+    connection branch, which takes 1 - z from max - min, needs no such stop;
+    it is kept because dropping it would change every table.
     """
     L = b - a
     ks = [k for k in range(1, depth) if L * ratio ** k >= 1e-11 * abs(sing)]

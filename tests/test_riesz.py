@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +6,13 @@ from hypothesis import strategies as st
 from math import gamma, pi
 
 from scipy.integrate import quad
-from scipy.special import hyp1f1
+from scipy.special import beta as beta_fn
+from scipy.special import hyp1f1, hyp2f1
 
+from choquard_lab import riesz
 from choquard_lab.constants import interaction_bound_constant
 from choquard_lab.errors import IncompatibleGrid, InvalidParameter
-from choquard_lab.grid import RadialField, integrate, make_grid
+from choquard_lab.grid import RadialField, integrate, make_grid, sphere_surface
 from choquard_lab.profiles import hls_extremizer
 from choquard_lab.riesz import (convolve, interaction_energy, kernel_table,
                                 kernel_value, potential_at, riesz_normalization)
@@ -21,6 +24,57 @@ def kernel_bruteforce(N, alpha, r, s):
     val, _ = quad(f, 0, pi, limit=200)
     surf = 2 * pi ** ((N - 1) / 2) / gamma((N - 1) / 2)
     return riesz_normalization(N, alpha) * surf * val
+
+
+def kernel_direct(N, alpha, r, s):
+    """Reference: the kernel with scipy's hyp2f1 at every point (no connection
+    branch), written as `kernel_value` was before it had one."""
+    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
+            * beta_fn((N - 1) / 2.0, 0.5))
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    hi = np.maximum(r, s)
+    lo = np.minimum(r, s)
+    z2 = np.where(hi > 0, (lo / np.where(hi > 0, hi, 1.0)) ** 2, 0.0)
+    if alpha == 2.0:
+        F = np.ones_like(z2)
+    else:
+        F = hyp2f1((N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0, z2)
+    return pref * hi ** (alpha - N) * F
+
+
+def kernel_mpmath(N, alpha, hi, lo):
+    """The kernel at 40 digits from the exact binary values of alpha, lo, hi."""
+    with mpmath.workdps(40):
+        N, alpha, hi, lo = (mpmath.mpf(x) for x in (N, alpha, hi, lo))
+        pref = (mpmath.gamma((N - alpha) / 2)
+                / (mpmath.gamma(alpha / 2) * mpmath.pi ** (N / 2) * 2 ** alpha)
+                * 2 * mpmath.pi ** ((N - 1) / 2) / mpmath.gamma((N - 1) / 2)
+                * mpmath.beta((N - 1) / 2, mpmath.mpf(1) / 2))
+        F = mpmath.hyp2f1((N - alpha) / 2, 1 - alpha / 2, N / 2, (lo / hi) ** 2)
+        return pref * hi ** (alpha - N) * F
+
+
+def near_integer(alpha):
+    """alpha - 1 within 0.01 of an integer: `kernel_value` keeps hyp2f1 there."""
+    return abs(alpha - 1 - round(alpha - 1)) < 0.01
+
+
+@st.composite
+def kernel_points(draw):
+    """(N, alpha, hi, lo) over N = 3-5, alpha in (0, N) with its edges and
+    the integers of alpha - 1, and 1 - lo/hi in [1e-11, 1)."""
+    N = draw(st.integers(3, 5))
+    alpha = draw(st.one_of(
+        # below 1e-300, Gamma(alpha/2) in A_alpha(N) overflows a double
+        st.floats(1e-300, float(N), exclude_max=True),
+        st.builds(lambda k, d: k + d, st.integers(0, N),
+                  st.sampled_from([-0.0101, -0.01, -0.0099, -1e-9, 1e-9,
+                                   0.0099, 0.01, 0.0101])),
+    ).filter(lambda a: 0.0 < a < N))
+    gap = 10.0 ** draw(st.floats(-11.0, 0.0, exclude_max=True))
+    hi = draw(st.floats(0.1, 10.0))
+    return N, alpha, hi, hi * (1.0 - gap)
 
 
 class TestKernelValue:
@@ -53,6 +107,35 @@ class TestKernelValue:
         kv = kernel_value(N, alpha, r, s)
         kb = kernel_bruteforce(N, alpha, r, s)
         assert np.isclose(kv, kb, rtol=1e-9)
+
+    @given(point=kernel_points())
+    @settings(max_examples=300, deadline=None)
+    def test_against_mpmath(self, point):
+        # the connection branch to 1e-13 all the way to the diagonal; where
+        # kernel_value keeps hyp2f1 it is the direct call, bit for bit
+        N, alpha, hi, lo = point
+        kv = kernel_value(N, alpha, hi, lo)
+        if near_integer(alpha) or (lo / hi) ** 2 <= 0.5:
+            assert kv == kernel_direct(N, alpha, hi, lo)
+        if not near_integer(alpha):
+            exact = kernel_mpmath(N, alpha, hi, lo)
+            assert abs(kv - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    def test_coincident_points(self, alpha):
+        # +inf for alpha <= 1, Gauss's value of 2F1 at z = 1 otherwise; any
+        # RuntimeWarning fails the test (pyproject.toml)
+        N = 3
+        r = np.array([0.3, 1.0, 7.5])
+        kv = kernel_value(N, alpha, r, r)
+        if alpha <= 1:
+            assert np.all(kv == np.inf)
+        else:
+            a, b, c = (N - alpha) / 2, 1 - alpha / 2, N / 2
+            gauss = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
+            pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
+                    * beta_fn((N - 1) / 2, 0.5))
+            assert np.allclose(kv, pref * r ** (alpha - N) * gauss, rtol=1e-14, atol=0)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(InvalidParameter):
@@ -210,3 +293,35 @@ class TestKernelTable:
         a, b = make_grid(3, 2.0, 300, 1.5), make_grid(3, 2.0, 300, 1.5)
         assert a is not b
         assert kernel_table(a, 2.0) is kernel_table(b, 2.0)
+
+
+class TestTableAgainstDirectKernel:
+    """Tables from `kernel_value` against tables whose every kernel value
+    comes from scipy's hyp2f1 (`kernel_direct` patched in)."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return make_grid(3, 25.0, 120, 2.0)
+
+    @staticmethod
+    def tables(grid, alpha):
+        new = riesz._build_table(grid, alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(riesz, "kernel_value", kernel_direct)
+            old = riesz._build_table(grid, alpha)
+        return new, old
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    def test_connection_branch_agrees(self, grid, alpha):
+        # each array at its own scale: G carries the quadrature weights.  At
+        # alpha = 0.5 the difference is hyp2f1's rounding of z near 1 (~1e-10)
+        new, old = self.tables(grid, alpha)
+        for name in ("M", "G", "origin_row"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), name
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_direct_branch_bit_identical(self, grid, alpha):
+        new, old = self.tables(grid, alpha)
+        for name in ("M", "G", "origin_row"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
