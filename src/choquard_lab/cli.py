@@ -26,8 +26,7 @@ from .grid import RadialField, integrate, make_grid
 from .lab import (RunManifest, coupling_gap_scan, frame_exponents, multiplicity_experiment,
                   persist_run, scan_threshold)
 from .profiles import talenti
-from .solver import (SolverOptions, ground_state, normalized_branches,
-                     shoot_local_ground_state)
+from .solver import ground_state, normalized_branches, shoot_local_ground_state
 from .testfn import bubble_sweep
 
 
@@ -55,6 +54,15 @@ def _params_from(cfg):
         a=float(cfg.get("a", 1.0)), mass_coeff=float(cfg.get("mass_coeff", 1.0)))
 
 
+def _persist(args, cfg, artifacts):
+    """Write `artifacts` under --out, with a manifest of the config and the
+    command's elapsed time; no-op without --out."""
+    if args.out:
+        manifest = RunManifest(config=dict(cfg), code_version=__version__, seeds={},
+                               wall_clock=time.perf_counter() - args.started)
+        persist_run(manifest, artifacts, args.out)
+
+
 def cmd_constants(args):
     cfg = _load_config(args.config, "constants")
     N = int(cfg.get("n_dim", args.n_dim))
@@ -79,9 +87,7 @@ def cmd_constants(args):
         gamma_q=coeffs.gamma_q, eta_p=coeffs.eta_p, K_q=coeffs.K_q, K_p=coeffs.K_p,
         crit_level_hls=coeffs.crit_level_hls, crit_level_sob=coeffs.crit_level_sob)
     print(report.table())
-    if args.out:
-        persist_run(RunManifest(config=dict(cfg), code_version=__version__, seeds={}),
-                    {"constants": report.to_json()}, args.out)
+    _persist(args, cfg, {"constants": report.to_json()})
     return 0
 
 
@@ -89,19 +95,16 @@ def cmd_solve(args):
     cfg = _load_config(args.config, "solve")
     params = _params_from(cfg)
     grid = _grid_from(cfg)
-    res = ground_state(params, grid, opts=SolverOptions())
+    res = ground_state(params, grid)
     print(f"level = {res.level:.10g}")
     print(f"converged = {res.converged}  residual = {res.pde_residual:.3e}  "
           f"iterations = {res.iterations}")
     print(f"defects: nehari = {res.nehari_defect:.3e}  pohozaev = {res.pohozaev_defect:.3e}")
-    if args.out:
-        art = {"solves": {"ground_state": {
-            "level": res.level, "converged": res.converged,
-            "residual": res.pde_residual, "nehari": res.nehari_defect,
-            "pohozaev": res.pohozaev_defect},
-            "profile": res.field.to_csv()}}
-        persist_run(RunManifest(config=dict(cfg), code_version=__version__, seeds={}),
-                    art, args.out)
+    _persist(args, cfg, {"solves": {"ground_state": {
+        "level": res.level, "converged": res.converged,
+        "residual": res.pde_residual, "nehari": res.nehari_defect,
+        "pohozaev": res.pohozaev_defect},
+        "profile": res.field.to_csv()}})
     return 0 if res.converged else 2
 
 
@@ -135,9 +138,7 @@ def cmd_scan_threshold(args):
     print(f"bracket = {res.bracket}")
     for c, lev, conv, xi in res.scan:
         print(f"  c={c:.6g} level={lev:.8g} converged={conv} xi={xi:.3g}")
-    if args.out:
-        persist_run(RunManifest(config=dict(cfg), code_version=__version__, seeds={}),
-                    {"tables": {"threshold": asdict_rows(res.scan)}}, args.out)
+    _persist(args, cfg, {"tables": {"threshold": asdict_rows(res.scan)}})
     return 0
 
 
@@ -164,13 +165,11 @@ def cmd_asymptotics(args):
     fit = rate_fit([pt.coupling for pt in points], gaps)
     expected = frame_exponents(which, p, q)[0]
     print(f"fitted slope = {fit.slope:.4f} (expected {expected:.4f}), R^2 = {fit.r_squared:.5f}")
-    if args.out:
-        rows = "coupling,frame_level,level,gap\n" + "\n".join(
-            f"{pt.coupling!r},{pt.frame_level!r},{pt.level!r},{pt.gap!r}" for pt in points) + "\n"
-        persist_run(RunManifest(config=dict(cfg), code_version=__version__, seeds={}),
-                    {"fits": {"gap_fit": {"slope": fit.slope, "expected": expected,
-                                          "r_squared": fit.r_squared}},
-                     "tables": {"gap_scan": rows}}, args.out)
+    rows = "coupling,frame_level,level,gap\n" + "\n".join(
+        f"{pt.coupling!r},{pt.frame_level!r},{pt.level!r},{pt.gap!r}" for pt in points) + "\n"
+    _persist(args, cfg, {"fits": {"gap_fit": {"slope": fit.slope, "expected": expected,
+                                              "r_squared": fit.r_squared}},
+                         "tables": {"gap_scan": rows}})
     return 0
 
 
@@ -234,13 +233,13 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    t0 = time.time()
+    args.started = time.perf_counter()
     try:
         code = args.func(args)
     except ChoquardLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(f"# wall clock: {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"# wall clock: {time.perf_counter() - args.started:.1f}s", file=sys.stderr)
     return code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import gamma, pi
+from math import gamma, inf, isfinite, pi
 
 from .errors import DependencyMissing, InvalidParameter
 from .functional import ProblemParams
@@ -34,8 +34,14 @@ def hls_constant(N: int, alpha: float) -> float:
     """
     if not 0 < alpha < N:
         raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
-    return (pi ** ((N - alpha) / 2) * gamma(alpha / 2) / gamma((N + alpha) / 2)
-            * (gamma(N / 2) / gamma(N)) ** (-alpha / N))
+    try:
+        value = (pi ** ((N - alpha) / 2) * gamma(alpha / 2) / gamma((N + alpha) / 2)
+                 * (gamma(N / 2) / gamma(N)) ** (-alpha / N))
+    except (ValueError, OverflowError):     # Gamma(alpha/2) ~ 2/alpha overflows
+        value = inf
+    if not isfinite(value):
+        raise InvalidParameter(f"the HLS constant overflows a double at alpha={alpha}")
+    return value
 
 
 def interaction_bound_constant(N: int, alpha: float) -> float:

@@ -416,12 +416,13 @@ class FiberPoint:
 
 
 def mass_fiber_classify(params: ProblemParams, u: RadialField,
-                        mass_rtol: float = 1e-8, degenerate_rtol: float = 1e-9):
+                        mass_rtol: float = 1e-8):
     """Critical points of the mass-preserving fiber with P+/P0/P- labels.
 
     A local minimum of t -> E(u^t) is a P+ point (the defining second-variation
     inequality is exactly positivity of the fiber curvature on the constraint),
-    a local maximum a P- point; near-zero curvature is flagged P0.
+    a local maximum a P- point; curvature below 1e-9 of the fiber's term
+    scale is flagged P0.
     """
     if not params.normalized:
         raise InvalidParameter("mass-fiber classification needs a normalized mode")
@@ -433,7 +434,7 @@ def mass_fiber_classify(params: ProblemParams, u: RadialField,
     points = []
     for t0 in _fiber_roots(d, 1e-6, 1e6, 6001):
         curv = d2(t0) * t0
-        if abs(curv) < degenerate_rtol * dscale(t0):
+        if abs(curv) < 1e-9 * dscale(t0):
             branch = "0"
         elif curv > 0:
             branch = "+"

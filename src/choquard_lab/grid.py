@@ -195,11 +195,9 @@ class RadialField:
     values: np.ndarray
     origin: float
     deriv: np.ndarray | None = None
-    tail_floor: float = 1e-10
 
     @classmethod
-    def from_values(cls, grid: RadialGrid, values, deriv=None, origin=None,
-                    tail_floor: float = 1e-10) -> "RadialField":
+    def from_values(cls, grid: RadialGrid, values, deriv=None, origin=None) -> "RadialField":
         values = np.asarray(values, dtype=float)
         if values.shape != grid.r.shape:
             raise IncompatibleGrid("value array does not match grid nodes")
@@ -208,23 +206,22 @@ class RadialField:
         if origin is None:
             origin = _origin_value(grid.r, values)
         d = None if deriv is None else np.asarray(deriv, dtype=float)
-        return cls(grid=grid, values=values, origin=float(origin), deriv=d,
-                   tail_floor=tail_floor)
+        return cls(grid=grid, values=values, origin=float(origin), deriv=d)
 
     @classmethod
-    def from_function(cls, grid: RadialGrid, f, df=None, **kw) -> "RadialField":
+    def from_function(cls, grid: RadialGrid, f, df=None) -> "RadialField":
         values = np.asarray(f(grid.r), dtype=float)
         deriv = df(grid.r) if df is not None else None
         origin = float(f(0.0))
-        return cls.from_values(grid, values, deriv=deriv, origin=origin, **kw)
+        return cls.from_values(grid, values, deriv=deriv, origin=origin)
 
     @property
     def tail_flag(self) -> bool:
-        """True when the field has decayed below the floor at the boundary."""
+        """True when the field has decayed below 1e-10 of its peak at the boundary."""
         scale = max(abs(self.values).max(), abs(self.origin))
         if scale == 0:
             return True
-        return abs(self.values[-1]) <= self.tail_floor * scale
+        return abs(self.values[-1]) <= 1e-10 * scale
 
     def interpolator(self) -> PchipInterpolator:
         """Monotone cubic through (0, origin) and the nodes.
@@ -244,8 +241,7 @@ class RadialField:
         return np.nan_to_num(out, nan=0.0)
 
     def with_values(self, values, deriv=None) -> "RadialField":
-        return RadialField.from_values(self.grid, values, deriv=deriv,
-                                       tail_floor=self.tail_floor)
+        return RadialField.from_values(self.grid, values, deriv=deriv)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -370,5 +366,4 @@ def apply_radial_laplacian(grid: RadialGrid, f: RadialField) -> RadialField:
     V = np.array([[r1 ** 2, r1 ** 4], [r2 ** 2, r2 ** 4]])
     b, _ = np.linalg.solve(V, [u[0] - f.origin, u[1] - f.origin])
     lap0 = N * 2.0 * b
-    return RadialField(grid=grid, values=out, origin=float(lap0), deriv=None,
-                       tail_floor=f.tail_floor)
+    return RadialField(grid=grid, values=out, origin=float(lap0), deriv=None)

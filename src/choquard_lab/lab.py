@@ -20,8 +20,7 @@ from .constants import CoefficientTable
 from .errors import BracketFailure, ChoquardLabError, InvalidConfiguration, InvalidParameter
 from .functional import ProblemParams, compute_parts
 from .grid import RadialGrid
-from .solver import (SolverOptions, ground_state, normalized_branches,
-                     second_solution_via_rescale)
+from .solver import ground_state, normalized_branches, second_solution_via_rescale
 
 __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
            "scan_threshold", "monotonicity_scan", "multiplicity_experiment",
@@ -56,8 +55,7 @@ def frame_exponents(which: str, p: float, q: float):
 
 
 def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
-                      grid: RadialGrid, which: str = "lambda",
-                      opts: SolverOptions | None = None):
+                      grid: RadialGrid, which: str = "lambda"):
     """Ground-state levels along a large-coupling scan, in the rescaled frame.
 
     Returns (reference frame level at zero coefficient, list of ScanPoint),
@@ -66,19 +64,18 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
     """
     e_coeff, e_level, weak = frame_exponents(which, p, q)
     couplings = sorted(float(c) for c in couplings)
-    opts = opts or SolverOptions()
 
     def frame_params(coeff):
         return ProblemParams(N=N, alpha=alpha, p=p, q=q, mode="general",
                              **{"mu": 1.0, "lam": 1.0, weak: coeff})
 
-    ref = ground_state(frame_params(0.0), grid, init="gaussian", opts=opts)
+    ref = ground_state(frame_params(0.0), grid, init="gaussian")
     points = []
     warm = ref.field
     # scan from the largest coupling (smallest perturbation) downward
     for c in sorted(couplings, reverse=True):
         coeff = c ** e_coeff
-        res = ground_state(frame_params(coeff), grid, init=warm, opts=opts)
+        res = ground_state(frame_params(coeff), grid, init=warm)
         warm = res.field
         points.append(ScanPoint(coupling=c, frame_coeff=coeff,
                                 frame_level=res.level,
@@ -111,19 +108,18 @@ def _coupled_params(base: ProblemParams, coupling: float) -> ProblemParams:
 
 
 def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float,
-                   grid: RadialGrid, delta_frac: float = 0.005, rel_tol: float = 0.05,
-                   opts: SolverOptions | None = None,
-                   schedule=("gaussian", ("bubble", 0.5), ("bubble", 0.1)),
-                   max_evals: int = 40) -> ThresholdResult:
+                   grid: RadialGrid, delta_frac: float = 0.005,
+                   rel_tol: float = 0.05) -> ThresholdResult:
     """Bisect the coupling on the attainment predicate.
 
     Attained: converged solve with level < crit_level - delta.  Pinned:
     level within delta of crit_level (with concentration, a finite grid
     always "attains" something; pinning plus non-convergence is the desk
     signature of non-existence).  Warm starts run from large coupling
-    (existent side) toward small.
+    (existent side) toward small; a cold solve runs the init schedule
+    gaussian, bubble(0.5), bubble(0.1).  At most 40 couplings are solved.
     """
-    opts = opts or SolverOptions()
+    schedule = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
     delta = delta_frac * abs(crit_level)
     lo, hi = float(coupling_range[0]), float(coupling_range[1])
     if not 0 < lo < hi:
@@ -134,13 +130,13 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     def attained(c, init_field=None):
         params = _coupled_params(base, c)
         if init_field is not None:
-            res = ground_state(params, grid, init=init_field, opts=opts)
+            res = ground_state(params, grid, init=init_field)
             if not res.converged or res.level >= crit_level - delta:
-                res2 = ground_state(params, grid, schedule=schedule, opts=opts)
+                res2 = ground_state(params, grid, schedule=schedule)
                 if res2.level < res.level:
                     res = res2
         else:
-            res = ground_state(params, grid, schedule=schedule, opts=opts)
+            res = ground_state(params, grid, schedule=schedule)
         scan.append((c, res.level, res.converged, res.concentration_scale))
         warm["field"] = res.field
         return bool(res.converged and res.level < crit_level - delta), res
@@ -157,7 +153,7 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
                                degenerate=True)
     c_lo, c_hi = lo, hi
     evals = 2
-    while c_hi / c_lo > 1 + rel_tol and evals < max_evals:
+    while c_hi / c_lo > 1 + rel_tol and evals < 40:
         mid = float(np.sqrt(c_lo * c_hi))
         ok, _ = attained(mid, init_field=warm.get("field"))
         if ok:
@@ -182,13 +178,12 @@ class MonotonicityReport:
 
 def monotonicity_scan(N: int, alpha: float, p: float, q: float, couplings,
                       grid: RadialGrid, which: str = "lambda",
-                      tolerance: float = 1e-8,
-                      opts: SolverOptions | None = None) -> MonotonicityReport:
+                      tolerance: float = 1e-8) -> MonotonicityReport:
     """Assert the ground-state level is nonincreasing in the coupling."""
     couplings = sorted(float(c) for c in couplings)
     if len(couplings) < 8:
         raise InvalidParameter("monotonicity scan needs at least 8 grid points")
-    _, points = coupling_gap_scan(N, alpha, p, q, couplings, grid, which=which, opts=opts)
+    _, points = coupling_gap_scan(N, alpha, p, q, couplings, grid, which=which)
     levels = [pt.level for pt in points]
     viol = []
     for i in range(len(levels) - 1):
@@ -218,7 +213,6 @@ class MultiplicityRow:
 
 def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGrid,
                             coeffs: CoefficientTable | None = None,
-                            opts: SolverOptions | None = None,
                             level_tol: float = 1e-4,
                             residual_tol: float = 1e-3,
                             field_tol: float = 1e-2):
@@ -230,7 +224,6 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
     """
     if not params_template.normalized:
         raise InvalidParameter("multiplicity experiment needs a normalized mode")
-    opts = opts or SolverOptions()
     rows = []
     for nu in nus:
         params = params_template.with_couplings(nu=float(nu))
@@ -245,7 +238,7 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
             if gate:
                 rows.append(MultiplicityRow(nu=float(nu), status=f"gated-off: {gate}"))
                 continue
-        branches = normalized_branches(params, grid, opts=opts)
+        branches = normalized_branches(params, grid)
         minus = branches.minus
         if minus is None or not minus.converged:
             reason = branches.minus_absent_reason or "mountain-pass branch not converged"
@@ -258,7 +251,7 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
                                         lambda_nu=minus.lambda_nu))
             continue
         gs = ground_state(resc.params_effective, resc.field.grid,
-                          schedule=("gaussian", ("bubble", 0.5)), opts=opts)
+                          schedule=("gaussian", ("bubble", 0.5)))
         gparts = compute_parts(resc.params_effective, gs.field, use_deriv=False)
         g_no_mass = gs.level - 0.5 * gparts.mass
         u1 = resc.field.values

@@ -38,9 +38,16 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 
 
 def riesz_normalization(N: int, alpha: float) -> float:
-    """A_alpha(N) = Gamma((N-alpha)/2) / (Gamma(alpha/2) pi^(N/2) 2^alpha)."""
+    """A_alpha(N) = Gamma((N-alpha)/2) / (Gamma(alpha/2) pi^(N/2) 2^alpha).
+
+    Gamma(alpha/2) ~ 2/alpha overflows a double near alpha = 1e-308, A_alpha
+    does not: below alpha = 1e-300, 1/Gamma(alpha/2) = (alpha/2) / Gamma(1 + alpha/2).
+    """
     if not 0 < alpha < N:
         raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
+    if alpha < 1e-300:
+        return alpha * (gamma((N - alpha) / 2)
+                        / (2 * gamma(1 + alpha / 2) * pi ** (N / 2) * 2 ** alpha))
     return gamma((N - alpha) / 2) / (gamma(alpha / 2) * pi ** (N / 2) * 2 ** alpha)
 
 
@@ -187,8 +194,9 @@ def kernel_value(N: int, alpha: float, r, s):
     return kc.pref * hi ** (alpha - N) * F
 
 
-def _refined_pieces(a: float, b: float, sing: float, depth: int = 14, ratio: float = 0.25):
-    """Sub-intervals of [a, b] geometrically graded toward the endpoint `sing`.
+def _refined_pieces(a: float, b: float, sing: float):
+    """Sub-intervals of [a, b] graded toward the endpoint `sing`: up to 13
+    cut points at distances L / 4^k (k = 1..13, L = b - a) from it.
 
     Grading stops before a sub-piece gets shorter than 1e-11 |sing|: closer
     to a nonzero singular point the direct `hyp2f1` branch of `kernel_value`
@@ -197,11 +205,11 @@ def _refined_pieces(a: float, b: float, sing: float, depth: int = 14, ratio: flo
     it is kept because dropping it would change every table.
     """
     L = b - a
-    ks = [k for k in range(1, depth) if L * ratio ** k >= 1e-11 * abs(sing)]
+    ks = [k for k in range(1, 14) if L * 0.25 ** k >= 1e-11 * abs(sing)]
     if sing <= a:
-        pts = [a] + [a + L * ratio ** k for k in reversed(ks)] + [b]
+        pts = [a] + [a + L * 0.25 ** k for k in reversed(ks)] + [b]
     else:
-        pts = [a] + [b - L * ratio ** k for k in ks] + [b]
+        pts = [a] + [b - L * 0.25 ** k for k in ks] + [b]
     return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
 
 
@@ -338,8 +346,7 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
     _check_same_grid(grid, g)
     tab = kernel_table(grid, alpha)
     vals = tab.convolve_values(g.values)
-    return RadialField(grid=grid, values=vals, origin=tab.origin_value(g.values),
-                       deriv=None, tail_floor=g.tail_floor)
+    return RadialField(grid=grid, values=vals, origin=tab.origin_value(g.values))
 
 
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:

@@ -13,7 +13,6 @@ strong-form residual can be driven to solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,27 +31,34 @@ from .riesz import kernel_table
 
 __all__ = ["GroundStateResult", "NormalizedBranchResult", "NormalizedBranches",
            "RescaledSolution", "shoot_local_ground_state", "ground_state",
-           "normalized_branches", "multiplier_check", "second_solution_via_rescale",
-           "SolverOptions"]
+           "normalized_branches", "multiplier_check", "second_solution_via_rescale"]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iters: int = 400
-    flow_iters: int = 150
-    newton_iters: int = 30
-    residual_tol: float = 1e-9       # scale-relative target for the polish
-    converged_tol: float = 1e-6      # scale-relative residual gate for `converged`
-    flow_tol: float = 1e-4           # hand-off from flow to Newton
-    identity_tol: float = 1e-3       # Nehari/Pohozaev defect gate for `converged`
-    sup_residual_tol: float = 1e-6   # spec metric: max|F| / max|u|
-    step: float = 1.0
-    positivity_floor: float = 1e-9   # Jacobian clamp where u < floor * max(u)
-    min_scale_nodes: int = 24        # resolvability floor: xi >= r[min_scale_nodes]
+# One solver configuration serves every experiment.  The settings are module
+# constants, read when a solver method runs.
+_MAX_ITERS = 400            # descent iterations
+_FLOW_ITERS = 150           # normalized-flow iterations
+_NEWTON_ITERS = 30
+_RESIDUAL_TOL = 1e-9        # scale-relative target for the polish
+_CONVERGED_TOL = 1e-6       # scale-relative residual gate for `converged`
+_FLOW_TOL = 1e-4            # hand-off from flow to Newton
+_IDENTITY_TOL = 1e-3        # Nehari/Pohozaev defect gate for `converged`
+_SUP_RESIDUAL_TOL = 1e-6    # spec metric: max|F| / max|u|
+_POSITIVITY_FLOOR = 1e-9    # Jacobian clamp where u < floor * max(u)
+_MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
 
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """A free-mode critical point from `ground_state`.
+
+    `converged` holds when every gate passes: the residual (`pde_residual`
+    below _SUP_RESIDUAL_TOL or `pde_residual_scaled` below _CONVERGED_TOL),
+    both the Nehari and the Pohozaev defect below _IDENTITY_TOL in absolute
+    value, and `concentration_scale` at or above the resolvability floor
+    r[_MIN_SCALE_NODES].
+    """
+
     params: ProblemParams
     field: RadialField
     level: float
@@ -69,6 +75,14 @@ class GroundStateResult:
 
 @dataclass(frozen=True)
 class NormalizedBranchResult:
+    """One branch of `normalized_branches`.
+
+    `converged` holds when `pde_residual_scaled` is below _CONVERGED_TOL and
+    `lambda_nu` > 0.  The multiplier-identity defect is reported in
+    `multiplier_identity_defect` but does not gate `converged`, unlike the
+    free solver's Nehari and Pohozaev defects.
+    """
+
     params: ProblemParams
     field: RadialField
     branch: str                  # "P+" or "P-"
@@ -91,8 +105,7 @@ class NormalizedBranches:
 # ---------------------------------------------------------------- shooting
 
 def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 1200,
-                             grading: float = 2.0, b_tol: float = 1e-13,
-                             b_max: float = 1e4) -> RadialField:
+                             grading: float = 2.0) -> RadialField:
     """Positive decaying solution of -Q'' - (N-1)/r Q' + Q = Q^(q-1).
 
     Bisection on Q(0) between the crossing (overshoot) and the
@@ -131,8 +144,8 @@ def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 120
     b_hi = 2.0
     while classify(b_hi) != 1:
         b_hi *= 1.6
-        if b_hi > b_max:
-            raise ShootingFailure("no overshoot bracket below b_max")
+        if b_hi > 1e4:
+            raise ShootingFailure("no overshoot bracket below Q(0) = 1e4")
     b_lo = 1.0 + 1e-8
     while classify(b_lo) == 1:
         b_lo = 1.0 + (b_lo - 1.0) / 2
@@ -140,7 +153,7 @@ def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 120
             raise ShootingFailure("no undershoot bracket above Q(0)=1")
     for _ in range(200):
         mid = 0.5 * (b_lo + b_hi)
-        if b_hi - b_lo < b_tol * b_hi:
+        if b_hi - b_lo < 1e-13 * b_hi:
             break
         c = classify(mid)
         if c == 1:
@@ -199,7 +212,7 @@ class _Discrete:
     normalized solvers; `shift` is the coefficient of u in the gradient
     (`mass_coeff` for the free modes, the multiplier for the normalized)."""
 
-    def __init__(self, params: ProblemParams, grid: RadialGrid, opts: SolverOptions):
+    def __init__(self, params: ProblemParams, grid: RadialGrid):
         self.params = params
         self.grid = grid
         self.W = grid.weights_full
@@ -212,25 +225,20 @@ class _Discrete:
         # residual window: drop the last 5% of radius, and start at the
         # resolvability floor -- below it the stiffness/weight ratio amplifies
         # roundoff on graded grids and no trusted structure lives there anyway
-        self.nlo = min(opts.min_scale_nodes, grid.n // 4)
+        self.nlo = min(_MIN_SCALE_NODES, grid.n // 4)
 
     def xi_of(self, u):
         """Talenti-matched concentration scale from the peak value."""
         peak = float(np.max(u))
         return talenti_scale(self.grid.N, peak) if peak > 0 else np.inf
 
-    def xi_floor(self, opts):
-        k = min(opts.min_scale_nodes, self.n - 1)
+    def xi_floor(self):
+        k = min(_MIN_SCALE_NODES, self.n - 1)
         return self.grid.r[k]
 
     def conv_p(self, u):
         up = u ** self.params.p
         return (self.tab.G @ up) / self.W
-
-    @cached_property
-    def conv_matrix(self):
-        """Pointwise convolution operator G / W of the Newton Jacobian."""
-        return self.tab.G / self.W[:, None]
 
     def conv_of(self, u):
         """conv(u^p), or None without a Riesz term."""
@@ -283,7 +291,7 @@ class _Discrete:
         m = float(np.max(np.abs(F[self.nlo: self.ncut])))
         return F, m / max(self.term_scale(u, shift, conv), 1e-300)
 
-    def jacobian(self, u, shift, opts: SolverOptions, border, conv):
+    def jacobian(self, u, shift, border, conv):
         """Dense Jacobian of W * grad(., shift) at u, Dirichlet at the last node.
 
         A `border` vector (or None) is appended as the last row and column:
@@ -297,21 +305,26 @@ class _Discrete:
         Jn[idx, idx] = self.Ad + shift * W
         Jn[idx[:-1], idx[1:]] = self.Ao
         Jn[idx[1:], idx[:-1]] = self.Ao
-        mask = u > opts.positivity_floor * max(u.max(), 1e-300)
+        mask = u > _POSITIVITY_FLOOR * max(u.max(), 1e-300)
         um = np.where(mask, u, 1.0)
         if conv is not None:
             D1 = np.where(mask, u ** (p.p - 1), 0.0)
-            Jnl = p.p * (D1[:, None] * self.conv_matrix * D1[None, :])
             if p.p < 2:
                 # u^(p-2) is unbounded at small u: regularize the diagonal
                 ureg = u + 1e-8 * max(u.max(), 1e-300)
                 diag_nl = (p.p - 1) * conv * ureg ** (p.p - 2)
             else:
                 diag_nl = np.where(mask, (p.p - 1) * conv * um ** (p.p - 2), 0.0)
-            Jn -= p.riesz_coeff * (W[:, None] * Jnl + np.diag(W * diag_nl))
+            # the nonlocal part of W * d[conv(u^p) u^(p-1)] is p D1 G D1, since
+            # conv = (G @ u^p) / W: G carries the weights itself
+            Jnl = D1[:, None] * self.tab.G
+            Jnl *= D1[None, :]
+            Jnl *= p.p * p.riesz_coeff
+            Jn -= Jnl
+            Jn[idx, idx] -= p.riesz_coeff * (W * diag_nl)
         if p.power_coeff:
             Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
-            Jn -= p.power_coeff * np.diag(W * Jq)
+            Jn[idx, idx] -= p.power_coeff * (W * Jq)
         if border is not None:
             J[:n, n] = border
             J[n, :n] = border
@@ -335,7 +348,7 @@ class _Discrete:
         b[-1] = 0.0
         return solve_banded((1, 1), ab, b)
 
-    def polish(self, u, shift, opts: SolverOptions, bordered: bool):
+    def polish(self, u, shift, bordered: bool):
         """Newton on the strong form at `shift`; `bordered` adds the mass
         constraint, with the shift as its multiplier (a KKT system).
 
@@ -348,7 +361,7 @@ class _Discrete:
         n, W = self.n, self.W
         a2 = self.params.a ** 2 if bordered else None
         best, res_best = (u, shift), np.inf
-        for k in range(opts.newton_iters):
+        for k in range(_NEWTON_ITERS):
             conv = self.conv_of(u)      # the step's one mat-vec
             F, res = self.residual(u, shift, conv)
             if bordered:
@@ -357,9 +370,9 @@ class _Discrete:
                 return (*best, k, res_best)
             if res < res_best:
                 best, res_best = (u, shift), res
-            if res < opts.residual_tol and (not bordered or abs(F2) < 1e-13 * a2):
+            if res < _RESIDUAL_TOL and (not bordered or abs(F2) < 1e-13 * a2):
                 return u, shift, k, res
-            J = self.jacobian(u, shift, opts, W * u if bordered else None, conv)
+            J = self.jacobian(u, shift, W * u if bordered else None, conv)
             rhs = -(W * F)
             if bordered:
                 rhs = np.append(rhs, -F2)
@@ -370,12 +383,12 @@ class _Discrete:
                 return (*best, k, res_best)
             cand = np.maximum(u + step[:n], 0.0)
             cand[-1] = 0.0
-            if self.xi_of(cand) < self.xi_floor(opts):
+            if self.xi_of(cand) < self.xi_floor():
                 return (*best, k, res_best)
             u = cand
             if bordered:
                 shift = shift + step[n]
-        return (*best, opts.newton_iters, res_best)
+        return (*best, _NEWTON_ITERS, res_best)
 
     def mass(self, u):
         return float(np.dot(self.W, u * u))
@@ -395,7 +408,7 @@ class _FreeSolver(_Discrete):
     def nehari_t(self, parts: Parts):
         return _ray_root(self.params, parts)
 
-    def descend(self, u, opts: SolverOptions):
+    def descend(self, u):
         """Nehari-projected descent.  Each line-search trial v pays one
         `parts` mat-vec; the parts and conv of the projected t*v follow by
         the ray scaling law and serve its energy or residual and, once it
@@ -407,14 +420,14 @@ class _FreeSolver(_Discrete):
         u, pu = t * u, self.ray(pu, t)
         hist = 0
         res_scaled = np.inf
-        for k in range(opts.max_iters):
+        for k in range(_MAX_ITERS):
             g = self.grad(u, self.params.mass_coeff, pu.conv)
             d = self.solve_shifted(max(self.params.mass_coeff, 1e-10), g * self.W)
             E0 = energy_from_parts(self.params, pu)
-            endgame = res_scaled < opts.flow_tol
-            tau = opts.step
+            endgame = res_scaled < _FLOW_TOL
+            tau = 1.0
             accepted = False
-            floor = self.xi_floor(opts)
+            floor = self.xi_floor()
             for _ in range(40):
                 v = np.maximum(u - tau * d, 0.0)
                 v[-1] = 0.0
@@ -436,12 +449,12 @@ class _FreeSolver(_Discrete):
             u, pu = v, pv
             hist = k + 1
             res_scaled = self.residuals(u, pu.conv)[1]
-            if res_scaled < opts.flow_tol * 1e-2:
+            if res_scaled < _FLOW_TOL * 1e-2:
                 break
         return u, hist
 
-    def newton(self, u, opts: SolverOptions):
-        u, _, k, res = self.polish(u, self.params.mass_coeff, opts, bordered=False)
+    def newton(self, u):
+        u, _, k, res = self.polish(u, self.params.mass_coeff, bordered=False)
         return u, k, res
 
 
@@ -460,18 +473,17 @@ def _initial_field(tag, grid: RadialGrid) -> tuple[str, np.ndarray]:
 
 
 def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
-                 schedule=None, opts: SolverOptions | None = None) -> GroundStateResult:
+                 schedule=None) -> GroundStateResult:
     """Lowest-level Nehari-constrained critical point over the init schedule."""
     if params.normalized:
         raise InvalidParameter("use normalized_branches for the mass-constrained modes")
-    opts = opts or SolverOptions()
     seeds = list(schedule) if schedule is not None else [init]
     best = None
-    solver = _FreeSolver(params, grid, opts)
+    solver = _FreeSolver(params, grid)
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
-        u, iters = solver.descend(u0, opts)
-        u, k_newton, res = solver.newton(u, opts)
+        u, iters = solver.descend(u0)
+        u, k_newton, res = solver.newton(u)
         parts = solver.parts(u)
         level = energy_from_parts(params, parts)
         nd, pd = _defects_from_parts(params, parts)
@@ -480,9 +492,9 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
         umax = u.max()
         noninc = bool(np.all(np.diff(u) <= 1e-8 * umax + 1e-300))
         xi = solver.xi_of(u)
-        conv = ((res_sup < opts.sup_residual_tol or res_scaled < opts.converged_tol)
-                and abs(nd) < opts.identity_tol and abs(pd) < opts.identity_tol
-                and xi >= solver.xi_floor(opts))
+        conv = ((res_sup < _SUP_RESIDUAL_TOL or res_scaled < _CONVERGED_TOL)
+                and abs(nd) < _IDENTITY_TOL and abs(pd) < _IDENTITY_TOL
+                and xi >= solver.xi_floor())
         result = GroundStateResult(params=params, field=fld, level=level,
                                    nehari_defect=nd, pohozaev_defect=pd,
                                    pde_residual=res_sup, pde_residual_scaled=res_scaled,
@@ -520,15 +532,16 @@ class _MassSolver(_Discrete):
             return None
         return match[0] if which == 1 else match[-1]
 
-    def dilate(self, u, t, max_loss: float = 0.1):
-        """Mass-preserving dilation; None when too much mass leaves the window."""
+    def dilate(self, u, t):
+        """Mass-preserving dilation; None when more than a tenth of the mass
+        leaves the window."""
         fld = RadialField.from_values(self.grid, u)
         v = t ** (self.grid.N / 2.0) * fld(np.minimum(t * self.grid.r, self.grid.r_max))
         v[t * self.grid.r > self.grid.r_max] = 0.0
         if t < 1.0:
             kept = self.mass(v)
             ref = self.mass(u)
-            if ref > 0 and kept < (1.0 - max_loss) * ref:
+            if ref > 0 and kept < 0.9 * ref:
                 return None
         return v
 
@@ -549,7 +562,7 @@ class _MassSolver(_Discrete):
             return None
         return float(fiber_energy(self.params, parts, "mass", t))
 
-    def flow(self, u0, which, opts: SolverOptions):
+    def flow(self, u0, which):
         """Constrained descent to the `which` fiber branch; returns
         (v, iterations, status, parts of v)."""
         u = self.normalize(u0)
@@ -558,11 +571,11 @@ class _MassSolver(_Discrete):
             return None, 0, "no-fiber-point", None
         kappa_floor = 0.02
         parts = self.parts(v)
-        for k in range(opts.flow_iters):
+        for k in range(_FLOW_ITERS):
             # one parts(v) per iterate serves the multiplier, the residual, kappa and obj0
             lam = multiplier_from_parts(self.params, parts)
             g, res = self.residual(v, lam, parts.conv)
-            if res < opts.flow_tol:
+            if res < _FLOW_TOL:
                 return v, k, "handoff", parts
             kappa = max(lam, kappa_floor * parts.kinetic / self.params.a ** 2)
             d = self.solve_shifted(kappa, g * self.W)
@@ -586,10 +599,10 @@ class _MassSolver(_Discrete):
             if not accepted:
                 return v, k, "handoff", parts
             v, parts = proj, proj_parts
-        return v, opts.flow_iters, "handoff", parts
+        return v, _FLOW_ITERS, "handoff", parts
 
-    def newton(self, u, lam, opts: SolverOptions):
-        return self.polish(u, lam, opts, bordered=True)
+    def newton(self, u, lam):
+        return self.polish(u, lam, bordered=True)
 
 
 def multiplier_check(result: NormalizedBranchResult) -> float:
@@ -600,14 +613,13 @@ def multiplier_check(result: NormalizedBranchResult) -> float:
     return float((lhs - pred) / lhs) if lhs != 0 else np.inf
 
 
-def _branch_result(solver: _MassSolver, u, lam, iters, res, which,
-                   opts: SolverOptions) -> NormalizedBranchResult:
+def _branch_result(solver: _MassSolver, u, lam, iters, res, which) -> NormalizedBranchResult:
     params = solver.params
     parts = solver.parts(u)
     level = energy_from_parts(params, parts)
     fld = solver.field(u)
     branch = "P+" if which == 1 else "P-"
-    conv = res < opts.converged_tol and lam > 0
+    conv = res < _CONVERGED_TOL and lam > 0
     out = NormalizedBranchResult(params=params, field=fld, branch=branch, level=level,
                                  lambda_nu=float(lam), multiplier_identity_defect=np.nan,
                                  pde_residual_scaled=float(res), iterations=iters,
@@ -615,22 +627,22 @@ def _branch_result(solver: _MassSolver, u, lam, iters, res, which,
     return replace(out, multiplier_identity_defect=abs(multiplier_check(out)))
 
 
-def _polish_branch(solver: _MassSolver, u0, which, opts: SolverOptions):
+def _polish_branch(solver: _MassSolver, u0, which):
     """Flow from u0 to the `which` branch, then the bordered Newton polish;
     returns (result, None), or (None, reason) when the flow finds no branch."""
-    u, it_flow, status, parts = solver.flow(u0, which, opts)
+    u, it_flow, status, parts = solver.flow(u0, which)
     if u is None:
         return None, status
     lam = multiplier_from_parts(solver.params, parts)
-    u, lam, it_newton, res = solver.newton(u, lam, opts)
-    return _branch_result(solver, u, lam, it_flow + it_newton, res, which, opts), None
+    u, lam, it_newton, res = solver.newton(u, lam)
+    return _branch_result(solver, u, lam, it_flow + it_newton, res, which), None
 
 
-def _bubble_seed(solver: _MassSolver, scales) -> np.ndarray | None:
+def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
     """Cutoff-bubble seed with the best fiber-max level over a short scale scan."""
     grid = solver.grid
     best, best_obj = None, np.inf
-    for s in scales:
+    for s in (0.05, 0.1, 0.2, 0.5, 1.0):
         vals = talenti(grid, s).values * smoothstep_cutoff(4.0 * grid.r / grid.r_max)
         try:
             u = solver.normalize(vals)
@@ -642,18 +654,12 @@ def _bubble_seed(solver: _MassSolver, scales) -> np.ndarray | None:
     return best
 
 
-def normalized_branches(params: ProblemParams, grid: RadialGrid,
-                        opts: SolverOptions | None = None,
-                        bubble_scales=(0.05, 0.1, 0.2, 0.5, 1.0),
-                        plus_widths=None) -> NormalizedBranches:
+def normalized_branches(params: ProblemParams, grid: RadialGrid) -> NormalizedBranches:
     """The P+ local minimizer (when the fiber geometry admits one) and the
     P- mountain-pass branch of the mass-constrained problem."""
     if not params.normalized:
         raise InvalidParameter("normalized_branches needs a normalized mode")
-    opts = opts or SolverOptions()
-    solver = _MassSolver(params, grid, opts)
-    if plus_widths is None:
-        plus_widths = (1.5, grid.r_max / 3.0)
+    solver = _MassSolver(params, grid)
 
     plus = minus = None
     plus_reason = minus_reason = None
@@ -661,7 +667,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
     # P+ branch: spread seeds over a width scan, preferring those whose own
     # fiber minimum sits at a representable dilation, then flow + polish
     candidates = []
-    for wdt in np.geomspace(plus_widths[0], plus_widths[-1], 6):
+    for wdt in np.geomspace(1.5, grid.r_max / 3.0, 6):
         u0 = solver.normalize(gaussian(grid, width=float(wdt)).values)
         tplus = solver.fiber_point(solver.parts(u0), 1)
         if tplus is not None:
@@ -671,7 +677,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
     else:
         candidates.sort(key=lambda c: c[0])
         for _, u0 in candidates[:3]:
-            cand, reason = _polish_branch(solver, u0, 1, opts)
+            cand, reason = _polish_branch(solver, u0, 1)
             if cand is None:
                 plus_reason = reason
                 continue
@@ -682,11 +688,11 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid,
                 break
 
     # P- branch: cutoff-bubble seed from a scale pre-scan, fiber local maximum
-    u0 = _bubble_seed(solver, bubble_scales)
+    u0 = _bubble_seed(solver)
     if u0 is None:
         minus_reason = "no bubble seed admits a fiber maximum"
     else:
-        minus, minus_reason = _polish_branch(solver, u0, -1, opts)
+        minus, minus_reason = _polish_branch(solver, u0, -1)
 
     return NormalizedBranches(plus=plus, minus=minus,
                               plus_absent_reason=plus_reason,
@@ -707,7 +713,6 @@ class RescaledSolution:
 
 
 def second_solution_via_rescale(result: NormalizedBranchResult,
-                                n: int | None = None, grading: float | None = None,
                                 residual_tol: float = 5e-3) -> RescaledSolution:
     """Map a converged P- normalized solution to a frequency-1 solution.
 
@@ -724,7 +729,7 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
     g0 = old.grid
     scale = np.sqrt(lam)
     new_rmax = g0.r_max * scale
-    grid = make_grid(N, new_rmax, n or g0.n, grading or g0.grading)
+    grid = make_grid(N, new_rmax, g0.n, g0.grading)
     amp = lam ** (-(N - 2) / 4.0)
     vals = amp * old(grid.r / scale)
     if params.mode == "normalized-hls":
@@ -735,7 +740,7 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
         coupling = params.nu * lam ** (-params.eta_exp / 2.0)
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
                             mode="mu", mu=coupling)
-    solver = _FreeSolver(eff, grid, SolverOptions())
+    solver = _FreeSolver(eff, grid)
     u = np.maximum(vals, 0.0)
     u[-1] = 0.0
     parts = solver.parts(u)

@@ -71,8 +71,9 @@ def _mass_integral(N: int, eps: float, R: float) -> float:
     return sphere_surface(N) * total
 
 
-def mass_radius(N: int, a: float, eps: float, r_hi_factor: float = 1e12) -> float:
-    """Cutoff radius R_eps with ||V_eps||_2^2 = a^2 (bracketed root in log R)."""
+def mass_radius(N: int, a: float, eps: float) -> float:
+    """Cutoff radius R_eps with ||V_eps||_2^2 = a^2 (bracketed root in log R,
+    searched up to R = 1e12 eps)."""
     if a <= 0:
         raise InvalidParameter("target mass a must be positive")
     if eps <= 0:
@@ -87,7 +88,7 @@ def mass_radius(N: int, a: float, eps: float, r_hi_factor: float = 1e12) -> floa
     l_hi = np.log(lo * 4)
     while f(l_hi) < 0:
         l_hi += np.log(4.0)
-        if np.exp(l_hi) > r_hi_factor * eps:
+        if np.exp(l_hi) > 1e12 * eps:
             raise InvalidParameter("no cutoff radius reaches the target mass in range")
     return float(np.exp(brentq(f, l_lo, l_hi, xtol=1e-13, rtol=1e-13)))
 

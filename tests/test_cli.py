@@ -25,7 +25,8 @@ grading = 2.0
     out = capsys.readouterr().out
     assert code == 0
     assert "level" in out
-    assert (tmp_path / "run" / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["wall_clock"] > 0
     assert (tmp_path / "run" / "solves" / "profile.csv").exists()
 
 

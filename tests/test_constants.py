@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,22 @@ class TestGammaFormulas:
             hls_constant(3, 3.0)
         with pytest.raises(InvalidParameter):
             riesz_normalization(3, -1.0)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 2e-308])
+    def test_riesz_normalization_where_gamma_overflows(self, alpha):
+        # Gamma(alpha/2) ~ 2/alpha overflows a double here, A_alpha(N) ~ alpha does not
+        a = mpmath.mpf(alpha)
+        for N in (3, 4, 5):
+            exact = float(mpmath.gamma((N - a) / 2)
+                          / (mpmath.gamma(a / 2) * mpmath.pi ** (mpmath.mpf(N) / 2) * 2 ** a))
+            # one unit in the last place of a subnormal result
+            assert abs(riesz_normalization(N, alpha) - exact) <= max(1e-13 * exact, 5e-324)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 2e-308])
+    def test_hls_constant_overflow_raises(self, alpha):
+        # the constant grows like |S^(N-1)| / alpha, beyond the largest double
+        with pytest.raises(InvalidParameter):
+            hls_constant(3, alpha)
 
 
 class TestRayleigh:

@@ -13,7 +13,7 @@ from choquard_lab.functional import (Parts, ProblemParams, _defects_from_parts,
                                      energy_from_parts, fiber_energy, identity_prediction,
                                      multiplier_from_parts, scaled_parts)
 from choquard_lab.grid import make_grid
-from choquard_lab.solver import SolverOptions, _Discrete, _MassSolver
+from choquard_lab.solver import _Discrete, _MassSolver
 
 KINDS = ("ray", "dilation", "mass")
 MODES = ("lambda", "mu", "general", "normalized-hls", "normalized-sobolev")
@@ -202,7 +202,7 @@ class TestScalingLaw:
     def test_ray_law_on_discrete_fields(self, draw, t, width):
         # small grid: the table is rebuilt for every draw
         pp = draw[0]
-        solver = _Discrete(pp, make_grid(pp.N, 12.0, 60, 2.0), SolverOptions())
+        solver = _Discrete(pp, make_grid(pp.N, 12.0, 60, 2.0))
         v = np.exp(-(solver.grid.r / width) ** 2)
         v[-1] = 0.0
         got, want = solver.ray(solver.parts(v), t), solver.parts(t * v)
@@ -228,7 +228,7 @@ class TestScalingLaw:
     def test_multiplier_matches_the_strong_form(self, draw, width, amplitude):
         # small grid: the table is rebuilt for every draw
         pp = draw[0]
-        solver = _MassSolver(pp, make_grid(pp.N, 12.0, 60, 2.0), SolverOptions())
+        solver = _MassSolver(pp, make_grid(pp.N, 12.0, 60, 2.0))
         u = amplitude * np.exp(-(solver.grid.r / width) ** 2)
         u[-1] = 0.0
         # the oracle: -<W grad(u, 0), u> / a^2 from the strong form

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name a module lists in ``__all__`` is bound in it.
 
 A stdlib `ast` pass stands in for a linter.  An import on a line marked
 ``# noqa: F401`` is kept on purpose, a name listed in ``__all__`` is
@@ -26,12 +27,32 @@ def unused_imports(source: str) -> list:
                 continue
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exports(tree))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def exports(tree: ast.Module) -> list:
+    """The names listed in the module's ``__all__``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def unbound_exports(source: str) -> list:
+    """Names in ``__all__`` that no top-level statement of the module binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(name for name in exports(tree) if name not in bound)
 
 
 def test_the_check_sees_an_unused_import():
@@ -42,3 +63,14 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unbound_export():
+    src = "import os\nfrom math import pi as PI\nX: int = 1\ndef f(): pass\n" \
+          "__all__ = ['os', 'PI', 'X', 'f', 'Gone']\n"
+    assert unbound_exports(src) == ["Gone"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []

@@ -66,7 +66,8 @@ def kernel_points(draw):
     the integers of alpha - 1, and 1 - lo/hi in [1e-11, 1)."""
     N = draw(st.integers(3, 5))
     alpha = draw(st.one_of(
-        # below 1e-300, Gamma(alpha/2) in A_alpha(N) overflows a double
+        # A_alpha(N) is proportional to alpha: subnormal below about 1e-306,
+        # where it has fewer than 13 correct digits
         st.floats(1e-300, float(N), exclude_max=True),
         st.builds(lambda k, d: k + d, st.integers(0, N),
                   st.sampled_from([-0.0101, -0.01, -0.0099, -1e-9, 1e-9,

@@ -7,7 +7,8 @@ from choquard_lab.functional import (Parts, ProblemParams, compute_parts, fiber_
                                      multiplier_from_parts)
 from choquard_lab.grid import gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import gaussian, talenti
-from choquard_lab.solver import (NormalizedBranchResult, SolverOptions, _MassSolver,
+from choquard_lab import solver as solver_module
+from choquard_lab.solver import (NormalizedBranchResult, _MassSolver,
                                  ground_state, multiplier_check,
                                  normalized_branches,
                                  second_solution_via_rescale,
@@ -156,18 +157,18 @@ class TestNormalizedBranches:
 
 
 class TestNewtonFloor:
-    def test_mass_newton_stops_below_resolvability_floor(self):
+    def test_mass_newton_stops_below_resolvability_floor(self, monkeypatch):
         # the floor sits at the last node, so the first Newton candidate from
         # this Gaussian falls below it and the polish keeps its input, as the
         # free solver does
         grid = make_grid(3, 20.0, 200, 2.0)
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                                nu=6.0, a=1.0)
-        opts = SolverOptions(min_scale_nodes=199)
-        solver = _MassSolver(params, grid, opts)
+        monkeypatch.setattr(solver_module, "_MIN_SCALE_NODES", 199)
+        solver = _MassSolver(params, grid)
         u = solver.normalize(gaussian(grid).values)
         lam = multiplier_from_parts(params, solver.parts(u))
-        u_out, lam_out, k, _ = solver.newton(u, lam, opts)
+        u_out, lam_out, k, _ = solver.newton(u, lam)
         assert k == 0
         assert u_out is u and lam_out == lam
 
