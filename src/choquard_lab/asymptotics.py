@@ -122,8 +122,7 @@ def kelvin(f: RadialField, target_grid: RadialGrid | None = None) -> RadialField
     r = target_grid.r
     if 1.0 / g.r_max >= target_grid.r_max:
         raise InvalidParameter("target grid does not overlap the transformed domain")
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / r
+    inv = 1.0 / r
     vals = np.where(inv <= g.r_max, r ** (-(N - 2.0)) * f(np.minimum(inv, g.r_max)), 0.0)
     return RadialField.from_values(target_grid, vals, origin=0.0)
 

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 One declarative INI config drives every experiment (sections per
-subcommand); flags override config values.  Exit codes: 0 success,
-2 failed-invariant report, 1 error.
+subcommand); config values take precedence over flags: `--n-dim` and
+`--alpha` are read only by `constants`, as defaults for a section without
+`n_dim` or `alpha`.  Exit codes: 0 success, 2 failed-invariant report,
+1 error.
 """
 
 from __future__ import annotations

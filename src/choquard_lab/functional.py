@@ -318,6 +318,22 @@ def _fiber_derivative(params: ProblemParams, parts: Parts, kind: str):
     return d, d2, dscale
 
 
+def _fiber_critical_points(params: ProblemParams, parts: Parts, kind: str,
+                           t_lo: float = 1e-6, t_hi: float = 1e6, samples: int = 4001):
+    """Critical points of the fiber energy on [t_lo, t_hi] as (t, sign) pairs.
+
+    The zeros of the exact t-derivative are scanned on `samples` log-spaced
+    points; sign is +1 at a local minimum and -1 at a local maximum, or 0
+    (degenerate) when |t E''(t)| is below 1e-9 of the fiber's term scale.
+    """
+    d, d2, dscale = _fiber_derivative(params, parts, kind)
+    points = []
+    for t0 in _fiber_roots(d, t_lo, t_hi, samples):
+        curv = d2(t0) * t0
+        points.append((t0, 0 if abs(curv) < 1e-9 * dscale(t0) else int(np.sign(curv))))
+    return points
+
+
 def _fiber_roots(d, t_lo: float, t_hi: float, samples: int):
     """Zeros of d on [t_lo, t_hi]: sign changes on a log-spaced scan of
     `samples` points, refined by brentq; a sample where d vanishes exactly
@@ -382,15 +398,11 @@ def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> Fiber
     if np.any(ts <= 0):
         raise InvalidParameter("fiber grid must be positive")
     parts = compute_parts(params, u)
-    energies = fiber_energy(params, parts, kind, ts)
-    d, d2, dscale = _fiber_derivative(params, parts, kind)
-    crit = _fiber_roots(d, ts.min(), ts.max(), max(4 * len(ts), 400))
-    signs = []
-    for t0 in crit:
-        curv = d2(t0)
-        signs.append(0 if abs(curv) * t0 < 1e-10 * dscale(t0) else int(np.sign(curv)))
-    return FiberProfile(kind=kind, ts=ts, energies=energies,
-                        critical_ts=tuple(crit), second_derivative_signs=tuple(signs))
+    points = _fiber_critical_points(params, parts, kind, ts.min(), ts.max(),
+                                    max(4 * len(ts), 400))
+    return FiberProfile(kind=kind, ts=ts, energies=fiber_energy(params, parts, kind, ts),
+                        critical_ts=tuple(t for t, _ in points),
+                        second_derivative_signs=tuple(sign for _, sign in points))
 
 
 def nehari_project(params: ProblemParams, u: RadialField):
@@ -430,15 +442,5 @@ def mass_fiber_classify(params: ProblemParams, u: RadialField,
     mdef = abs(parts.mass - params.a ** 2) / params.a ** 2
     if mdef > mass_rtol:
         raise ConstraintViolation(f"field off the mass sphere: |mass - a^2|/a^2 = {mdef:.2e}")
-    d, d2, dscale = _fiber_derivative(params, parts, "mass")
-    points = []
-    for t0 in _fiber_roots(d, 1e-6, 1e6, 6001):
-        curv = d2(t0) * t0
-        if abs(curv) < 1e-9 * dscale(t0):
-            branch = "0"
-        elif curv > 0:
-            branch = "+"
-        else:
-            branch = "-"
-        points.append(FiberPoint(t=t0, branch=branch))
-    return points
+    return [FiberPoint(t=t0, branch={1: "+", 0: "0", -1: "-"}[sign])
+            for t0, sign in _fiber_critical_points(params, parts, "mass")]

@@ -1,18 +1,17 @@
-"""Radial discretization of R^N: graded grids, quadrature, interpolation, Laplacian.
+"""Radial discretization of R^N: graded grids, quadrature, interpolation,
+kinetic forms.
 
 All integrals over R^N of radial integrands are reduced to
 ``sphere_area * sum_i w_i f(r_i)`` where the weights ``w_i`` absorb the
 volume factor r^(N-1) and are exact for piecewise-quadratic interpolants
 on each quadrature panel.  The domain is truncated at ``r_max`` with a
 homogeneous Dirichlet condition; solutions of interest decay exponentially
-or like r^-(N-2), and the tail flag of a field records whether truncation
-is visible.
+or like r^-(N-2).
 """
 
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 from math import comb, gamma, pi
 
@@ -26,7 +25,6 @@ __all__ = [
     "RadialField",
     "make_grid",
     "integrate",
-    "apply_radial_laplacian",
     "derivative_values",
     "gradient_seminorm",
     "kinetic_energy",
@@ -135,13 +133,6 @@ class RadialGrid:
         """Quadrature weights including the spherical surface factor."""
         return self.sphere_area * self.w
 
-    def same_as(self, other: "RadialGrid") -> bool:
-        return self.key == other.key
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "r_max": self.r_max, "n": self.n,
-                           "grading": self.grading})
-
 
 def make_grid(N: int, r_max: float, n: int, grading: float = 2.0) -> RadialGrid:
     """Build a graded radial grid; cluster near the origin for grading > 1."""
@@ -176,7 +167,7 @@ def make_grid(N: int, r_max: float, n: int, grading: float = 2.0) -> RadialGrid:
                       panel_weights=tuple(pws), stiff_diag=diag, stiff_off=off)
 
 
-def _origin_value(r: np.ndarray, u: np.ndarray) -> float:
+def _extrapolate_origin(r: np.ndarray, u: np.ndarray) -> float:
     """Even-quadratic extrapolation u(0) from the first two nodes (u'(0)=0)."""
     r1, r2 = r[0], r[1]
     return float((u[0] * r2 ** 2 - u[1] * r1 ** 2) / (r2 ** 2 - r1 ** 2))
@@ -204,24 +195,9 @@ class RadialField:
         if not np.all(np.isfinite(values)):
             raise InvalidConfiguration("field values must be finite")
         if origin is None:
-            origin = _origin_value(grid.r, values)
+            origin = _extrapolate_origin(grid.r, values)
         d = None if deriv is None else np.asarray(deriv, dtype=float)
         return cls(grid=grid, values=values, origin=float(origin), deriv=d)
-
-    @classmethod
-    def from_function(cls, grid: RadialGrid, f, df=None) -> "RadialField":
-        values = np.asarray(f(grid.r), dtype=float)
-        deriv = df(grid.r) if df is not None else None
-        origin = float(f(0.0))
-        return cls.from_values(grid, values, deriv=deriv, origin=origin)
-
-    @property
-    def tail_flag(self) -> bool:
-        """True when the field has decayed below 1e-10 of its peak at the boundary."""
-        scale = max(abs(self.values).max(), abs(self.origin))
-        if scale == 0:
-            return True
-        return abs(self.values[-1]) <= 1e-10 * scale
 
     def interpolator(self) -> PchipInterpolator:
         """Monotone cubic through (0, origin) and the nodes.
@@ -262,7 +238,7 @@ class RadialField:
 
 
 def _check_same_grid(grid: RadialGrid, f: RadialField):
-    if f.grid is not grid and not f.grid.same_as(grid):
+    if f.grid is not grid and f.grid.key != grid.key:
         raise IncompatibleGrid("field lives on a different grid")
 
 
@@ -281,33 +257,23 @@ def integrate(grid: RadialGrid, f) -> float:
 def derivative_values(f: RadialField) -> np.ndarray:
     """Nodal u'(r): stored derivative if present, else second-order differences.
 
-    The origin neighbor uses the even extension (u'(0)=0); the last node a
-    one-sided difference.
+    At r[:-1] the non-uniform central difference, exact for quadratics, with
+    the origin value as the left neighbor of r[0] (even extension, u'(0)=0);
+    at the last node a one-sided difference.
     """
     if f.deriv is not None:
         return f.deriv
     r, u = f.grid.r, f.values
-    d = np.zeros(len(r))
-    d[:-1] = _central_stencil(r, u, f.origin)[0]
-    d[-1] = (u[-1] - u[-2]) / (r[-1] - r[-2])
-    return d
-
-
-def _central_stencil(r: np.ndarray, u: np.ndarray, origin: float):
-    """Non-uniform central first difference at r[:-1], exact for quadratics,
-    with the origin value as the left neighbor of r[0].
-
-    Returns (u', h0, h1, up): the spacings to the left and right neighbors and
-    the values padded with the origin, for callers that add a second difference.
-    """
     rp = np.concatenate(([0.0], r))
-    up = np.concatenate(([origin], u))
+    up = np.concatenate(([f.origin], u))
     h0 = rp[1:-1] - rp[:-2]
     h1 = rp[2:] - rp[1:-1]
-    d1 = (-h1 / (h0 * (h0 + h1)) * up[:-2]
-          + (h1 - h0) / (h0 * h1) * up[1:-1]
-          + h0 / (h1 * (h0 + h1)) * up[2:])
-    return d1, h0, h1, up
+    d = np.zeros(len(r))
+    d[:-1] = (-h1 / (h0 * (h0 + h1)) * up[:-2]
+              + (h1 - h0) / (h0 * h1) * up[1:-1]
+              + h0 / (h1 * (h0 + h1)) * up[2:])
+    d[-1] = (u[-1] - u[-2]) / (r[-1] - r[-2])
+    return d
 
 
 def gradient_seminorm(f: RadialField) -> float:
@@ -332,38 +298,3 @@ def apply_stiffness(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np
     out[:-1] += off * values[1:]
     out[1:] += off * values[:-1]
     return out
-
-
-def apply_radial_laplacian(grid: RadialGrid, f: RadialField) -> RadialField:
-    """Second-order finite-difference u'' + (N-1)/r u' on the graded grid.
-
-    Origin handled by even extension (the virtual neighbor at -r_1 carries
-    u(r_1)); the last node uses a first-order one-sided second difference
-    and is only meaningful as a boundary diagnostic.
-    """
-    _check_same_grid(grid, f)
-    r = grid.r
-    u = f.values
-    n = len(r)
-    if n < 3:
-        raise InvalidConfiguration("Laplacian needs at least 3 nodes")
-    N = grid.N
-    out = np.zeros(n)
-    d1, h0, h1, up = _central_stencil(r, u, f.origin)
-    d2 = 2.0 * (up[:-2] / (h0 * (h0 + h1)) - up[1:-1] / (h0 * h1)
-                + up[2:] / (h1 * (h0 + h1)))
-    out[:-1] = d2 + (N - 1) / r[:-1] * d1
-    # one-sided at the boundary node
-    hm1 = r[-2] - r[-3]
-    hm0 = r[-1] - r[-2]
-    d2b = 2.0 * (u[-3] / (hm1 * (hm1 + hm0)) - u[-2] / (hm1 * hm0)
-                 + u[-1] / (hm0 * (hm1 + hm0)))
-    d1b = (u[-1] - u[-2]) / hm0
-    out[-1] = d2b + (N - 1) / r[-1] * d1b
-    # origin value by radial smoothness: lap u(0) = N u''(0), with u''(0)
-    # from the even quartic through (0, r_1, r_2)
-    r1, r2 = r[0], r[1]
-    V = np.array([[r1 ** 2, r1 ** 4], [r2 ** 2, r2 ** 4]])
-    b, _ = np.linalg.solve(V, [u[0] - f.origin, u[1] - f.origin])
-    lap0 = N * 2.0 * b
-    return RadialField(grid=grid, values=out, origin=float(lap0), deriv=None)

@@ -1,5 +1,6 @@
 """Closed-form radial profiles: the Sobolev extremal bubble, HLS extremizer,
-Gaussian seeds, and the fixed cutoff used by the bubble family."""
+Gaussian seeds, the fixed cutoff used by the bubble family and the cutoff
+bubble itself."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 from .grid import RadialField, RadialGrid
 
 __all__ = ["talenti_peak", "talenti_scale", "talenti", "hls_extremizer", "gaussian",
-           "smoothstep_cutoff"]
+           "smoothstep_cutoff", "cutoff_bubble"]
 
 
 def talenti_peak(N: int) -> float:
@@ -61,3 +62,11 @@ def smoothstep_cutoff(x):
     t = np.clip(x - 1.0, 0.0, 1.0)
     s = 6 * t ** 5 - 15 * t ** 4 + 10 * t ** 3
     return 1.0 - s
+
+
+def cutoff_bubble(grid: RadialGrid, eps: float, R: float) -> RadialField:
+    """W_eps(r) * smoothstep_cutoff(r/R): the bubble at scale eps, equal to
+    W_eps on r <= R and zero from r = 2R on."""
+    core = talenti(grid, eps)
+    vals = core.values * smoothstep_cutoff(grid.r / R)
+    return RadialField.from_values(grid, vals, origin=core.origin)

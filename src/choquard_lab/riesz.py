@@ -267,9 +267,6 @@ class RieszKernelTable:
         """
         return self.M @ gvals
 
-    def origin_value(self, gvals: np.ndarray) -> float:
-        return float(np.dot(self.origin_row, gvals))
-
     def bilinear(self, fvals: np.ndarray, gvals: np.ndarray) -> float:
         return float(fvals @ (self.G @ gvals))
 
@@ -346,7 +343,7 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
     _check_same_grid(grid, g)
     tab = kernel_table(grid, alpha)
     vals = tab.convolve_values(g.values)
-    return RadialField(grid=grid, values=vals, origin=tab.origin_value(g.values))
+    return RadialField(grid=grid, values=vals, origin=float(np.dot(tab.origin_row, g.values)))
 
 
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:

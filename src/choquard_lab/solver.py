@@ -23,10 +23,10 @@ from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
                      RescaleInconsistency, ShootingFailure)
 from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
                          fiber_energy, identity_prediction, multiplier_from_parts,
-                         scaled_parts, _defects_from_parts, _fiber_derivative,
-                         _fiber_roots, _ray_root, _values)
+                         scaled_parts, _defects_from_parts, _fiber_critical_points,
+                         _ray_root, _values)
 from .grid import RadialField, RadialGrid, apply_stiffness, make_grid
-from .profiles import gaussian, smoothstep_cutoff, talenti, talenti_scale
+from .profiles import cutoff_bubble, gaussian, talenti_scale
 from .riesz import kernel_table
 
 __all__ = ["GroundStateResult", "NormalizedBranchResult", "NormalizedBranches",
@@ -467,7 +467,7 @@ def _initial_field(tag, grid: RadialGrid) -> tuple[str, np.ndarray]:
         return "gaussian", gaussian(grid, width=1.5).values
     if isinstance(tag, tuple) and tag and tag[0] == "bubble":
         eps = float(tag[1])
-        vals = talenti(grid, eps).values * smoothstep_cutoff(4.0 * grid.r / grid.r_max)
+        vals = cutoff_bubble(grid, eps, grid.r_max / 4).values
         return f"bubble({eps:g})", vals
     raise InvalidConfiguration(f"unknown initialization {tag!r}")
 
@@ -522,8 +522,7 @@ class _MassSolver(_Discrete):
         return u * np.sqrt(self.params.a ** 2 / m)
 
     def fiber_points(self, parts: Parts):
-        d, d2, _ = _fiber_derivative(self.params, parts, "mass")
-        return [(t0, 1 if d2(t0) > 0 else -1) for t0 in _fiber_roots(d, 1e-6, 1e6, 4001)]
+        return _fiber_critical_points(self.params, parts, "mass")
 
     def fiber_point(self, parts: Parts, which):
         """The first fiber minimum (which = 1) or the last maximum (which = -1)."""
@@ -643,7 +642,7 @@ def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
     grid = solver.grid
     best, best_obj = None, np.inf
     for s in (0.05, 0.1, 0.2, 0.5, 1.0):
-        vals = talenti(grid, s).values * smoothstep_cutoff(4.0 * grid.r / grid.r_max)
+        vals = cutoff_bubble(grid, s, grid.r_max / 4).values
         try:
             u = solver.normalize(vals)
         except InvalidConfiguration:

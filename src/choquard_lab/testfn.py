@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from .errors import InvalidParameter, ResolutionError
 from .grid import (RadialField, RadialGrid, integrate, kinetic_energy, make_grid,
                    sphere_surface)
-from .profiles import smoothstep_cutoff, talenti, talenti_peak
+from .profiles import cutoff_bubble, smoothstep_cutoff, talenti_peak
 from .riesz import interaction_energy
 
 __all__ = ["BubbleSpec", "bubble", "mass_radius", "bubble_report", "bubble_sweep",
@@ -49,10 +49,7 @@ def bubble(spec: BubbleSpec, grid: RadialGrid) -> RadialField:
         # the documented inactive-cutoff limit where V equals the bare core
         raise ResolutionError(f"grid r_max {grid.r_max:.3g} truncates the cutoff bridge"
                               f" [{spec.R:.3g}, {2*spec.R:.3g}]")
-    core = talenti(grid, spec.eps)
-    cut = smoothstep_cutoff(grid.r / spec.R)
-    vals = core.values * cut
-    return RadialField.from_values(grid, vals, origin=core.origin)
+    return cutoff_bubble(grid, spec.eps, spec.R)
 
 
 def _mass_integral(N: int, eps: float, R: float) -> float:

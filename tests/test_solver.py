@@ -41,7 +41,7 @@ class TestShooting:
         assert q4_ground.origin > 1
         assert np.all(q4_ground.values >= 0)
         assert q4_ground.values[-1] < 1e-8
-        assert q4_ground.tail_flag
+        assert q4_ground.values[-1] <= 1e-10 * q4_ground.origin
 
 
 class TestGroundStateLocal:
