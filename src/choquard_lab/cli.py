@@ -1,10 +1,7 @@
 """Command-line interface.
 
 One declarative INI config drives every experiment (sections per
-subcommand); config values take precedence over flags: `--n-dim` and
-`--alpha` are read only by `constants`, as defaults for a section without
-`n_dim` or `alpha`.  Exit codes: 0 success, 2 failed-invariant report,
-1 error.
+subcommand).  Exit codes: 0 success, 2 failed-invariant report, 1 error.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ def _persist(args, cfg, artifacts):
 
 def cmd_constants(args):
     cfg = _load_config(args.config, "constants")
-    N = int(cfg.get("n_dim", args.n_dim))
-    alpha = float(cfg.get("alpha", args.alpha))
+    N = int(cfg.get("n_dim", 3))
+    alpha = float(cfg.get("alpha", 2.0))
     p = float(cfg.get("p", (N + alpha) / (N - 2)))
     q = float(cfg.get("q", 3.0))
     grid = _grid_from(cfg, (N, 400.0, 2400, 3.0))
@@ -225,8 +222,6 @@ def main(argv=None):
                                      description=__doc__)
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="run output directory")
-    parser.add_argument("--n-dim", type=int, default=3)
-    parser.add_argument("--alpha", type=float, default=2.0)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [("constants", cmd_constants), ("solve", cmd_solve),
                      ("fiber", cmd_fiber), ("scan-threshold", cmd_scan_threshold),

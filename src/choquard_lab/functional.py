@@ -46,7 +46,8 @@ class ProblemParams:
     """Problem family: dimension, Riesz order, exponents and couplings.
 
     ``mass_coeff`` scales the L2 term of the free energies; rescaled frames
-    (small-coupling studies) use values != 1.  Derived exponents are
+    (small-coupling studies) use values != 1.  The couplings ``lam``, ``mu``
+    and ``nu`` are nonnegative in every mode.  Derived exponents are
     recomputed on access, never stored.
     """
 
@@ -73,6 +74,8 @@ class ProblemParams:
             raise InvalidParameter(f"p={self.p} outside ({lo}, {hi}]")
         if not 2 < self.q <= self.two_star:
             raise InvalidParameter(f"q={self.q} outside (2, {self.two_star}]")
+        if self.lam < 0 or self.mu < 0:
+            raise InvalidParameter("couplings lam and mu must be >= 0")
         if self.mode == "lambda" and self.lam <= 0:
             raise InvalidParameter("lambda mode needs lam > 0")
         if self.mode == "mu" and self.mu <= 0:
@@ -353,7 +356,8 @@ def _ray_root(params: ProblemParams, parts: Parts):
     """The unique t* > 0 with t* u on the Nehari manifold, or None.
 
     Solves t^2 (K + mc M) = cR t^(2p) R + cP t^q P, i.e. the zero of
-    B t^(2p-2) + C t^(q-2) - A, which is strictly increasing (p > 1, q > 2);
+    B t^(2p-2) + C t^(q-2) - A, which is strictly increasing (p > 1, q > 2,
+    B, C >= 0: `ProblemParams` admits no negative coupling);
     None when both nonlinear terms vanish or the bracket leaves [1e-14, 1e14].
     """
     g, (K, M, R, P) = _weights(params), _values(parts)

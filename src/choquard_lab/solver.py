@@ -12,7 +12,7 @@ strong-form residual can be driven to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -43,7 +43,6 @@ _RESIDUAL_TOL = 1e-9        # scale-relative target for the polish
 _CONVERGED_TOL = 1e-6       # scale-relative residual gate for `converged`
 _FLOW_TOL = 1e-4            # hand-off from flow to Newton
 _IDENTITY_TOL = 1e-3        # Nehari/Pohozaev defect gate for `converged`
-_SUP_RESIDUAL_TOL = 1e-6    # spec metric: max|F| / max|u|
 _POSITIVITY_FLOOR = 1e-9    # Jacobian clamp where u < floor * max(u)
 _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
 
@@ -52,11 +51,8 @@ _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
 class GroundStateResult:
     """A free-mode critical point from `ground_state`.
 
-    `converged` holds when every gate passes: the residual (`pde_residual`
-    below _SUP_RESIDUAL_TOL or `pde_residual_scaled` below _CONVERGED_TOL),
-    both the Nehari and the Pohozaev defect below _IDENTITY_TOL in absolute
-    value, and `concentration_scale` at or above the resolvability floor
-    r[_MIN_SCALE_NODES].
+    `converged` is the one verdict of both solvers, `_Discrete.verdict`;
+    `pde_residual` is reported and does not gate.
     """
 
     params: ProblemParams
@@ -77,10 +73,9 @@ class GroundStateResult:
 class NormalizedBranchResult:
     """One branch of `normalized_branches`.
 
-    `converged` holds when `pde_residual_scaled` is below _CONVERGED_TOL and
-    `lambda_nu` > 0.  The multiplier-identity defect is reported in
-    `multiplier_identity_defect` but does not gate `converged`, unlike the
-    free solver's Nehari and Pohozaev defects.
+    `converged` is the one verdict of both solvers, `_Discrete.verdict`;
+    `multiplier_identity_defect` (relative to lambda a^2) is reported and
+    does not gate.
     """
 
     params: ProblemParams
@@ -262,34 +257,39 @@ class _Discrete:
         conv = None if parts.conv is None else t ** self.params.p * parts.conv
         return _IterateParts(*_values(scaled_parts(self.params, parts, t, 1.0)), conv=conv)
 
-    def grad(self, u, shift, conv=None):
-        """Strong-form gradient F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1);
-        `conv` is conv(u^p) when the caller holds it."""
-        p = self.params
-        F = apply_stiffness(self.Ad, self.Ao, u) / self.W + shift * u
-        conv = self.conv_of(u) if conv is None else conv
-        if conv is not None:
-            F -= p.riesz_coeff * conv * u ** (p.p - 1)
-        if p.power_coeff:
-            F -= p.power_coeff * u ** (p.q - 1)
-        return F
-
-    def term_scale(self, u, shift, conv):
-        """Largest single term of the strong form on the residual window."""
-        p = self.params
-        s = np.abs(apply_stiffness(self.Ad, self.Ao, u) / self.W) + abs(shift) * np.abs(u)
-        if conv is not None:
-            s += p.riesz_coeff * np.abs(conv) * u ** (p.p - 1)
-        if p.power_coeff:
-            s += p.power_coeff * u ** (p.q - 1)
-        return float(np.max(s[self.nlo: self.ncut]))
-
     def residual(self, u, shift, conv):
-        """F = grad(u, shift) and max |F| on the residual window over the term scale;
-        `conv` is conv(u^p)."""
-        F = self.grad(u, shift, conv)
-        m = float(np.max(np.abs(F[self.nlo: self.ncut])))
-        return F, m / max(self.term_scale(u, shift, conv), 1e-300)
+        """The strong form F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1)
+        and its scaled residual: max |F| over the largest sum of the four term
+        sizes, both on the residual window; `conv` is conv(u^p)."""
+        p = self.params
+        term = apply_stiffness(self.Ad, self.Ao, u) / self.W
+        F = term + shift * u
+        size = np.abs(term) + abs(shift) * np.abs(u)
+        if conv is not None:
+            term = p.riesz_coeff * conv * u ** (p.p - 1)
+            F -= term
+            size += np.abs(term)
+        if p.power_coeff:
+            term = p.power_coeff * u ** (p.q - 1)
+            F -= term
+            size += np.abs(term)
+        window = slice(self.nlo, self.ncut)
+        return F, float(np.max(np.abs(F[window]))) / max(float(np.max(size[window])), 1e-300)
+
+    def verdict(self, u, shift, parts: _IterateParts):
+        """(F, scaled residual, defects, xi, converged) of u at `shift`
+        (`mass_coeff`, or the multiplier lambda): the convergence verdict of
+        both solvers, from one strong-form evaluation.  `converged` needs the
+        scaled residual below _CONVERGED_TOL, both defects of
+        `_defects_from_parts` (Nehari or P_nu, and Pohozaev) below
+        _IDENTITY_TOL in absolute value, xi at or above the resolvability
+        floor and a positive shift."""
+        F, res = self.residual(u, shift, parts.conv)
+        defects = _defects_from_parts(self.params, parts)
+        xi = self.xi_of(u)
+        ok = (res < _CONVERGED_TOL and max(abs(d) for d in defects) < _IDENTITY_TOL
+              and xi >= self.xi_floor() and shift > 0)
+        return F, res, defects, xi, bool(ok)
 
     def jacobian(self, u, shift, border, conv):
         """Dense Jacobian of W * grad(., shift) at u, Dirichlet at the last node.
@@ -400,11 +400,6 @@ class _Discrete:
 class _FreeSolver(_Discrete):
     """Nehari-constrained descent + Newton polish for the free modes."""
 
-    def residuals(self, u, conv):
-        """(max |F| / max u, max |F| / term scale) on the residual window."""
-        F, scaled = self.residual(u, self.params.mass_coeff, conv)
-        return float(np.max(np.abs(F[self.nlo: self.ncut]))) / max(np.max(u), 1e-300), scaled
-
     def nehari_t(self, parts: Parts):
         return _ray_root(self.params, parts)
 
@@ -412,17 +407,23 @@ class _FreeSolver(_Discrete):
         """Nehari-projected descent.  Each line-search trial v pays one
         `parts` mat-vec; the parts and conv of the projected t*v follow by
         the ray scaling law and serve its energy or residual and, once it
-        is accepted, the next gradient, residual and E0."""
+        is accepted, the next strong form and E0."""
         pu = self.parts(u)
         t = self.nehari_t(pu)
         if t is None:
             raise NoProjection("initial field admits no Nehari projection")
         u, pu = t * u, self.ray(pu, t)
+        mc = self.params.mass_coeff
         hist = 0
-        res_scaled = np.inf
         for k in range(_MAX_ITERS):
-            g = self.grad(u, self.params.mass_coeff, pu.conv)
-            d = self.solve_shifted(max(self.params.mass_coeff, 1e-10), g * self.W)
+            # one strong-form evaluation per iterate; the start is not judged
+            # on it, so a warm start never enters the endgame at k = 0
+            g, res_scaled = self.residual(u, mc, pu.conv)
+            if k == 0:
+                res_scaled = np.inf
+            elif res_scaled < _FLOW_TOL * 1e-2:
+                break
+            d = self.solve_shifted(max(mc, 1e-10), g * self.W)
             E0 = energy_from_parts(self.params, pu)
             endgame = res_scaled < _FLOW_TOL
             tau = 1.0
@@ -436,8 +437,7 @@ class _FreeSolver(_Discrete):
                 if tv is not None and self.xi_of(tv * v) >= floor:
                     v, pv = tv * v, self.ray(pv, tv)
                     if endgame:
-                        rv = self.residuals(v, pv.conv)[1]
-                        if rv < res_scaled:
+                        if self.residual(v, mc, pv.conv)[1] < res_scaled:
                             accepted = True
                             break
                     elif energy_from_parts(self.params, pv) <= E0 + 1e-14 * abs(E0):
@@ -448,9 +448,6 @@ class _FreeSolver(_Discrete):
                 break
             u, pu = v, pv
             hist = k + 1
-            res_scaled = self.residuals(u, pu.conv)[1]
-            if res_scaled < _FLOW_TOL * 1e-2:
-                break
         return u, hist
 
     def newton(self, u):
@@ -483,22 +480,17 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
         u, iters = solver.descend(u0)
-        u, k_newton, res = solver.newton(u)
+        u, k_newton, _ = solver.newton(u)
         parts = solver.parts(u)
-        level = energy_from_parts(params, parts)
-        nd, pd = _defects_from_parts(params, parts)
-        res_sup, res_scaled = solver.residuals(u, parts.conv)
-        fld = solver.field(u)
+        F, res_scaled, (nd, pd), xi, converged = solver.verdict(u, params.mass_coeff, parts)
         umax = u.max()
+        res_sup = float(np.max(np.abs(F[solver.nlo: solver.ncut]))) / max(umax, 1e-300)
         noninc = bool(np.all(np.diff(u) <= 1e-8 * umax + 1e-300))
-        xi = solver.xi_of(u)
-        conv = ((res_sup < _SUP_RESIDUAL_TOL or res_scaled < _CONVERGED_TOL)
-                and abs(nd) < _IDENTITY_TOL and abs(pd) < _IDENTITY_TOL
-                and xi >= solver.xi_floor())
-        result = GroundStateResult(params=params, field=fld, level=level,
+        result = GroundStateResult(params=params, field=solver.field(u),
+                                   level=energy_from_parts(params, parts),
                                    nehari_defect=nd, pohozaev_defect=pd,
                                    pde_residual=res_sup, pde_residual_scaled=res_scaled,
-                                   iterations=iters + k_newton, converged=bool(conv),
+                                   iterations=iters + k_newton, converged=converged,
                                    init_tag=name, radially_nonincreasing=noninc,
                                    concentration_scale=float(xi))
         if best is None:
@@ -604,26 +596,30 @@ class _MassSolver(_Discrete):
         return self.polish(u, lam, bordered=True)
 
 
+def _identity_defect(params: ProblemParams, lam, parts: Parts) -> float:
+    """Defect of the P_nu + Pohozaev multiplier identity, relative to lam a^2."""
+    lhs = lam * params.a ** 2
+    return float((lhs - identity_prediction(params, parts)) / lhs) if lhs != 0 else np.inf
+
+
 def multiplier_check(result: NormalizedBranchResult) -> float:
-    """Relative defect of the Nehari+Pohozaev multiplier identity."""
+    """`_identity_defect` of a branch, signed, from parts recomputed from its field."""
     params = result.params
-    pred = identity_prediction(params, compute_parts(params, result.field, use_deriv=False))
-    lhs = result.lambda_nu * params.a ** 2
-    return float((lhs - pred) / lhs) if lhs != 0 else np.inf
+    return _identity_defect(params, result.lambda_nu,
+                            compute_parts(params, result.field, use_deriv=False))
 
 
-def _branch_result(solver: _MassSolver, u, lam, iters, res, which) -> NormalizedBranchResult:
+def _branch_result(solver: _MassSolver, u, lam, iters, which) -> NormalizedBranchResult:
     params = solver.params
     parts = solver.parts(u)
-    level = energy_from_parts(params, parts)
-    fld = solver.field(u)
-    branch = "P+" if which == 1 else "P-"
-    conv = res < _CONVERGED_TOL and lam > 0
-    out = NormalizedBranchResult(params=params, field=fld, branch=branch, level=level,
-                                 lambda_nu=float(lam), multiplier_identity_defect=np.nan,
-                                 pde_residual_scaled=float(res), iterations=iters,
-                                 converged=bool(conv))
-    return replace(out, multiplier_identity_defect=abs(multiplier_check(out)))
+    _, res, _, _, converged = solver.verdict(u, lam, parts)
+    defect = abs(_identity_defect(params, lam, parts))
+    return NormalizedBranchResult(params=params, field=solver.field(u),
+                                  branch="P+" if which == 1 else "P-",
+                                  level=energy_from_parts(params, parts), lambda_nu=float(lam),
+                                  multiplier_identity_defect=defect,
+                                  pde_residual_scaled=float(res), iterations=iters,
+                                  converged=converged)
 
 
 def _polish_branch(solver: _MassSolver, u0, which):
@@ -633,8 +629,8 @@ def _polish_branch(solver: _MassSolver, u0, which):
     if u is None:
         return None, status
     lam = multiplier_from_parts(solver.params, parts)
-    u, lam, it_newton, res = solver.newton(u, lam)
-    return _branch_result(solver, u, lam, it_flow + it_newton, res, which), None
+    u, lam, it_newton, _ = solver.newton(u, lam)
+    return _branch_result(solver, u, lam, it_flow + it_newton, which), None
 
 
 def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
@@ -743,7 +739,7 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
     u = np.maximum(vals, 0.0)
     u[-1] = 0.0
     parts = solver.parts(u)
-    res_sup, res_scaled = solver.residuals(u, parts.conv)
+    _, res_scaled = solver.residual(u, eff.mass_coeff, parts.conv)
     if res_scaled > residual_tol:
         raise RescaleInconsistency(
             f"rescaled candidate residual {res_scaled:.2e} exceeds {residual_tol:.0e}; "

@@ -231,8 +231,9 @@ class TestScalingLaw:
         solver = _MassSolver(pp, make_grid(pp.N, 12.0, 60, 2.0))
         u = amplitude * np.exp(-(solver.grid.r / width) ** 2)
         u[-1] = 0.0
-        # the oracle: -<W grad(u, 0), u> / a^2 from the strong form
-        oracle = -float(np.dot(solver.W, solver.grad(u, 0.0) * u)) / pp.a ** 2
+        # the oracle: -<W F(u), u> / a^2 from the strong form F at shift 0
+        F = solver.residual(u, 0.0, solver.conv_of(u))[0]
+        oracle = -float(np.dot(solver.W, F * u)) / pp.a ** 2
         parts = solver.parts(u)
         size = (parts.kinetic + pp.riesz_coeff * parts.riesz
                 + pp.power_coeff * parts.power) / pp.a ** 2

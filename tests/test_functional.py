@@ -33,6 +33,21 @@ class TestProblemParams:
         ok = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=0.1)
         assert ok.two_alpha_star == 5.0
 
+    @pytest.mark.parametrize("mode,kw", [
+        ("lambda", {"lam": -1.0}), ("lambda", {"lam": 1.0, "mu": -1.0}),
+        ("mu", {"mu": -1.0}), ("mu", {"mu": 1.0, "lam": -1.0}),
+        ("general", {"mu": -1.0, "lam": 1.0}), ("general", {"mu": 1.0, "lam": -1.0}),
+        ("normalized-hls", {"nu": 0.1, "lam": -1.0}),
+        ("normalized-sobolev", {"nu": 0.1, "mu": -1.0})])
+    def test_negative_couplings_rejected(self, mode, kw):
+        # a negative coupling can give the ray fiber a maximum and a minimum
+        # (general, p = q = 3, mu = -1: at t ~ 0.2 and t ~ 2.1 for parts
+        # (1, 1, 1, 10)), so the Nehari projection would not be unique
+        p, q = {"normalized-hls": (5.0, 3.0), "normalized-sobolev": (2.0, 6.0)}.get(
+            mode, (3.0, 3.0))
+        with pytest.raises(InvalidParameter):
+            ProblemParams(N=3, alpha=2.0, p=p, q=q, mode=mode, **kw)
+
     def test_derived_exponents(self):
         pp = ProblemParams(N=3, alpha=1.0, p=2.0, q=4.0)
         assert pp.two_star == 6.0

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every name a module lists in ``__all__`` is bound in it.
+every name a module lists in ``__all__`` is bound in it, and every private
+top-level name is read somewhere in the package.
 
 A stdlib `ast` pass stands in for a linter.  An import on a line marked
 ``# noqa: F401`` is kept on purpose, a name listed in ``__all__`` is
@@ -40,19 +41,41 @@ def exports(tree: ast.Module) -> list:
     return []
 
 
-def unbound_exports(source: str) -> list:
-    """Names in ``__all__`` that no top-level statement of the module binds."""
-    tree = ast.parse(source)
+def defined_names(tree: ast.Module) -> set:
+    """Names bound by the module's top-level def, class and assignment statements."""
     bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return bound
+
+
+def unbound_exports(source: str) -> list:
+    """Names in ``__all__`` that no top-level statement of the module binds."""
+    tree = ast.parse(source)
+    bound = defined_names(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
     return sorted(name for name in exports(tree) if name not in bound)
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, name) for each private top-level function, class or constant
+    that no module of `sources` reads, as a name or as an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted((mod, name) for mod, tree in trees.items() for name in defined_names(tree)
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
 def test_the_check_sees_an_unused_import():
@@ -74,3 +97,14 @@ def test_the_check_sees_an_unbound_export():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {"a": "_TOL = 1e-6\n_LIMIT = 2\ndef _f():\n    return _LIMIT\n",
+               "b": "from a import _f\nclass _Unused: pass\nx = _f()\n"}
+    assert unread_private_names(sources) == [("a", "_TOL"), ("b", "_Unused")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

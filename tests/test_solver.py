@@ -108,6 +108,42 @@ class TestGroundStateChoquard:
         assert spread < 0.01
 
 
+def verdict_from_fields(res):
+    """The four gates of `converged`, recomputed from a result's public fields."""
+    floor = res.field.grid.r[solver_module._MIN_SCALE_NODES]
+    return bool(res.pde_residual_scaled < solver_module._CONVERGED_TOL
+                and abs(res.nehari_defect) < solver_module._IDENTITY_TOL
+                and abs(res.pohozaev_defect) < solver_module._IDENTITY_TOL
+                and res.concentration_scale >= floor and res.params.mass_coeff > 0)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("params", [
+        ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=0.0, lam=1.0),
+        ProblemParams(N=3, alpha=2.0, p=2.0, q=3.0, mode="general", mu=1.0, lam=0.0),
+        ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=1.0, lam=1.0),
+        # HLS-critical lambda mode: pinned at the floor for lam = 1, attained for 4
+        ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0),
+        ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=4.0)],
+        ids=["local", "choquard", "combined", "pinned", "attained"])
+    def test_free_flag_is_the_four_gates(self, params, solve_grid):
+        res = ground_state(params, solve_grid)
+        assert res.converged == verdict_from_fields(res)
+
+    def test_normalized_branches_are_gated_on_their_defects(self, monkeypatch):
+        # the P+ branch converges, and fails once no discrete state can meet
+        # the defect gate: the normalized verdict reads the P_nu and Pohozaev
+        # defects as the free one reads Nehari and Pohozaev
+        grid = make_grid(3, 50.0, 300, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        assert normalized_branches(params, grid).plus.converged
+        monkeypatch.setattr(solver_module, "_IDENTITY_TOL", 1e-12)
+        plus = normalized_branches(params, grid).plus
+        assert plus is not None
+        assert not plus.converged
+
+
 @pytest.fixture(scope="module")
 def hls_norm_grid():
     return make_grid(3, 50.0, 1400, 2.0)
