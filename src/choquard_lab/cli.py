@@ -96,12 +96,13 @@ def cmd_solve(args):
     grid = _grid_from(cfg)
     res = ground_state(params, grid)
     print(f"level = {res.level:.10g}")
-    print(f"converged = {res.converged}  residual = {res.pde_residual:.3e}  "
-          f"iterations = {res.iterations}")
+    print(f"converged = {res.converged}  residual = {res.pde_residual_scaled:.3e}  "
+          f"iterations = {res.iterations}  exit = {res.exit_reason}")
     print(f"defects: nehari = {res.nehari_defect:.3e}  pohozaev = {res.pohozaev_defect:.3e}")
     _persist(args, cfg, {"solves": {"ground_state": {
         "level": res.level, "converged": res.converged,
-        "residual": res.pde_residual, "nehari": res.nehari_defect,
+        "residual_scaled": res.pde_residual_scaled, "residual_sup": res.pde_residual,
+        "exit_reason": res.exit_reason, "nehari": res.nehari_defect,
         "pohozaev": res.pohozaev_defect},
         "profile": res.field.to_csv()}})
     return 0 if res.converged else 2

@@ -45,6 +45,14 @@ _FLOW_TOL = 1e-4            # hand-off from flow to Newton
 _IDENTITY_TOL = 1e-3        # Nehari/Pohozaev defect gate for `converged`
 _POSITIVITY_FLOOR = 1e-9    # Jacobian clamp where u < floor * max(u)
 _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
+# Newton stagnation: stop when the best residual has not halved in this many
+# steps, a mean contraction worse than 0.5^(1/3) ~ 0.79 per step.  That is
+# close to Deuflhard's restricted monotonicity bound 3/4 for a full Newton
+# step (Newton Methods for Nonlinear Problems, 2004), read on the residual
+# instead of on simplified corrections, which would cost a solve each.  On
+# test_08's n = 2000 grid converged polishes reach their attainable residual
+# (1e-9 to 1e-8, above _RESIDUAL_TOL) in one step, then wander in that range.
+_STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,10 @@ class GroundStateResult:
     """A free-mode critical point from `ground_state`.
 
     `converged` is the one verdict of both solvers, `_Discrete.verdict`;
-    `pde_residual` is reported and does not gate.
+    `pde_residual` is reported and does not gate.  `exit_reason` is why the
+    last stage stopped: the descent's `tol`, `line-search-exhausted`,
+    `xi-floor` or `max-iters`, or Newton's `tol`, `newton-stalled`,
+    `newton-blowup`, `singular-jacobian`, `xi-floor` or `max-iters`.
     """
 
     params: ProblemParams
@@ -67,6 +78,7 @@ class GroundStateResult:
     init_tag: str
     radially_nonincreasing: bool
     concentration_scale: float
+    exit_reason: str
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,10 @@ class _IterateParts(Parts):
 class _Discrete:
     """Grid-bound arrays and the strong form shared by the free and
     normalized solvers; `shift` is the coefficient of u in the gradient
-    (`mass_coeff` for the free modes, the multiplier for the normalized)."""
+    (`mass_coeff` for the free modes, the multiplier for the normalized).
+    `exit_reason` is why the last descent or polish stopped."""
+
+    exit_reason = ""
 
     def __init__(self, params: ProblemParams, grid: RadialGrid):
         self.params = params
@@ -355,23 +370,27 @@ class _Discrete:
         Returns (u, shift, steps, residual) of the best iterate.  Newton on
         the strong form is not residual-monotone (positive-part clipping
         re-shapes the tail): keep the best iterate, tolerate the early
-        transient, and stop on genuine blow-up, a singular Jacobian or a
-        step below the resolvability floor.
+        transient, and stop on genuine blow-up, on stagnation (the best
+        residual not halved in _STALL_STEPS steps), on a singular Jacobian
+        or on a step below the resolvability floor.
         """
         n, W = self.n, self.W
         a2 = self.params.a ** 2 if bordered else None
-        best, res_best = (u, shift), np.inf
+        best, res_best, bests = (u, shift), np.inf, []
         for k in range(_NEWTON_ITERS):
             conv = self.conv_of(u)      # the step's one mat-vec
             F, res = self.residual(u, shift, conv)
             if bordered:
                 F2 = 0.5 * (self.mass(u) - a2)
             if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
-                return (*best, k, res_best)
+                return self._stop("newton-blowup", *best, k, res_best)
             if res < res_best:
                 best, res_best = (u, shift), res
             if res < _RESIDUAL_TOL and (not bordered or abs(F2) < 1e-13 * a2):
-                return u, shift, k, res
+                return self._stop("tol", u, shift, k, res)
+            bests.append(res_best)
+            if k >= _STALL_STEPS and res_best > 0.5 * bests[k - _STALL_STEPS]:
+                return self._stop("newton-stalled", *best, k, res_best)
             J = self.jacobian(u, shift, W * u if bordered else None, conv)
             rhs = -(W * F)
             if bordered:
@@ -380,15 +399,20 @@ class _Discrete:
             try:
                 step = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
-                return (*best, k, res_best)
+                return self._stop("singular-jacobian", *best, k, res_best)
             cand = np.maximum(u + step[:n], 0.0)
             cand[-1] = 0.0
             if self.xi_of(cand) < self.xi_floor():
-                return (*best, k, res_best)
+                return self._stop("xi-floor", *best, k, res_best)
             u = cand
             if bordered:
                 shift = shift + step[n]
-        return (*best, _NEWTON_ITERS, res_best)
+        return self._stop("max-iters", *best, _NEWTON_ITERS, res_best)
+
+    def _stop(self, reason, *out):
+        """Record why the stage stopped and pass its return values through."""
+        self.exit_reason = reason
+        return out
 
     def mass(self, u):
         return float(np.dot(self.W, u * u))
@@ -404,17 +428,20 @@ class _FreeSolver(_Discrete):
         return _ray_root(self.params, parts)
 
     def descend(self, u):
-        """Nehari-projected descent.  Each line-search trial v pays one
-        `parts` mat-vec; the parts and conv of the projected t*v follow by
-        the ray scaling law and serve its energy or residual and, once it
-        is accepted, the next strong form and E0."""
+        """Nehari-projected descent; returns (u, iterations).  Each
+        line-search trial v pays one `parts` mat-vec; the parts and conv of
+        the projected t*v follow by the ray scaling law and serve its energy
+        or residual and, once it is accepted, the next strong form and E0.
+        The first trial projected below the resolvability floor ends the
+        descent at the last accepted iterate: halving tau only crawls along
+        the floor, the pinned signature of a level that is not attained."""
         pu = self.parts(u)
         t = self.nehari_t(pu)
         if t is None:
             raise NoProjection("initial field admits no Nehari projection")
         u, pu = t * u, self.ray(pu, t)
         mc = self.params.mass_coeff
-        hist = 0
+        floor = self.xi_floor()
         for k in range(_MAX_ITERS):
             # one strong-form evaluation per iterate; the start is not judged
             # on it, so a warm start never enters the endgame at k = 0
@@ -422,33 +449,30 @@ class _FreeSolver(_Discrete):
             if k == 0:
                 res_scaled = np.inf
             elif res_scaled < _FLOW_TOL * 1e-2:
-                break
+                return self._stop("tol", u, k)
             d = self.solve_shifted(max(mc, 1e-10), g * self.W)
             E0 = energy_from_parts(self.params, pu)
             endgame = res_scaled < _FLOW_TOL
             tau = 1.0
-            accepted = False
-            floor = self.xi_floor()
             for _ in range(40):
                 v = np.maximum(u - tau * d, 0.0)
                 v[-1] = 0.0
                 pv = self.parts(v)
                 tv = self.nehari_t(pv)
-                if tv is not None and self.xi_of(tv * v) >= floor:
+                if tv is not None:
+                    if self.xi_of(tv * v) < floor:
+                        return self._stop("xi-floor", u, k)
                     v, pv = tv * v, self.ray(pv, tv)
                     if endgame:
                         if self.residual(v, mc, pv.conv)[1] < res_scaled:
-                            accepted = True
                             break
                     elif energy_from_parts(self.params, pv) <= E0 + 1e-14 * abs(E0):
-                        accepted = True
                         break
                 tau *= 0.5
-            if not accepted:
-                break
+            else:
+                return self._stop("line-search-exhausted", u, k)
             u, pu = v, pv
-            hist = k + 1
-        return u, hist
+        return self._stop("max-iters", u, _MAX_ITERS)
 
     def newton(self, u):
         u, _, k, res = self.polish(u, self.params.mass_coeff, bordered=False)
@@ -480,7 +504,10 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
         u, iters = solver.descend(u0)
-        u, k_newton, _ = solver.newton(u)
+        k_newton = 0
+        if solver.exit_reason != "xi-floor":
+            # the polish would reject its first step at the floor
+            u, k_newton, _ = solver.newton(u)
         parts = solver.parts(u)
         F, res_scaled, (nd, pd), xi, converged = solver.verdict(u, params.mass_coeff, parts)
         umax = u.max()
@@ -492,7 +519,8 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
                                    pde_residual=res_sup, pde_residual_scaled=res_scaled,
                                    iterations=iters + k_newton, converged=converged,
                                    init_tag=name, radially_nonincreasing=noninc,
-                                   concentration_scale=float(xi))
+                                   concentration_scale=float(xi),
+                                   exit_reason=solver.exit_reason)
         if best is None:
             best = result
         elif result.converged and not best.converged:

@@ -60,6 +60,37 @@ print(json.dumps({"iters": iters, "descent": descent, "k": k,
 """
 
 
+FLOOR_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from choquard_lab import grid, solver
+from tracing import Tracer, instrument
+
+tracer = instrument(Tracer())
+from choquard_lab.functional import ProblemParams
+
+# for every projected line-search trial: is it below the floor?
+below_floor = []
+xi_of = solver._FreeSolver.xi_of
+def traced_xi_of(self, u):
+    xi = xi_of(self, u)
+    if tracer.innermost() == "solver.descend":
+        below_floor.append(xi < self.xi_floor())
+    return xi
+solver._FreeSolver.xi_of = traced_xi_of
+
+g = grid.make_grid(3, 40.0, 400, 2.5)
+res = solver.ground_state(ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0),
+                          g)
+print(json.dumps({"exit_reason": res.exit_reason, "converged": res.converged,
+                  "trials": len(below_floor),
+                  "below": [i for i, b in enumerate(below_floor) if b],
+                  "dense_solves": tracer.count["solver.dense_solve"],
+                  "newton_calls": tracer.count["solver.newton"],
+                  "descend_calls": tracer.count["solver.descend"]}))
+"""
+
+
 def test_traced_newton_counts_match_returned_steps():
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
@@ -69,6 +100,21 @@ def test_traced_newton_counts_match_returned_steps():
     assert out["k"] > 0
     assert out["newton_iters"] == out["k"]
     assert out["dense_solves"] >= out["k"]
+
+
+def test_pinned_descent_ends_at_its_first_trial_below_the_floor():
+    # below the threshold the solve collapses toward the floor: the descent
+    # stops at the first projected trial under it, and no Newton step follows
+    proc = subprocess.run([sys.executable, "-c", FLOOR_SCRIPT, str(ROOT / "bench"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["exit_reason"] == "xi-floor"
+    assert not out["converged"]
+    assert out["descend_calls"] == 1
+    assert out["below"] == [out["trials"] - 1]
+    assert out["newton_calls"] == 0
+    assert out["dense_solves"] == 0
 
 
 def test_one_matvec_per_projection_and_per_newton_step():

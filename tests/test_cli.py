@@ -30,6 +30,33 @@ grading = 2.0
     assert (tmp_path / "run" / "solves" / "profile.csv").exists()
 
 
+def test_solve_reports_the_gated_residual(tmp_path, capsys):
+    # the printed residual is the one `converged` is judged on; the persisted
+    # record keeps it apart from the ungated sup residual, with the exit reason
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[solve]
+n_dim = 3
+alpha = 1.0
+p = 4.0
+q = 3.0
+mode = lambda
+lam = 4.0
+r_max = 25.0
+nodes = 900
+""")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"])
+    out = capsys.readouterr().out
+    assert code == 0
+    saved = json.loads((tmp_path / "run" / "solves" / "ground_state.json").read_text())
+    assert saved["converged"] and saved["exit_reason"] == "tol"
+    assert saved["residual_scaled"] < 1e-6
+    assert saved["residual_sup"] != saved["residual_scaled"]
+    printed = float(out.split("residual = ")[1].split()[0])
+    assert printed == float(f"{saved['residual_scaled']:.3e}")
+    assert "exit = tol" in out
+
+
 def test_fiber_subcommand(tmp_path, capsys):
     cfg = tmp_path / "lab.ini"
     cfg.write_text("""

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
-from choquard_lab.functional import (Parts, ProblemParams, compute_parts, fiber_profile,
+from choquard_lab.functional import (Parts, ProblemParams, compute_parts,
+                                     energy_from_parts, fiber_profile,
                                      identity_prediction, mass_fiber_classify,
                                      multiplier_from_parts)
 from choquard_lab.grid import gradient_seminorm, integrate, make_grid
@@ -130,6 +131,16 @@ class TestVerdict:
         res = ground_state(params, solve_grid)
         assert res.converged == verdict_from_fields(res)
 
+    @pytest.mark.parametrize("lam, reason, converged", [(1.0, "xi-floor", False),
+                                                        (4.0, "tol", True)],
+                             ids=["pinned", "attained"])
+    def test_exit_reason(self, lam, reason, converged, solve_grid):
+        # the pinned state ends its descent at the floor and skips the polish
+        params = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=lam)
+        res = ground_state(params, solve_grid)
+        assert res.exit_reason == reason
+        assert res.converged is converged
+
     def test_normalized_branches_are_gated_on_their_defects(self, monkeypatch):
         # the P+ branch converges, and fails once no discrete state can meet
         # the defect gate: the normalized verdict reads the P_nu and Pohozaev
@@ -207,6 +218,30 @@ class TestNewtonFloor:
         u_out, lam_out, k, _ = solver.newton(u, lam)
         assert k == 0
         assert u_out is u and lam_out == lam
+
+
+class TestNewtonStagnation:
+    def test_stalled_polish_keeps_the_full_loops_state(self, monkeypatch):
+        # with no reachable target the full loop runs all _NEWTON_ITERS steps;
+        # the stagnation exit stops once the residual sits at roundoff and
+        # returns the same state to roundoff (later roundoff-level iterates
+        # can beat its residual by a few units, so not bit for bit)
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=4.0)
+        monkeypatch.setattr(solver_module, "_RESIDUAL_TOL", 0.0)
+        solver = solver_module._FreeSolver(params, grid)
+        u, _ = solver.descend(gaussian(grid, width=1.5).values)
+        u_stall, k_stall, res_stall = solver.newton(u)
+        monkeypatch.setattr(solver_module, "_STALL_STEPS", solver_module._NEWTON_ITERS,
+                            raising=False)
+        u_full, k_full, res_full = solver.newton(u)
+        assert k_full == solver_module._NEWTON_ITERS
+        assert res_stall < 1e-12 and res_full < 1e-12
+        assert np.max(np.abs(u_stall - u_full)) < 1e-12 * np.max(u_full)
+        levels = [energy_from_parts(params, solver.parts(v))
+                  for v in (u_stall, u_full)]
+        assert levels[0] == pytest.approx(levels[1], rel=1e-12)
+        assert k_stall < k_full
 
 
 class TestMultiplierCoefficients:
