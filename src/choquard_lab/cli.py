@@ -183,7 +183,7 @@ def cmd_normalized(args):
         if res is None:
             print(f"{tag}: absent ({reason})")
         else:
-            print(f"{tag}: level={res.level:.8g} lambda={res.lambda_nu:.8g} "
+            print(f"{tag}: level={res.level:.8g} lambda={res.lambda_nu:.8g} exit={res.exit_reason} "
                   f"converged={res.converged} defect={res.multiplier_identity_defect:.2e}")
     return 0
 

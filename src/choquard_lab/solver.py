@@ -13,11 +13,13 @@ strong-form residual can be driven to solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
                      RescaleInconsistency, ShootingFailure)
@@ -53,6 +55,8 @@ _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
 # test_08's n = 2000 grid converged polishes reach their attainable residual
 # (1e-9 to 1e-8, above _RESIDUAL_TOL) in one step, then wander in that range.
 _STALL_STEPS = 3
+_KRYLOV_DIM = 60            # one GMRES cycle; test_08's steps take 5-13 at n = 1000, 2000
+_KRYLOV_RTOL = 1e-10        # forcing term a decade below _RESIDUAL_TOL (Eisenstat & Walker 1996)
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ class NormalizedBranchResult:
     pde_residual_scaled: float
     iterations: int
     converged: bool
+    exit_reason: str             # the polish's, or the flow's if the polish made no step
 
 
 @dataclass(frozen=True)
@@ -236,6 +241,7 @@ class _Discrete:
         # resolvability floor -- below it the stiffness/weight ratio amplifies
         # roundoff on graded grids and no trusted structure lives there anyway
         self.nlo = min(_MIN_SCALE_NODES, grid.n // 4)
+        self._factored = (None, None, None)     # (shift, d, e) of solve_shifted
 
     def xi_of(self, u):
         """Talenti-matched concentration scale from the peak value."""
@@ -306,72 +312,76 @@ class _Discrete:
               and xi >= self.xi_floor() and shift > 0)
         return F, res, defects, xi, bool(ok)
 
-    def jacobian(self, u, shift, border, conv):
-        """Dense Jacobian of W * grad(., shift) at u, Dirichlet at the last node.
-
-        A `border` vector (or None) is appended as the last row and column:
-        the constraint gradient of a bordered KKT system; `conv` is conv(u^p).
-        """
-        p = self.params
-        n, W = self.n, self.W
-        J = np.zeros((n, n) if border is None else (n + 1, n + 1))
-        Jn = J[:n, :n]
-        idx = np.arange(n)
-        Jn[idx, idx] = self.Ad + shift * W
-        Jn[idx[:-1], idx[1:]] = self.Ao
-        Jn[idx[1:], idx[:-1]] = self.Ao
+    def newton_system(self, u, shift, border, conv):
+        """(J, M) at u: J v is the Jacobian of W * grad(., shift), Dirichlet at the
+        last node, bordered by a KKT constraint gradient `border` (or None); M is
+        the factored A + s W, with a Schur complement on the border row."""
+        p, n, W = self.params, self.n, self.W
         mask = u > _POSITIVITY_FLOOR * max(u.max(), 1e-300)
         um = np.where(mask, u, 1.0)
+        diag = self.Ad + shift * W
         if conv is not None:
             D1 = np.where(mask, u ** (p.p - 1), 0.0)
-            if p.p < 2:
-                # u^(p-2) is unbounded at small u: regularize the diagonal
-                ureg = u + 1e-8 * max(u.max(), 1e-300)
-                diag_nl = (p.p - 1) * conv * ureg ** (p.p - 2)
+            if p.p < 2:     # u^(p-2) is unbounded at small u: regularize the diagonal
+                upm2 = (u + 1e-8 * max(u.max(), 1e-300)) ** (p.p - 2)
             else:
-                diag_nl = np.where(mask, (p.p - 1) * conv * um ** (p.p - 2), 0.0)
-            # the nonlocal part of W * d[conv(u^p) u^(p-1)] is p D1 G D1, since
-            # conv = (G @ u^p) / W: G carries the weights itself
-            Jnl = D1[:, None] * self.tab.G
-            Jnl *= D1[None, :]
-            Jnl *= p.p * p.riesz_coeff
-            Jn -= Jnl
-            Jn[idx, idx] -= p.riesz_coeff * (W * diag_nl)
-        if p.power_coeff:
-            Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
-            Jn[idx, idx] -= p.power_coeff * (W * Jq)
-        if border is not None:
-            J[:n, n] = border
-            J[n, :n] = border
-        J[n - 1, :] = 0.0
-        J[:, n - 1] = 0.0
-        J[n - 1, n - 1] = 1.0
-        return J
+                upm2 = np.where(mask, um ** (p.p - 2), 0.0)
+            diag -= p.riesz_coeff * (W * ((p.p - 1) * conv * upm2))
+        diag -= p.power_coeff * (W * np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0))
+
+        def matvec(x):
+            v = np.append(x[:n - 1], 0.0)
+            out = apply_stiffness(diag, self.Ao, v)
+            if conv is not None:
+                # the nonlocal part of W * d[conv(u^p) u^(p-1)] is p D1 G D1,
+                # since conv = (G @ u^p) / W: G carries the weights itself
+                out -= (p.p * p.riesz_coeff) * D1 * (self.tab.G @ (D1 * v))
+            if border is not None:
+                out = np.append(out + x[n] * border, border @ v)
+            out[n - 1] = x[n - 1]
+            return out
+
+        if border is None:
+            precond = partial(self.solve_shifted, max(shift, 1e-10))
+        else:
+            s = self.kappa(shift, float(u @ apply_stiffness(self.Ad, self.Ao, u)))
+            z = self.solve_shifted(s, border)
+
+            def precond(r):
+                x = self.solve_shifted(s, r[:n])
+                y = (border @ x - r[n]) / (border @ z)
+                return np.append(x - y * z, y)
+
+        m = n + (border is not None)
+        return tuple(LinearOperator((m, m), matvec=f, dtype=float) for f in (matvec, precond))
+
+    def kappa(self, lam, kinetic):
+        """lam floored at 0.02 K / a^2, so that A + kappa W is SPD when lam <= 0."""
+        return max(lam, 0.02 * kinetic / self.params.a ** 2)
 
     def solve_shifted(self, shift, rhs):
-        """(A + shift W) x = rhs with Dirichlet at the last node."""
-        n = self.n
-        ab = np.zeros((3, n))
-        diag = self.Ad + shift * self.W
-        off = self.Ao.copy()
-        diag[-1] = 1.0
-        off[-1] = 0.0
-        ab[0, 1:] = off
-        ab[1] = diag
-        ab[2, :-1] = off
-        b = rhs.copy()
-        b[-1] = 0.0
-        return solve_banded((1, 1), ab, b)
+        """(A + shift W) x = rhs with Dirichlet at the last node, by the LDL^T
+        factors of the SPD tridiagonal, kept for the last shift used."""
+        if self._factored[0] != shift:
+            diag = np.append(self.Ad[:-1] + shift * self.W[:-1], 1.0)
+            d, e, info = dpttrf(diag, np.append(self.Ao[:-1], 0.0))
+            if info:
+                raise np.linalg.LinAlgError(f"A + {shift:g} W is not positive definite")
+            self._factored = (shift, d, e)
+        return dpttrs(*self._factored[1:], np.append(rhs[:-1], 0.0))[0]
 
     def polish(self, u, shift, bordered: bool):
         """Newton on the strong form at `shift`; `bordered` adds the mass
-        constraint, with the shift as its multiplier (a KKT system).
+        constraint, with the shift as its multiplier (a KKT system).  Each step
+        is one GMRES cycle on `newton_system`, whose preconditioned J is the
+        identity minus a compact operator: the Krylov count does not grow with
+        n (Campbell, Ipsen, Kelley & Meyer, BIT 36, 1996).
 
         Returns (u, shift, steps, residual) of the best iterate.  Newton on
         the strong form is not residual-monotone (positive-part clipping
         re-shapes the tail): keep the best iterate, tolerate the early
         transient, and stop on genuine blow-up, on stagnation (the best
-        residual not halved in _STALL_STEPS steps), on a singular Jacobian
+        residual not halved in _STALL_STEPS steps), on a Krylov breakdown
         or on a step below the resolvability floor.
         """
         n, W = self.n, self.W
@@ -380,8 +390,7 @@ class _Discrete:
         for k in range(_NEWTON_ITERS):
             conv = self.conv_of(u)      # the step's one mat-vec
             F, res = self.residual(u, shift, conv)
-            if bordered:
-                F2 = 0.5 * (self.mass(u) - a2)
+            F2 = 0.5 * (self.mass(u) - a2) if bordered else 0.0
             if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
                 return self._stop("newton-blowup", *best, k, res_best)
             if res < res_best:
@@ -391,22 +400,16 @@ class _Discrete:
             bests.append(res_best)
             if k >= _STALL_STEPS and res_best > 0.5 * bests[k - _STALL_STEPS]:
                 return self._stop("newton-stalled", *best, k, res_best)
-            J = self.jacobian(u, shift, W * u if bordered else None, conv)
-            rhs = -(W * F)
-            if bordered:
-                rhs = np.append(rhs, -F2)
-            rhs[n - 1] = 0.0
-            try:
-                step = np.linalg.solve(J, rhs)
-            except np.linalg.LinAlgError:
+            J, M = self.newton_system(u, shift, W * u if bordered else None, conv)
+            rhs = np.append(-(W * F)[:-1], [0.0, -F2] if bordered else 0.0)   # Dirichlet row
+            step, info = gmres(J, rhs, rtol=_KRYLOV_RTOL, restart=_KRYLOV_DIM, maxiter=1, M=M)
+            if info < 0:
                 return self._stop("singular-jacobian", *best, k, res_best)
             cand = np.maximum(u + step[:n], 0.0)
             cand[-1] = 0.0
             if self.xi_of(cand) < self.xi_floor():
                 return self._stop("xi-floor", *best, k, res_best)
-            u = cand
-            if bordered:
-                shift = shift + step[n]
+            u, shift = cand, (shift + step[n] if bordered else shift)
         return self._stop("max-iters", *best, _NEWTON_ITERS, res_best)
 
     def _stop(self, reason, *out):
@@ -588,20 +591,17 @@ class _MassSolver(_Discrete):
         v = self.project(u, which)
         if v is None:
             return None, 0, "no-fiber-point", None
-        kappa_floor = 0.02
         parts = self.parts(v)
         for k in range(_FLOW_ITERS):
             # one parts(v) per iterate serves the multiplier, the residual, kappa and obj0
             lam = multiplier_from_parts(self.params, parts)
             g, res = self.residual(v, lam, parts.conv)
             if res < _FLOW_TOL:
-                return v, k, "handoff", parts
-            kappa = max(lam, kappa_floor * parts.kinetic / self.params.a ** 2)
-            d = self.solve_shifted(kappa, g * self.W)
+                return v, k, "tol", parts
+            d = self.solve_shifted(self.kappa(lam, parts.kinetic), g * self.W)
             d -= np.dot(self.W, d * v) / self.params.a ** 2 * v
             obj0 = self.objective(parts, which)
             tau = 0.5
-            accepted = False
             for _ in range(20):
                 cand = np.maximum(v - tau * d, 0.0)
                 cand[-1] = 0.0
@@ -612,13 +612,12 @@ class _MassSolver(_Discrete):
                         proj_parts = self.parts(proj)
                         obj = self.objective(proj_parts, which)
                         if obj is not None and obj <= obj0 + 1e-13 * abs(obj0):
-                            accepted = True
                             break
                 tau *= 0.5
-            if not accepted:
-                return v, k, "handoff", parts
+            else:
+                return v, k, "line-search-exhausted", parts
             v, parts = proj, proj_parts
-        return v, _FLOW_ITERS, "handoff", parts
+        return v, _FLOW_ITERS, "max-iters", parts
 
     def newton(self, u, lam):
         return self.polish(u, lam, bordered=True)
@@ -637,7 +636,7 @@ def multiplier_check(result: NormalizedBranchResult) -> float:
                             compute_parts(params, result.field, use_deriv=False))
 
 
-def _branch_result(solver: _MassSolver, u, lam, iters, which) -> NormalizedBranchResult:
+def _branch_result(solver: _MassSolver, u, lam, iters, which, reason) -> NormalizedBranchResult:
     params = solver.params
     parts = solver.parts(u)
     _, res, _, _, converged = solver.verdict(u, lam, parts)
@@ -647,7 +646,7 @@ def _branch_result(solver: _MassSolver, u, lam, iters, which) -> NormalizedBranc
                                   level=energy_from_parts(params, parts), lambda_nu=float(lam),
                                   multiplier_identity_defect=defect,
                                   pde_residual_scaled=float(res), iterations=iters,
-                                  converged=converged)
+                                  converged=converged, exit_reason=reason)
 
 
 def _polish_branch(solver: _MassSolver, u0, which):
@@ -658,7 +657,8 @@ def _polish_branch(solver: _MassSolver, u0, which):
         return None, status
     lam = multiplier_from_parts(solver.params, parts)
     u, lam, it_newton, _ = solver.newton(u, lam)
-    return _branch_result(solver, u, lam, it_flow + it_newton, which), None
+    reason = solver.exit_reason if it_newton else status
+    return _branch_result(solver, u, lam, it_flow + it_newton, which, reason), None
 
 
 def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:

@@ -57,6 +57,29 @@ nodes = 900
     assert "exit = tol" in out
 
 
+def test_normalized_reports_each_branchs_exit_reason(tmp_path, capsys):
+    # on this coarse grid P+ converges in the polish, while the P- flow runs
+    # out of iterations and its polish makes no step
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[normalized]
+n_dim = 3
+alpha = 2.0
+p = 5.0
+q = 3.0
+mode = normalized-hls
+nu = 6.0
+a = 1.0
+r_max = 50.0
+nodes = 300
+""")
+    code = main(["--config", str(cfg), "normalized"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0].startswith("P+:") and " exit=tol converged=True " in lines[0]
+    assert lines[1].startswith("P-:") and " exit=max-iters converged=False " in lines[1]
+
+
 def test_fiber_subcommand(tmp_path, capsys):
     cfg = tmp_path / "lab.ini"
     cfg.write_text("""

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
 from choquard_lab.functional import (Parts, ProblemParams, compute_parts,
@@ -9,7 +12,7 @@ from choquard_lab.functional import (Parts, ProblemParams, compute_parts,
 from choquard_lab.grid import gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import gaussian, talenti
 from choquard_lab import solver as solver_module
-from choquard_lab.solver import (NormalizedBranchResult, _MassSolver,
+from choquard_lab.solver import (NormalizedBranchResult, _FreeSolver, _MassSolver,
                                  ground_state, multiplier_check,
                                  normalized_branches,
                                  second_solution_via_rescale,
@@ -196,6 +199,12 @@ class TestNormalizedBranches:
         for res in (out.plus, out.minus):
             assert abs(multiplier_check(res)) < 1e-3
 
+    def test_exit_reason_is_the_polishs(self, hls_branches):
+        # both branches converge in the polish, which made steps after the flow
+        params, out = hls_branches
+        for res in (out.plus, out.minus):
+            assert res.exit_reason == "tol"
+
     def test_mass_on_sphere(self, hls_branches):
         params, out = hls_branches
         for res in (out.plus, out.minus):
@@ -218,6 +227,25 @@ class TestNewtonFloor:
         u_out, lam_out, k, _ = solver.newton(u, lam)
         assert k == 0
         assert u_out is u and lam_out == lam
+
+    def test_branch_reports_the_flows_status_when_the_polish_makes_no_step(self, monkeypatch):
+        # with the floor at the last node the P- polish rejects its first step,
+        # so the branch's reason is why its flow stopped
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        monkeypatch.setattr(solver_module, "_MIN_SCALE_NODES", 199)
+        statuses, flow = [], _MassSolver.flow
+
+        def recorded(self, u0, which):
+            out = flow(self, u0, which)
+            statuses.append(out[2])
+            return out
+
+        monkeypatch.setattr(_MassSolver, "flow", recorded)
+        minus = normalized_branches(params, grid).minus
+        assert minus.iterations == solver_module._FLOW_ITERS
+        assert minus.exit_reason == statuses[-1] == "max-iters"
 
 
 class TestNewtonStagnation:
@@ -271,7 +299,7 @@ class TestSecondSolutionRescale:
         fake = NormalizedBranchResult(params=params, field=w, branch="P-", level=1.0,
                                       lambda_nu=1.0, multiplier_identity_defect=0.0,
                                       pde_residual_scaled=0.0, iterations=0,
-                                      converged=True)
+                                      converged=True, exit_reason="tol")
         out = second_solution_via_rescale(fake, residual_tol=np.inf)
         assert np.isclose(out.coupling, 0.7, rtol=1e-14)
         assert np.allclose(out.field.values[:-1], w.values[:-1], rtol=1e-6, atol=1e-10)
@@ -291,6 +319,153 @@ class TestSecondSolutionRescale:
                                       branch="P-", level=1.0, lambda_nu=-0.1,
                                       multiplier_identity_defect=0.0,
                                       pde_residual_scaled=0.0, iterations=0,
-                                      converged=True)
+                                      converged=True, exit_reason="tol")
         with pytest.raises(InvalidParameter):
             second_solution_via_rescale(fake)
+
+
+def dense_jacobian(solver, u, shift, border, conv):
+    """Dense Jacobian of W * grad(., shift) at u, Dirichlet at the last node:
+    the oracle of `_Discrete.newton_system`.
+
+    A `border` vector (or None) is appended as the last row and column:
+    the constraint gradient of a bordered KKT system; `conv` is conv(u^p).
+    """
+    p = solver.params
+    n, W = solver.n, solver.W
+    J = np.zeros((n, n) if border is None else (n + 1, n + 1))
+    Jn = J[:n, :n]
+    idx = np.arange(n)
+    Jn[idx, idx] = solver.Ad + shift * W
+    Jn[idx[:-1], idx[1:]] = solver.Ao
+    Jn[idx[1:], idx[:-1]] = solver.Ao
+    mask = u > solver_module._POSITIVITY_FLOOR * max(u.max(), 1e-300)
+    um = np.where(mask, u, 1.0)
+    if conv is not None:
+        D1 = np.where(mask, u ** (p.p - 1), 0.0)
+        if p.p < 2:
+            # u^(p-2) is unbounded at small u: regularize the diagonal
+            ureg = u + 1e-8 * max(u.max(), 1e-300)
+            diag_nl = (p.p - 1) * conv * ureg ** (p.p - 2)
+        else:
+            diag_nl = np.where(mask, (p.p - 1) * conv * um ** (p.p - 2), 0.0)
+        # the nonlocal part of W * d[conv(u^p) u^(p-1)] is p D1 G D1, since
+        # conv = (G @ u^p) / W: G carries the weights itself
+        Jnl = D1[:, None] * solver.tab.G
+        Jnl *= D1[None, :]
+        Jnl *= p.p * p.riesz_coeff
+        Jn -= Jnl
+        Jn[idx, idx] -= p.riesz_coeff * (W * diag_nl)
+    if p.power_coeff:
+        Jq = np.where(mask, (p.q - 1) * um ** (p.q - 2), 0.0)
+        Jn[idx, idx] -= p.power_coeff * (W * Jq)
+    if border is not None:
+        J[:n, n] = border
+        J[n, :n] = border
+    J[n - 1, :] = 0.0
+    J[:, n - 1] = 0.0
+    J[n - 1, n - 1] = 1.0
+    return J
+
+
+def banded_solve(solver, shift, rhs):
+    """(A + shift W) x = rhs, Dirichlet at the last node, by a banded LU
+    solve: the oracle of the factored `_Discrete.solve_shifted`."""
+    n = solver.n
+    ab = np.zeros((3, n))
+    ab[1] = solver.Ad + shift * solver.W
+    ab[1, -1] = 1.0
+    ab[0, 1:-1] = ab[2, :-2] = solver.Ao[:-1]
+    b = rhs.copy()
+    b[-1] = 0.0
+    return solve_banded((1, 1), ab, b)
+
+
+def newton_state(params, grid):
+    """(solver, u, shift, border, conv) at a Nehari-projected (free) or
+    normalized (bordered) Gaussian: a state the polish can start from."""
+    if params.normalized:
+        solver = _MassSolver(params, grid)
+        u = solver.normalize(gaussian(grid, width=1.5).values)
+        shift, border = multiplier_from_parts(params, solver.parts(u)), solver.W * u
+    else:
+        solver = _FreeSolver(params, grid)
+        u = gaussian(grid, width=1.5).values
+        u = solver.nehari_t(solver.parts(u)) * u
+        shift, border = params.mass_coeff, None
+    u[-1] = 0.0
+    return solver, u, shift, border, solver.conv_p(u)
+
+
+def counting_gmres(monkeypatch):
+    """Replace the solver's `gmres` by one that records the Krylov
+    iterations of each call; returns the list of counts."""
+    counts, gmres = [], solver_module.gmres
+
+    def counted(A, b, **kw):
+        calls = []
+        out = gmres(A, b, callback=calls.append, callback_type="pr_norm", **kw)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(solver_module, "gmres", counted)
+    return counts
+
+
+LAMBDA16 = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=16.0)
+
+
+class TestNewtonKrylov:
+    @pytest.mark.parametrize("params", [
+        LAMBDA16,
+        # p < 2: the regularized u^(p-2) diagonal
+        ProblemParams(N=3, alpha=2.0, p=1.8, q=4.0, mode="general", mu=1.0, lam=1.0),
+        ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)],
+        ids=["free-p4", "free-p-below-2", "bordered"])
+    def test_product_matches_the_dense_jacobian(self, params, rng):
+        solver, u, shift, border, conv = newton_state(params, make_grid(3, 40.0, 300, 2.5))
+        J_dense = dense_jacobian(solver, u, shift, border, conv)
+        J, _ = solver.newton_system(u, shift, border, conv)
+        for _ in range(3):
+            v = rng.standard_normal(J_dense.shape[0])
+            ref = J_dense @ v
+            assert np.max(np.abs(J.matvec(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_factored_solve_matches_a_banded_solve(self, rng):
+        solver = _FreeSolver(LAMBDA16, make_grid(3, 40.0, 300, 2.5))
+        # the first shift twice (the second call reuses its factors), then a
+        # new shift and back
+        for shift in (1.0, 1.0, 0.37, 1.0):
+            rhs = rng.standard_normal(solver.n)
+            ref = banded_solve(solver, shift, rhs)
+            x = solver.solve_shifted(shift, rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_krylov_iterations_do_not_grow_with_n(self, monkeypatch):
+        # the tridiagonal-preconditioned Jacobian is the identity minus a
+        # compact operator: a Newton step needs as many GMRES iterations at
+        # n = 2000 as at n = 250
+        counts = counting_gmres(monkeypatch)
+        per_n = {}
+        for n in (250, 500, 1000, 2000):
+            grid = make_grid(3, 40.0, n, 2.5)
+            solver = _FreeSolver(LAMBDA16, grid)
+            u, _ = solver.descend(gaussian(grid, width=1.5).values)
+            counts.clear()
+            _, k, _ = solver.newton(u * (1 + 0.05 * np.exp(-grid.r)))
+            assert k == len(counts) > 0
+            per_n[n] = max(counts)
+        assert all(c <= per_n[250] + 2 for c in per_n.values()), per_n
+
+    def test_one_newton_step_allocates_no_dense_matrix(self, monkeypatch):
+        n = 1000
+        solver, u, *_ = newton_state(LAMBDA16, make_grid(3, 40.0, n, 2.5))
+        monkeypatch.setattr(solver_module, "_NEWTON_ITERS", 1)
+        tracemalloc.start()
+        try:
+            _, k, _ = solver.newton(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 1 and solver.exit_reason == "max-iters"
+        assert peak < n * n * 8 / 4
