@@ -119,7 +119,7 @@ class RadialGrid:
     grading: float
     sphere_area: float
     panels: tuple
-    panel_weights: tuple
+    panel_weights: np.ndarray    # (panels, 3)
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
 
@@ -164,7 +164,7 @@ def make_grid(N: int, r_max: float, n: int, grading: float = 2.0) -> RadialGrid:
     off -= m
     return RadialGrid(N=N, r=r, w=w, r_max=float(r_max), n=n, grading=float(grading),
                       sphere_area=sphere_surface(N), panels=tuple(panels),
-                      panel_weights=tuple(pws), stiff_diag=diag, stiff_off=off)
+                      panel_weights=np.array(pws), stiff_diag=diag, stiff_off=off)
 
 
 def _extrapolate_origin(r: np.ndarray, u: np.ndarray) -> float:

@@ -14,7 +14,8 @@ A per-(grid, alpha) table turns the convolution into a dense
 matrix-vector product; panels near the diagonal, where the kernel has a
 kink (alpha = 2), a logarithmic singularity (alpha = 1) or an integrable
 algebraic one (alpha < 1), are assembled by product integration on
-geometrically refined sub-panels.
+geometrically refined sub-panels, in batches: one `kernel_value` call per
+block of targets covers every near (target, panel) pair of the block.
 """
 
 from __future__ import annotations
@@ -194,53 +195,56 @@ def kernel_value(N: int, alpha: float, r, s):
     return kc.pref * hi ** (alpha - N) * F
 
 
-def _refined_pieces(a: float, b: float, sing: float):
-    """Sub-intervals of [a, b] graded toward the endpoint `sing`: up to 13
-    cut points at distances L / 4^k (k = 1..13, L = b - a) from it.
+# distances L / 4^k (k = 1..13) of the graded cut points from the singular end
+_QUARTERS = 0.25 ** np.arange(1, 14)
 
-    Grading stops before a sub-piece gets shorter than 1e-11 |sing|: closer
-    to a nonzero singular point the direct `hyp2f1` branch of `kernel_value`
-    overflows (z rounds to 1), and the rows would turn into inf - inf.  The
-    connection branch, which takes 1 - z from max - min, needs no such stop;
-    it is kept because dropping it would change every table.
+
+def _refined_pieces(t, a, b):
+    """Sub-intervals of the panels [a, b] graded toward the targets t, as
+    (lo, hi), each (P, 29) and ascending: a panel is split at t when it falls
+    inside, and each part is cut at distances L / 4^k (k = 1..13, L its
+    length) from its end nearest t.  An unused cut leaves an empty piece.
+
+    A cut closer than 1e-11 |end| to that end is unused: closer to a nonzero
+    singular point the direct `hyp2f1` branch of `kernel_value` overflows
+    (z rounds to 1), and the rows would turn into inf - inf.  The connection
+    branch, which takes 1 - z from max - min, needs no such stop; it is kept
+    because dropping it would change every table.
     """
-    L = b - a
-    ks = [k for k in range(1, 14) if L * 0.25 ** k >= 1e-11 * abs(sing)]
-    if sing <= a:
-        pts = [a] + [a + L * 0.25 ** k for k in reversed(ks)] + [b]
-    else:
-        pts = [a] + [b - L * 0.25 ** k for k in ks] + [b]
-    return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
+    split = np.where((a < t) & (t < b), t, b)
+    pts = []
+    for lo, hi in ((a, split), (split, b)):
+        left = (t <= lo)[:, None]
+        d = (hi - lo)[:, None] * _QUARTERS
+        d[d < 1e-11 * np.abs(np.where(left, lo[:, None], hi[:, None]))] = 0.0
+        cuts = np.where(left, lo[:, None] + d[:, ::-1], hi[:, None] - d)
+        pts += [lo[:, None], cuts, hi[:, None]]
+    pts = np.hstack(pts)
+    return pts[:, :-1], pts[:, 1:]
 
 
-def _panel_product_row(N: int, alpha: float, t: float, a: float, b: float, nodes):
-    """int_a^b K(t, s) l_m(s) s^(N-1) ds for the quadratic Lagrange basis l_m.
+def _panel_product_row(N: int, alpha: float, t, a, b, nodes) -> np.ndarray:
+    """int_a^b K(t, s) l_m(s) s^(N-1) ds, as a (P, 3) array, for P (target,
+    panel) pairs t, a, b and the quadratic Lagrange basis l_m of nodes (P, 3).
 
-    Split at s = t when it falls inside, refining geometrically toward the
-    singular point; handles the |r-s|^(alpha-1)-type local behavior.
+    Each panel is split at s = t when it falls inside, refining geometrically
+    toward the singular point; handles the |r-s|^(alpha-1)-type local
+    behavior.  One `kernel_value` call covers the Gauss points of every pair.
     """
-    if a < t < b:
-        pieces = _refined_pieces(a, t, t) + _refined_pieces(t, b, t)
-    elif t <= a:
-        pieces = _refined_pieces(a, b, a)
-    else:
-        pieces = _refined_pieces(a, b, b)
-    xs = []
-    ws = []
-    for lo, hi in pieces:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs.append(mid + half * _GL8[0])
-        ws.append(half * _GL8[1])
-    xs = np.concatenate(xs)
-    ws = np.concatenate(ws)
-    K = kernel_value(N, alpha, t, xs)
-    x0, x1, x2 = nodes
+    lo, hi = _refined_pieces(t, a, b)
+    pair, piece = np.nonzero(hi > lo)
+    lo, hi = lo[pair, piece, None], hi[pair, piece, None]
+    half = 0.5 * (hi - lo)
+    xs = 0.5 * (lo + hi) + half * _GL8[0]
+    K = kernel_value(N, alpha, t[pair, None], xs)
+    x0, x1, x2 = (nodes[pair, m, None] for m in range(3))
     l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
     l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
     l2 = (xs - x0) * (xs - x1) / ((x2 - x0) * (x2 - x1))
-    base = K * xs ** (N - 1) * ws
-    return np.array([np.dot(base, l0), np.dot(base, l1), np.dot(base, l2)])
+    base = K * xs ** (N - 1) * (half * _GL8[1])
+    pair = np.repeat(pair, len(_GL8[0]))
+    return np.stack([np.bincount(pair, (base * lm).ravel(), len(t))
+                     for lm in (l0, l1, l2)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -271,32 +275,19 @@ class RieszKernelTable:
         return float(fvals @ (self.G @ gvals))
 
 
-def _near_mask(grid: RadialGrid, targets) -> np.ndarray:
-    """near[k, i]: panel i lies within one panel-width of targets[k]; the
-    head segment counts when the target is at most r[2]."""
-    starts = np.array([p[0] for p in grid.panels])
-    ends = np.array([p[1] for p in grid.panels])
+# targets per block of `_rows`: the block's kernel samples and near-panel
+# Gauss points are its only temporaries, so they take O(_BLOCK * n) memory
+_BLOCK = 64
+
+
+def _near_mask(grid: RadialGrid, starts, ends, t) -> np.ndarray:
+    """near[k, i]: panel i, [starts[i], ends[i]], lies within one panel-width
+    of t[k]; the head segment counts when the target is at most r[2]."""
     width = ends - starts
-    t = np.asarray(targets, dtype=float)[:, None]
+    t = t[:, None]
     near = (starts - width <= t) & (t <= ends + width)
     near[:, 0] = t[:, 0] <= grid.r[2]
     return near
-
-
-def _correct_near(grid: RadialGrid, alpha: float, t: float, row, far, panels):
-    """Redo `panels` of a quadrature row by product integration at target t.
-
-    `row` (changed in place) holds the kernel sampled at the nodes times the
-    weights, and far[j] the kernel value it sampled at node j; on each panel
-    the sampled contribution is swapped for the exact one.
-    """
-    r = grid.r
-    for pi in panels:
-        a, b, idx = grid.panels[pi]
-        cor = _panel_product_row(grid.N, alpha, t, a, b, tuple(r[list(idx)]))
-        old = grid.panel_weights[pi]
-        for m, j in enumerate(idx):
-            row[j] += cor[m] - far[j] * old[m]
 
 
 def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
@@ -304,22 +295,32 @@ def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
 
     The kernel is sampled at the nodes, except at a node that coincides with
     the target (relative tolerance only: graded grids put distinct nodes
-    closer than any absolute one), and the panels near each target are redone
-    by product integration.
+    closer than any absolute one).  On the panels near each target the sampled
+    contribution is swapped for the exact one, by one product integration per
+    block of _BLOCK targets.
     """
     t = np.asarray(targets, dtype=float)
-    far = kernel_value(grid.N, alpha, t[:, None], grid.r[None, :])
-    far[np.isclose(grid.r[None, :], t[:, None], atol=0.0)] = 0.0
-    rows = far * grid.w
-    for k, near in enumerate(_near_mask(grid, t)):
-        _correct_near(grid, alpha, t[k], rows[k], far[k], np.nonzero(near)[0])
+    r = grid.r
+    starts, ends, idx = (np.array(x) for x in zip(*grid.panels))
+    rows = np.empty((t.size, grid.n))
+    for s in range(0, t.size, _BLOCK):
+        tb, blk = t[s:s + _BLOCK], rows[s:s + _BLOCK]
+        far = kernel_value(grid.N, alpha, tb[:, None], r[None, :])
+        far[np.isclose(r[None, :], tb[:, None], atol=0.0)] = 0.0
+        np.multiply(far, grid.w, out=blk)
+        # row-major, so each target's panels come in ascending order
+        k, p = np.nonzero(_near_mask(grid, starts, ends, tb))
+        cor = _panel_product_row(grid.N, alpha, tb[k], starts[p], ends[p], r[idx[p]])
+        k, cols = k[:, None], idx[p]
+        np.add.at(blk, (k, cols), cor - far[k, cols] * grid.panel_weights[p])
     return rows
 
 
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
     M = _rows(grid, alpha, grid.r)
-    WM = grid.weights_full[:, None] * M
-    G = 0.5 * (WM + WM.T)
+    G = grid.weights_full[:, None] * M
+    G += G.T.copy()
+    G *= 0.5
     return RieszKernelTable(grid=grid, alpha=alpha, M=M, G=G,
                             origin_row=_rows(grid, alpha, [0.0])[0])
 

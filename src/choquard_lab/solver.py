@@ -67,7 +67,7 @@ class GroundStateResult:
     `pde_residual` is reported and does not gate.  `exit_reason` is why the
     last stage stopped: the descent's `tol`, `line-search-exhausted`,
     `xi-floor` or `max-iters`, or Newton's `tol`, `newton-stalled`,
-    `newton-blowup`, `singular-jacobian`, `xi-floor` or `max-iters`.
+    `newton-blowup`, `xi-floor` or `max-iters`.
     """
 
     params: ProblemParams
@@ -402,9 +402,7 @@ class _Discrete:
                 return self._stop("newton-stalled", *best, k, res_best)
             J, M = self.newton_system(u, shift, W * u if bordered else None, conv)
             rhs = np.append(-(W * F)[:-1], [0.0, -F2] if bordered else 0.0)   # Dirichlet row
-            step, info = gmres(J, rhs, rtol=_KRYLOV_RTOL, restart=_KRYLOV_DIM, maxiter=1, M=M)
-            if info < 0:
-                return self._stop("singular-jacobian", *best, k, res_best)
+            step, _ = gmres(J, rhs, rtol=_KRYLOV_RTOL, restart=_KRYLOV_DIM, maxiter=1, M=M)
             cand = np.maximum(u + step[:n], 0.0)
             cand[-1] = 0.0
             if self.xi_of(cand) < self.xi_floor():

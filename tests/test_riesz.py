@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -284,6 +286,137 @@ class TestInteractionEnergy:
             pnorm = 2 * 3 / (3 + 1.5)
             rhs = c_bound * integrate(grid3, vals ** pnorm) ** (2 / pnorm)
             assert lhs <= rhs * (1 + 1e-6)
+
+
+def refined_pieces_oracle(a, b, sing):
+    """Sub-intervals of [a, b] graded toward the endpoint `sing`, one panel at a
+    time: the oracle of the batched `riesz._refined_pieces`."""
+    L = b - a
+    ks = [k for k in range(1, 14) if L * 0.25 ** k >= 1e-11 * abs(sing)]
+    if sing <= a:
+        pts = [a] + [a + L * 0.25 ** k for k in reversed(ks)] + [b]
+    else:
+        pts = [a] + [b - L * 0.25 ** k for k in ks] + [b]
+    return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
+
+
+def pair_pieces_oracle(t, a, b):
+    """The graded pieces of panel [a, b] for target t, split at t inside it."""
+    if a < t < b:
+        return refined_pieces_oracle(a, t, t) + refined_pieces_oracle(t, b, t)
+    return refined_pieces_oracle(a, b, a if t <= a else b)
+
+
+def panel_product_row_oracle(N, alpha, t, a, b, nodes):
+    """int_a^b K(t, s) l_m(s) s^(N-1) ds for one (target, panel) pair: the
+    oracle of the batched `riesz._panel_product_row`."""
+    pieces = pair_pieces_oracle(t, a, b)
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    xs = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * xg for lo, hi in pieces])
+    ws = np.concatenate([0.5 * (hi - lo) * wg for lo, hi in pieces])
+    K = kernel_value(N, alpha, t, xs)
+    x0, x1, x2 = nodes
+    l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
+    l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
+    l2 = (xs - x0) * (xs - x1) / ((x2 - x0) * (x2 - x1))
+    base = K * xs ** (N - 1) * ws
+    return np.array([np.dot(base, l0), np.dot(base, l1), np.dot(base, l2)])
+
+
+def rows_oracle(grid, alpha, targets):
+    """Quadrature rows assembled one (target, near panel) pair at a time: the
+    oracle of the blocked `riesz._rows`."""
+    t = np.asarray(targets, dtype=float)
+    far = kernel_value(grid.N, alpha, t[:, None], grid.r[None, :])
+    far[np.isclose(grid.r[None, :], t[:, None], atol=0.0)] = 0.0
+    rows = far * grid.w
+    for k, tk in enumerate(t):
+        for i, (a, b, idx) in enumerate(grid.panels):
+            width = b - a
+            near = tk <= grid.r[2] if i == 0 else a - width <= tk <= b + width
+            if not near:
+                continue
+            cor = panel_product_row_oracle(grid.N, alpha, tk, a, b, tuple(grid.r[list(idx)]))
+            for m, j in enumerate(idx):
+                rows[k, j] += cor[m] - far[k, j] * grid.panel_weights[i][m]
+    return rows
+
+
+def assert_close_to_max(new, ref, name=""):
+    assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+
+class TestBatchedNearRows:
+    """The blocked, batched near-diagonal product integration against the
+    per-pair scalar oracle above."""
+
+    def test_pieces_match_the_oracle_exactly(self):
+        grid = make_grid(3, 25.0, 120, 2.0)
+        pairs = []
+        for a, b, _ in (grid.panels[0], grid.panels[1], grid.panels[40], grid.panels[-1]):
+            w = b - a
+            # r = 0, both ends, inside, outside, and near enough to an end
+            # that the grading stops after some cuts or before the first
+            for t in (0.0, a, b, 0.5 * (a + b), a - w, b + w, a * (1 + 1e-6),
+                      b * (1 - 1e-6), a + 1e-13 * b, b * (1 - 1e-13),
+                      b * (1 + 1e-13), a * (1 - 1e-12)):
+                pairs.append((t, a, b))
+        lo, hi = riesz._refined_pieces(*np.array(pairs).T)
+        for k, (t, a, b) in enumerate(pairs):
+            got = [(x, y) for x, y in zip(lo[k], hi[k]) if y > x]
+            assert got == pair_pieces_oracle(t, a, b), (t, a, b)
+
+    @pytest.mark.parametrize("N,alpha", [(N, alpha) for N in (3, 4, 5)
+                                         for alpha in (0.3, 0.5, 1.0, 1.5, 2.0, 2.7)])
+    def test_table_matches_the_oracle(self, N, alpha):
+        grid = make_grid(N, 25.0, 120, 2.0)
+        tab = riesz._build_table(grid, alpha)
+        M = rows_oracle(grid, alpha, grid.r)
+        WM = grid.weights_full[:, None] * M
+        assert_close_to_max(tab.M, M, name="M")
+        assert_close_to_max(tab.G, 0.5 * (WM + WM.T), name="G")
+        assert_close_to_max(tab.origin_row, rows_oracle(grid, alpha, [0.0])[0], name="origin")
+        assert np.array_equal(tab.G, tab.G.T)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_potential_at_matches_the_oracle_rows(self, alpha):
+        # TestPotentialNearPanelEnds' probes, a relative 1e-7 to 1e-3 off panel ends
+        grid = make_grid(3, 25.0, 400, 2.0)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        ends = np.array([b for _, b, _ in grid.panels[1:-1]])
+        ends = ends[(ends > grid.r[20]) & (ends < 0.8 * grid.r_max)][::8]
+        offsets = [s * 10.0 ** k for k in range(-7, -2) for s in (-1, 1)]
+        probes = np.outer(ends, 1 + np.array(offsets)).ravel()
+        rows = rows_oracle(grid, alpha, probes)
+        assert_close_to_max(riesz._rows(grid, alpha, probes), rows)
+        assert_close_to_max(potential_at(grid, g, alpha, probes), rows @ g.values)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_block_size_changes_no_row(self, monkeypatch, block, alpha):
+        # only the connection series, truncated at the largest 1 - z of the
+        # block, depends on the blocks; the direct branch (alpha = 1) does not
+        grid = make_grid(3, 25.0, 120, 2.0)
+        targets = np.append(grid.r, [0.0, 30.0])
+        rows = riesz._rows(grid, alpha, targets)
+        monkeypatch.setattr(riesz, "_BLOCK", block)
+        blocked = riesz._rows(grid, alpha, targets)
+        if alpha == 1.0:
+            assert np.array_equal(blocked, rows)
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        assert np.all(np.abs(blocked - rows) <= 1e-15 * scale)
+
+    def test_build_peaks_at_three_tables(self):
+        # M, G and G's transposed copy; the per-block temporaries are O(n)
+        # rows, not n x n
+        grid = make_grid(3, 40.0, 1000, 2.5)
+        tracemalloc.start()
+        try:
+            riesz._build_table(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * grid.n ** 2
 
 
 class TestKernelTable:
