@@ -16,16 +16,24 @@ kink (alpha = 2), a logarithmic singularity (alpha = 1) or an integrable
 algebraic one (alpha < 1), are assembled by product integration on
 geometrically refined sub-panels, in batches: one `kernel_value` call per
 block of targets covers every near (target, panel) pair of the block.
+
+The pairing table G is exactly symmetric, and every product with it goes
+through `RieszKernelTable.apply`, BLAS `dsymv` on one triangle: on one core
+the product is bound by memory bandwidth, so reading half the table makes it
+nearly twice as fast.  Tables are cached by (grid, alpha) value, the
+_CACHED_TABLES most recently used ones.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma, pi
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
 
@@ -253,7 +261,8 @@ class RieszKernelTable:
 
     `M` maps nodal values of g to nodal values of I_alpha * g; `G` is the
     symmetrized bilinear form so that int (I_alpha*f) g = f^T G g exactly
-    symmetric; `origin_row` evaluates the potential at r = 0.
+    symmetric; `origin_row` evaluates the potential at r = 0.  Products with
+    G go through `apply`, which reads one triangle of it.
     """
 
     grid: RadialGrid
@@ -271,8 +280,16 @@ class RieszKernelTable:
         """
         return self.M @ gvals
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """G @ x by BLAS dsymv, which reads one triangle of the symmetric G.
+
+        G.T is the Fortran-ordered view of the C-ordered G, so f2py passes it
+        without a copy; G itself would be copied, n^2 doubles, on every call.
+        """
+        return dsymv(1.0, self.G.T, x)
+
     def bilinear(self, fvals: np.ndarray, gvals: np.ndarray) -> float:
-        return float(fvals @ (self.G @ gvals))
+        return float(fvals @ self.apply(gvals))
 
 
 # targets per block of `_rows`: the block's kernel samples and near-panel
@@ -319,23 +336,37 @@ def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
     M = _rows(grid, alpha, grid.r)
     G = grid.weights_full[:, None] * M
-    G += G.T.copy()
-    G *= 0.5
+    # G <- (G + G.T) / 2 in place, _BLOCK rows (and columns) at a time: the
+    # block rows from the diagonal on, and their mirror columns
+    for s in range(0, grid.n, _BLOCK):
+        e = s + _BLOCK
+        sym = G[s:e, s:] + G[s:, s:e].T
+        sym *= 0.5
+        G[s:e, s:] = sym
+        G[s:, s:e] = sym.T
     return RieszKernelTable(grid=grid, alpha=alpha, M=M, G=G,
                             origin_row=_rows(grid, alpha, [0.0])[0])
 
 
-_TABLE_CACHE: dict = {}
+# tables kept, least recently used evicted first: the multiplicity pipeline
+# alternates between 3 tables, and a bubble sweep uses each of its tables once
+_CACHED_TABLES = 4
+_TABLE_CACHE: OrderedDict = OrderedDict()
 
 
 def kernel_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
     """Build or reuse the convolution table for (grid, alpha); equal grids
-    share one table."""
+    share one table while it stays among the _CACHED_TABLES most recently
+    used."""
     key = (grid.key, float(alpha))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         tab = _build_table(grid, alpha)
         _TABLE_CACHE[key] = tab
+        if len(_TABLE_CACHE) > _CACHED_TABLES:
+            _TABLE_CACHE.popitem(last=False)
+    else:
+        _TABLE_CACHE.move_to_end(key)
     return tab
 
 

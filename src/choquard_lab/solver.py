@@ -254,7 +254,7 @@ class _Discrete:
 
     def conv_p(self, u):
         up = u ** self.params.p
-        return (self.tab.G @ up) / self.W
+        return self.tab.apply(up) / self.W
 
     def conv_of(self, u):
         """conv(u^p), or None without a Riesz term."""
@@ -266,7 +266,7 @@ class _Discrete:
         M = float(np.dot(self.W, u * u))
         if self.tab is not None:
             up = u ** self.params.p
-            Gup = self.tab.G @ up
+            Gup = self.tab.apply(up)
             R, conv = float(up @ Gup), Gup / self.W
         else:
             R, conv = 0.0, None
@@ -335,7 +335,7 @@ class _Discrete:
             if conv is not None:
                 # the nonlocal part of W * d[conv(u^p) u^(p-1)] is p D1 G D1,
                 # since conv = (G @ u^p) / W: G carries the weights itself
-                out -= (p.p * p.riesz_coeff) * D1 * (self.tab.G @ (D1 * v))
+                out -= (p.p * p.riesz_coeff) * D1 * self.tab.apply(D1 * v)
             if border is not None:
                 out = np.append(out + x[n] * border, border @ v)
             out[n - 1] = x[n - 1]

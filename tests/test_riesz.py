@@ -406,6 +406,17 @@ class TestBatchedNearRows:
         scale = np.abs(rows).max(axis=1, keepdims=True)
         assert np.all(np.abs(blocked - rows) <= 1e-15 * scale)
 
+    def test_build_peaks_at_two_tables(self):
+        # M and G: G is symmetrized in place, _BLOCK rows at a time
+        grid = make_grid(3, 40.0, 1000, 2.5)
+        tracemalloc.start()
+        try:
+            riesz._build_table(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * grid.n ** 2
+
     def test_build_peaks_at_three_tables(self):
         # M, G and G's transposed copy; the per-block temporaries are O(n)
         # rows, not n x n
@@ -427,6 +438,88 @@ class TestKernelTable:
         a, b = make_grid(3, 2.0, 300, 1.5), make_grid(3, 2.0, 300, 1.5)
         assert a is not b
         assert kernel_table(a, 2.0) is kernel_table(b, 2.0)
+
+    def test_cache_keeps_the_most_recently_used(self):
+        grids = [make_grid(3, 2.0, 20 + k, 1.5) for k in range(riesz._CACHED_TABLES + 3)]
+        first = kernel_table(grids[0], 2.0)
+        for g in grids[1:]:
+            kernel_table(g, 2.0)
+            assert kernel_table(grids[0], 2.0) is first     # used last, so kept
+        assert len(riesz._TABLE_CACHE) <= riesz._CACHED_TABLES
+        keys = list(riesz._TABLE_CACHE)
+        assert keys[-1] == (grids[0].key, 2.0)
+        assert (grids[1].key, 2.0) not in riesz._TABLE_CACHE
+
+
+def positive_field(grid):
+    """A positive field like the u^p the solvers apply G to, with a bump off
+    the origin."""
+    return np.exp(-grid.r ** 2) + 0.3 * np.exp(-(grid.r - 5.0) ** 2)
+
+
+def assert_same_product(tab, x):
+    """apply(x) equals G @ x up to the rounding of a length-n dot product,
+    n eps (|G| |x|) in each entry: the two sum in different orders."""
+    bound = x.size * np.finfo(float).eps * (np.abs(tab.G) @ np.abs(x))
+    assert np.all(np.abs(tab.apply(x) - tab.G @ x) <= bound)
+
+
+class TestApply:
+    """`RieszKernelTable.apply`, the one product with G: BLAS dsymv on one
+    triangle of the symmetric table."""
+
+    @pytest.mark.parametrize("N,alpha", [(N, alpha) for N in (3, 4, 5)
+                                         for alpha in (0.3, 0.5, 1.0, 1.5, 2.0, N - 0.5)])
+    def test_matches_the_dense_product(self, N, alpha):
+        grid = make_grid(N, 25.0, 400, 2.0)
+        tab = riesz._build_table(grid, alpha)
+        for x in (positive_field(grid), np.random.default_rng(7).standard_normal(grid.n)):
+            assert_same_product(tab, x)
+        x = positive_field(grid)
+        assert tab.bilinear(x, x) == float(x @ tab.apply(x))
+
+    def test_makes_no_copy_of_the_table(self, grid3_table2):
+        # f2py copies a C-ordered matrix argument, n^2 doubles, without a word
+        x = positive_field(grid3_table2.grid)
+        grid3_table2.apply(x)
+        tracemalloc.start()
+        try:
+            grid3_table2.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * x.size
+
+
+@st.composite
+def table_configs(draw):
+    """(N, alpha, n) over N = 3-5, alpha in (0, N) with integer alpha and
+    alpha near 0 and near N, and small grids."""
+    N = draw(st.integers(3, 5))
+    alpha = draw(st.one_of(
+        st.floats(1e-3, float(N), exclude_max=True),
+        st.integers(1, N - 1).map(float),
+        st.sampled_from([1e-3, 1e-2, N - 1e-2, N - 1e-3])))
+    return N, alpha, draw(st.integers(16, 60))
+
+
+class TestTableProperties:
+    """Over the admissible box: G is exactly symmetric, so the bilinear form
+    is symmetric to rounding and `apply` is the dense product.  (G is not
+    asserted positive: small graded grids give it tiny negative entries at
+    small alpha and tiny negative eigenvalues at large alpha.)"""
+
+    @given(config=table_configs(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_pairing(self, config, seed):
+        N, alpha, n = config
+        grid = make_grid(N, 25.0, n, 2.0)
+        tab = riesz._build_table(grid, alpha)
+        assert np.array_equal(tab.G, tab.G.T)
+        f, g = np.random.default_rng(seed).random((2, n))
+        s1, s2 = tab.bilinear(f, g), tab.bilinear(g, f)
+        assert abs(s1 - s2) <= 1e-14 * abs(s1)
+        assert_same_product(tab, g)
 
 
 class TestTableAgainstDirectKernel:
