@@ -22,6 +22,7 @@ the parts of a rescaled field amp * u(arg x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -352,32 +353,58 @@ def _fiber_roots(d, t_lo: float, t_hi: float, samples: int):
     return roots
 
 
+_RAY_RANGE = 46 * np.log(2.0)   # ray roots are sought in [2^-46, 2^46]
+_RAY_NEWTON_ITERS = 100
+
+
 def _ray_root(params: ProblemParams, parts: Parts):
     """The unique t* > 0 with t* u on the Nehari manifold, or None.
 
     Solves t^2 (K + mc M) = cR t^(2p) R + cP t^q P, i.e. the zero of
-    B t^(2p-2) + C t^(q-2) - A, which is strictly increasing (p > 1, q > 2,
-    B, C >= 0: `ProblemParams` admits no negative coupling);
-    None when both nonlinear terms vanish or the bracket leaves [1e-14, 1e14].
+    f(s) = B e^((2p-2) s) + C e^((q-2) s) - A in s = log t.  With B, C >= 0
+    (`ProblemParams` admits no negative coupling) f is a sum of exponentials
+    with positive exponents minus a constant: convex and increasing.  So
+    Newton started to the right of the root, at the single-term bound
+    min_i log(A / c_i) / e_i, descends monotonically onto it.  None when
+    both nonlinear terms vanish, A <= 0, or the root leaves [2^-46, 2^46].
+
+    The parts may be arrays: the roots are then solved together, with NaN
+    where a scalar call would return None.
     """
     g, (K, M, R, P) = _weights(params), _values(parts)
-    A = g[0] * K + g[1] * M
-    B = -(g[2] * R)
-    C = -(g[3] * P)
-    if B <= 0 and C <= 0:
-        return None
-    f = lambda t: B * t ** (2 * params.p - 2) + C * t ** (params.q - 2) - A
-    t_hi = 1.0
-    while f(t_hi) < 0:
-        t_hi *= 2.0
-        if t_hi > 1e14:
+    e1, e2 = 2 * params.p - 2, params.q - 2
+    scalar = np.ndim(K + M + R + P) == 0
+    A, B, C = (np.atleast_1d(np.asarray(x, dtype=float))
+               for x in (g[0] * K + g[1] * M, -(g[2] * R), -(g[3] * P)))
+    with np.errstate(all="ignore"):     # log(A / c) is +-inf where it over- or underflows
+        s = np.minimum(np.where(B > 0, np.log(A / B) / e1, np.inf),
+                       np.where(C > 0, np.log(A / C) / e2, np.inf))
+    found = np.isfinite(s) & (s >= -_RAY_RANGE)
+    # the iterates are held one past the range, where the terms stay finite: a
+    # root beyond it leaves them there, with a step that does not descend
+    cap = _RAY_RANGE + 1.0
+    if scalar:
+        # Python floats: numpy's per-call overhead would be most of the cost
+        if not found[0]:
             return None
-    t_lo = 0.5 * t_hi
-    while f(t_lo) > 0:
-        t_lo *= 0.5
-        if t_lo < 1e-14:
-            return None
-    return brentq(f, t_lo, t_hi, xtol=1e-15, rtol=1e-14)
+        A, B, C, s = float(A[0]), float(B[0]), float(C[0]), min(float(s[0]), cap)
+        exp, every, lower = math.exp, bool, min
+    else:
+        # a rootless entry iterates on the benign e^(e1 s) = 1 and is masked after
+        A, B, C, s = (np.where(found, x, fill) for x, fill in
+                      ((A, 1.0), (B, 1.0), (C, 0.0), (np.minimum(s, cap), 0.0)))
+        exp, every, lower = np.exp, np.all, np.minimum
+    for _ in range(_RAY_NEWTON_ITERS):
+        tB, tC = B * exp(e1 * s), C * exp(e2 * s)
+        step = (tB + tC - A) / (e1 * tB + e2 * tC)
+        s = lower(s - step, cap)
+        # the steps fall monotonically; one at roundoff level ends the descent
+        if every(step <= 4e-16 * (abs(s) + 1.0)):
+            break
+    if scalar:
+        return math.exp(s) if abs(s) <= _RAY_RANGE else None
+    found &= np.abs(s) <= _RAY_RANGE
+    return np.where(found, np.exp(np.where(found, s, 0.0)), np.nan)
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,10 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     level within delta of crit_level (with concentration, a finite grid
     always "attains" something; pinning plus non-convergence is the desk
     signature of non-existence; such a solve's `exit_reason` reads
-    `xi-floor`, where it tried to concentrate below the grid's resolvability
-    floor, or on a fine grid `newton-stalled`, where its polish stopped
-    short of it).  Warm starts run from large coupling
+    `xi-floor`: its descent, concentrating by scale steps, tried to go below
+    the grid's resolvability floor, or, on a fine grid where a rejected scale
+    step left the descent crawling to `max-iters`, its polish stepped below
+    the floor).  Warm starts run from large coupling
     (existent side) toward small; a cold solve runs the init schedule
     gaussian, bubble(0.5), bubble(0.1).  At most 40 couplings are solved.
     """

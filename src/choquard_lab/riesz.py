@@ -217,8 +217,12 @@ def _refined_pieces(t, a, b):
     singular point the direct `hyp2f1` branch of `kernel_value` overflows
     (z rounds to 1), and the rows would turn into inf - inf.  The connection
     branch, which takes 1 - z from max - min, needs no such stop; it is kept
-    because dropping it would change every table.
+    because dropping it would change every table.  For the same reason a
+    target within 1e-11 relative of a panel end counts as sitting at that
+    end: splitting there would leave a piece whose Gauss points round onto t.
     """
+    near = lambda end: np.abs(t - end) <= 1e-11 * np.abs(end)
+    t = np.where(near(a), a, np.where(near(b), b, t))
     split = np.where((a < t) & (t < b), t, b)
     pts = []
     for lo, hi in ((a, split), (split, b)):

@@ -7,11 +7,17 @@ positive-part truncation and Nehari (or mass-fiber) reprojection, finished
 by a Newton polish on the discrete strong form; the discretization is
 variationally consistent (the stiffness form is the energy's kinetic
 term), so the full gradient vanishes at the constrained minimizer and the
-strong-form residual can be driven to solver tolerance.
+strong-form residual can be driven to solver tolerance.  The free descent
+also steps along the scale, the noncompact direction of the critical
+problems: while its iterates drift one way in concentration it dilates
+them that way, by the amount the exact scaling laws of the four parts
+predict best, so a state below the threshold reaches the resolvability
+floor in a few iterations instead of hundreds of gradient steps.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -57,6 +63,17 @@ _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
 _STALL_STEPS = 3
 _KRYLOV_DIM = 60            # one GMRES cycle; test_08's steps take 5-13 at n = 1000, 2000
 _KRYLOV_RTOL = 1e-10        # forcing term a decade below _RESIDUAL_TOL (Eisenstat & Walker 1996)
+# Scale steps of the free descent: the dilations u(arg x) it weighs, log-spaced
+# in [1/2, 2] with arg = 1 in the middle; the iterates over which xi must move
+# one way before it dilates that way; and how far above the floor a dilation
+# may take xi.  The margin leaves the last stretch to ordinary steps, which
+# relax the shape a dilation leaves behind: with none, threshold's pinned
+# descents at lam = 0.5 (n = 1000) exit 0.1-0.2 % above the plain descent's levels.
+_SCALE_ARGS = 2.0 ** np.linspace(-1.0, 1.0, 41)
+_DRIFT_ITERATES = 3
+_SCALE_MARGIN = 1.03
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -418,6 +435,19 @@ class _Discrete:
     def mass(self, u):
         return float(np.dot(self.W, u * u))
 
+    def dilate(self, u, t):
+        """t^(N/2) u(t r), which keeps the mass, by monotone cubic interpolation;
+        None when more than a tenth of the mass leaves the window."""
+        fld = RadialField.from_values(self.grid, u)
+        v = t ** (self.grid.N / 2.0) * fld(np.minimum(t * self.grid.r, self.grid.r_max))
+        v[t * self.grid.r > self.grid.r_max] = 0.0
+        if t < 1.0:
+            kept = self.mass(v)
+            ref = self.mass(u)
+            if ref > 0 and kept < 0.9 * ref:
+                return None
+        return v
+
     def field(self, u) -> RadialField:
         return RadialField.from_values(self.grid, u)
 
@@ -428,14 +458,74 @@ class _FreeSolver(_Discrete):
     def nehari_t(self, parts: Parts):
         return _ray_root(self.params, parts)
 
+    def predicted_energy(self, pu: _IterateParts, arg):
+        """The energy of the Nehari projection of u(arg x), from the parts of u
+        by `scaled_parts` and the ray root: no mat-vec.  `arg` may be an
+        array; NaN where there is no projection."""
+        parts = scaled_parts(self.params, pu, 1.0, arg)
+        t = _ray_root(self.params, parts)
+        return np.nan if t is None else fiber_energy(self.params, parts, "ray", t)
+
+    def scale_arg(self, pu: _IterateParts, E0, xi, concentrating: bool):
+        """The arg of _SCALE_ARGS on the side the iterates drift to whose
+        u(arg x) has the least predicted energy, with xi / arg held at or
+        above _SCALE_MARGIN times the floor; None when no arg predicts a fall
+        below E0, the energy of u.  The nearest arg is weighed alone first:
+        near the end of an attained descent it predicts no fall, and the
+        others are skipped."""
+        half = _SCALE_ARGS.size // 2
+        if concentrating:
+            cap = xi / (_SCALE_MARGIN * self.xi_floor())
+            if cap <= 1.0:
+                return None
+            args = np.minimum(_SCALE_ARGS[half:], cap)
+        else:
+            args = _SCALE_ARGS[half::-1]
+        if not self.predicted_energy(pu, args[1]) < E0:
+            return None
+        E = self.predicted_energy(pu, args)
+        i = int(np.nanargmin(E))
+        return args[i] if E[i] < E0 and args[i] != 1.0 else None
+
+    def scale_step(self, u, E0, arg):
+        """u(arg x) projected onto the Nehari manifold, with its parts and
+        energy, or None when it has no projection, falls below the
+        resolvability floor or does not lower E0, the energy of u: one
+        `parts` mat-vec."""
+        v = self.dilate(u, arg)
+        if v is None:
+            return None
+        v[-1] = 0.0
+        pv = self.parts(v)
+        t = self.nehari_t(pv)
+        if t is None or self.xi_of(t * v) < self.xi_floor():
+            return None
+        pv = self.ray(pv, t)
+        E = energy_from_parts(self.params, pv)
+        return (t * v, pv, E) if E < E0 else None
+
     def descend(self, u):
-        """Nehari-projected descent; returns (u, iterations).  Each
-        line-search trial v pays one `parts` mat-vec; the parts and conv of
-        the projected t*v follow by the ray scaling law and serve its energy
-        or residual and, once it is accepted, the next strong form and E0.
-        The first trial projected below the resolvability floor ends the
-        descent at the last accepted iterate: halving tau only crawls along
-        the floor, the pinned signature of a level that is not attained."""
+        """Nehari-projected descent; returns (u, iterations).
+
+        Each iteration outside the endgame (scaled residual >= _FLOW_TOL)
+        first tries a scale step: when xi has moved the same way over the
+        last _DRIFT_ITERATES iterates, u is dilated along that drift by the
+        arg `scale_arg` predicts best, and kept if its Nehari projection
+        lowers the energy.  Below the critical level the minimizing sequence
+        concentrates like a bubble, and the scale is its noncompact
+        direction (dynamic rescaling: McLaughlin, Papanicolaou, Sulem &
+        Sulem, Phys. Rev. A 34, 1986); a gradient step follows it only a
+        little per iteration.  The first rejected scale step ends scale
+        steps for the descent.
+
+        Then the line search: each trial v pays one `parts` mat-vec; the
+        parts and conv of the projected t*v follow by the ray scaling law and
+        serve its energy or residual and, once it is accepted, the next
+        strong form and E0.  The first trial projected below the
+        resolvability floor ends the descent at the last accepted iterate:
+        halving tau only crawls along the floor, the pinned signature of a
+        level that is not attained.
+        """
         pu = self.parts(u)
         t = self.nehari_t(pu)
         if t is None:
@@ -443,6 +533,15 @@ class _FreeSolver(_Discrete):
         u, pu = t * u, self.ray(pu, t)
         mc = self.params.mass_coeff
         floor = self.xi_floor()
+        xis, scaling, tried, taken = [], True, 0, 0
+
+        def stop(reason, k):
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("descent %s after %d iterations: %d of %d scale steps taken, "
+                           "xi %.4g against the floor %.4g", reason, k, taken, tried,
+                           self.xi_of(u), floor)
+            return self._stop(reason, u, k)
+
         for k in range(_MAX_ITERS):
             # one strong-form evaluation per iterate; the start is not judged
             # on it, so a warm start never enters the endgame at k = 0
@@ -450,9 +549,22 @@ class _FreeSolver(_Discrete):
             if k == 0:
                 res_scaled = np.inf
             elif res_scaled < _FLOW_TOL * 1e-2:
-                return self._stop("tol", u, k)
-            d = self.solve_shifted(max(mc, 1e-10), g * self.W)
+                return stop("tol", k)
             E0 = energy_from_parts(self.params, pu)
+            xis.append(self.xi_of(u))
+            drift = np.sign(np.diff(xis[-_DRIFT_ITERATES:]))
+            if (scaling and res_scaled >= _FLOW_TOL and drift.size == _DRIFT_ITERATES - 1
+                    and abs(drift.sum()) == drift.size):
+                arg = self.scale_arg(pu, E0, xis[-1], concentrating=drift[0] < 0)
+                if arg is not None:
+                    tried += 1
+                    step = self.scale_step(u, E0, arg)
+                    scaling = step is not None
+                    if scaling:
+                        taken += 1
+                        u, pu, E0 = step
+                        g, res_scaled = self.residual(u, mc, pu.conv)
+            d = self.solve_shifted(max(mc, 1e-10), g * self.W)
             endgame = res_scaled < _FLOW_TOL
             tau = 1.0
             for _ in range(40):
@@ -462,7 +574,7 @@ class _FreeSolver(_Discrete):
                 tv = self.nehari_t(pv)
                 if tv is not None:
                     if self.xi_of(tv * v) < floor:
-                        return self._stop("xi-floor", u, k)
+                        return stop("xi-floor", k)
                     v, pv = tv * v, self.ray(pv, tv)
                     if endgame:
                         if self.residual(v, mc, pv.conv)[1] < res_scaled:
@@ -471,9 +583,9 @@ class _FreeSolver(_Discrete):
                         break
                 tau *= 0.5
             else:
-                return self._stop("line-search-exhausted", u, k)
+                return stop("line-search-exhausted", k)
             u, pu = v, pv
-        return self._stop("max-iters", u, _MAX_ITERS)
+        return stop("max-iters", _MAX_ITERS)
 
     def newton(self, u):
         u, _, k, res = self.polish(u, self.params.mass_coeff, bordered=False)
@@ -551,19 +663,6 @@ class _MassSolver(_Discrete):
         if not match:
             return None
         return match[0] if which == 1 else match[-1]
-
-    def dilate(self, u, t):
-        """Mass-preserving dilation; None when more than a tenth of the mass
-        leaves the window."""
-        fld = RadialField.from_values(self.grid, u)
-        v = t ** (self.grid.N / 2.0) * fld(np.minimum(t * self.grid.r, self.grid.r_max))
-        v[t * self.grid.r > self.grid.r_max] = 0.0
-        if t < 1.0:
-            kept = self.mass(v)
-            ref = self.mass(u)
-            if ref > 0 and kept < 0.9 * ref:
-                return None
-        return v
 
     def project(self, u, which):
         """Dilate to the fiber critical point of the requested kind."""

@@ -2,11 +2,16 @@
 box: the energy, the defects, the fiber energies and their derivatives are
 one coefficient sum, checked against the per-mode formulas written out; the
 multiplier, its P_nu + Pohozaev prediction and the rescaled parts come from
-the same exponent rows."""
+the same exponent rows; the Nehari ray root matches a bracketing brentq
+oracle."""
+
+from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from choquard_lab.functional import (Parts, ProblemParams, _defects_from_parts,
                                      _fiber_derivative, _fiber_roots, _ray_root,
@@ -156,11 +161,97 @@ class TestFourPartAlgebra:
         if not pp.normalized:
             t_star = _ray_root(pp, parts)
             if t_star is not None:
-                # the ray derivative changes sign within brentq's tolerance,
+                # the ray derivative changes sign within the root's tolerance,
                 # up to the roundoff of its terms
                 d, _, dscale = _fiber_derivative(pp, parts, "ray")
                 tol, eps = 4e-15 + 4e-14 * t_star, 1e-14 * dscale(t_star)
                 assert d(t_star - tol) >= -eps and d(t_star + tol) <= eps
+
+
+# ------------------------------------------------------- the ray root
+
+def ray_root_oracle(pp, parts):
+    """The Nehari ray root by doubling and halving brackets and brentq, held
+    to [2^-46, 2^46]: the routine `_ray_root` replaced, with brentq's
+    absolute tolerance taken out so that tiny roots keep their digits."""
+    A = parts.kinetic + pp.mass_coeff * parts.mass
+    B, C = pp.riesz_coeff * parts.riesz, pp.power_coeff * parts.power
+    if B <= 0 and C <= 0:
+        return None
+    f = lambda t: B * t ** (2 * pp.p - 2) + C * t ** (pp.q - 2) - A
+    hi = 1.0
+    while f(hi) < 0:
+        hi *= 2.0
+        if hi > 2.0 ** 46:
+            return None
+    lo = 0.5 * hi
+    while f(lo) > 0:
+        lo *= 0.5
+        if lo < 2.0 ** -46:
+            return None
+    return brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+def ray_root_tolerance(pp, parts, t):
+    """1e-14 relative, plus the root's own conditioning: a relative error eps
+    in the terms of f(s) = B e^(e1 s) + C e^(e2 s) - A moves its zero in
+    s = log t by about 2 eps A / f'(s)."""
+    A = parts.kinetic + pp.mass_coeff * parts.mass
+    e1, e2 = 2 * pp.p - 2, pp.q - 2
+    slope = (e1 * pp.riesz_coeff * parts.riesz * t ** e1
+             + e2 * pp.power_coeff * parts.power * t ** e2)
+    return (1e-14 + 8 * np.finfo(float).eps * 2 * A / slope) * t
+
+
+_wide_part = st.floats(1e-30, 1e30)
+
+
+@st.composite
+def free_problems(draw):
+    """Free-mode draws; half of them with parts over 60 decades, which puts
+    the root outside [2^-46, 2^46] often enough to test the None cases."""
+    pp, parts = draw(problems().filter(lambda d: not d[0].normalized))
+    if draw(st.booleans()):
+        parts = Parts(*(draw(_wide_part) for _ in range(4)))
+    return pp, parts
+
+
+class TestRayRoot:
+    @given(free_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brentq(self, draw):
+        pp, parts = draw
+        got, want = _ray_root(pp, parts), ray_root_oracle(pp, parts)
+        if got is None or want is None:
+            # only a root on the edge of the range may be found by one alone
+            edge = got if want is None else want
+            assert edge is None or min(abs(np.log2(edge) - 46), abs(np.log2(edge) + 46)) < 1e-10
+            return
+        assert abs(got - want) <= ray_root_tolerance(pp, parts, want)
+
+    @given(free_problems(), free_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_solve_each_entry(self, one, two):
+        # one call over arrays of parts gives each scalar root, NaN for None
+        (pp, parts), other = one, two[1]
+        stacked = Parts(*(np.array(pair) for pair in zip(astuple(parts), astuple(other))))
+        roots = _ray_root(pp, stacked)
+        for t, entry in zip(roots, (parts, other)):
+            scalar = _ray_root(pp, entry)
+            if scalar is None:
+                assert np.isnan(t)
+            else:
+                assert abs(t - scalar) <= ray_root_tolerance(pp, entry, scalar)
+
+    @pytest.mark.parametrize("parts", [Parts(1.0, 1.0, 0.0, 0.0), Parts(0.0, 0.0, 1.0, 1.0),
+                                       Parts(1e-30, 0.0, 1e30, 1e30),
+                                       Parts(1e300, 0.0, 1e-300, 0.0)],
+                             ids=["no-nonlinear-term", "no-quadratic-term",
+                                  "root-below-range", "root-above-range"])
+    def test_none_cases(self, parts):
+        pp = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        assert ray_root_oracle(pp, parts) is None
+        assert _ray_root(pp, parts) is None
 
 
 # ----------------------------------------------------- the scaling law

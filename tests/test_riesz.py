@@ -217,6 +217,18 @@ class TestPotentialNearPanelEnds:
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals - exact) / exact) < 1e-3
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_a_probe_one_ulp_from_a_node(self, alpha):
+        # node r[79] of this grid is 1.0000000000000002: a probe at 1.0 or one
+        # ulp above it used to split r[79]'s panel there, leaving a piece whose
+        # Gauss points round onto the probe, where the kernel is infinite
+        grid = make_grid(3, 25, 400, 2)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2))
+        probes = np.array([1.0, np.nextafter(grid.r[79], 2), grid.r[79]])
+        vals = potential_at(grid, g, alpha, probes)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals - vals[-1])) <= 1e-12 * vals[-1]
+
 
 class TestPotentialAt:
     """`potential_at` and the table share one row builder."""
@@ -301,7 +313,11 @@ def refined_pieces_oracle(a, b, sing):
 
 
 def pair_pieces_oracle(t, a, b):
-    """The graded pieces of panel [a, b] for target t, split at t inside it."""
+    """The graded pieces of panel [a, b] for target t, split at t inside it;
+    a target within 1e-11 relative of an end counts as that end."""
+    for end in (a, b):
+        if abs(t - end) <= 1e-11 * abs(end):
+            t = end
     if a < t < b:
         return refined_pieces_oracle(a, t, t) + refined_pieces_oracle(t, b, t)
     return refined_pieces_oracle(a, b, a if t <= a else b)

@@ -13,7 +13,7 @@ from choquard_lab.grid import gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import gaussian, talenti
 from choquard_lab import solver as solver_module
 from choquard_lab.solver import (NormalizedBranchResult, _FreeSolver, _MassSolver,
-                                 ground_state, multiplier_check,
+                                 _initial_field, ground_state, multiplier_check,
                                  normalized_branches,
                                  second_solution_via_rescale,
                                  shoot_local_ground_state)
@@ -469,3 +469,41 @@ class TestNewtonKrylov:
             tracemalloc.stop()
         assert k == 1 and solver.exit_reason == "max-iters"
         assert peak < n * n * 8 / 4
+
+
+THRESHOLD_GRID = (3, 40.0, 1000, 2.5)       # test_08's n = 1000 grid
+SCHEDULE = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
+
+
+def threshold_params(lam):
+    return ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=lam)
+
+
+class TestScaleStep:
+    def test_pinned_descents_reach_the_floor(self, caplog):
+        # below the threshold each seed concentrates onto the floor by scale
+        # steps; without them these three ran all 400 iterations and ended
+        # max-iters at xi = 5.3e-3 to 6.9e-3 (the floor is 3.95e-3)
+        grid = make_grid(*THRESHOLD_GRID)
+        solver = _FreeSolver(threshold_params(2.277577269513383), grid)
+        caplog.set_level("DEBUG", logger=solver_module.__name__)
+        for tag in SCHEDULE:
+            caplog.clear()
+            _, k = solver.descend(_initial_field(tag, grid)[1])
+            assert solver.exit_reason == "xi-floor"
+            assert k <= 60, (tag, k)
+            # one debug line per descent: its exit, iterations and scale steps
+            (record,) = caplog.records
+            assert record.getMessage().startswith(f"descent xi-floor after {k} iterations: ")
+            assert "scale steps taken" in record.getMessage()
+
+    @pytest.mark.parametrize("grid_args, lam, init, level", [
+        ((3, 40.0, 300, 2.5), 16.0, "gaussian", 0.17057103426012293),
+        # a descent that takes 9 scale steps on its way to the ground state
+        (THRESHOLD_GRID, 2.8284271247461903, ("bubble", 0.1), 4.552101150638613)],
+        ids=["lam16", "lam2.83-bubble0.1"])
+    def test_attained_levels_are_unchanged(self, grid_args, lam, init, level):
+        # the levels the descent reached before it took scale steps
+        res = ground_state(threshold_params(lam), make_grid(*grid_args), init=init)
+        assert res.converged and res.exit_reason == "tol"
+        assert abs(res.level - level) <= 1e-12 * level
