@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import logging
 import sys
 import time
 from pathlib import Path
@@ -223,6 +224,8 @@ def main(argv=None):
                                      description=__doc__)
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="run output directory")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log solver progress (DEBUG) to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [("constants", cmd_constants), ("solve", cmd_solve),
                      ("fiber", cmd_fiber), ("scan-threshold", cmd_scan_threshold),
@@ -231,6 +234,9 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("choquard_lab").setLevel(logging.DEBUG)
     args.started = time.perf_counter()
     try:
         code = args.func(args)

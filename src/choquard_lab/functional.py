@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (ConstraintViolation, InvalidParameter, NoProjection,
                      UndefinedDefect)
@@ -342,6 +341,7 @@ def _fiber_roots(d, t_lo: float, t_hi: float, samples: int):
     """Zeros of d on [t_lo, t_hi]: sign changes on a log-spaced scan of
     `samples` points, refined by brentq; a sample where d vanishes exactly
     counts as a zero, and zeros closer than 1e-10 relative are merged."""
+    from scipy.optimize import brentq
     ts = np.exp(np.linspace(np.log(t_lo), np.log(t_hi), samples))
     vals = d(ts)
     change = vals[:-1] * vals[1:] < 0

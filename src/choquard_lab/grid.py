@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import comb, gamma, pi
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import IncompatibleGrid, InvalidConfiguration
 
@@ -199,22 +198,37 @@ class RadialField:
         d = None if deriv is None else np.asarray(deriv, dtype=float)
         return cls(grid=grid, values=values, origin=float(origin), deriv=d)
 
-    def interpolator(self) -> PchipInterpolator:
-        """Monotone cubic through (0, origin) and the nodes.
-
-        Values below 1e-200 of the peak are flushed to zero: PCHIP's harmonic
-        mean of neighbouring slopes overflows on them.
-        """
-        rr = np.concatenate(([0.0], self.grid.r))
-        uu = np.concatenate(([self.origin], self.values))
-        uu[np.abs(uu) < 1e-200 * np.max(np.abs(uu))] = 0.0
-        return PchipInterpolator(rr, uu, extrapolate=False)
-
     def __call__(self, r_targets) -> np.ndarray:
-        """Interpolate; exact at the nodes, zero beyond r_max."""
-        r_targets = np.asarray(r_targets, dtype=float)
-        out = self.interpolator()(r_targets)
-        return np.nan_to_num(out, nan=0.0)
+        """Monotone cubic (PCHIP) through (0, origin) and the nodes; exact at
+        the nodes, zero beyond r_max.
+
+        Fritsch-Butland slopes: the weighted harmonic mean of neighbouring
+        secants inside, zero at a sign change or flat secant, and the
+        one-sided three-point rule with its shape fixes at both ends.  The
+        cubic is summed as scipy's `PchipInterpolator` sums it, so the two
+        agree bit for bit.  Values below 1e-200 of the peak are flushed to
+        zero: the harmonic mean of their secants overflows.
+        """
+        t = np.asarray(r_targets, dtype=float)
+        x = np.concatenate(([0.0], self.grid.r))
+        y = np.concatenate(([self.origin], self.values))
+        y[np.abs(y) < 1e-200 * np.max(np.abs(y))] = 0.0
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.concatenate(([_pchip_end(h[0], h[1], m[0], m[1])], np.where(flat, 0.0, inner),
+                            [_pchip_end(h[-1], h[-2], m[-1], m[-2])]))
+        k = (d[:-1] + d[1:] - 2 * m) / h
+        c1, c0 = (m - d[:-1]) / h - k, k / h
+        inside = (t >= 0.0) & (t <= x[-1])
+        t = np.where(inside, t, 0.0)
+        i = np.minimum(np.searchsorted(x, t, side="right") - 1, len(h) - 1)
+        s = t - x[i]
+        out = y[i] + d[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+        return np.where(inside, out, 0.0)
 
     def with_values(self, values, deriv=None) -> "RadialField":
         return RadialField.from_values(self.grid, values, deriv=deriv)
@@ -235,6 +249,17 @@ class RadialField:
         if len(r) != grid.n + 1 or not np.allclose(r[1:], grid.r):
             raise IncompatibleGrid("CSV nodes do not match grid")
         return cls.from_values(grid, u[1:], origin=u[0])
+
+
+def _pchip_end(h0, h1, m0, m1) -> float:
+    """PCHIP end slope: the one-sided three-point rule, zeroed when it turns
+    against the end secant and capped at 3 m0 when the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
 
 
 def _check_same_grid(grid: RadialGrid, f: RadialField):

@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
@@ -74,6 +72,16 @@ _DRIFT_ITERATES = 3
 _SCALE_MARGIN = 1.03
 
 _log = logging.getLogger(__name__)
+
+
+def __getattr__(name):
+    # `solver.brentq` stays resolvable for bench/tracing.py, which wraps it,
+    # without importing scipy.optimize at start-up; ROADMAP item 1 deletes
+    # this hook together with that tracer line.
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,7 @@ def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 120
         raise InvalidParameter("N must be >= 3")
     if not 2 < q < 2 * N / (N - 2):
         raise InvalidParameter(f"q={q} must be subcritical: (2, {2*N/(N-2)})")
+    from scipy.integrate import solve_ivp
     span = max(40.0, r_max + 10.0)
 
     def rhs(r, y):

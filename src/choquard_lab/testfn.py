@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import InvalidParameter, ResolutionError
 from .grid import (RadialField, RadialGrid, integrate, kinetic_energy, make_grid,
@@ -54,6 +52,7 @@ def bubble(spec: BubbleSpec, grid: RadialGrid) -> RadialField:
 
 def _mass_integral(N: int, eps: float, R: float) -> float:
     """||V_eps||_2^2 by adaptive quadrature of the closed-form integrand."""
+    from scipy.integrate import quad
     c = talenti_peak(N) ** 2
 
     def f(r):
@@ -71,6 +70,7 @@ def _mass_integral(N: int, eps: float, R: float) -> float:
 def mass_radius(N: int, a: float, eps: float) -> float:
     """Cutoff radius R_eps with ||V_eps||_2^2 = a^2 (bracketed root in log R,
     searched up to R = 1e12 eps)."""
+    from scipy.optimize import brentq
     if a <= 0:
         raise InvalidParameter("target mass a must be positive")
     if eps <= 0:

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,32 @@ nodes = 900
     printed = float(out.split("residual = ")[1].split()[0])
     assert printed == float(f"{saved['residual_scaled']:.3e}")
     assert "exit = tol" in out
+
+
+def test_verbose_logs_descent_progress(tmp_path, capsys, caplog):
+    # -v raises the package logger to DEBUG; registering the logger with
+    # caplog first restores its level when the test ends
+    caplog.set_level(logging.NOTSET, logger="choquard_lab")
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[solve]
+n_dim = 3
+alpha = 2.0
+p = 2.0
+q = 4.0
+mode = lambda
+lam = 1.0
+r_max = 20.0
+nodes = 200
+""")
+    assert main(["--config", str(cfg), "solve"]) == 0
+    quiet = capsys.readouterr().out
+    assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+    assert main(["--config", str(cfg), "-v", "solve"]) == 0
+    assert capsys.readouterr().out == quiet
+    descents = [r.getMessage() for r in caplog.records
+                if r.name == "choquard_lab.solver" and r.levelno == logging.DEBUG]
+    assert descents and all(m.startswith("descent tol after ") for m in descents)
 
 
 def test_normalized_reports_each_branchs_exit_reason(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import gamma, pi
+from scipy.interpolate import PchipInterpolator
 
 from choquard_lab.errors import IncompatibleGrid, InvalidConfiguration
 from choquard_lab.grid import (RadialField, derivative_values, gradient_seminorm,
@@ -92,11 +93,45 @@ class TestIntegrate:
         assert abs(4 * pi * np.dot(g.w, vals) - exact) <= 1e-10 * abs(exact) + 1e-14
 
 
+@st.composite
+def pchip_cases(draw):
+    """A field with sign changes, a flat zero stretch and a tail scaled by
+    1e-320 to 1, so often below the 1e-200 flush, and targets at the nodes,
+    0, r_max, beyond it and between.  The first node keeps a value of at
+    least 1e-12, so the peak that the flush is relative to is a normal number."""
+    n = draw(st.integers(16, 80))
+    g = make_grid(draw(st.integers(3, 5)), draw(st.floats(1.0, 60.0)), n,
+                  draw(st.floats(1.0, 3.0)))
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    decades = np.array(draw(st.lists(st.floats(-12.0, 3.0), min_size=n, max_size=n)))
+    vals = sign * 10.0 ** decades
+    lo = draw(st.integers(1, n - 1))
+    vals[lo:lo + draw(st.integers(0, n // 2))] = 0.0
+    tail = draw(st.integers(1, n))
+    vals[tail:] *= 10.0 ** draw(st.floats(-320.0, 0.0))
+    field = RadialField.from_values(g, vals)
+    inner = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))) * g.r_max
+    beyond = g.r_max * (1.0 + np.array([1e-15, 1e-3, 0.5]))
+    return field, np.concatenate((g.r, [0.0, g.r_max], beyond, inner))
+
+
 class TestField:
     def test_interpolation_reproduces_nodes(self):
         g = make_grid(3, 10.0, 150)
         f = gaussian(g)
         assert np.allclose(f(g.r), f.values, rtol=0, atol=1e-14)
+
+    @given(pchip_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_interpolation_is_scipys_pchip_bit_for_bit(self, case):
+        f, t = case
+        x = np.concatenate(([0.0], f.grid.r))
+        y = np.concatenate(([f.origin], f.values))
+        y[np.abs(y) < 1e-200 * np.max(np.abs(y))] = 0.0
+        ref = np.nan_to_num(PchipInterpolator(x, y, extrapolate=False)(t))
+        got = f(t)
+        assert np.array_equal(got, ref)
+        assert np.all(got[t > f.grid.r_max] == 0.0)
 
     def test_nonfinite_rejected(self):
         g = make_grid(3, 10.0, 100)
