@@ -2,17 +2,17 @@
 descent for the free problems, the two mass-constrained branches, and the
 second-solution rescaling.
 
-The descent scheme is an explicit preconditioned gradient step with
-positive-part truncation and Nehari (or mass-fiber) reprojection, finished
-by a Newton polish on the discrete strong form; the discretization is
-variationally consistent (the stiffness form is the energy's kinetic
-term), so the full gradient vanishes at the constrained minimizer and the
-strong-form residual can be driven to solver tolerance.  The free descent
-also steps along the scale, the noncompact direction of the critical
-problems: while its iterates drift one way in concentration it dilates
-them that way, by the amount the exact scaling laws of the four parts
-predict best, so a state below the threshold reaches the resolvability
-floor in a few iterations instead of hundreds of gradient steps.
+Both solvers run one descent, `_Discrete.projected_descent`: a
+preconditioned gradient step with positive-part truncation, projected onto
+the Nehari ray (free modes) or the mass fiber (normalized modes) from one
+Riesz mat-vec per trial, and finished by a Newton polish on the discrete
+strong form.  The discretization is variationally consistent (the
+stiffness form is the energy's kinetic term), so the full gradient
+vanishes at the constrained minimizer and the strong-form residual can be
+driven to solver tolerance.  On the ray the descent also steps along the
+scale, the noncompact direction of the critical problems, by the dilation
+the exact scaling laws of the four parts predict best, so a state below
+the threshold reaches the resolvability floor in a few iterations.
 """
 
 from __future__ import annotations
@@ -450,19 +450,107 @@ class _Discrete:
         fld = RadialField.from_values(self.grid, u)
         v = t ** (self.grid.N / 2.0) * fld(np.minimum(t * self.grid.r, self.grid.r_max))
         v[t * self.grid.r > self.grid.r_max] = 0.0
-        if t < 1.0:
-            kept = self.mass(v)
-            ref = self.mass(u)
-            if ref > 0 and kept < 0.9 * ref:
-                return None
-        return v
+        return None if t < 1.0 and self.mass(v) < 0.9 * self.mass(u) else v
 
     def field(self, u) -> RadialField:
         return RadialField.from_values(self.grid, u)
 
+    def projected_descent(self, u, iters, tol):
+        """Preconditioned descent projected onto the solver's `fiber`, to the
+        scaled residual `tol` or `iters` iterations; returns (u, k, parts).
+
+        The solver supplies `shift`, `objective`, `direction` and `trial(v)`:
+        v projected onto the fiber from one `parts` mat-vec as (objective,
+        below the floor, land), or None; land() gives the field and its
+        parts, or None.  Outside the endgame (scaled residual >= _FLOW_TOL)
+        a scale step comes first while xi drifts one way and `scale_arg`
+        predicts a fall, until one is rejected.  The line search halves tau
+        from 1 until a landed trial lowers the objective (the residual in
+        the endgame).  A trial below the resolvability floor ends the
+        descent: halving tau only crawls along the floor, the pinned
+        signature of a level that is not attained.
+        """
+        start = self.trial(u)
+        landed = None if start is None else start[2]()
+        if landed is None:
+            raise NoProjection(f"initial field admits no projection onto its {self.fiber} fiber")
+        u, pu = landed
+        xis, scaling, tried, taken = [], True, 0, 0
+
+        def stop(reason, k):
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("descent %s after %d iterations: %s fiber, %d of %d scale steps "
+                           "taken, xi %.4g against the floor %.4g", reason, k, self.fiber,
+                           taken, tried, self.xi_of(u), self.xi_floor())
+            return self._stop(reason, u, k, pu)
+
+        for k in range(iters):
+            # one strong-form evaluation per iterate; the start is not judged
+            # on it, so a warm start never enters the endgame at k = 0
+            shift = self.shift(pu)
+            g, res_scaled = self.residual(u, shift, pu.conv)
+            if k == 0:
+                res_scaled = np.inf
+            elif res_scaled < tol:
+                return stop("tol", k)
+            E0 = self.objective(pu)
+            xis.append(self.xi_of(u))
+            drift = np.sign(np.diff(xis[-_DRIFT_ITERATES:]))
+            if (scaling and res_scaled >= _FLOW_TOL and drift.size == _DRIFT_ITERATES - 1
+                    and abs(drift.sum()) == drift.size):
+                arg = self.scale_arg(pu, E0, xis[-1], concentrating=drift[0] < 0)
+                if arg is not None:
+                    tried += 1
+                    step = self.scale_step(u, E0, arg)
+                    scaling = step is not None
+                    if scaling:
+                        taken += 1
+                        u, pu, E0 = step
+                        g, res_scaled = self.residual(u, shift := self.shift(pu), pu.conv)
+            d = self.direction(u, pu, g, shift)
+            endgame = res_scaled < _FLOW_TOL
+            tau = 1.0
+            for _ in range(40):
+                v = np.maximum(u - tau * d, 0.0)
+                v[-1] = 0.0
+                trial = self.trial(v)
+                if trial is not None:
+                    E, below, land = trial
+                    if below:
+                        return stop("xi-floor", k)
+                    landed = land() if endgame or E <= E0 + 1e-14 * abs(E0) else None
+                    if landed is not None and (not endgame or self.residual(
+                            landed[0], self.shift(landed[1]), landed[1].conv)[1] < res_scaled):
+                        break
+                tau *= 0.5
+            else:
+                return stop("line-search-exhausted", k)
+            u, pu = landed
+        return stop("max-iters", iters)
+
 
 class _FreeSolver(_Discrete):
-    """Nehari-constrained descent + Newton polish for the free modes."""
+    """Nehari-projected descent + Newton polish for the free modes."""
+
+    fiber = "ray"
+
+    def shift(self, parts: Parts):
+        return self.params.mass_coeff
+
+    def objective(self, parts: Parts):
+        return energy_from_parts(self.params, parts)
+
+    def direction(self, u, parts, g, shift):
+        return self.solve_shifted(max(shift, 1e-10), g * self.W)
+
+    def trial(self, v):
+        """t v on the Nehari ray from one `parts`: landing is free by the ray law."""
+        pv = self.parts(v)
+        t = self.nehari_t(pv)
+        if t is None:
+            return None
+        v, pv = t * v, self.ray(pv, t)
+        return energy_from_parts(self.params, pv), self.xi_of(v) < self.xi_floor(), lambda: (v, pv)
 
     def nehari_t(self, parts: Parts):
         return _ray_root(self.params, parts)
@@ -497,104 +585,23 @@ class _FreeSolver(_Discrete):
         return args[i] if E[i] < E0 and args[i] != 1.0 else None
 
     def scale_step(self, u, E0, arg):
-        """u(arg x) projected onto the Nehari manifold, with its parts and
-        energy, or None when it has no projection, falls below the
-        resolvability floor or does not lower E0, the energy of u: one
-        `parts` mat-vec."""
+        """The trial of u(arg x) as (field, parts, energy) if it lowers E0.
+        Below the critical level the minimizing sequence concentrates along
+        the scale, its noncompact direction, which a gradient step follows
+        only a little per iteration (dynamic rescaling: McLaughlin,
+        Papanicolaou, Sulem & Sulem, Phys. Rev. A 34, 1986)."""
         v = self.dilate(u, arg)
         if v is None:
             return None
         v[-1] = 0.0
-        pv = self.parts(v)
-        t = self.nehari_t(pv)
-        if t is None or self.xi_of(t * v) < self.xi_floor():
+        trial = self.trial(v)
+        if trial is None or trial[1] or not trial[0] < E0:
             return None
-        pv = self.ray(pv, t)
-        E = energy_from_parts(self.params, pv)
-        return (t * v, pv, E) if E < E0 else None
+        return (*trial[2](), trial[0])
 
     def descend(self, u):
-        """Nehari-projected descent; returns (u, iterations).
-
-        Each iteration outside the endgame (scaled residual >= _FLOW_TOL)
-        first tries a scale step: when xi has moved the same way over the
-        last _DRIFT_ITERATES iterates, u is dilated along that drift by the
-        arg `scale_arg` predicts best, and kept if its Nehari projection
-        lowers the energy.  Below the critical level the minimizing sequence
-        concentrates like a bubble, and the scale is its noncompact
-        direction (dynamic rescaling: McLaughlin, Papanicolaou, Sulem &
-        Sulem, Phys. Rev. A 34, 1986); a gradient step follows it only a
-        little per iteration.  The first rejected scale step ends scale
-        steps for the descent.
-
-        Then the line search: each trial v pays one `parts` mat-vec; the
-        parts and conv of the projected t*v follow by the ray scaling law and
-        serve its energy or residual and, once it is accepted, the next
-        strong form and E0.  The first trial projected below the
-        resolvability floor ends the descent at the last accepted iterate:
-        halving tau only crawls along the floor, the pinned signature of a
-        level that is not attained.
-        """
-        pu = self.parts(u)
-        t = self.nehari_t(pu)
-        if t is None:
-            raise NoProjection("initial field admits no Nehari projection")
-        u, pu = t * u, self.ray(pu, t)
-        mc = self.params.mass_coeff
-        floor = self.xi_floor()
-        xis, scaling, tried, taken = [], True, 0, 0
-
-        def stop(reason, k):
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("descent %s after %d iterations: %d of %d scale steps taken, "
-                           "xi %.4g against the floor %.4g", reason, k, taken, tried,
-                           self.xi_of(u), floor)
-            return self._stop(reason, u, k)
-
-        for k in range(_MAX_ITERS):
-            # one strong-form evaluation per iterate; the start is not judged
-            # on it, so a warm start never enters the endgame at k = 0
-            g, res_scaled = self.residual(u, mc, pu.conv)
-            if k == 0:
-                res_scaled = np.inf
-            elif res_scaled < _FLOW_TOL * 1e-2:
-                return stop("tol", k)
-            E0 = energy_from_parts(self.params, pu)
-            xis.append(self.xi_of(u))
-            drift = np.sign(np.diff(xis[-_DRIFT_ITERATES:]))
-            if (scaling and res_scaled >= _FLOW_TOL and drift.size == _DRIFT_ITERATES - 1
-                    and abs(drift.sum()) == drift.size):
-                arg = self.scale_arg(pu, E0, xis[-1], concentrating=drift[0] < 0)
-                if arg is not None:
-                    tried += 1
-                    step = self.scale_step(u, E0, arg)
-                    scaling = step is not None
-                    if scaling:
-                        taken += 1
-                        u, pu, E0 = step
-                        g, res_scaled = self.residual(u, mc, pu.conv)
-            d = self.solve_shifted(max(mc, 1e-10), g * self.W)
-            endgame = res_scaled < _FLOW_TOL
-            tau = 1.0
-            for _ in range(40):
-                v = np.maximum(u - tau * d, 0.0)
-                v[-1] = 0.0
-                pv = self.parts(v)
-                tv = self.nehari_t(pv)
-                if tv is not None:
-                    if self.xi_of(tv * v) < floor:
-                        return stop("xi-floor", k)
-                    v, pv = tv * v, self.ray(pv, tv)
-                    if endgame:
-                        if self.residual(v, mc, pv.conv)[1] < res_scaled:
-                            break
-                    elif energy_from_parts(self.params, pv) <= E0 + 1e-14 * abs(E0):
-                        break
-                tau *= 0.5
-            else:
-                return stop("line-search-exhausted", k)
-            u, pu = v, pv
-        return stop("max-iters", _MAX_ITERS)
+        """`projected_descent` on the Nehari ray; returns (u, iterations)."""
+        return self.projected_descent(u, _MAX_ITERS, _FLOW_TOL * 1e-2)[:2]
 
     def newton(self, u):
         u, _, k, res = self.polish(u, self.params.mass_coeff, bordered=False)
@@ -655,7 +662,10 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
 # --------------------------------------------------- normalized two-branch
 
 class _MassSolver(_Discrete):
-    """Fiber-projected constrained flow + KKT Newton for the normalized modes."""
+    """Mass-fiber-projected descent + KKT Newton for the normalized modes;
+    `which` is the branch the flow projects onto, 1 (P+) or -1 (P-)."""
+
+    fiber = "mass"
 
     def normalize(self, u):
         m = self.mass(u)
@@ -666,64 +676,57 @@ class _MassSolver(_Discrete):
     def fiber_points(self, parts: Parts):
         return _fiber_critical_points(self.params, parts, "mass")
 
-    def fiber_point(self, parts: Parts, which):
-        """The first fiber minimum (which = 1) or the last maximum (which = -1)."""
+    def fiber_level(self, parts: Parts, which):
+        """(t, energy) at the first fiber minimum (which = 1) or last maximum (-1)."""
         match = [t for t, kind in self.fiber_points(parts) if kind == which]
         if not match:
-            return None
-        return match[0] if which == 1 else match[-1]
+            return None, np.nan         # an objective no trial lowers
+        t = match[0] if which == 1 else match[-1]
+        return t, float(fiber_energy(self.params, parts, "mass", t))
 
-    def project(self, u, which):
-        """Dilate to the fiber critical point of the requested kind."""
-        t = self.fiber_point(self.parts(u), which)
+    def shift(self, parts: Parts):
+        return multiplier_from_parts(self.params, parts)
+
+    def objective(self, parts: Parts):
+        return self.fiber_level(parts, self.which)[1]
+
+    def direction(self, u, parts, g, shift):
+        """The preconditioned gradient, made tangent to the mass sphere."""
+        d = self.solve_shifted(self.kappa(shift, parts.kinetic), g * self.W)
+        return d - np.dot(self.W, d * u) / self.params.a ** 2 * u
+
+    def trial(self, v):
+        """The `which` fiber point of v on the mass sphere from one `parts`:
+        the ray law normalizes and the dilation law gives the energy, so only
+        landing pays a dilation and a `parts`.  No floor exit: a P- flow may
+        start below the floor and relax (HLS nu = 1, make_grid(3, 50, 1400, 2))."""
+        pv = self.parts(v)
+        if not pv.mass > 0:
+            return None
+        pv = self.ray(pv, np.sqrt(self.params.a ** 2 / pv.mass))
+        t, E = self.fiber_level(pv, self.which)
         if t is None:
             return None
-        v = self.dilate(u, t)
-        if v is None:
-            return None
-        return self.normalize(v)
 
-    def objective(self, parts: Parts, which):
-        """Flow objective: energy at the fiber point (max for P-, value for P+)."""
-        t = self.fiber_point(parts, which)
-        if t is None:
-            return None
-        return float(fiber_energy(self.params, parts, "mass", t))
+        def land():
+            w = self.dilate(v, t)
+            w = None if w is None else self.normalize(w)
+            return None if w is None else (w, self.parts(w))
+
+        return E, False, land
+
+    def scale_arg(self, parts, E0, xi, concentrating):
+        """None: the fiber projection is a dilation, so it would undo the step."""
+        return None
 
     def flow(self, u0, which):
-        """Constrained descent to the `which` fiber branch; returns
-        (v, iterations, status, parts of v)."""
-        u = self.normalize(u0)
-        v = self.project(u, which)
-        if v is None:
+        """`projected_descent` to the `which` branch; returns (v, k, status, parts of v)."""
+        self.which = which
+        try:
+            v, k, parts = self.projected_descent(u0, _FLOW_ITERS, _FLOW_TOL)
+        except NoProjection:
             return None, 0, "no-fiber-point", None
-        parts = self.parts(v)
-        for k in range(_FLOW_ITERS):
-            # one parts(v) per iterate serves the multiplier, the residual, kappa and obj0
-            lam = multiplier_from_parts(self.params, parts)
-            g, res = self.residual(v, lam, parts.conv)
-            if res < _FLOW_TOL:
-                return v, k, "tol", parts
-            d = self.solve_shifted(self.kappa(lam, parts.kinetic), g * self.W)
-            d -= np.dot(self.W, d * v) / self.params.a ** 2 * v
-            obj0 = self.objective(parts, which)
-            tau = 0.5
-            for _ in range(20):
-                cand = np.maximum(v - tau * d, 0.0)
-                cand[-1] = 0.0
-                if cand.max() > 0:
-                    cand = self.normalize(cand)
-                    proj = self.project(cand, which)
-                    if proj is not None:
-                        proj_parts = self.parts(proj)
-                        obj = self.objective(proj_parts, which)
-                        if obj is not None and obj <= obj0 + 1e-13 * abs(obj0):
-                            break
-                tau *= 0.5
-            else:
-                return v, k, "line-search-exhausted", parts
-            v, parts = proj, proj_parts
-        return v, _FLOW_ITERS, "max-iters", parts
+        return v, k, self.exit_reason, parts
 
     def newton(self, u, lam):
         return self.polish(u, lam, bordered=True)
@@ -761,25 +764,21 @@ def _polish_branch(solver: _MassSolver, u0, which):
     u, it_flow, status, parts = solver.flow(u0, which)
     if u is None:
         return None, status
-    lam = multiplier_from_parts(solver.params, parts)
-    u, lam, it_newton, _ = solver.newton(u, lam)
+    u, lam, it_newton, _ = solver.newton(u, solver.shift(parts))
     reason = solver.exit_reason if it_newton else status
     return _branch_result(solver, u, lam, it_flow + it_newton, which, reason), None
 
 
 def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
-    """Cutoff-bubble seed with the best fiber-max level over a short scale scan."""
-    grid = solver.grid
+    """Cutoff-bubble seed with the best fiber-max level of its P- trial over
+    a short scale scan; the flow's start normalizes it."""
+    solver.which = -1
     best, best_obj = None, np.inf
     for s in (0.05, 0.1, 0.2, 0.5, 1.0):
-        vals = cutoff_bubble(grid, s, grid.r_max / 4).values
-        try:
-            u = solver.normalize(vals)
-        except InvalidConfiguration:
-            continue
-        obj = solver.objective(solver.parts(u), -1)
-        if obj is not None and obj < best_obj:
-            best, best_obj = u, obj
+        vals = cutoff_bubble(solver.grid, s, solver.grid.r_max / 4).values
+        trial = solver.trial(vals)
+        if trial is not None and trial[0] < best_obj:
+            best, best_obj = vals, trial[0]
     return best
 
 
@@ -798,7 +797,7 @@ def normalized_branches(params: ProblemParams, grid: RadialGrid) -> NormalizedBr
     candidates = []
     for wdt in np.geomspace(1.5, grid.r_max / 3.0, 6):
         u0 = solver.normalize(gaussian(grid, width=float(wdt)).values)
-        tplus = solver.fiber_point(solver.parts(u0), 1)
+        tplus = solver.fiber_level(solver.parts(u0), 1)[0]
         if tplus is not None:
             candidates.append((abs(np.log(tplus)), u0))
     if not candidates:

@@ -91,6 +91,43 @@ print(json.dumps({"exit_reason": res.exit_reason, "converged": res.converged,
 """
 
 
+FLOW_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from choquard_lab import grid, solver
+from tracing import Tracer, instrument
+
+tracer = instrument(Tracer())
+from choquard_lab.functional import ProblemParams
+
+# dilations, trials and parts called by the flow's own loop
+inside = {"dilate": 0, "trial": 0, "parts": 0}
+def counted(cls, name):
+    fn = getattr(cls, name)
+    def wrapper(self, *args):
+        if tracer.innermost() == "solver.flow":
+            inside[name] += 1
+        return fn(self, *args)
+    setattr(cls, name, wrapper)
+for cls, name in ((solver._Discrete, "dilate"), (solver._MassSolver, "trial"),
+                  (solver._Discrete, "parts")):
+    counted(cls, name)
+flows = []
+flow = solver._MassSolver.flow
+def recorded(self, u0, which):
+    out = flow(self, u0, which)
+    flows.append([out[1], out[2]])
+    return out
+solver._MassSolver.flow = recorded
+
+# on this coarse grid the P+ flows end line-search-exhausted: rejected trials
+params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)
+solver.normalized_branches(params, grid.make_grid(3, 20.0, 200, 2.0))
+print(json.dumps({"inside": inside, "flows": flows,
+                  "flow_iters": tracer.value["solver.flow_iters"]}))
+"""
+
+
 def test_traced_newton_counts_match_returned_steps():
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
@@ -128,3 +165,19 @@ def test_one_matvec_per_projection_and_per_newton_step():
     # the descent's only dense products are the parts of each projected trial
     assert c["riesz.matvec.parts"] + c.get("riesz.matvec.conv_p", 0) == c["solver.nehari_t"]
     assert out["newton_conv_p"] <= out["k"] + 1
+
+
+def test_rejected_flow_trial_costs_one_matvec_and_no_dilation():
+    proc = subprocess.run([sys.executable, "-c", FLOW_SCRIPT, str(ROOT / "bench"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    c = out["inside"]
+    assert all(status != "no-fiber-point" for _, status in out["flows"])
+    # the start and every accepted iterate are landed: one dilation each
+    landed = sum(k + 1 for k, _ in out["flows"])
+    assert c["trial"] > landed, "no trial was rejected"
+    assert c["dilate"] == landed
+    # one parts per trial, one more per landing
+    assert c["parts"] == c["trial"] + landed
+    assert out["flow_iters"] == sum(k for k, _ in out["flows"])

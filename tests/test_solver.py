@@ -211,6 +211,54 @@ class TestNormalizedBranches:
             m = integrate(res.field.grid, res.field.values ** 2)
             assert abs(m - params.a ** 2) < 1e-8 * params.a ** 2
 
+    def test_minus_flow_relaxes_from_below_the_floor(self, hls_norm_grid, monkeypatch):
+        # at nu = 1 the P- flow starts below the resolvability floor and
+        # relaxes above it, so the mass fiber has no floor exit: with one,
+        # this branch ended xi-floor after 0 iterations, unconverged
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=1.0, a=1.0)
+        below, recording, flow, xi_of = [], [False], _MassSolver.flow, _MassSolver.xi_of
+
+        def minus_flow(self, u0, which):
+            recording[0] = which == -1
+            try:
+                return flow(self, u0, which)
+            finally:
+                recording[0] = False
+
+        def recorded_xi(self, u):
+            xi = xi_of(self, u)
+            if recording[0]:
+                below.append(xi < self.xi_floor())
+            return xi
+
+        monkeypatch.setattr(_MassSolver, "flow", minus_flow)
+        monkeypatch.setattr(_MassSolver, "xi_of", recorded_xi)
+        minus = normalized_branches(params, hls_norm_grid).minus
+        assert minus is not None and minus.converged
+        assert minus.exit_reason == "tol"
+        assert any(below) and not below[-1]
+
+    def test_each_flow_logs_its_exit(self, caplog, monkeypatch):
+        grid = make_grid(3, 50.0, 300, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        exits, flow = [], _MassSolver.flow
+
+        def recorded(self, u0, which):
+            out = flow(self, u0, which)
+            exits.append(out[1:3])
+            return out
+
+        monkeypatch.setattr(_MassSolver, "flow", recorded)
+        caplog.set_level("DEBUG", logger=solver_module.__name__)
+        normalized_branches(params, grid)
+        # one debug line per flow: its exit, iterations and fiber
+        assert len(exits) == 2 and len(caplog.records) == len(exits)
+        for record, (k, reason) in zip(caplog.records, exits):
+            assert record.getMessage().startswith(
+                f"descent {reason} after {k} iterations: mass fiber, ")
+
 
 class TestNewtonFloor:
     def test_mass_newton_stops_below_resolvability_floor(self, monkeypatch):
@@ -494,7 +542,8 @@ class TestScaleStep:
             assert k <= 60, (tag, k)
             # one debug line per descent: its exit, iterations and scale steps
             (record,) = caplog.records
-            assert record.getMessage().startswith(f"descent xi-floor after {k} iterations: ")
+            assert record.getMessage().startswith(
+                f"descent xi-floor after {k} iterations: ray fiber, ")
             assert "scale steps taken" in record.getMessage()
 
     @pytest.mark.parametrize("grid_args, lam, init, level", [
