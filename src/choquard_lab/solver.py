@@ -473,7 +473,8 @@ class _Discrete:
         start = self.trial(u)
         landed = None if start is None else start[2]()
         if landed is None:
-            raise NoProjection(f"initial field admits no projection onto its {self.fiber} fiber")
+            self._stop("no-fiber-point" if start is None else "fiber-point-outside-window")
+            raise NoProjection(f"initial field: {self.exit_reason} on its {self.fiber} fiber")
         u, pu = landed
         xis, scaling, tried, taken = [], True, 0, 0
 
@@ -725,7 +726,7 @@ class _MassSolver(_Discrete):
         try:
             v, k, parts = self.projected_descent(u0, _FLOW_ITERS, _FLOW_TOL)
         except NoProjection:
-            return None, 0, "no-fiber-point", None
+            return None, 0, self.exit_reason, None
         return v, k, self.exit_reason, parts
 
     def newton(self, u, lam):

@@ -114,17 +114,18 @@ class TestKernelValue:
     @given(point=kernel_points())
     @settings(max_examples=300, deadline=None)
     def test_against_mpmath(self, point):
-        # the connection branch to 1e-13 all the way to the diagonal; where
-        # kernel_value keeps hyp2f1 it is the direct call, bit for bit
+        # N = 3, the closed form, and N >= 4, the connection branch, to 1e-13
+        # all the way to the diagonal; where kernel_value keeps hyp2f1 (N >= 4)
+        # it is the direct call, bit for bit
         N, alpha, hi, lo = point
         kv = kernel_value(N, alpha, hi, lo)
-        if near_integer(alpha) or (lo / hi) ** 2 <= 0.5:
+        if N > 3 and (near_integer(alpha) or (lo / hi) ** 2 <= 0.5):
             assert kv == kernel_direct(N, alpha, hi, lo)
-        if not near_integer(alpha):
+        if N == 3 or not near_integer(alpha):
             exact = kernel_mpmath(N, alpha, hi, lo)
             assert abs(kv - exact) <= 1e-13 * abs(exact)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
     def test_coincident_points(self, alpha):
         # +inf for alpha <= 1, Gauss's value of 2F1 at z = 1 otherwise; any
         # RuntimeWarning fails the test (pyproject.toml)
@@ -139,6 +140,30 @@ class TestKernelValue:
             pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
                     * beta_fn((N - 1) / 2, 0.5))
             assert np.allclose(kv, pref * r ** (alpha - N) * gauss, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 0.5, 1.0, 1.5, 2.0, 2.5, 3 - 1e-9])
+    def test_origin_is_the_far_field_power(self, alpha):
+        # x = lo/hi = 0: F = 1 exactly, so K(0, s) = pref s^(alpha-3)
+        s = np.array([1e-3, 0.7, 40.0])
+        pref = riesz_normalization(3, alpha) * sphere_surface(2) * beta_fn(1.0, 0.5)
+        assert np.array_equal(kernel_value(3, alpha, 0.0, s), pref * s ** (alpha - 3))
+
+    def test_continuous_across_alpha_one(self):
+        # N = 3, alpha = 1 is artanh(x)/x, its neighbours the expm1 quotient;
+        # a change of 1e-9 in alpha moves K by at most ~1e-9 |log(r - s)|
+        r = np.array([1.0, 1.0, 1.0, 1.0, 3.0])
+        s = np.array([0.0, 0.3, 0.9, 1.0 - 1e-11, 3.0 * (1 + 1e-8)])
+        k1 = kernel_value(3, 1.0, r, s)
+        for alpha in (1 - 1e-9, 1 + 1e-9):
+            assert np.all(np.abs(kernel_value(3, alpha, r, s) - k1) <= 1e-7 * k1)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 0.5, 1.0, 1.5, 3 - 1e-9])
+    def test_box_edges_near_and_far(self, alpha):
+        # the edges of the box, from the diagonal to the far field, where
+        # log(1 - x) must come from log1p: 1 - x rounds away x's digits
+        for x in (1 - 1e-11, 1 - 1e-6, 0.99, 0.5, 0.1, 1e-5, 1e-8, 0.0):
+            exact = kernel_mpmath(3, alpha, 2.0, 2.0 * x)
+            assert abs(kernel_value(3, alpha, 2.0, 2.0 * x) - exact) <= 1e-13 * abs(exact)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(InvalidParameter):
@@ -410,9 +435,10 @@ class TestBatchedNearRows:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_block_size_changes_no_row(self, monkeypatch, block, alpha):
-        # only the connection series, truncated at the largest 1 - z of the
-        # block, depends on the blocks; the direct branch (alpha = 1) does not
-        grid = make_grid(3, 25.0, 120, 2.0)
+        # only the connection series of N >= 4, truncated at the largest 1 - z
+        # of the block, depends on the blocks; the direct branch (alpha = 1)
+        # does not
+        grid = make_grid(4, 25.0, 120, 2.0)
         targets = np.append(grid.r, [0.0, 30.0])
         rows = riesz._rows(grid, alpha, targets)
         monkeypatch.setattr(riesz, "_BLOCK", block)
@@ -554,17 +580,20 @@ class TestTableAgainstDirectKernel:
             old = riesz._build_table(grid, alpha)
         return new, old
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
     def test_connection_branch_agrees(self, grid, alpha):
         # each array at its own scale: G carries the quadrature weights.  At
-        # alpha = 0.5 the difference is hyp2f1's rounding of z near 1 (~1e-10)
+        # alpha = 0.5 the difference is hyp2f1's rounding of z near 1 (~1e-10);
+        # alpha = 1, where hyp2f1 rounds less, meets a bound of 1e-12
         new, old = self.tables(grid, alpha)
+        bound = 1e-12 if alpha == 1.0 else 1e-9
         for name in ("M", "G", "origin_row"):
             a, b = getattr(new, name), getattr(old, name)
-            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), name
+            assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    def test_direct_branch_bit_identical(self, grid, alpha):
-        new, old = self.tables(grid, alpha)
+    def test_direct_branch_bit_identical(self, alpha):
+        # N >= 4 keeps hyp2f1 at alpha = 1; every N keeps F = 1 at alpha = 2
+        new, old = self.tables(make_grid(4 if alpha == 1.0 else 3, 25.0, 120, 2.0), alpha)
         for name in ("M", "G", "origin_row"):
             assert np.array_equal(getattr(new, name), getattr(old, name)), name

@@ -239,6 +239,23 @@ class TestNormalizedBranches:
         assert minus.exit_reason == "tol"
         assert any(below) and not below[-1]
 
+    def test_plus_state_wider_than_the_window_is_reported_so(self, monkeypatch):
+        # at nu = 1 every seed's fiber minimum sits at a dilation t < 0.07 that
+        # moves most of the mass past r_max: the fiber point exists, landing
+        # on it leaves the window
+        grid = make_grid(3, 50.0, 300, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=1.0, a=1.0)
+        out = normalized_branches(params, grid)
+        assert out.plus is None
+        assert out.plus_absent_reason == "fiber-point-outside-window"
+        # a start with no fiber point at all keeps its own reason
+        solver = _MassSolver(params, grid)
+        u0 = solver.normalize(gaussian(grid, width=1.5).values)
+        assert solver.flow(u0, 1)[:3] == (None, 0, "fiber-point-outside-window")
+        monkeypatch.setattr(_MassSolver, "fiber_level", lambda self, parts, which: (None, np.nan))
+        assert solver.flow(u0, 1)[:3] == (None, 0, "no-fiber-point")
+
     def test_each_flow_logs_its_exit(self, caplog, monkeypatch):
         grid = make_grid(3, 50.0, 300, 2.0)
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
