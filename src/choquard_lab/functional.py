@@ -446,8 +446,8 @@ def nehari_project(params: ProblemParams, u: RadialField):
         raise InvalidParameter("ray projection applies to the free modes only")
     t_star = _ray_root(params, compute_parts(params, u))
     if t_star is None:
-        raise NoProjection("no Nehari projection: the nonlinear terms vanish or "
-                           "the ray root leaves [1e-14, 1e14]")
+        raise NoProjection("no Nehari projection: the nonlinear terms vanish or the ray "
+                           f"root leaves [{math.exp(-_RAY_RANGE):.2g}, {math.exp(_RAY_RANGE):.2g}]")
     deriv = t_star * u.deriv if u.deriv is not None else None
     return t_star, u.with_values(t_star * u.values, deriv=deriv)
 

@@ -12,18 +12,17 @@ where the quadrature samples most, neither suffers the rounding of z to 1,
 and both are far cheaper than `hyp2f1` (the N = 3 form takes 50-75 ns a
 point, `hyp2f1` 0.3 us at alpha = 1 and about 30 us at other alpha).
 
-A per-(grid, alpha) table turns the convolution into a dense
-matrix-vector product; panels near the diagonal, where the kernel has a
-kink (alpha = 2), a logarithmic singularity (alpha = 1) or an integrable
-algebraic one (alpha < 1), are assembled by product integration on
-geometrically refined sub-panels, in batches: one `kernel_value` call per
-block of targets covers every near (target, panel) pair of the block.
-
-The pairing table G is exactly symmetric, and every product with it goes
-through `RieszKernelTable.apply`, BLAS `dsymv` on one triangle: on one core
-the product is bound by memory bandwidth, so reading half the table makes it
-nearly twice as fast.  Tables are cached by (grid, alpha) value, the
-_CACHED_TABLES most recently used ones.
+Quadrature rows (`_rows`), built on demand by `convolve` and
+`potential_at`, sample the kernel at the nodes; near the diagonal, where it
+has a kink (alpha = 2), a logarithmic singularity (alpha = 1) or an
+integrable algebraic one (alpha < 1), panels are product-integrated on
+geometrically refined sub-panels, one `kernel_value` call per block of
+targets.  The solvers read only the pairing int (I_alpha * f) g = f^T G g:
+a per-(grid, alpha) table holds G alone, the rows at the nodes weighted and
+symmetrized in place, and every product with it is BLAS `dsymv` on one
+triangle (`RieszKernelTable.apply`), nearly twice as fast as reading all of
+it on one memory-bound core.  The _CACHED_TABLES most recently used tables
+are kept, keyed by (grid, alpha) value.
 """
 
 from __future__ import annotations
@@ -284,28 +283,17 @@ def _panel_product_row(N: int, alpha: float, t, a, b, nodes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RieszKernelTable:
-    """Cached discrete convolution for one (grid, alpha).
-
-    `M` maps nodal values of g to nodal values of I_alpha * g; `G` is the
-    symmetrized bilinear form so that int (I_alpha*f) g = f^T G g exactly
-    symmetric; `origin_row` evaluates the potential at r = 0.  Products with
-    G go through `apply`, which reads one triangle of it.
-    """
+    """The cached pairing table of one (grid, alpha): int (I_alpha*f) g =
+    f^T G g, G exactly symmetric; `apply` reads one triangle of it."""
 
     grid: RadialGrid
     alpha: float
-    M: np.ndarray
     G: np.ndarray
-    origin_row: np.ndarray
 
     def convolve_values(self, gvals: np.ndarray) -> np.ndarray:
-        """Pointwise potential via the product-integration rows.
-
-        (The bilinear form goes through `G`, the symmetrized pairing; the two
-        agree to quadrature accuracy, but dividing G by the tiny origin-side
-        weights would amplify the symmetrization residue pointwise.)
-        """
-        return self.M @ gvals
+        # kept only because bench/tracing.py wraps it by name; ROADMAP item 1
+        # deletes it together with that tracer line
+        return _rows(self.grid, self.alpha, self.grid.r) @ gvals
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G @ x by BLAS dsymv, which reads one triangle of the symmetric G.
@@ -361,18 +349,18 @@ def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
 
 
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
-    M = _rows(grid, alpha, grid.r)
-    G = grid.weights_full[:, None] * M
-    # G <- (G + G.T) / 2 in place, _BLOCK rows (and columns) at a time: the
-    # block rows from the diagonal on, and their mirror columns
+    # the rows at the nodes turn into G in place: weighted, then
+    # G <- (G + G.T) / 2, _BLOCK rows (and columns) at a time: the block rows
+    # from the diagonal on, and their mirror columns
+    G = _rows(grid, alpha, grid.r)
+    G *= grid.weights_full[:, None]
     for s in range(0, grid.n, _BLOCK):
         e = s + _BLOCK
         sym = G[s:e, s:] + G[s:, s:e].T
         sym *= 0.5
         G[s:e, s:] = sym
         G[s:, s:e] = sym.T
-    return RieszKernelTable(grid=grid, alpha=alpha, M=M, G=G,
-                            origin_row=_rows(grid, alpha, [0.0])[0])
+    return RieszKernelTable(grid=grid, alpha=alpha, G=G)
 
 
 # tables kept, least recently used evicted first: the multiplicity pipeline
@@ -398,11 +386,15 @@ def kernel_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
 
 
 def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
-    """I_alpha * g on the grid; positive whenever g is nontrivial and >= 0."""
+    """I_alpha * g on the grid; positive whenever g is nontrivial and >= 0.
+
+    From the quadrature rows at the nodes and at r = 0, not from G: the two
+    agree to quadrature accuracy, but dividing G by the tiny origin-side
+    weights would amplify its symmetrization residue pointwise."""
     _check_same_grid(grid, g)
-    tab = kernel_table(grid, alpha)
-    vals = tab.convolve_values(g.values)
-    return RadialField(grid=grid, values=vals, origin=float(np.dot(tab.origin_row, g.values)))
+    vals = _rows(grid, alpha, grid.r) @ g.values
+    origin = float(np.dot(_rows(grid, alpha, [0.0])[0], g.values))
+    return RadialField(grid=grid, values=vals, origin=origin)
 
 
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:
@@ -411,7 +403,8 @@ def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> n
 
 
 def interaction_energy(grid: RadialGrid, u: RadialField, p: float, alpha: float) -> float:
-    """int (I_alpha * u^p) u^p  (nonnegative, bilinear-symmetric)."""
+    """int (I_alpha * u^p) u^p through the symmetric G.  Nonnegativity is not
+    guaranteed: G can have negative eigenvalues (N = 5, alpha = 4.5)."""
     _check_same_grid(grid, u)
     tab = kernel_table(grid, alpha)
     up = np.abs(u.values) ** p

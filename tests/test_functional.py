@@ -160,7 +160,8 @@ class TestNehariProject:
     def test_no_projection(self, grid3):
         pp = ProblemParams(N=3, alpha=2.0, p=2.0, q=3.0, mode="general",
                            mu=0.0, lam=0.0)
-        with pytest.raises(NoProjection):
+        # the message states the range the ray root is sought in, [2^-46, 2^46]
+        with pytest.raises(NoProjection, match=r"\[1\.4e-14, 7e\+13\]"):
             nehari_project(pp, gaussian(grid3))
 
     def test_negative_linear_part_raises_no_projection(self):

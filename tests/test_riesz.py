@@ -222,6 +222,14 @@ class TestConvolve:
             exact = inner / r + outer
             assert abs(D.values[i] - exact) < 1e-6 * abs(exact)
 
+    def test_leaves_the_table_cache_untouched(self):
+        grid = make_grid(3, 25.0, 140, 2.0)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        cached = lambda: [(key, id(tab)) for key, tab in riesz._TABLE_CACHE.items()]
+        before = cached()
+        convolve(grid, g, 1.5)
+        assert cached() == before
+
 
 class TestPotentialNearPanelEnds:
     """Off-grid targets just inside or outside a panel end, where the graded
@@ -256,7 +264,7 @@ class TestPotentialNearPanelEnds:
 
 
 class TestPotentialAt:
-    """`potential_at` and the table share one row builder."""
+    """`potential_at` and `convolve` share one row builder."""
 
     @pytest.fixture(scope="class")
     def gauss(self):
@@ -323,6 +331,26 @@ class TestInteractionEnergy:
             pnorm = 2 * 3 / (3 + 1.5)
             rhs = c_bound * integrate(grid3, vals ** pnorm) ** (2 / pnorm)
             assert lhs <= rhs * (1 + 1e-6)
+
+    @given(N=st.integers(3, 5), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_hls_bound_over_the_box(self, N, frac, seed):
+        # the extremizer reaches the bound to quadrature accuracy; Gaussian
+        # sums stay below it
+        alpha = 0.01 + frac * (N - 0.02)
+        grid = make_grid(N, 40.0, 300, 2.5)
+        rng = np.random.default_rng(seed)
+        fields = [hls_extremizer(grid, alpha).values]
+        for _ in range(3):
+            fields.append(sum(a * np.exp(-((grid.r - c) / w) ** 2) for a, c, w in
+                              zip(rng.uniform(0.1, 2.0, 3), rng.uniform(0, 8, 3),
+                                  rng.uniform(0.5, 3.0, 3))))
+        c_bound = interaction_bound_constant(N, alpha)
+        pnorm = 2 * N / (N + alpha)
+        for vals in fields:
+            lhs = interaction_energy(grid, RadialField.from_values(grid, vals), 1.0, alpha)
+            rhs = c_bound * integrate(grid, vals ** pnorm) ** (2 / pnorm)
+            assert lhs <= (1 + 1e-4) * rhs
 
 
 def refined_pieces_oracle(a, b, sing):
@@ -414,9 +442,10 @@ class TestBatchedNearRows:
         tab = riesz._build_table(grid, alpha)
         M = rows_oracle(grid, alpha, grid.r)
         WM = grid.weights_full[:, None] * M
-        assert_close_to_max(tab.M, M, name="M")
+        assert_close_to_max(riesz._rows(grid, alpha, grid.r), M, name="M")
         assert_close_to_max(tab.G, 0.5 * (WM + WM.T), name="G")
-        assert_close_to_max(tab.origin_row, rows_oracle(grid, alpha, [0.0])[0], name="origin")
+        assert_close_to_max(riesz._rows(grid, alpha, [0.0])[0],
+                            rows_oracle(grid, alpha, [0.0])[0], name="origin")
         assert np.array_equal(tab.G, tab.G.T)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -449,7 +478,7 @@ class TestBatchedNearRows:
         assert np.all(np.abs(blocked - rows) <= 1e-15 * scale)
 
     def test_build_peaks_at_two_tables(self):
-        # M and G: G is symmetrized in place, _BLOCK rows at a time
+        # G is symmetrized in place, _BLOCK rows at a time
         grid = make_grid(3, 40.0, 1000, 2.5)
         tracemalloc.start()
         try:
@@ -460,8 +489,8 @@ class TestBatchedNearRows:
         assert peak < 2.5 * 8 * grid.n ** 2
 
     def test_build_peaks_at_three_tables(self):
-        # M, G and G's transposed copy; the per-block temporaries are O(n)
-        # rows, not n x n
+        # no transposed copy of G: the per-block temporaries are O(n) rows,
+        # not n x n
         grid = make_grid(3, 40.0, 1000, 2.5)
         tracemalloc.start()
         try:
@@ -470,6 +499,27 @@ class TestBatchedNearRows:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * grid.n ** 2
+
+    def test_build_peaks_at_one_table(self):
+        # the rows turn into G in place, weighted and then symmetrized
+        # _BLOCK rows at a time: beyond G the build holds only per-block
+        # temporaries, about 11 arrays of _BLOCK rows
+        n = 1000
+        grid = make_grid(3, 40.0, n, 2.5)
+        tracemalloc.start()
+        try:
+            riesz._build_table(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n ** 2 + 16 * 8 * riesz._BLOCK * n
+
+    @pytest.mark.parametrize("N,alpha", [(3, 1.0), (4, 1.5), (5, 4.5)])
+    def test_table_holds_one_array(self, N, alpha):
+        grid = make_grid(N, 25.0, 120, 2.0)
+        tab = riesz._build_table(grid, alpha)
+        arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 8 * grid.n ** 2
 
 
 class TestKernelTable:
@@ -573,11 +623,16 @@ class TestTableAgainstDirectKernel:
         return make_grid(3, 25.0, 120, 2.0)
 
     @staticmethod
-    def tables(grid, alpha):
-        new = riesz._build_table(grid, alpha)
+    def arrays(grid, alpha):
+        return {"M": riesz._rows(grid, alpha, grid.r),
+                "G": riesz._build_table(grid, alpha).G,
+                "origin_row": riesz._rows(grid, alpha, [0.0])[0]}
+
+    def tables(self, grid, alpha):
+        new = self.arrays(grid, alpha)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(riesz, "kernel_value", kernel_direct)
-            old = riesz._build_table(grid, alpha)
+            old = self.arrays(grid, alpha)
         return new, old
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
@@ -588,7 +643,7 @@ class TestTableAgainstDirectKernel:
         new, old = self.tables(grid, alpha)
         bound = 1e-12 if alpha == 1.0 else 1e-9
         for name in ("M", "G", "origin_row"):
-            a, b = getattr(new, name), getattr(old, name)
+            a, b = new[name], old[name]
             assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -596,4 +651,4 @@ class TestTableAgainstDirectKernel:
         # N >= 4 keeps hyp2f1 at alpha = 1; every N keeps F = 1 at alpha = 2
         new, old = self.tables(make_grid(4 if alpha == 1.0 else 3, 25.0, 120, 2.0), alpha)
         for name in ("M", "G", "origin_row"):
-            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+            assert np.array_equal(new[name], old[name]), name
