@@ -15,7 +15,9 @@ the exponents e of a fiber (`_fiber_exponents`): the energy is the sum at
 t = 1, a fiber energy the sum at t, and the Nehari, P_nu and Pohozaev
 defects are fiber derivatives at t = 1.  Fibers are evaluated from these
 exact scaling laws, never by re-quadrature, so critical-point
-classification is free of interpolation noise.  The same exponent rows give
+classification is free of interpolation noise.  A fiber derivative is a sum
+of at most three powers of t, so one monotone Newton iteration in log t
+(`_log_root`) solves its zeros to roundoff.  The same exponent rows give
 the multiplier of the normalized modes, its P_nu + Pohozaev prediction and
 the parts of a rescaled field amp * u(arg x).
 """
@@ -303,108 +305,105 @@ def fiber_energy(params: ProblemParams, parts: Parts, kind: str, t):
     return _fiber_sum(params, _weights(params), parts, kind, np.asarray(t, dtype=float), 0)
 
 
-def _fiber_derivative(params: ProblemParams, parts: Parts, kind: str):
-    """d/dt and d^2/dt^2 of the fiber energy as callables, and the size of
-    the individual first-derivative terms (for degeneracy tests)."""
-    g = _weights(params)
-    size = tuple(abs(gi) for gi in g)
-
-    def d(t):
-        return _fiber_sum(params, g, parts, kind, t, 1)
-
-    def d2(t):
-        return _fiber_sum(params, g, parts, kind, t, 2)
-
-    def dscale(t):
-        return _fiber_sum(params, size, parts, kind, t, 1)
-
-    return d, d2, dscale
-
-
 def _fiber_critical_points(params: ProblemParams, parts: Parts, kind: str,
-                           t_lo: float = 1e-6, t_hi: float = 1e6, samples: int = 4001):
-    """Critical points of the fiber energy on [t_lo, t_hi] as (t, sign) pairs.
+                           t_lo: float = 1e-6, t_hi: float = 1e6):
+    """Critical points of the fiber energy on [t_lo, t_hi] as (t, sign) pairs,
+    ascending in t; sign is +1 at a local minimum and -1 at a local maximum,
+    or 0 (degenerate) when |t E''(t)| is below 1e-9 of the fiber's term scale.
 
-    The zeros of the exact t-derivative are scanned on `samples` log-spaced
-    points; sign is +1 at a local minimum and -1 at a local maximum, or 0
-    (degenerate) when |t E''(t)| is below 1e-9 of the fiber's term scale.
+    Up to the factor -sign(a) t^b of its term a t^b whose sign stands alone,
+    t E'(t) is the convex f(s) = B e^(e1 s) + C e^(e2 s) - A in s = log t,
+    A, B, C >= 0, with its minimum at s* (infinite when e1 and e2 share a
+    sign) and at most one zero on either side of it.
     """
-    d, d2, dscale = _fiber_derivative(params, parts, kind)
+    g = _weights(params)
+    terms = {}
+    for gi, ri, ei, x in zip(g, _fiber_exponents(params, "ray"),
+                             _fiber_exponents(params, kind), _values(parts)):
+        terms[ei] = terms.get(ei, 0.0) + gi * (ei / ri) * x
+    pos = [(b, a) for b, a in terms.items() if a > 0]
+    neg = [(b, -a) for b, a in terms.items() if a < 0]
+    if not pos or not neg:
+        return []
+    (b0, A), rest = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
+    (e1, B), (e2, C) = [(b - b0, c) for b, c in rest + [(rest[0][0], 0.0)]][:2]
+    if e1 * e2 < 0:     # f'(s*) = 0
+        star = (math.log(-e1 / e2) + math.log(B) - math.log(C)) / (e2 - e1)
+    else:
+        star = -math.inf if e1 > 0 else math.inf
+    lo, hi = math.log(t_lo), math.log(t_hi)
+    mid = min(max(star, lo), hi)
+    if B * math.exp(e1 * mid) + C * math.exp(e2 * mid) > A:
+        return []       # f's least value on the window is positive
+    # the zero left of s* through s -> -s, and the one right of it; both end
+    # at s* when they are within roundoff of each other
+    left = _log_root(A, B, C, -e1, -e2, -hi, -lo, -mid) if star >= lo else None
+    right = _log_root(A, B, C, e1, e2, lo, hi, mid) if star <= hi else None
+    roots = sorted({s for s in (None if left is None else -left, right) if s is not None})
+    size = tuple(abs(gi) for gi in g)
     points = []
-    for t0 in _fiber_roots(d, t_lo, t_hi, samples):
-        curv = d2(t0) * t0
-        points.append((t0, 0 if abs(curv) < 1e-9 * dscale(t0) else int(np.sign(curv))))
+    for t0 in map(math.exp, roots):
+        curv = _fiber_sum(params, g, parts, kind, t0, 2) * t0
+        scale = _fiber_sum(params, size, parts, kind, t0, 1)
+        points.append((t0, 0 if abs(curv) < 1e-9 * scale else int(np.sign(curv))))
     return points
 
 
-def _fiber_roots(d, t_lo: float, t_hi: float, samples: int):
-    """Zeros of d on [t_lo, t_hi]: sign changes on a log-spaced scan of
-    `samples` points, refined by brentq; a sample where d vanishes exactly
-    counts as a zero, and zeros closer than 1e-10 relative are merged."""
-    from scipy.optimize import brentq
-    ts = np.exp(np.linspace(np.log(t_lo), np.log(t_hi), samples))
-    vals = d(ts)
-    change = vals[:-1] * vals[1:] < 0
-    roots = []
-    for i in np.nonzero(change | (vals[:-1] == 0.0))[0]:
-        t0 = brentq(d, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-13) if change[i] else ts[i]
-        if not roots or abs(t0 - roots[-1]) >= 1e-10 * t0:
-            roots.append(t0)
-    return roots
+_NEWTON_ITERS = 100
+_RAY_RANGE = 46 * math.log(2.0)   # ray roots are sought in [2^-46, 2^46]
 
 
-_RAY_RANGE = 46 * np.log(2.0)   # ray roots are sought in [2^-46, 2^46]
-_RAY_NEWTON_ITERS = 100
+def _log_root(A, B, C, e1, e2, lo, hi, floor):
+    """The zero s in [lo, hi] at which the convex f(s) = B e^(e1 s) +
+    C e^(e2 s) - A (A, B, C >= 0) increases, or None.
 
-
-def _ray_root(params: ProblemParams, parts: Parts):
-    """The unique t* > 0 with t* u on the Nehari manifold, or None.
-
-    Solves t^2 (K + mc M) = cR t^(2p) R + cP t^q P, i.e. the zero of
-    f(s) = B e^((2p-2) s) + C e^((q-2) s) - A in s = log t.  With B, C >= 0
-    (`ProblemParams` admits no negative coupling) f is a sum of exponentials
-    with positive exponents minus a constant: convex and increasing.  So
-    Newton started to the right of the root, at the single-term bound
-    min_i log(A / c_i) / e_i, descends monotonically onto it.  None when
-    both nonlinear terms vanish, A <= 0, or the root leaves [2^-46, 2^46].
-
-    The parts may be arrays: the roots are then solved together, with NaN
-    where a scalar call would return None.
+    Newton starts right of it, at the single-term bound min log(A/c)/e over
+    the terms with e > 0, so the iterates fall monotonically onto it.  They
+    are held in [floor, hi + 1], where the terms stay finite.  A, B and C may
+    be arrays, solved together with NaN where a scalar call gives None.
     """
-    g, (K, M, R, P) = _weights(params), _values(parts)
-    e1, e2 = 2 * params.p - 2, params.q - 2
-    scalar = np.ndim(K + M + R + P) == 0
-    A, B, C = (np.atleast_1d(np.asarray(x, dtype=float))
-               for x in (g[0] * K + g[1] * M, -(g[2] * R), -(g[3] * P)))
+    scalar = np.ndim(A + B + C) == 0
+    A, B, C = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (A, B, C))
     with np.errstate(all="ignore"):     # log(A / c) is +-inf where it over- or underflows
-        s = np.minimum(np.where(B > 0, np.log(A / B) / e1, np.inf),
-                       np.where(C > 0, np.log(A / C) / e2, np.inf))
-    found = np.isfinite(s) & (s >= -_RAY_RANGE)
-    # the iterates are held one past the range, where the terms stay finite: a
-    # root beyond it leaves them there, with a step that does not descend
-    cap = _RAY_RANGE + 1.0
+        s = np.minimum(np.where((B > 0) & (e1 > 0), np.log(A / B) / e1, np.inf),
+                       np.where((C > 0) & (e2 > 0), np.log(A / C) / e2, np.inf))
+    found = np.isfinite(s) & (s >= lo)
+    cap = hi + 1.0
     if scalar:
         # Python floats: numpy's per-call overhead would be most of the cost
         if not found[0]:
             return None
         A, B, C, s = float(A[0]), float(B[0]), float(C[0]), min(float(s[0]), cap)
-        exp, every, lower = math.exp, bool, min
+        exp, every, lower, upper = math.exp, bool, min, max
     else:
         # a rootless entry iterates on the benign e^(e1 s) = 1 and is masked after
         A, B, C, s = (np.where(found, x, fill) for x, fill in
                       ((A, 1.0), (B, 1.0), (C, 0.0), (np.minimum(s, cap), 0.0)))
-        exp, every, lower = np.exp, np.all, np.minimum
-    for _ in range(_RAY_NEWTON_ITERS):
+        exp, every, lower, upper = np.exp, np.all, np.minimum, np.maximum
+    for _ in range(_NEWTON_ITERS):
         tB, tC = B * exp(e1 * s), C * exp(e2 * s)
         step = (tB + tC - A) / (e1 * tB + e2 * tC)
-        s = lower(s - step, cap)
+        s = upper(lower(s - step, cap), floor)
         # the steps fall monotonically; one at roundoff level ends the descent
-        if every(step <= 4e-16 * (abs(s) + 1.0)):
+        if every((step <= 4e-16 * (abs(s) + 1.0)) | (s <= floor)):
             break
     if scalar:
-        return math.exp(s) if abs(s) <= _RAY_RANGE else None
-    found &= np.abs(s) <= _RAY_RANGE
-    return np.where(found, np.exp(np.where(found, s, 0.0)), np.nan)
+        return s if lo <= s <= hi else None
+    return np.where(found & (s >= lo) & (s <= hi), s, np.nan)
+
+
+def _ray_root(params: ProblemParams, parts: Parts):
+    """The unique t* > 0 with t* u on the Nehari manifold, or None when both
+    nonlinear terms vanish, A <= 0 or t* leaves [2^-46, 2^46]: the zero of
+    B e^((2p-2) s) + C e^((q-2) s) - A in s = log t, which increases since
+    `ProblemParams` admits no negative coupling.  The parts may be arrays.
+    """
+    g, (K, M, R, P) = _weights(params), _values(parts)
+    s = _log_root(g[0] * K + g[1] * M, -(g[2] * R), -(g[3] * P), 2 * params.p - 2,
+                  params.q - 2, -_RAY_RANGE, _RAY_RANGE, -_RAY_RANGE - 1.0)
+    if s is None:
+        return None
+    return np.exp(s) if isinstance(s, np.ndarray) else math.exp(s)
 
 
 @dataclass(frozen=True)
@@ -419,9 +418,10 @@ class FiberProfile:
 def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> FiberProfile:
     """Energy profile along a fiber with located critical points.
 
-    Critical points are found on the sampled window by sign changes of the
-    exact t-derivative, refined by bisection; second-derivative signs
-    classify them (+1 local min, -1 local max, 0 degenerate).
+    Critical points are the zeros of the exact t-derivative on the window
+    [min ts, max ts], solved to roundoff by `_fiber_critical_points` however
+    ts samples it; second-derivative signs classify them (+1 local min,
+    -1 local max, 0 degenerate).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -429,8 +429,7 @@ def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> Fiber
     if np.any(ts <= 0):
         raise InvalidParameter("fiber grid must be positive")
     parts = compute_parts(params, u)
-    points = _fiber_critical_points(params, parts, kind, ts.min(), ts.max(),
-                                    max(4 * len(ts), 400))
+    points = _fiber_critical_points(params, parts, kind, ts.min(), ts.max())
     return FiberProfile(kind=kind, ts=ts, energies=fiber_energy(params, parts, kind, ts),
                         critical_ts=tuple(t for t, _ in points),
                         second_derivative_signs=tuple(sign for _, sign in points))

@@ -2,7 +2,8 @@
 box: the energy, the defects, the fiber energies and their derivatives are
 one coefficient sum, checked against the per-mode formulas written out; the
 multiplier, its P_nu + Pohozaev prediction and the rescaled parts come from
-the same exponent rows; the Nehari ray root matches a bracketing brentq
+the same exponent rows; the fiber critical points lose no root of a dense
+sign-change scan, and the Nehari ray root matches a bracketing brentq
 oracle."""
 
 from dataclasses import astuple
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from choquard_lab.functional import (Parts, ProblemParams, _defects_from_parts,
-                                     _fiber_derivative, _fiber_roots, _ray_root,
+                                     _fiber_critical_points, _fiber_sum, _ray_root, _weights,
                                      energy_from_parts, fiber_energy, identity_prediction,
                                      multiplier_from_parts, scaled_parts)
 from choquard_lab.grid import make_grid
@@ -105,6 +106,28 @@ def _term_size(pp, parts, kind, t):
     return sum(c * t ** e * x for c, e, x in zip(coeffs, exponents(pp, kind), values))
 
 
+def _derivative(pp, parts, kind, t, order=1):
+    return _fiber_sum(pp, _weights(pp), parts, kind, t, order)
+
+
+def _derivative_scale(pp, parts, kind, t):
+    """Sum of the magnitudes of the first-derivative terms."""
+    return _fiber_sum(pp, tuple(abs(g) for g in _weights(pp)), parts, kind, t, 1)
+
+
+_wide_part = st.floats(1e-30, 1e30)
+
+
+@st.composite
+def wide_problems(draw):
+    """`problems` draws; half of them with parts over 60 decades, which puts
+    fiber roots outside any window often enough to test the edges."""
+    pp, parts = draw(problems())
+    if draw(st.booleans()):
+        parts = Parts(*(draw(_wide_part) for _ in range(4)))
+    return pp, parts
+
+
 # ------------------------------------------------------------- the tests
 
 class TestFourPartAlgebra:
@@ -141,31 +164,86 @@ class TestFourPartAlgebra:
     def test_derivative_matches_centred_difference(self, draw, t):
         pp, parts = draw
         for kind in KINDS:
-            d, d2, dscale = _fiber_derivative(pp, parts, kind)
             h = 1e-5 * t
+            d, d2 = _derivative(pp, parts, kind, t), _derivative(pp, parts, kind, t, 2)
+            dscale = _derivative_scale(pp, parts, kind, t)
             fd = (fiber_energy(pp, parts, kind, t + h)
                   - fiber_energy(pp, parts, kind, t - h)) / (2 * h)
-            assert abs(d(t) - fd) <= 1e-5 * (dscale(t) + abs(fiber_energy(pp, parts, kind, t)))
-            fd2 = (d(t + h) - d(t - h)) / (2 * h)
-            assert abs(d2(t) - fd2) <= 1e-5 * (dscale(t) / t + abs(d2(t)))
+            assert abs(d - fd) <= 1e-5 * (dscale + abs(fiber_energy(pp, parts, kind, t)))
+            fd2 = (_derivative(pp, parts, kind, t + h)
+                   - _derivative(pp, parts, kind, t - h)) / (2 * h)
+            assert abs(d2 - fd2) <= 1e-5 * (dscale / t + abs(d2))
 
-    @given(problems())
-    @settings(max_examples=200, deadline=None)
-    def test_scanned_roots_zero_the_derivative(self, draw):
+
+# -------------------------------------------------- the fiber critical points
+
+def scanned_roots(pp, parts, kind, t_lo=1e-6, t_hi=1e6, samples=20001):
+    """The oracle: sign changes of the derivative on a log-spaced scan,
+    refined by brentq with its absolute tolerance taken out."""
+    ts = np.geomspace(t_lo, t_hi, samples)
+    vals = _derivative(pp, parts, kind, ts)
+    return [brentq(lambda t: _derivative(pp, parts, kind, t), ts[i], ts[i + 1],
+                   xtol=1e-300, rtol=1e-15)
+            for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]]
+
+
+def root_conditioning(pp, parts, kind, t):
+    """How far a relative error of 8 ulp in the terms of E' moves its zero:
+    8 eps |terms| / |E''|.  Roots where a term is nearly flat, as at q near
+    2, are this ill-conditioned in both the oracle and the routine."""
+    return (8 * np.finfo(float).eps * _derivative_scale(pp, parts, kind, t)
+            / abs(_derivative(pp, parts, kind, t, 2)))
+
+
+class TestFiberCriticalPoints:
+    @given(wide_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_roots_zero_the_derivative(self, draw):
         pp, parts = draw
         for kind in KINDS:
-            d, _, dscale = _fiber_derivative(pp, parts, kind)
-            for t0 in _fiber_roots(d, 1e-3, 1e3, 2001):
-                assert 1e-3 <= t0 <= 1e3
-                assert abs(d(t0)) <= 1e-10 * dscale(t0)
+            points = _fiber_critical_points(pp, parts, kind)
+            for t0, _ in points:
+                assert 1e-6 <= t0 <= 1e6
+                assert abs(_derivative(pp, parts, kind, t0)) <= \
+                    1e-10 * _derivative_scale(pp, parts, kind, t0)
+            # at most two, and two only on the mass fiber: P+ before P-
+            ts = [t0 for t0, _ in points]
+            assert ts == sorted(ts) and len(ts) <= (2 if kind == "mass" else 1)
+            if len(points) == 2:
+                assert [sign for _, sign in points] == [1, -1]
         if not pp.normalized:
             t_star = _ray_root(pp, parts)
             if t_star is not None:
                 # the ray derivative changes sign within the root's tolerance,
                 # up to the roundoff of its terms
-                d, _, dscale = _fiber_derivative(pp, parts, "ray")
-                tol, eps = 4e-15 + 4e-14 * t_star, 1e-14 * dscale(t_star)
-                assert d(t_star - tol) >= -eps and d(t_star + tol) <= eps
+                tol = 4e-15 + 4e-14 * t_star
+                eps = 1e-14 * _derivative_scale(pp, parts, "ray", t_star)
+                assert _derivative(pp, parts, "ray", t_star - tol) >= -eps
+                assert _derivative(pp, parts, "ray", t_star + tol) <= eps
+
+    @given(wide_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_no_scanned_root_is_lost(self, draw):
+        pp, parts = draw
+        for kind in KINDS:
+            ts = [t0 for t0, _ in _fiber_critical_points(pp, parts, kind)]
+            for want in scanned_roots(pp, parts, kind):
+                tol = max(1e-12 * want, 1e-14) + root_conditioning(pp, parts, kind, want)
+                assert any(abs(t0 - want) <= tol for t0 in ts), (kind, want, ts)
+
+    @pytest.mark.parametrize("below", [1e-7, 1e-9])
+    def test_both_points_near_the_fold(self, below):
+        # on the mass fiber t E'(t) = K t^2 - R t^10 - (nu/2) P t^(3/2); with
+        # K = R = nu = 1 its two zeros merge (E' = E'' = 0) at t^8 = 1/17,
+        # P = 32 * 17^(-17/16).  Just below, they are 0.04 % apart or less
+        pp = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=1.0)
+        parts = Parts(1.0, 1.0, 1.0, 32.0 * 17.0 ** (-17 / 16) * (1.0 - below))
+        points = _fiber_critical_points(pp, parts, "mass")
+        assert [sign for _, sign in points] == [1, -1]
+        for t0, _ in points:
+            assert abs(t0 - 17.0 ** (-1 / 8)) < 1e-3
+            assert abs(_derivative(pp, parts, "mass", t0)) <= \
+                1e-10 * _derivative_scale(pp, parts, "mass", t0)
 
 
 # ------------------------------------------------------- the ray root
@@ -203,17 +281,10 @@ def ray_root_tolerance(pp, parts, t):
     return (1e-14 + 8 * np.finfo(float).eps * 2 * A / slope) * t
 
 
-_wide_part = st.floats(1e-30, 1e30)
-
-
-@st.composite
-def free_problems(draw):
-    """Free-mode draws; half of them with parts over 60 decades, which puts
-    the root outside [2^-46, 2^46] often enough to test the None cases."""
-    pp, parts = draw(problems().filter(lambda d: not d[0].normalized))
-    if draw(st.booleans()):
-        parts = Parts(*(draw(_wide_part) for _ in range(4)))
-    return pp, parts
+def free_problems():
+    """Free-mode wide draws, which put the root outside [2^-46, 2^46] often
+    enough to test the None cases."""
+    return wide_problems().filter(lambda d: not d[0].normalized)
 
 
 class TestRayRoot:

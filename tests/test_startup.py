@@ -1,8 +1,8 @@
 """Start-up cost: importing the package and running what the `threshold` and
-`kernel_generic` benchmarks run load no scipy subpackage those paths never
-call.  Each command-line process pays every import, so scipy.optimize,
-scipy.interpolate and scipy.integrate are imported only where they are used
-(shooting, fiber root scans, bubble calibration)."""
+`kernel_generic` benchmarks run, and a normalized two-branch solve, load no
+scipy subpackage those paths never call.  Each command-line process pays
+every import, so scipy.optimize, scipy.interpolate and scipy.integrate are
+imported only where they are used (shooting and the bubble calibration)."""
 
 import json
 import os
@@ -37,7 +37,13 @@ grid = make_grid(3, 25.0, 200, 2.0)
 g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
 V = riesz.convolve(grid, g, 1.5)
 P = riesz.potential_at(grid, g, 1.5, [0.5, 2.0])
-print(json.dumps({"after_import": after_import, "after_run": [m for m in DEFERRED if m in sys.modules],
+after_run = [m for m in DEFERRED if m in sys.modules]
+branches = solver.normalized_branches(
+    ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0),
+    make_grid(3, 20.0, 200, 2.0))
+print(json.dumps({"after_import": after_import, "after_run": after_run,
+                  "after_normalized": [m for m in DEFERRED if m in sys.modules],
+                  "branches": [b is not None for b in (branches.plus, branches.minus)],
                   "converged": res.converged, "finite": bool(np.all(np.isfinite(P))), **calls}))
 """
 
@@ -54,6 +60,9 @@ def test_import_and_benchmarked_paths_skip_unused_scipy():
     assert out["converged"] and out["dilate"] > 0 and out["polish"] > 0
     assert out["finite"]
     assert out["after_run"] == []
+    # both fiber points of the mass fiber are solved without scipy.optimize
+    assert out["branches"] == [True, True]
+    assert out["after_normalized"] == []
 
 
 def test_solver_brentq_resolves_on_first_access():
