@@ -12,17 +12,17 @@ where the quadrature samples most, neither suffers the rounding of z to 1,
 and both are far cheaper than `hyp2f1` (the N = 3 form takes 50-75 ns a
 point, `hyp2f1` 0.3 us at alpha = 1 and about 30 us at other alpha).
 
-Quadrature rows (`_rows`), built on demand by `convolve` and
-`potential_at`, sample the kernel at the nodes; near the diagonal, where it
-has a kink (alpha = 2), a logarithmic singularity (alpha = 1) or an
-integrable algebraic one (alpha < 1), panels are product-integrated on
-geometrically refined sub-panels, one `kernel_value` call per block of
-targets.  The solvers read only the pairing int (I_alpha * f) g = f^T G g:
-a per-(grid, alpha) table holds G alone, the rows at the nodes weighted and
+Quadrature rows (`_rows`), built on demand by `convolve` and `potential_at`,
+sample the kernel at the nodes; near the diagonal, where it has a kink
+(alpha = 2), a logarithmic singularity (alpha = 1) or an integrable algebraic
+one (alpha < 1), panels are product-integrated, one batched call per block of
+targets: with exact moments in N = 3, by Gauss rules on graded sub-panels for
+N >= 4.  The solvers read only the pairing int (I_alpha * f) g = f^T G g: a
+per-(grid, alpha) table holds G alone, the rows at the nodes weighted and
 symmetrized in place, and every product with it is BLAS `dsymv` on one
-triangle (`RieszKernelTable.apply`), nearly twice as fast as reading all of
-it on one memory-bound core.  The _CACHED_TABLES most recently used tables
-are kept, keyed by (grid, alpha) value.
+triangle (`RieszKernelTable.apply`), nearly twice as fast as reading all of it
+on one memory-bound core.  The _CACHED_TABLES most recently used tables are
+kept, keyed by (grid, alpha) value.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gamma, pi
+from math import comb, gamma, pi
 from typing import NamedTuple
 
 import numpy as np
@@ -230,18 +230,13 @@ _QUARTERS = 0.25 ** np.arange(1, 14)
 
 
 def _refined_pieces(t, a, b):
-    """Sub-intervals of the panels [a, b] graded toward the targets t, as
-    (lo, hi), each (P, 29) and ascending: a panel is split at t when it falls
-    inside, and each part is cut at distances L / 4^k (k = 1..13, L its
-    length) from its end nearest t.  An unused cut leaves an empty piece.
-
-    A cut closer than 1e-11 |end| to that end is unused: closer to a nonzero
-    singular point the direct `hyp2f1` branch of `kernel_value` (N >= 4)
-    overflows (z rounds to 1), and the rows would turn into inf - inf.  The
-    other branches, which take 1 - z from max - min, need no such stop; it is kept
-    because dropping it would change every table.  For the same reason a
-    target within 1e-11 relative of a panel end counts as sitting at that
-    end: splitting there would leave a piece whose Gauss points round onto t.
+    """Sub-intervals (lo, hi), each (P, 29) and ascending, of the panels [a, b]
+    graded toward the targets t (N >= 4): a panel is split at t when it falls
+    inside, and each part is cut at distances L / 4^k (k = 1..13, L its length)
+    from its end nearest t; an unused cut leaves an empty piece.  A cut within
+    1e-11 |end| of that end is unused, and a target within 1e-11 relative of a
+    panel end counts as sitting there: closer, the direct `hyp2f1` branch of
+    `kernel_value` overflows (z rounds to 1), or Gauss points round onto t.
     """
     near = lambda end: np.abs(t - end) <= 1e-11 * np.abs(end)
     t = np.where(near(a), a, np.where(near(b), b, t))
@@ -257,28 +252,103 @@ def _refined_pieces(t, a, b):
     return pts[:, :-1], pts[:, 1:]
 
 
+_I, _J = np.array([1, 0, 0]), np.array([2, 2, 1])    # the other two nodes of l_0, l_1, l_2
+_CUT, _TERMS = 8.0, 9     # N = 3: x = s/t below s = _CUT t, 9 terms in (t/s)^2 <= 1/64 above
+_V_TO_W = np.array([[comb(k, j) * (-2.0) ** (k - j) for k in range(4)] for j in range(4)])
+
+
+def _E(eps: float, logy):
+    """(y^eps - 1)/eps from log y; log y itself at eps = 0."""
+    return logy if eps == 0.0 else np.expm1(eps * logy) / eps
+
+
+def _moments(alpha: float, lo, hi) -> np.ndarray:
+    """int_lo^hi w^k E(|w|) dw, k = 0..3, as (P, 4), exactly (E(1) = 0 stands in at W = 0):
+    int_0^W w^k E(|w|) dw = W^(k+1) [E(|W|) - 1/(k+1)] / (k + alpha)."""
+    W, k = np.stack([lo, hi]), np.arange(4.0)
+    W2, E = W * W, _E(alpha - 1.0, np.log(np.abs(W) + (W == 0)))[..., None]
+    prim = np.stack([W, W2, W2 * W, W2 * W2], -1) * (E - 1 / (k + 1)) / (k + alpha)
+    M = prim[1] - prim[0]
+    if alpha < 0.5:  # k = 0 on one side of 0: |W|^alpha/alpha differenced by expm1
+        one = lo * hi > 0
+        r, S = np.log(hi[one] / lo[one]), np.sign(hi[one]) * np.abs(lo[one]) ** alpha
+        M[one, 0] = (S * np.expm1(alpha * r) / alpha - (hi - lo)[one]) / (alpha - 1.0)
+    return M
+
+
+def _shell_x_piece(alpha: float, t, a, m, xi, xj, Dm) -> np.ndarray:
+    """int_a^m K(t,s) l(s) s^2 ds / pref for m <= _CUT t: K s^2 ds = (pref/2) t^alpha
+    x [E(1+x) - E(|1-x|)] dx, x = s/t = 1 + w, x l(t x) a cubic in w.  Each factor's
+    w-moments are exact (the regular one's from v = 1 + x by _V_TO_W, w^k = (v - 2)^k)
+    within two piece widths of its singular point s = +-t, else 8-point Gauss."""
+    tt, h = t[:, None], 0.5 * (m - a)[:, None]
+    s = 0.5 * (a + m)[:, None] + h * _GL8[0]
+    w, q = (s - tt) / tt, h / tt * _GL8[1]       # w = 0 only at a Gauss point on t (moments there)
+
+    def gauss(logy):                # 8-point Gauss-Legendre sums of E w^k, k = 0..3
+        e = _E(alpha - 1.0, logy()) * q
+        ew, ew2 = e * w, e * (w * w)
+        return np.stack([e.sum(1), ew.sum(1), ew2.sum(1), (ew2 * w).sum(1)], -1)
+
+    def factor(dist, logy, exact):
+        far = dist[:, None] >= 4 * h
+        if far.all():
+            return gauss(logy)
+        return np.where(far, gauss(logy), exact()) if far.any() else exact()
+    logw = lambda: np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
+    sing = factor(np.maximum(a - t, t - m), logw, lambda: _moments(alpha, (a - t) / t, (m - t) / t))
+    reg = factor(a + t, lambda: np.log1p(s / tt),
+                 lambda: _moments(alpha, (a + t) / t, (m + t) / t) @ _V_TO_W)
+    ri, rj = (tt - xi) / tt, (tt - xj) / tt
+    M0, M1, M2, M3 = (reg - sing)[:, :, None].transpose(1, 0, 2)
+    return 0.5 * tt ** (2 + alpha) * (ri * rj * (M0 + M1) + (ri + rj) * (M1 + M2) + M2 + M3) / Dm
+
+
+def _shell_series_piece(alpha: float, t, lo, hi, xi, xj, Dm) -> np.ndarray:
+    """int_lo^hi K(t,s) l(s) s^2 ds / pref for t <= lo/_CUT (t = 0 included): K s^2 = pref
+    s^eps sum_j C(eps, 2j+1)/eps (t/s)^(2j), where t^(2j) int s^(p-1) ds = (t/X)^(2j)
+    X^(eps+k+1) (1 - e^(-|p| L))/|p|, X = hi if p > 0 else lo, L = log(hi/lo); lo = 0
+    only in the origin row, where L = inf and rho = t/X = 0 takes out p = 0."""
+    j, (t, lo, hi) = np.arange(_TERMS)[:, None], (v[:, None, None] for v in (t, lo, hi))
+    k, i = alpha + np.arange(3), 2.0 * np.arange(1, _TERMS)      # k: eps + k + 1; i = 2j + 2
+    p, g = k - 2 * j, np.cumprod(np.r_[1.0, (alpha - i) * (alpha - i - 1) / (i * (i + 1))])
+    X = np.where(p > 0, hi, lo)
+    L = np.log(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
+    ap = np.where(p != 0, abs(p), 1.0)
+    F = np.where(p != 0, -np.expm1(-ap * L) / ap, np.where(lo > 0, L, 0.0))
+    rho = np.divide(t, X, out=np.zeros(X.shape), where=X > 0)
+    mom = np.einsum("njk,j->nk", rho ** (2 * j) * X ** k * F, g)
+    return (xi * xj * mom[:, :1] - (xi + xj) * mom[:, 1:2] + mom[:, 2:]) / Dm
+
+
 def _panel_product_row(N: int, alpha: float, t, a, b, nodes) -> np.ndarray:
     """int_a^b K(t, s) l_m(s) s^(N-1) ds, as a (P, 3) array, for P (target,
     panel) pairs t, a, b and the quadratic Lagrange basis l_m of nodes (P, 3).
 
-    Each panel is split at s = t when it falls inside, refining geometrically
-    toward the singular point; handles the |r-s|^(alpha-1)-type local
-    behavior.  One `kernel_value` call covers the Gauss points of every pair.
+    N = 3: exact, each panel cut at s = _CUT t into `_shell_x_piece` below and
+    `_shell_series_piece` above.  N >= 4: Gauss rules on the `_refined_pieces`
+    of each panel, graded toward s = t, one `kernel_value` call over all pairs.
     """
+    xi, xj = nodes[:, _I], nodes[:, _J]
+    Dm = (nodes - xi) * (nodes - xj)
+    if N == 3:
+        m, out = np.minimum(np.maximum(_CUT * t, a), b), np.zeros((t.size, 3))
+        for lo, hi, piece in ((a, m, _shell_x_piece), (m, b, _shell_series_piece)):
+            k = slice(None) if (hi > lo).all() else np.flatnonzero(hi > lo)
+            if t[k].size:
+                out[k] += piece(alpha, t[k], lo[k], hi[k], xi[k], xj[k], Dm[k])
+        return _kernel_constants(3, alpha).pref * out
     lo, hi = _refined_pieces(t, a, b)
     pair, piece = np.nonzero(hi > lo)
     lo, hi = lo[pair, piece, None], hi[pair, piece, None]
     half = 0.5 * (hi - lo)
     xs = 0.5 * (lo + hi) + half * _GL8[0]
     K = kernel_value(N, alpha, t[pair, None], xs)
-    x0, x1, x2 = (nodes[pair, m, None] for m in range(3))
-    l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
-    l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
-    l2 = (xs - x0) * (xs - x1) / ((x2 - x0) * (x2 - x1))
+    ls = (xs[:, None] - xi[pair, :, None]) * (xs[:, None] - xj[pair, :, None]) / Dm[pair, :, None]
     base = K * xs ** (N - 1) * (half * _GL8[1])
     pair = np.repeat(pair, len(_GL8[0]))
-    return np.stack([np.bincount(pair, (base * lm).ravel(), len(t))
-                     for lm in (l0, l1, l2)], axis=1)
+    return np.stack([np.bincount(pair, (base * ls[:, m]).ravel(), len(t))
+                     for m in range(3)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -338,7 +408,7 @@ def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
     for s in range(0, t.size, _BLOCK):
         tb, blk = t[s:s + _BLOCK], rows[s:s + _BLOCK]
         far = kernel_value(grid.N, alpha, tb[:, None], r[None, :])
-        far[np.isclose(r[None, :], tb[:, None], atol=0.0)] = 0.0
+        far[np.abs(r - tb[:, None]) <= 1e-5 * np.abs(tb[:, None])] = 0.0
         np.multiply(far, grid.w, out=blk)
         # row-major, so each target's panels come in ascending order
         k, p = np.nonzero(_near_mask(grid, starts, ends, tb))

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -392,23 +393,128 @@ def panel_product_row_oracle(N, alpha, t, a, b, nodes):
     return np.array([np.dot(base, l0), np.dot(base, l1), np.dot(base, l2)])
 
 
-def rows_oracle(grid, alpha, targets):
-    """Quadrature rows assembled one (target, near panel) pair at a time: the
-    oracle of the blocked `riesz._rows`."""
+def near_pairs(grid, targets):
+    """(k, i, t, a, b, nodes) for every target k and panel i of its near-diagonal
+    product integration: the head panel for targets up to r[2], every other
+    panel within one panel width of the target."""
+    for k, tk in enumerate(np.asarray(targets, dtype=float)):
+        for i, (a, b, idx) in enumerate(grid.panels):
+            width = b - a
+            if (tk <= grid.r[2]) if i == 0 else (a - width <= tk <= b + width):
+                yield k, i, tk, a, b, tuple(grid.r[list(idx)])
+
+
+def rows_oracle(grid, alpha, targets, pair_row=panel_product_row_oracle):
+    """Quadrature rows assembled one (target, near panel) pair at a time from
+    `pair_row`: the oracle of the blocked `riesz._rows`."""
     t = np.asarray(targets, dtype=float)
     far = kernel_value(grid.N, alpha, t[:, None], grid.r[None, :])
     far[np.isclose(grid.r[None, :], t[:, None], atol=0.0)] = 0.0
     rows = far * grid.w
-    for k, tk in enumerate(t):
-        for i, (a, b, idx) in enumerate(grid.panels):
-            width = b - a
-            near = tk <= grid.r[2] if i == 0 else a - width <= tk <= b + width
-            if not near:
-                continue
-            cor = panel_product_row_oracle(grid.N, alpha, tk, a, b, tuple(grid.r[list(idx)]))
-            for m, j in enumerate(idx):
-                rows[k, j] += cor[m] - far[k, j] * grid.panel_weights[i][m]
+    for k, i, tk, a, b, nodes in near_pairs(grid, t):
+        cor = pair_row(grid.N, alpha, tk, a, b, nodes)
+        for m, j in enumerate(grid.panels[i][2]):
+            rows[k, j] += cor[m] - far[k, j] * grid.panel_weights[i][m]
     return rows
+
+
+def shell_pref_mpmath(alpha):
+    """A_alpha(3) |S^1| B(1, 1/2) = 4 pi A_alpha(3) from the binary alpha."""
+    al = mpmath.mpf(float(alpha))
+    return (4 * mpmath.pi * mpmath.gamma((3 - al) / 2)
+            / (mpmath.gamma(al / 2) * mpmath.pi ** 1.5 * 2 ** al))
+
+
+@lru_cache(maxsize=None)
+def shell_row_mpmath(N, alpha, t, a, b, nodes):
+    """int_a^b K(t, s) l_m(s) s^2 ds for one N = 3 pair, at 50 digits from the
+    exact binary inputs: K s^2 l_m = (pref / 2t) [(t+s)^eps - |t-s|^eps] / eps
+    s l_m(s), eps = alpha - 1, with the cubic s l_m(s) expanded about s = -t and
+    s = t and each power integrated exactly (the logarithm at eps = 0); at t = 0,
+    pref s^eps l_m(s).  It takes no scaling by t, Gauss rule or series from
+    `riesz._panel_product_row`; 50 digits absorb the cancellation between the
+    two powers."""
+    assert N == 3
+    with mpmath.workdps(50):
+        al, t, a, b = (mpmath.mpf(float(v)) for v in (alpha, t, a, b))
+        xs = [mpmath.mpf(float(v)) for v in nodes]
+        eps, pref = al - 1, shell_pref_mpmath(alpha)
+        E = lambda y: mpmath.log(y) if eps == 0 else (y ** eps - 1) / eps
+        # int_0^W w^k E(|w|) dw, W signed
+        prim = lambda W, k: (W ** (k + 1) * (E(abs(W)) - mpmath.mpf(1) / (k + 1)) / (k + 1 + eps)
+                             if W != 0 else mpmath.mpf(0))
+        out = []
+        for m in range(3):
+            i, j = [n for n in range(3) if n != m]
+            D = (xs[m] - xs[i]) * (xs[m] - xs[j])
+            if t == 0:
+                c = [xs[i] * xs[j], -(xs[i] + xs[j]), 1]
+                out.append(pref * sum(c[k] * (b ** (eps + k + 1) - a ** (eps + k + 1))
+                                      / (eps + k + 1) for k in range(3)) / D)
+                continue
+            val = 0
+            for c0, sign in ((t, 1), (-t, -1)):
+                # s l_m(s) = (w - c0)(w - c0 - x_i)(w - c0 - x_j) in w = s + c0
+                r0, r1, r2 = -c0, -c0 - xs[i], -c0 - xs[j]
+                cf = [r0 * r1 * r2, r0 * r1 + r0 * r2 + r1 * r2, r0 + r1 + r2, 1]
+                val += sign * sum(cf[k] * (prim(b + c0, k) - prim(a + c0, k)) for k in range(4))
+            out.append(pref / (2 * t) * val / D)
+        return np.array([float(v) for v in out])
+
+
+def shell_row_quadrature(alpha, t, a, b, nodes):
+    """The same integrals by tanh-sinh quadrature at 30 digits, for t > 0: the
+    panel split at t and u = |s - t| formed exactly, and on each side
+    int_0^U u^(alpha-1) f(u) du = U^alpha / alpha int_0^1 f(U v^(1/alpha)) dv, or
+    a log weight at alpha = 1."""
+    with mpmath.workdps(30):
+        al, t, a, b = (mpmath.mpf(float(v)) for v in (alpha, t, a, b))
+        xs = [mpmath.mpf(float(v)) for v in nodes]
+        eps = al - 1
+        out = []
+        for m in range(3):
+            i, j = [n for n in range(3) if n != m]
+            l = lambda s: (s - xs[i]) * (s - xs[j]) / ((xs[m] - xs[i]) * (xs[m] - xs[j]))
+            reg = mpmath.quad(lambda s: (mpmath.log(t + s) if eps == 0 else (t + s) ** eps)
+                              * s * l(s), [a, b])
+            sing = 0
+            for lo, hi, side in ((a, min(b, t), -1), (max(a, t), b, 1)):
+                if hi <= lo:
+                    continue
+                f = lambda u: (t + side * u) * l(t + side * u)
+                u0, u1 = sorted((abs(lo - t), abs(hi - t)))
+                if eps == 0:
+                    sing += mpmath.quad(lambda u: mpmath.log(u) * f(u), [u0, u1])
+                else:
+                    G = lambda U: (U ** al / al * mpmath.quad(lambda v: f(U * v ** (1 / al)), [0, 1])
+                                   if U > 0 else 0)
+                    sing += G(u1) - G(u0)
+            out.append(shell_pref_mpmath(alpha) / (2 * t) * (reg - sing) / (eps or 1))
+        return np.array([float(v) for v in out])
+
+
+def shell_tol(alpha):
+    """Bound on a closed-form N = 3 pair, relative to its largest entry."""
+    return 1e-12 if alpha >= 0.3 else 1e-11
+
+
+def assert_shell_rows(grid, alpha, targets):
+    """`riesz._panel_product_row` on every near pair of the targets within
+    shell_tol of `shell_row_mpmath`, and each row of `riesz._rows` within the
+    sum of its pairs' bounds, plus assembly rounding, of the row assembled from
+    the reference; returns the reference rows and their bounds."""
+    pairs = list(near_pairs(grid, targets))
+    t, a, b, nodes = (np.array(v) for v in zip(*(p[2:] for p in pairs)))
+    got = riesz._panel_product_row(3, alpha, t, a, b, nodes)
+    ref = np.array([shell_row_mpmath(3, alpha, *p[2:]) for p in pairs])
+    scale = np.abs(ref).max(axis=1)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= shell_tol(alpha) * scale[:, None])
+    rows = rows_oracle(grid, alpha, targets, pair_row=shell_row_mpmath)
+    bound = 1e-14 * np.abs(rows).max(axis=1)
+    np.add.at(bound, [p[0] for p in pairs], shell_tol(alpha) * scale)
+    assert np.all(np.abs(riesz._rows(grid, alpha, targets) - rows) <= bound[:, None])
+    return rows, bound
 
 
 def assert_close_to_max(new, ref, name=""):
@@ -435,20 +541,27 @@ class TestBatchedNearRows:
             got = [(x, y) for x, y in zip(lo[k], hi[k]) if y > x]
             assert got == pair_pieces_oracle(t, a, b), (t, a, b)
 
-    @pytest.mark.parametrize("N,alpha", [(N, alpha) for N in (3, 4, 5)
-                                         for alpha in (0.3, 0.5, 1.0, 1.5, 2.0, 2.7)])
+    @pytest.mark.parametrize("N,alpha", [(3, alpha) for alpha in (0.02, 0.1, 0.3, 0.5, 1.0,
+                                                                  1.5, 2.0, 2.7)]
+                             + [(N, alpha) for N in (4, 5)
+                                for alpha in (0.3, 0.5, 1.0, 1.5, 2.0, 2.7)])
     def test_table_matches_the_oracle(self, N, alpha):
+        # N = 3: every pair against the 50-digit closed form; N >= 4: the
+        # graded Gauss rule pair by pair
         grid = make_grid(N, 25.0, 120, 2.0)
         tab = riesz._build_table(grid, alpha)
-        M = rows_oracle(grid, alpha, grid.r)
+        if N == 3:
+            M = assert_shell_rows(grid, alpha, np.append(grid.r, 0.0))[0][:-1]
+        else:
+            M = rows_oracle(grid, alpha, grid.r)
+            assert_close_to_max(riesz._rows(grid, alpha, grid.r), M, name="M")
+            assert_close_to_max(riesz._rows(grid, alpha, [0.0])[0],
+                                rows_oracle(grid, alpha, [0.0])[0], name="origin")
         WM = grid.weights_full[:, None] * M
-        assert_close_to_max(riesz._rows(grid, alpha, grid.r), M, name="M")
         assert_close_to_max(tab.G, 0.5 * (WM + WM.T), name="G")
-        assert_close_to_max(riesz._rows(grid, alpha, [0.0])[0],
-                            rows_oracle(grid, alpha, [0.0])[0], name="origin")
         assert np.array_equal(tab.G, tab.G.T)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.5, 1.5])
     def test_potential_at_matches_the_oracle_rows(self, alpha):
         # TestPotentialNearPanelEnds' probes, a relative 1e-7 to 1e-3 off panel ends
         grid = make_grid(3, 25.0, 400, 2.0)
@@ -457,9 +570,21 @@ class TestBatchedNearRows:
         ends = ends[(ends > grid.r[20]) & (ends < 0.8 * grid.r_max)][::8]
         offsets = [s * 10.0 ** k for k in range(-7, -2) for s in (-1, 1)]
         probes = np.outer(ends, 1 + np.array(offsets)).ravel()
-        rows = rows_oracle(grid, alpha, probes)
-        assert_close_to_max(riesz._rows(grid, alpha, probes), rows)
-        assert_close_to_max(potential_at(grid, g, alpha, probes), rows @ g.values)
+        rows, bound = assert_shell_rows(grid, alpha, probes)
+        assert np.all(np.abs(potential_at(grid, g, alpha, probes) - rows @ g.values)
+                      <= bound * np.abs(g.values).sum())
+
+    def test_the_reference_matches_quadrature(self):
+        # the closed-form reference against tanh-sinh quadrature with u formed
+        # exactly, on pairs from r[1] 1e-9 to a probe one ulp off a node
+        grid = make_grid(3, 25.0, 400, 2.0)
+        targets = [grid.r[1] * 1e-9, grid.r[1] * 0.5, np.nextafter(grid.r[79], 2), 7.3]
+        pairs = [p[2:] for p in near_pairs(grid, targets)][::2]
+        for alpha in (0.02, 1.0, 2.5):
+            for pair in pairs:
+                ref = shell_row_mpmath(3, alpha, *pair)
+                quadrature = shell_row_quadrature(alpha, *pair)
+                assert np.abs(ref - quadrature).max() <= 1e-14 * np.abs(ref).max(), (alpha, pair)
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -520,6 +645,56 @@ class TestBatchedNearRows:
         tab = riesz._build_table(grid, alpha)
         arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
         assert sum(a.nbytes for a in arrays) == 8 * grid.n ** 2
+
+
+class TestExactShellRows:
+    """N = 3 near rows by exact moments: at small alpha, at the edges of the
+    admissible alpha, and at targets on, next to and far inside the panels."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_gaussian_potential_at_small_alpha(self, alpha):
+        # I_alpha * exp(-r^2) in closed form over r[20] < r < 0.8 r_max; the
+        # graded Gauss rule missed it by 7.8e-2 (alpha = 0.1) and 3.9e-4 (0.3)
+        grid = make_grid(3, 25.0, 400, 2.0)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        window = (grid.r > grid.r[20]) & (grid.r < 0.8 * grid.r_max)
+        r = grid.r[window]
+        exact = (gamma((3 - alpha) / 2) / (2 ** alpha * gamma(1.5))
+                 * hyp1f1((3 - alpha) / 2, 1.5, -r ** 2))
+        vals = convolve(grid, g, alpha).values[window]
+        assert np.max(np.abs(vals - exact) / exact) < 1e-4
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.99])
+    def test_edge_targets(self, alpha):
+        # the origin, r[1] 1e-9 to r[1] / 2 inside the head panel, and a node
+        # and a panel end each one ulp either side, against the reference
+        grid = make_grid(3, 25.0, 400, 2.0)
+        targets = [0.0, *(grid.r[1] * np.array([1e-9, 1e-3, 0.5]))]
+        for x in (grid.r[79], grid.panels[40][1]):
+            targets += [np.nextafter(x, 0), x, np.nextafter(x, 2 * x)]
+        assert_shell_rows(grid, alpha, targets)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-17, 1e-300])
+    def test_potential_tends_to_the_field_as_alpha_vanishes(self, alpha):
+        # I_alpha -> identity: the quadrature error of the origin value and of
+        # the node values shrinks like alpha, down to where 1 - alpha rounds
+        # to 1 (the graded rule gave 3.2e-299 at the origin for alpha = 1e-300)
+        grid = make_grid(3, 25.0, 400, 2.0)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        D = convolve(grid, g, alpha)
+        exact = gamma((3 - alpha) / 2) / (2 ** alpha * gamma(1.5))
+        assert abs(D.origin - exact) <= 2e-2 * alpha + 1e-12
+        assert np.abs(D.values - g.values).max() <= alpha + 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 2.99])
+    def test_rows_continuous_at_the_origin(self, alpha):
+        # the rows at t = r[1] 10^-k, k = 1..14, approach the origin row
+        grid = make_grid(3, 25.0, 400, 2.0)
+        origin = riesz._rows(grid, alpha, [0.0])[0]
+        rows = riesz._rows(grid, alpha, grid.r[1] * 10.0 ** -np.arange(1, 15))
+        gap = np.abs(rows - origin).max(axis=1) / np.abs(origin).max()
+        assert np.all(gap[1:] <= gap[:-1] + 1e-15)
+        assert gap[-1] <= 1e-13
 
 
 class TestKernelTable:

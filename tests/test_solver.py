@@ -566,7 +566,7 @@ class TestScaleStep:
     @pytest.mark.parametrize("grid_args, lam, init, level", [
         ((3, 40.0, 300, 2.5), 16.0, "gaussian", 0.17057103426012293),
         # a descent that takes 9 scale steps on its way to the ground state
-        (THRESHOLD_GRID, 2.8284271247461903, ("bubble", 0.1), 4.552101150638613)],
+        (THRESHOLD_GRID, 2.8284271247461903, ("bubble", 0.1), 4.552101150620114)],
         ids=["lam16", "lam2.83-bubble0.1"])
     def test_attained_levels_are_unchanged(self, grid_args, lam, init, level):
         # the levels the descent reached before it took scale steps
