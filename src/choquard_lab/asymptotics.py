@@ -135,8 +135,6 @@ class RateFit:
     intercept: float
     r_squared: float
     window: tuple
-    expected: float | None = None
-    slope_stderr: float = np.nan
     refit: "RateFit | None" = None
     log_abscissa: bool = True
 
@@ -149,10 +147,7 @@ def _lsq_fit(x: np.ndarray, y: np.ndarray):
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    dof = max(len(x) - 2, 1)
-    sxx = float(np.sum((x - np.mean(x)) ** 2))
-    stderr = np.sqrt(ss_res / dof / sxx) if sxx > 0 else np.nan
-    return slope, intercept, r2, stderr
+    return slope, intercept, r2
 
 
 def tail_exponent_fit(f: RadialField, window: tuple) -> RateFit:
@@ -167,18 +162,22 @@ def tail_exponent_fit(f: RadialField, window: tuple) -> RateFit:
     u = f.values[mask]
     if np.any(u <= 0):
         raise InvalidParameter("field must be positive on the fit window")
-    slope, intercept, r2_, stderr = _lsq_fit(np.log(r), np.log(u))
+    slope, intercept, r2_ = _lsq_fit(np.log(r), np.log(u))
     return RateFit(abscissa=r, ordinate=u, slope=slope, intercept=intercept,
-                   r_squared=r2_, window=window, slope_stderr=stderr)
+                   r_squared=r2_, window=window)
 
 
-def rate_fit(couplings, values, expected: float | None = None,
-             log_abscissa: bool = True, min_span_decades: float = 1.5,
-             refit_r2: float = 0.98) -> RateFit:
+# below this R^2 a rate fit is redone without its two extreme samples
+_REFIT_R2 = 0.98
+
+
+def rate_fit(couplings, values, log_abscissa: bool = True,
+             min_span_decades: float = 1.5) -> RateFit:
     """Fit log(value) against log(coupling) (or ln coupling for log regimes).
 
-    When R^2 < `refit_r2` the two extreme samples are dropped and the fit is
-    redone on the shrunken window; both fits are kept in the record.
+    When R^2 < _REFIT_R2 and there are at least 6 samples, the two extreme
+    samples are dropped and the fit is redone on the shrunken window; both
+    fits are kept in the record.
     """
     c = np.asarray(couplings, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -195,15 +194,13 @@ def rate_fit(couplings, values, expected: float | None = None,
     if np.any(v <= 0):
         raise InvalidParameter("values must be positive for a log fit")
     y = np.log(v)
-    slope, intercept, r2, stderr = _lsq_fit(x, y)
-    fit = RateFit(abscissa=c, ordinate=v, slope=slope, intercept=intercept,
-                  r_squared=r2, window=(float(c[0]), float(c[-1])),
-                  expected=expected, slope_stderr=stderr, log_abscissa=log_abscissa)
-    if r2 < refit_r2 and len(c) >= 6:
-        inner = rate_fit(c[1:-1], v[1:-1], expected=expected,
-                         log_abscissa=log_abscissa, min_span_decades=0.0,
-                         refit_r2=0.0)
-        fit = RateFit(abscissa=c, ordinate=v, slope=slope, intercept=intercept,
-                      r_squared=r2, window=fit.window, expected=expected,
-                      slope_stderr=stderr, refit=inner, log_abscissa=log_abscissa)
-    return fit
+    slope, intercept, r2 = _lsq_fit(x, y)
+    refit = None
+    if r2 < _REFIT_R2 and len(c) >= 6:
+        s, i, r = _lsq_fit(x[1:-1], y[1:-1])
+        refit = RateFit(abscissa=c[1:-1], ordinate=v[1:-1], slope=s, intercept=i,
+                        r_squared=r, window=(float(c[1]), float(c[-2])),
+                        log_abscissa=log_abscissa)
+    return RateFit(abscissa=c, ordinate=v, slope=slope, intercept=intercept,
+                   r_squared=r2, window=(float(c[0]), float(c[-1])), refit=refit,
+                   log_abscissa=log_abscissa)

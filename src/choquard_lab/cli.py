@@ -83,7 +83,7 @@ def cmd_constants(args):
     report = ConstantsReport(
         N=N, alpha=alpha, p=p, q=q, A_alpha=riesz_normalization(N, alpha),
         C_alpha=hls_constant(N, alpha), C_Nq=C_Nq, S=ray.S,
-        S_analytic=sobolev_constant(N), S_alpha=ray.S_alpha, S_q=ray.S_q, S_p=ray.S_p,
+        S_analytic=sobolev_constant(N), S_alpha=ray.S_alpha, S_q=ray.S_q,
         gamma_q=coeffs.gamma_q, eta_p=coeffs.eta_p, K_q=coeffs.K_q, K_p=coeffs.K_p,
         crit_level_hls=coeffs.crit_level_hls, crit_level_sob=coeffs.crit_level_sob)
     print(report.table())

@@ -81,18 +81,16 @@ class RayleighConstants:
     S: float
     S_alpha: float
     S_q: float | None
-    S_p: float | None
 
 
 def rayleigh_constants(grid: RadialGrid, alpha: float, w1: RadialField,
                        q: float | None = None, q_ground: RadialField | None = None,
-                       p: float | None = None, choquard_ground: RadialField | None = None,
                        ) -> RayleighConstants:
     """Grid Rayleigh-quotient constants evaluated at supplied extremal fields.
 
     S from the Sobolev quotient of the bubble; S_alpha from its HLS-critical
-    quotient; S_q / S_p from the H1 quotients at the local and Choquard
-    ground states (optional, None when the field is not supplied).
+    quotient; S_q from the H1 quotient at the local ground state (optional,
+    None when the field is not supplied).
     """
     if w1 is None:
         raise DependencyMissing("extremal bubble field required for S and S_alpha")
@@ -113,14 +111,7 @@ def rayleigh_constants(grid: RadialGrid, alpha: float, w1: RadialField,
         k2, m2 = _h1_quotient_terms(grid, q_ground)
         P = integrate(grid, q_ground.values ** q)
         S_q = (k2 + m2) / P ** (2.0 / q)
-    S_p = None
-    if choquard_ground is not None:
-        if p is None:
-            raise InvalidParameter("exponent p required with choquard_ground")
-        k3, m3 = _h1_quotient_terms(grid, choquard_ground)
-        R = interaction_energy(grid, choquard_ground, p, alpha)
-        S_p = (k3 + m3) / R ** (1.0 / p)
-    return RayleighConstants(S=S, S_alpha=S_alpha, S_q=S_q, S_p=S_p)
+    return RayleighConstants(S=S, S_alpha=S_alpha, S_q=S_q)
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,6 @@ class ConstantsReport:
     S_analytic: float
     S_alpha: float
     S_q: float | None
-    S_p: float | None
     gamma_q: float
     eta_p: float
     K_q: float | None

@@ -4,9 +4,12 @@ kinetic forms.
 All integrals over R^N of radial integrands are reduced to
 ``sphere_area * sum_i w_i f(r_i)`` where the weights ``w_i`` absorb the
 volume factor r^(N-1) and are exact for piecewise-quadratic interpolants
-on each quadrature panel.  The domain is truncated at ``r_max`` with a
-homogeneous Dirichlet condition; solutions of interest decay exponentially
-or like r^-(N-2).
+on each quadrature panel.  The panels are arrays (`Panels`), and every
+weight, quadratic or fallback, and the P1 stiffness come from one routine,
+`_moments`, that integrates (r - c)^k r^(N-1) about a node c of the
+interval without cancellation: each is exact to roundoff.  The domain is
+truncated at ``r_max`` with a homogeneous Dirichlet condition; solutions
+of interest decay exponentially or like r^-(N-2).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from math import comb, gamma, pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,69 +39,71 @@ def sphere_surface(N: int) -> float:
     return 2.0 * pi ** (N / 2) / gamma(N / 2)
 
 
-def _panel_list(r: np.ndarray):
-    """Quadrature panels: head segment [0, r_1] plus triples covering [r_1, r_max].
+# the other two nodes of the Lagrange basis polynomials l_0, l_1, l_2 of a panel
+_I, _J = np.array([1, 0, 0]), np.array([2, 2, 1])
 
-    Each panel carries the interval and the indices of the three nodes whose
-    quadratic interpolant is integrated over it.  With an even node count the
-    leftover single interval is placed at the origin side, where its measure
-    is negligible, so the boundary panels stay node-centered.
+
+class Panels(NamedTuple):
+    """Quadrature panels as arrays: panel k integrates the quadratic through
+    the nodes r[nodes[k]] (P, 3) over [a[k], b[k]]."""
+
+    a: np.ndarray
+    b: np.ndarray
+    nodes: np.ndarray
+
+
+def _moments(a, b, c, N: int, K: int) -> np.ndarray:
+    """int_a^b (r - c)^k r^(N-1) dr for k < K, stacked on a new last axis.
+
+    With s = r - c the integrand is sum_m C(N-1, m) c^(N-1-m) s^(k+m), so the
+    moment is sum_m C(N-1, m) c^(N-1-m) (s_b^(k+m+1) - s_a^(k+m+1)) / (k+m+1):
+    for c in [a, b] this does not cancel as b^(k+N) - a^(k+N) does on a
+    narrow panel far from the origin.
     """
-    n = len(r)
-    panels = [(0.0, r[0], (0, 1, 2))]
-    j = 0
-    if (n - 1) % 2 == 1:
-        panels.append((r[0], r[1], (0, 1, 2)))
-        j = 1
-    while j + 2 <= n - 1:
-        panels.append((r[j], r[j + 2], (j, j + 1, j + 2)))
-        j += 2
-    return panels
+    c = np.asarray(c, dtype=float)[..., None]
+    j = np.arange(1, K + N)
+    # powers by repeated products: pow() of a negative base is slow
+    sa, sb = (np.cumprod(np.broadcast_to(x[..., None] - c, c.shape[:-1] + j.shape), -1)
+              for x in (a, b))
+    S = np.lib.stride_tricks.sliding_window_view((sb - sa) / j, N, -1)
+    coef = np.array([comb(N - 1, m) for m in range(N)]) * c ** np.arange(N - 1, -1, -1)
+    return np.einsum("...km,...m->...k", S, coef)
 
 
-def _moment_weights(a: float, b: float, nodes, N: int) -> np.ndarray:
-    """Weights integrating the quadratic through `nodes` against r^(N-1) on [a,b].
+def _panels(r: np.ndarray, N: int) -> tuple[Panels, np.ndarray]:
+    """The panels of the nodes r and their positive weights (P, 3), the
+    integrals of the panel's basis functions against r^(N-1).
 
-    Exact for polynomials up to degree 2, which also makes sum(w) reproduce
-    the ball volume to machine precision.
+    Panel 0 is the head cell [0, r_1], integrated by the one-point rule
+    f(r_1) r_1^N / N (its measure is O(r_1^N)); node triples cover [r_1, r_max].
+    With an even node count the leftover single interval [r_1, r_2] is placed
+    at the origin side, where its measure is negligible, so the boundary
+    panels stay node-centered.  The quadratic Lagrange rule takes its moments
+    about the middle node; it is exact for polynomials up to degree 2, so
+    sum(w) reproduces the ball volume to roundoff.  On strongly skewed panels
+    it can turn a weight negative; there the product-trapezoid rule (linear
+    in f) takes over.
     """
-    x0, x1, x2 = nodes
-    c = x1  # center for conditioning
-    M = np.zeros(3)
-    for k in range(3):
-        acc = 0.0
-        for j in range(k + 1):
-            acc += comb(k, j) * (-c) ** (k - j) * (b ** (j + N) - a ** (j + N)) / (j + N)
-        M[k] = acc
-    V = np.array([[(x - c) ** k for x in (x0, x1, x2)] for k in range(3)])
-    return np.linalg.solve(V, M)
-
-
-def _panel_weights(a: float, b: float, nodes, N: int) -> np.ndarray:
-    """Positive panel weights: quadratic rule, degraded where it loses positivity.
-
-    On strongly skewed panels the interpolatory quadratic rule can turn a
-    weight slightly negative; there the product-trapezoid rule (linear in f,
-    exact moments of r^(N-1)) takes over, and the head cell [0, r_1] uses the
-    one-point rule f(r_1) r_1^N / N (its measure is O(r_1^N)).
-    """
-    x0, x1, x2 = nodes
-    if a == 0.0:
-        return np.array([b ** N / N, 0.0, 0.0])
-    w = _moment_weights(a, b, nodes, N)
-    if np.all(w >= 0):
-        return w
-    out = np.zeros(3)
-    for (lo, hi, jl, jr) in ((x0, x1, 0, 1), (x1, x2, 1, 2)):
-        lo_c, hi_c = max(lo, a), min(hi, b)
-        if hi_c <= lo_c:
-            continue
-        m0 = (hi_c ** N - lo_c ** N) / N
-        m1 = (hi_c ** (N + 1) - lo_c ** (N + 1)) / (N + 1)
-        h = hi - lo
-        out[jl] += (hi * m0 - m1) / h
-        out[jr] += (m1 - lo * m0) / h
-    return out
+    n, lead = len(r), (len(r) - 1) % 2 + 1     # the head cell, and [r_1, r_2] for even n
+    j = np.arange(lead - 1, n - 2, 2)
+    a, b = np.concatenate(([0.0], r[:lead - 1], r[j])), np.concatenate((r[:lead], r[j + 2]))
+    nodes = np.concatenate((np.tile(np.arange(3), (lead, 1)), j[:, None] + np.arange(3)))
+    x = r[nodes]
+    s = x - x[:, 1:2]
+    si, sj = s[:, _I], s[:, _J]
+    M = _moments(a, b, x[:, 1], N, 3)
+    pw = (M[:, 2:] - (si + sj) * M[:, 1:2] + si * sj * M[:, :1]) / ((s - si) * (s - sj))
+    pw[0] = (b[0] ** N / N, 0.0, 0.0)
+    # the product trapezoid: hats 1 - (r - lo)/h and (r - lo)/h on [x_0, x_1]
+    # and [x_1, x_2] cut at b, from M0 and M1 about lo
+    neg = (pw < 0).any(axis=1)
+    lo, hi = x[neg, :2], x[neg, 1:]
+    M = _moments(lo, np.minimum(hi, b[neg, None]), lo, N, 2)
+    right = M[..., 1] / (hi - lo)
+    pw[neg] = 0.0
+    pw[neg, :2] += M[..., 0] - right
+    pw[neg, 1:] += right
+    return Panels(a, b, nodes), pw
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +111,9 @@ class RadialGrid:
     """Graded radial grid with quadrature weights for int f(r) r^(N-1) dr.
 
     Nodes are r_i = r_max (i/n)^grading, i = 1..n; the origin is a virtual
-    node handled by even extension.  `stiff_diag`/`stiff_off` hold the
+    node handled by even extension.  `panels` holds the quadrature panels
+    as arrays and `panel_weights` their (P, 3) weights, which `w` sums per
+    node; all are exact to roundoff.  `stiff_diag`/`stiff_off` hold the
     piecewise-linear kinetic form int u'^2 r^(N-1) dr (the origin cell is
     dropped; its contribution is O(r_1^(N+2)) for radially smooth fields).
     """
@@ -117,8 +125,8 @@ class RadialGrid:
     n: int
     grading: float
     sphere_area: float
-    panels: tuple
-    panel_weights: np.ndarray    # (panels, 3)
+    panels: Panels
+    panel_weights: np.ndarray    # (P, 3)
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
 
@@ -145,25 +153,16 @@ def make_grid(N: int, r_max: float, n: int, grading: float = 2.0) -> RadialGrid:
         raise InvalidConfiguration(f"grading={grading} must be >= 1")
     i = np.arange(1, n + 1, dtype=float)
     r = r_max * (i / n) ** grading
-    panels = _panel_list(r)
-    w = np.zeros(n)
-    pws = []
-    for a, b, idx in panels:
-        pw = _panel_weights(a, b, tuple(r[list(idx)]), N)
-        pws.append(pw)
-        for m, j in enumerate(idx):
-            w[j] += pw[m]
+    panels, pw = _panels(r, N)
     # P1 stiffness over [r_1, r_max] (no surface factor)
-    h = np.diff(r)
-    m = (r[1:] ** N - r[:-1] ** N) / (N * h ** 2)
+    m = _moments(r[:-1], r[1:], r[:-1], N, 1)[:, 0] / np.diff(r) ** 2
     diag = np.zeros(n)
-    off = np.zeros(n - 1)
     diag[:-1] += m
     diag[1:] += m
-    off -= m
-    return RadialGrid(N=N, r=r, w=w, r_max=float(r_max), n=n, grading=float(grading),
-                      sphere_area=sphere_surface(N), panels=tuple(panels),
-                      panel_weights=np.array(pws), stiff_diag=diag, stiff_off=off)
+    return RadialGrid(N=N, r=r, w=np.bincount(panels.nodes.ravel(), pw.ravel(), n),
+                      r_max=float(r_max), n=n, grading=float(grading),
+                      sphere_area=sphere_surface(N), panels=panels, panel_weights=pw,
+                      stiff_diag=diag, stiff_off=-m)
 
 
 def _extrapolate_origin(r: np.ndarray, u: np.ndarray) -> float:

@@ -35,11 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dsymv
-from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
 
 from .errors import InvalidParameter
-from .grid import RadialField, RadialGrid, _check_same_grid, sphere_surface
+from .grid import _I, _J, RadialField, RadialGrid, _check_same_grid, sphere_surface
 
 __all__ = ["kernel_value", "RieszKernelTable", "kernel_table", "convolve",
            "interaction_energy", "potential_at"]
@@ -93,7 +92,8 @@ class _Connection(NamedTuple):
 class _KernelConstants(NamedTuple):
     """What `kernel_value` needs of (N, alpha) beyond the points.
 
-    pref: A_alpha |S^(N-2)| B((N-1)/2, 1/2); (a, b, c): the parameters of F.
+    pref: A_alpha |S^(N-1)|, which is A_alpha |S^(N-2)| B((N-1)/2, 1/2);
+    (a, b, c): the parameters of F.
     `connection` is None where alpha keeps the direct branch, else the
     `_Connection` of (N, alpha).
     """
@@ -143,8 +143,7 @@ def _sum_series(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _kernel_constants(N: int, alpha: float) -> _KernelConstants:
     """The constants of (N, alpha), computed once; InvalidParameter unless
     0 < alpha < N."""
-    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
-            * beta_fn((N - 1) / 2.0, 0.5))
+    pref = riesz_normalization(N, alpha) * sphere_surface(N)
     a, b, c = (N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0
     eps = alpha - 1.0
     if N == 3 or abs(eps - round(eps)) < _INTEGER_GAP:
@@ -189,8 +188,9 @@ def kernel_value(N: int, alpha: float, r, s):
     """Reduced radial kernel K(r, s) with (I_alpha * g)(r) = int K(r,s) g(s) s^(N-1) ds.
 
     Exact angular average of A_alpha(N)|x-y|^(alpha-N) over the sphere |y| = s:
-        K = A_alpha |S^(N-2)| B((N-1)/2, 1/2) max(r,s)^(alpha-N)
-            * 2F1((N-alpha)/2, 1-alpha/2; N/2; (min/max)^2).
+        K = A_alpha |S^(N-1)| max(r,s)^(alpha-N)
+            * 2F1((N-alpha)/2, 1-alpha/2; N/2; (min/max)^2),
+    where |S^(N-1)| = |S^(N-2)| B((N-1)/2, 1/2) is the integral over the angles.
     With z = (min/max)^2 and (a, b, c) the parameters of 2F1, F is
       - 1 at alpha = 2;
       - at N = 3, the elementary `_shell_average`, within 1e-14 relative of
@@ -252,7 +252,6 @@ def _refined_pieces(t, a, b):
     return pts[:, :-1], pts[:, 1:]
 
 
-_I, _J = np.array([1, 0, 0]), np.array([2, 2, 1])    # the other two nodes of l_0, l_1, l_2
 _CUT, _TERMS = 8.0, 9     # N = 3: x = s/t below s = _CUT t, 9 terms in (t/s)^2 <= 1/64 above
 _V_TO_W = np.array([[comb(k, j) * (-2.0) ** (k - j) for k in range(4)] for j in range(4)])
 
@@ -403,7 +402,7 @@ def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
     """
     t = np.asarray(targets, dtype=float)
     r = grid.r
-    starts, ends, idx = (np.array(x) for x in zip(*grid.panels))
+    starts, ends, idx = grid.panels
     rows = np.empty((t.size, grid.n))
     for s in range(0, t.size, _BLOCK):
         tb, blk = t[s:s + _BLOCK], rows[s:s + _BLOCK]

@@ -158,3 +158,102 @@ nodes = 4
     err = capsys.readouterr().err
     assert code == 1
     assert "error" in err
+
+
+def test_constants_subcommand(tmp_path, capsys):
+    # q = 2* = 6 skips the shooting of the local ground state
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[constants]
+n_dim = 3
+alpha = 2.0
+q = 6.0
+r_max = 200.0
+nodes = 800
+grading = 3.0
+""")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "constants"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("quantity")
+    saved = json.loads((tmp_path / "run" / "constants.json").read_text())
+    assert saved["N"] == 3 and saved["C_Nq"] is None and saved["S_q"] is None
+    # the bubble's Sobolev quotient, its r^-1 tail cut at r_max = 200: 0.85 % low
+    assert abs(saved["S"] - saved["S_analytic"]) < 2e-2 * saved["S_analytic"]
+
+
+def test_scan_threshold_subcommand(tmp_path, capsys):
+    # test_08's problem on a coarse grid and a loose bracket
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[scan-threshold]
+n_dim = 3
+alpha = 1.0
+p = 4.0
+q = 3.0
+mode = lambda
+lam = 1.0
+r_max = 40.0
+nodes = 300
+grading = 2.5
+crit_level = 5.04401
+coupling_lo = 0.5
+coupling_hi = 16.0
+rel_tol = 0.5
+""")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "scan-threshold"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("bracket = ")
+    rows = (tmp_path / "run" / "tables" / "threshold.csv").read_text().splitlines()
+    assert rows[0] == "coupling,level,converged,xi"
+    assert len(rows) == len(out.splitlines())
+
+
+def test_asymptotics_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[asymptotics]
+n_dim = 3
+alpha = 2.0
+p = 2.0
+q = 4.0
+which = lambda
+r_max = 25.0
+nodes = 300
+grading = 2.0
+coupling_lo = 10.0
+coupling_hi = 1000.0
+count = 4
+""")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "asymptotics"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("fitted slope = ")
+    fit = json.loads((tmp_path / "run" / "fits" / "gap_fit.json").read_text())
+    assert set(fit) == {"slope", "expected", "r_squared"}
+    rows = (tmp_path / "run" / "tables" / "gap_scan.csv").read_text().splitlines()
+    assert rows[0] == "coupling,frame_level,level,gap" and len(rows) == 5
+
+
+def test_multiplicity_subcommand(tmp_path, capsys):
+    # on this grid the branch at nu = 1 stays incomplete: a failed-invariant
+    # report, exit code 2
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("""
+[multiplicity]
+n_dim = 3
+alpha = 2.0
+p = 5.0
+q = 3.0
+mode = normalized-hls
+a = 1.0
+r_max = 50.0
+nodes = 500
+grading = 2.0
+nus = 1.0
+""")
+    code = main(["--config", str(cfg), "multiplicity"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("nu=1  status=incomplete")

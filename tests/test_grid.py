@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,50 @@ from choquard_lab.profiles import gaussian
 
 def ball_volume(N, R):
     return pi ** (N / 2) * R ** N / gamma(N / 2 + 1)
+
+
+# the grids of test_08 (threshold), the kernel benchmark, test_12, and two finer ones
+EXACT_GRIDS = [(3, 40.0, 1000, 2.5), (3, 25.0, 600, 2.0), (4, 60.0, 1100, 3.0),
+               (3, 60.0, 1600, 3.0), (3, 25.0, 1600, 1.0)]
+
+
+def panel_rules_mp(N, a, b, x):
+    """(quadratic, product-trapezoid) weights of one panel at 40 digits from
+    the exact binary a, b and nodes x: each rule's basis functions expanded
+    in powers of r, and int_lo^hi r^(k-1) dr = (hi^k - lo^k) / k."""
+    with mpmath.workdps(40):
+        a, b, *x = (mpmath.mpf(float(v)) for v in (a, b, *x))
+        P = lambda lo, hi, k: (hi ** k - lo ** k) / k
+        quadratic = [(P(a, b, N + 2) - (x[i] + x[j]) * P(a, b, N + 1) + x[i] * x[j] * P(a, b, N))
+                     / ((x[m] - x[i]) * (x[m] - x[j]))
+                     for m, (i, j) in enumerate(((1, 2), (0, 2), (0, 1)))]
+        trapezoid = [mpmath.mpf(0)] * 3
+        for k in (0, 1):
+            lo, hi = x[k], x[k + 1]
+            top = min(hi, b)
+            if top > lo:
+                m0, m1 = P(lo, top, N), P(lo, top, N + 1)
+                trapezoid[k] += (hi * m0 - m1) / (hi - lo)
+                trapezoid[k + 1] += (m1 - lo * m0) / (hi - lo)
+        return [np.array([float(v) for v in w]) for w in (quadratic, trapezoid)]
+
+
+def assert_panel_rules(g, tol, each=True):
+    """Every panel past the head cell carries its quadratic rule, or the
+    product trapezoid exactly where a quadratic weight is negative, within
+    `tol` of each weight, or (each=False) of the panel's largest; returns
+    the panels of the product trapezoid."""
+    a, b, nodes = g.panels
+    assert np.array_equal(g.panel_weights[0], [b[0] ** g.N / g.N, 0.0, 0.0])
+    fallback = []
+    for k in range(1, len(a)):
+        quadratic, trapezoid = panel_rules_mp(g.N, a[k], b[k], g.r[nodes[k]])
+        negative = quadratic.min() < 0
+        fallback += [k] if negative else []
+        ref = trapezoid if negative else quadratic
+        scale = np.abs(ref) if each else np.abs(ref).max()
+        assert np.all(np.abs(g.panel_weights[k] - ref) <= tol * scale), k
+    return fallback
 
 
 class TestMakeGrid:
@@ -44,6 +89,35 @@ class TestMakeGrid:
         assert np.all(g.w > 0)
         # weight sum is the ball-volume moment
         assert np.isclose(g.w.sum(), g.r_max ** 3 / 3, rtol=1e-13)
+
+    @pytest.mark.parametrize("args", EXACT_GRIDS)
+    def test_panel_weights_exact(self, args):
+        # power moments b^(k+N) - a^(k+N) cancel on narrow panels far from
+        # the origin, by up to 1.5e-7 of a weight on these grids
+        assert_panel_rules(make_grid(*args), 1e-14)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_fallback_where_a_quadratic_weight_is_negative(self, N):
+        # on skewed panels a small quadratic weight is the difference of
+        # moments of the panel's size: it is exact to the panel's scale
+        for grading in (1.0, 2.0, 3.0, 4.0):
+            for n in (16, 17, 400, 401):
+                g = make_grid(N, 25.0, n, grading)
+                fallback = assert_panel_rules(g, 1e-14, each=False)
+                # only the innermost panels are skewed enough
+                assert fallback == list(range(1, len(fallback) + 1)), (grading, n)
+
+    @pytest.mark.parametrize("args", EXACT_GRIDS)
+    def test_stiffness_exact(self, args):
+        # int_{r_i}^{r_i+1} r^(N-1) dr / h_i^2 on each interval
+        g = make_grid(*args)
+        with mpmath.workdps(40):
+            r = [mpmath.mpf(float(v)) for v in g.r]
+            m = np.array([float((hi ** g.N - lo ** g.N) / (g.N * (hi - lo) ** 2))
+                          for lo, hi in zip(r[:-1], r[1:])])
+        diag = np.append(m, 0.0) + np.append(0.0, m)
+        assert np.all(np.abs(g.stiff_off + m) <= 1e-14 * m)
+        assert np.all(np.abs(g.stiff_diag - diag) <= 1e-14 * diag)
 
 
 class TestIntegrate:

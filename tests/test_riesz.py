@@ -32,8 +32,7 @@ def kernel_bruteforce(N, alpha, r, s):
 def kernel_direct(N, alpha, r, s):
     """Reference: the kernel with scipy's hyp2f1 at every point (no connection
     branch), written as `kernel_value` was before it had one."""
-    pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
-            * beta_fn((N - 1) / 2.0, 0.5))
+    pref = riesz_normalization(N, alpha) * sphere_surface(N)
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     hi = np.maximum(r, s)
@@ -138,16 +137,24 @@ class TestKernelValue:
         else:
             a, b, c = (N - alpha) / 2, 1 - alpha / 2, N / 2
             gauss = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
-            pref = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
-                    * beta_fn((N - 1) / 2, 0.5))
+            pref = riesz_normalization(N, alpha) * sphere_surface(N)
             assert np.allclose(kv, pref * r ** (alpha - N) * gauss, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("alpha", [1e-300, 0.5, 1.0, 1.5, 2.0, 2.5, 3 - 1e-9])
     def test_origin_is_the_far_field_power(self, alpha):
         # x = lo/hi = 0: F = 1 exactly, so K(0, s) = pref s^(alpha-3)
         s = np.array([1e-3, 0.7, 40.0])
-        pref = riesz_normalization(3, alpha) * sphere_surface(2) * beta_fn(1.0, 0.5)
+        pref = riesz_normalization(3, alpha) * sphere_surface(3)
         assert np.array_equal(kernel_value(3, alpha, 0.0, s), pref * s ** (alpha - 3))
+
+    def test_prefactor_is_the_sphere_area(self):
+        # the angular integral |S^(N-2)| B((N-1)/2, 1/2) of the average is |S^(N-1)|
+        for N in range(3, 8):
+            for alpha in (0.5, 1.5, 2.5):
+                textbook = (riesz_normalization(N, alpha) * sphere_surface(N - 1)
+                            * beta_fn((N - 1) / 2, 0.5))
+                pref = riesz._kernel_constants(N, alpha).pref
+                assert abs(pref - textbook) <= 1e-15 * textbook, (N, alpha)
 
     def test_continuous_across_alpha_one(self):
         # N = 3, alpha = 1 is artanh(x)/x, its neighbours the expm1 quotient;
@@ -240,7 +247,7 @@ class TestPotentialNearPanelEnds:
     def test_finite_and_accurate(self, alpha):
         grid = make_grid(3, 25.0, 400, 2.0)
         g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
-        ends = np.array([b for _, b, _ in grid.panels[1:-1]])
+        ends = grid.panels.b[1:-1]
         ends = ends[(ends > grid.r[20]) & (ends < 0.8 * grid.r_max)][::8]
         offsets = [s * 10.0 ** k for k in range(-7, -2) for s in (-1, 1)]
         probes = np.outer(ends, 1 + np.array(offsets)).ravel()
@@ -398,10 +405,10 @@ def near_pairs(grid, targets):
     product integration: the head panel for targets up to r[2], every other
     panel within one panel width of the target."""
     for k, tk in enumerate(np.asarray(targets, dtype=float)):
-        for i, (a, b, idx) in enumerate(grid.panels):
+        for i, (a, b, idx) in enumerate(zip(*grid.panels)):
             width = b - a
             if (tk <= grid.r[2]) if i == 0 else (a - width <= tk <= b + width):
-                yield k, i, tk, a, b, tuple(grid.r[list(idx)])
+                yield k, i, tk, a, b, tuple(grid.r[idx])
 
 
 def rows_oracle(grid, alpha, targets, pair_row=panel_product_row_oracle):
@@ -413,7 +420,7 @@ def rows_oracle(grid, alpha, targets, pair_row=panel_product_row_oracle):
     rows = far * grid.w
     for k, i, tk, a, b, nodes in near_pairs(grid, t):
         cor = pair_row(grid.N, alpha, tk, a, b, nodes)
-        for m, j in enumerate(grid.panels[i][2]):
+        for m, j in enumerate(grid.panels.nodes[i]):
             rows[k, j] += cor[m] - far[k, j] * grid.panel_weights[i][m]
     return rows
 
@@ -528,7 +535,7 @@ class TestBatchedNearRows:
     def test_pieces_match_the_oracle_exactly(self):
         grid = make_grid(3, 25.0, 120, 2.0)
         pairs = []
-        for a, b, _ in (grid.panels[0], grid.panels[1], grid.panels[40], grid.panels[-1]):
+        for a, b in zip(grid.panels.a[[0, 1, 40, -1]], grid.panels.b[[0, 1, 40, -1]]):
             w = b - a
             # r = 0, both ends, inside, outside, and near enough to an end
             # that the grading stops after some cuts or before the first
@@ -566,7 +573,7 @@ class TestBatchedNearRows:
         # TestPotentialNearPanelEnds' probes, a relative 1e-7 to 1e-3 off panel ends
         grid = make_grid(3, 25.0, 400, 2.0)
         g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
-        ends = np.array([b for _, b, _ in grid.panels[1:-1]])
+        ends = grid.panels.b[1:-1]
         ends = ends[(ends > grid.r[20]) & (ends < 0.8 * grid.r_max)][::8]
         offsets = [s * 10.0 ** k for k in range(-7, -2) for s in (-1, 1)]
         probes = np.outer(ends, 1 + np.array(offsets)).ravel()
@@ -670,7 +677,7 @@ class TestExactShellRows:
         # and a panel end each one ulp either side, against the reference
         grid = make_grid(3, 25.0, 400, 2.0)
         targets = [0.0, *(grid.r[1] * np.array([1e-9, 1e-3, 0.5]))]
-        for x in (grid.r[79], grid.panels[40][1]):
+        for x in (grid.r[79], grid.panels.b[40]):
             targets += [np.nextafter(x, 0), x, np.nextafter(x, 2 * x)]
         assert_shell_rows(grid, alpha, targets)
 
@@ -793,14 +800,13 @@ class TestTableAgainstDirectKernel:
     """Tables from `kernel_value` against tables whose every kernel value
     comes from scipy's hyp2f1 (`kernel_direct` patched in)."""
 
-    @pytest.fixture(scope="class")
-    def grid(self):
-        return make_grid(3, 25.0, 120, 2.0)
-
     @staticmethod
     def arrays(grid, alpha):
-        return {"M": riesz._rows(grid, alpha, grid.r),
-                "G": riesz._build_table(grid, alpha).G,
+        # G as `_build_table` forms it from M, bit for bit, without a second
+        # build of M (TestBatchedNearRows checks the build itself)
+        M = riesz._rows(grid, alpha, grid.r)
+        WM = grid.weights_full[:, None] * M
+        return {"M": M, "G": 0.5 * (WM + WM.T),
                 "origin_row": riesz._rows(grid, alpha, [0.0])[0]}
 
     def tables(self, grid, alpha):
@@ -810,16 +816,21 @@ class TestTableAgainstDirectKernel:
             old = self.arrays(grid, alpha)
         return new, old
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
-    def test_connection_branch_agrees(self, grid, alpha):
-        # each array at its own scale: G carries the quadrature weights.  At
-        # alpha = 0.5 the difference is hyp2f1's rounding of z near 1 (~1e-10);
-        # alpha = 1, where hyp2f1 rounds less, meets a bound of 1e-12
-        new, old = self.tables(grid, alpha)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5, 3.5])
+    def test_connection_branch_agrees(self, alpha):
+        # N = 3 takes the elementary shell average, N = 4 and 5 the connection
+        # series (the direct branch at alpha = 1).  Each array at its own
+        # scale: G carries the quadrature weights.  At alpha = 0.5 the
+        # difference is hyp2f1's rounding of z near 1 (~1e-10); alpha = 1,
+        # where hyp2f1 rounds less, meets a bound of 1e-12
         bound = 1e-12 if alpha == 1.0 else 1e-9
-        for name in ("M", "G", "origin_row"):
-            a, b = new[name], old[name]
-            assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
+        for N in (3, 4, 5):
+            if alpha >= N:
+                continue
+            new, old = self.tables(make_grid(N, 25.0, 120, 2.0), alpha)
+            for name in ("M", "G", "origin_row"):
+                a, b = new[name], old[name]
+                assert np.abs(a - b).max() <= bound * np.abs(b).max(), (N, name)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_direct_branch_bit_identical(self, alpha):

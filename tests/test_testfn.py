@@ -82,7 +82,7 @@ class TestMassRadius:
             R = np.array([mass_radius(4, a, e) for e in eps])
             x = eps ** -2.0
             y = np.log(R / eps)
-            slope, _, r2, _ = _lsq_fit(x, y)
+            slope, _, r2 = _lsq_fit(x, y)
             assert r2 > 0.999
             slopes[a] = slope
         assert np.isclose(slopes[1.8] / slopes[2.2], (1.8 / 2.2) ** 2, rtol=0.05)
