@@ -109,22 +109,20 @@ def concentration_scale(f: RadialField) -> float:
     return float(talenti_scale(f.grid.N, f.origin))
 
 
-def kelvin(f: RadialField, target_grid: RadialGrid | None = None) -> RadialField:
-    """Kelvin transform K[u](r) = r^-(N-2) u(1/r) by interpolation.
+def kelvin(f: RadialField) -> RadialField:
+    """Kelvin transform K[u](r) = r^-(N-2) u(1/r) by interpolation, on f's grid.
 
-    The target grid must overlap [1/r_max, ...); values needing u beyond
-    r_max (i.e. r < 1/r_max) are dropped to zero.
+    The grid must reach past 1/r_max; values needing u beyond r_max
+    (i.e. r < 1/r_max) are dropped to zero.
     """
     g = f.grid
     N = g.N
-    if target_grid is None:
-        target_grid = g
-    r = target_grid.r
-    if 1.0 / g.r_max >= target_grid.r_max:
-        raise InvalidParameter("target grid does not overlap the transformed domain")
+    r = g.r
+    if 1.0 / g.r_max >= g.r_max:
+        raise InvalidParameter("grid does not overlap the transformed domain")
     inv = 1.0 / r
     vals = np.where(inv <= g.r_max, r ** (-(N - 2.0)) * f(np.minimum(inv, g.r_max)), 0.0)
-    return RadialField.from_values(target_grid, vals, origin=0.0)
+    return RadialField.from_values(g, vals, origin=0.0)
 
 
 @dataclass(frozen=True)

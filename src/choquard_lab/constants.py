@@ -9,8 +9,7 @@ construction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import gamma, inf, isfinite, pi
 
 from .errors import DependencyMissing, InvalidParameter
@@ -21,7 +20,7 @@ from .riesz import interaction_energy, riesz_normalization
 __all__ = [
     "riesz_normalization", "hls_constant", "interaction_bound_constant",
     "sobolev_constant", "gn_constant", "rayleigh_constants",
-    "coefficient_table", "CoefficientTable", "ConstantsReport",
+    "coefficient_table", "CoefficientTable",
 ]
 
 
@@ -68,9 +67,9 @@ def gn_constant(N: int, q: float, q_norm2: float) -> float:
     return cq ** (1.0 / q)
 
 
-def _h1_quotient_terms(grid: RadialGrid, u: RadialField):
+def _h1_quotient_terms(u: RadialField):
     kin = gradient_seminorm(u)
-    mass = integrate(grid, u.values ** 2)
+    mass = integrate(u.grid, u.values ** 2)
     if kin == 0.0 and mass == 0.0:
         raise InvalidParameter("Rayleigh quotient of the zero field")
     return kin, mass
@@ -88,9 +87,9 @@ def rayleigh_constants(grid: RadialGrid, alpha: float, w1: RadialField,
                        ) -> RayleighConstants:
     """Grid Rayleigh-quotient constants evaluated at supplied extremal fields.
 
-    S from the Sobolev quotient of the bubble; S_alpha from its HLS-critical
-    quotient; S_q from the H1 quotient at the local ground state (optional,
-    None when the field is not supplied).
+    S from the Sobolev quotient of the bubble on `grid`; S_alpha from its
+    HLS-critical quotient; S_q from the H1 quotient at the local ground state,
+    on that field's own grid (optional, None when the field is not supplied).
     """
     if w1 is None:
         raise DependencyMissing("extremal bubble field required for S and S_alpha")
@@ -108,8 +107,8 @@ def rayleigh_constants(grid: RadialGrid, alpha: float, w1: RadialField,
     if q_ground is not None:
         if q is None:
             raise InvalidParameter("exponent q required with q_ground")
-        k2, m2 = _h1_quotient_terms(grid, q_ground)
-        P = integrate(grid, q_ground.values ** q)
+        k2, m2 = _h1_quotient_terms(q_ground)
+        P = integrate(q_ground.grid, q_ground.values ** q)
         S_q = (k2 + m2) / P ** (2.0 / q)
     return RayleighConstants(S=S, S_alpha=S_alpha, S_q=S_q)
 
@@ -171,35 +170,3 @@ def coefficient_table(N: int, alpha: float, p: float, q: float,
                             K_q=K_q, K_p=K_p, nu_bound_hls=nu_bound_hls,
                             nu_bound_sob=nu_bound_sob, crit_level_hls=crit_level_hls,
                             crit_level_sob=crit_level_sob)
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    """Everything the experiments need, in one serializable bundle."""
-
-    N: int
-    alpha: float
-    p: float
-    q: float
-    A_alpha: float
-    C_alpha: float
-    C_Nq: float | None
-    S: float
-    S_analytic: float
-    S_alpha: float
-    S_q: float | None
-    gamma_q: float
-    eta_p: float
-    K_q: float | None
-    K_p: float | None
-    crit_level_hls: float
-    crit_level_sob: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def table(self) -> str:
-        lines = [f"{'quantity':<16} value"]
-        for k, v in asdict(self).items():
-            lines.append(f"{k:<16} {v}")
-        return "\n".join(lines)

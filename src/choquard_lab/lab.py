@@ -175,14 +175,17 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
 class MonotonicityReport:
     couplings: tuple
     levels: tuple
-    violations: tuple       # (index, size) pairs beyond tolerance
-    tolerance: float
+    violations: tuple       # (index, size) pairs beyond _MONOTONE_TOL
     ok: bool
 
 
+# relative rise of the level between neighbouring couplings that counts as
+# a violation
+_MONOTONE_TOL = 1e-8
+
+
 def monotonicity_scan(N: int, alpha: float, p: float, q: float, couplings,
-                      grid: RadialGrid, which: str = "lambda",
-                      tolerance: float = 1e-8) -> MonotonicityReport:
+                      grid: RadialGrid, which: str = "lambda") -> MonotonicityReport:
     """Assert the ground-state level is nonincreasing in the coupling."""
     couplings = sorted(float(c) for c in couplings)
     if len(couplings) < 8:
@@ -192,11 +195,10 @@ def monotonicity_scan(N: int, alpha: float, p: float, q: float, couplings,
     viol = []
     for i in range(len(levels) - 1):
         rise = levels[i + 1] - levels[i]
-        if rise > tolerance * max(abs(levels[i]), 1.0):
+        if rise > _MONOTONE_TOL * max(abs(levels[i]), 1.0):
             viol.append((i, rise))
     return MonotonicityReport(couplings=tuple(couplings), levels=tuple(levels),
-                              violations=tuple(viol), tolerance=tolerance,
-                              ok=not viol)
+                              violations=tuple(viol), ok=not viol)
 
 
 # ------------------------------------------------------------ multiplicity
@@ -284,7 +286,6 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
 class RunManifest:
     config: dict
     code_version: str
-    seeds: dict
     wall_clock: float = 0.0
     artifacts: dict = field(default_factory=dict)
     created: float = field(default_factory=time.time)

@@ -47,10 +47,10 @@ def hls_extremizer(grid: RadialGrid, alpha: float) -> RadialField:
     return RadialField.from_values(grid, vals, deriv=dvals, origin=1.0)
 
 
-def gaussian(grid: RadialGrid, width: float = 1.0, amplitude: float = 1.0) -> RadialField:
-    vals = amplitude * np.exp(-(grid.r / width) ** 2)
+def gaussian(grid: RadialGrid, width: float = 1.0) -> RadialField:
+    vals = np.exp(-(grid.r / width) ** 2)
     dvals = vals * (-2.0 * grid.r / width ** 2)
-    return RadialField.from_values(grid, vals, deriv=dvals, origin=float(amplitude))
+    return RadialField.from_values(grid, vals, deriv=dvals, origin=1.0)
 
 
 def smoothstep_cutoff(x):

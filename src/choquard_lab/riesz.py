@@ -461,8 +461,9 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
     agree to quadrature accuracy, but dividing G by the tiny origin-side
     weights would amplify its symmetrization residue pointwise."""
     _check_same_grid(grid, g)
-    vals = _rows(grid, alpha, grid.r) @ g.values
-    origin = float(np.dot(_rows(grid, alpha, [0.0])[0], g.values))
+    rows = _rows(grid, alpha, np.concatenate(([0.0], grid.r)))
+    vals = rows[1:] @ g.values
+    origin = float(rows[0] @ g.values)
     return RadialField(grid=grid, values=vals, origin=origin)
 
 

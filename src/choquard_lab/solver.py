@@ -141,20 +141,20 @@ class NormalizedBranches:
 
 # ---------------------------------------------------------------- shooting
 
-def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 1200,
-                             grading: float = 2.0) -> RadialField:
+def shoot_local_ground_state(N: int, q: float) -> RadialField:
     """Positive decaying solution of -Q'' - (N-1)/r Q' + Q = Q^(q-1).
 
     Bisection on Q(0) between the crossing (overshoot) and the
-    turn-back-up (undershoot) behaviors, then one dense integration
-    sampled onto a graded grid together with Q'.
+    turn-back-up (undershoot) behaviors, each integration running to r = 40,
+    then one dense integration sampled onto make_grid(N, 25, 1200, 2)
+    together with Q'.
     """
     if N < 3:
         raise InvalidParameter("N must be >= 3")
     if not 2 < q < 2 * N / (N - 2):
         raise InvalidParameter(f"q={q} must be subcritical: (2, {2*N/(N-2)})")
     from scipy.integrate import solve_ivp
-    span = max(40.0, r_max + 10.0)
+    span = 40.0
 
     def rhs(r, y):
         Q, P = y
@@ -204,7 +204,7 @@ def shoot_local_ground_state(N: int, q: float, r_max: float = 25.0, n: int = 120
     floor.terminal, floor.direction = True, -1
     sol = solve_ivp(rhs, (r0, span), y0, events=[floor], rtol=1e-12, atol=1e-16,
                     dense_output=True)
-    grid = make_grid(N, r_max, n, grading)
+    grid = make_grid(N, 25.0, 1200, 2.0)
     r_end = sol.t[-1]
     vals = np.zeros(grid.n)
     derivs = np.zeros(grid.n)

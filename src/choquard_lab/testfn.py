@@ -120,14 +120,14 @@ def bubble_report(V: RadialField, spec: BubbleSpec, S: float,
 
 def bubble_sweep(N: int, a: float, eps_values, q: float | None = None,
                  p: float | None = None, alpha: float | None = None,
-                 n: int = 1600, grading: float = 3.0, S: float | None = None):
+                 n: int = 1600, grading: float = 3.0):
     """Mass-calibrated bubbles across an eps grid, one adapted grid per eps.
 
     Returns (R_eps list, reports list); rate fits over the sweep are the
     caller's business (`asymptotics.rate_fit`).
     """
     from .constants import sobolev_constant
-    S = S if S is not None else sobolev_constant(N)
+    S = sobolev_constant(N)
     radii = []
     reports = []
     for eps in eps_values:

@@ -1,16 +1,31 @@
+import configparser
+import csv
 import json
 import logging
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from choquard_lab import __version__
 from choquard_lab.cli import main
+from choquard_lab.constants import (coefficient_table, hls_constant, rayleigh_constants,
+                                    riesz_normalization, sobolev_constant)
+from choquard_lab.grid import make_grid
+from choquard_lab.lab import MultiplicityRow
+from choquard_lab.profiles import talenti
 
-
-def test_solve_subcommand(tmp_path, capsys):
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[solve]
+# one config per subcommand, and the files each one writes under --out
+CONFIGS = {
+    "constants": """
+n_dim = 3
+alpha = 2.0
+q = 6.0
+r_max = 200.0
+nodes = 800
+grading = 3.0
+""",
+    "solve": """
 n_dim = 3
 alpha = 2.0
 p = 2.0
@@ -21,8 +36,119 @@ lam = 1.0
 r_max = 20.0
 nodes = 400
 grading = 2.0
-""")
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"])
+""",
+    "fiber": """
+n_dim = 3
+alpha = 2.0
+p = 2.0
+q = 4.0
+mode = general
+mu = 1.0
+lam = 1.0
+r_max = 20.0
+nodes = 300
+kind = ray
+t_count = 12
+""",
+    # test_08's problem on a coarse grid and a loose bracket
+    "scan-threshold": """
+n_dim = 3
+alpha = 1.0
+p = 4.0
+q = 3.0
+mode = lambda
+lam = 1.0
+r_max = 40.0
+nodes = 300
+grading = 2.5
+crit_level = 5.04401
+coupling_lo = 0.5
+coupling_hi = 16.0
+rel_tol = 0.5
+""",
+    "asymptotics": """
+n_dim = 3
+alpha = 2.0
+p = 2.0
+q = 4.0
+which = lambda
+r_max = 25.0
+nodes = 300
+grading = 2.0
+coupling_lo = 10.0
+coupling_hi = 1000.0
+count = 4
+""",
+    "normalized": """
+n_dim = 3
+alpha = 2.0
+p = 5.0
+q = 3.0
+mode = normalized-hls
+nu = 6.0
+a = 1.0
+r_max = 50.0
+nodes = 300
+""",
+    "multiplicity": """
+n_dim = 3
+alpha = 2.0
+p = 5.0
+q = 3.0
+mode = normalized-hls
+a = 1.0
+r_max = 50.0
+nodes = 500
+grading = 2.0
+nus = 1.0
+""",
+    "testfn": """
+n_dim = 3
+a = 3.0
+q = 4.0
+eps_lo = 0.05
+eps_hi = 0.2
+count = 4
+""",
+}
+ARTIFACTS = {
+    "constants": ["constants.json"],
+    "solve": ["solves/ground_state.json", "solves/profile.csv"],
+    "fiber": ["tables/fiber.csv"],
+    "scan-threshold": ["tables/threshold.csv"],
+    "asymptotics": ["fits/gap_fit.json", "tables/gap_scan.csv"],
+    "normalized": ["solves/P+.json", "solves/P+_profile.csv",
+                   "solves/P-.json", "solves/P-_profile.csv"],
+    "multiplicity": ["tables/multiplicity.csv"],
+    "testfn": ["tables/bubbles.csv"],
+}
+
+
+def run(tmp_path, name, *opts):
+    """Run subcommand `name` on its config in CONFIGS; return the exit code."""
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[{name}]\n{CONFIGS[name]}")
+    return main(["--config", str(cfg), *opts, name])
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_every_subcommand_persists_its_artifacts(tmp_path, capsys, name):
+    root = tmp_path / "run"
+    run(tmp_path, name, "--out", str(root))
+    manifest = json.loads((root / "manifest.json").read_text())
+    cp = configparser.ConfigParser()
+    cp.read_string(f"[{name}]\n{CONFIGS[name]}")
+    assert manifest["config"] == dict(cp[name])
+    assert manifest["code_version"] == __version__
+    assert manifest["wall_clock"] > 0
+    paths = [p for entry in manifest["artifacts"].values()
+             for p in ([entry] if isinstance(entry, str) else entry.values())]
+    assert sorted(Path(p).relative_to(root).as_posix() for p in paths) == sorted(ARTIFACTS[name])
+    assert all(Path(p).is_file() for p in paths)
+
+
+def test_solve_subcommand(tmp_path, capsys):
+    code = run(tmp_path, "solve", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
     assert code == 0
     assert "level" in out
@@ -87,65 +213,34 @@ nodes = 200
 def test_normalized_reports_each_branchs_exit_reason(tmp_path, capsys):
     # on this coarse grid P+ converges in the polish, while the P- flow runs
     # out of iterations and its polish makes no step
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[normalized]
-n_dim = 3
-alpha = 2.0
-p = 5.0
-q = 3.0
-mode = normalized-hls
-nu = 6.0
-a = 1.0
-r_max = 50.0
-nodes = 300
-""")
-    code = main(["--config", str(cfg), "normalized"])
+    code = run(tmp_path, "normalized", "--out", str(tmp_path / "run"))
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[0].startswith("P+:") and " exit=tol converged=True " in lines[0]
     assert lines[1].startswith("P-:") and " exit=max-iters converged=False " in lines[1]
+    for tag, line in zip(("P+", "P-"), lines):
+        saved = json.loads((tmp_path / "run" / "solves" / f"{tag}.json").read_text())
+        assert line == (f"{tag}: level={saved['level']:.8g} lambda={saved['lambda']:.8g} "
+                        f"exit={saved['exit_reason']} converged={saved['converged']} "
+                        f"defect={saved['identity_defect']:.2e}")
 
 
 def test_fiber_subcommand(tmp_path, capsys):
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[fiber]
-n_dim = 3
-alpha = 2.0
-p = 2.0
-q = 4.0
-mode = general
-mu = 1.0
-lam = 1.0
-r_max = 20.0
-nodes = 300
-kind = ray
-t_count = 12
-""")
-    code = main(["--config", str(cfg), "fiber"])
+    code = run(tmp_path, "fiber", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("t,energy")
     assert len(out.strip().splitlines()) == 13
+    assert (tmp_path / "run" / "tables" / "fiber.csv").read_text() == out
 
 
 def test_testfn_subcommand(tmp_path, capsys):
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[testfn]
-n_dim = 3
-a = 3.0
-q = 4.0
-eps_lo = 0.05
-eps_hi = 0.2
-count = 4
-""")
-    code = main(["--config", str(cfg), "testfn"])
+    code = run(tmp_path, "testfn", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("eps,R,")
     assert len(out.strip().splitlines()) == 5
+    assert (tmp_path / "run" / "tables" / "bubbles.csv").read_text() == out
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -162,46 +257,50 @@ nodes = 4
 
 def test_constants_subcommand(tmp_path, capsys):
     # q = 2* = 6 skips the shooting of the local ground state
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[constants]
-n_dim = 3
-alpha = 2.0
-q = 6.0
-r_max = 200.0
-nodes = 800
-grading = 3.0
-""")
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "constants"])
+    code = run(tmp_path, "constants", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("quantity")
     saved = json.loads((tmp_path / "run" / "constants.json").read_text())
-    assert saved["N"] == 3 and saved["C_Nq"] is None and saved["S_q"] is None
+    printed = dict(line.split(None, 1) for line in out.splitlines()[1:])
+    grid = make_grid(3, 200.0, 800, 3.0)
+    ray = rayleigh_constants(grid, 2.0, talenti(grid))
+    coeffs = coefficient_table(3, 2.0, 5.0, 6.0, S_alpha=ray.S_alpha, S=ray.S)
+    expected = {
+        "N": 3, "alpha": 2.0, "p": 5.0, "q": 6.0, "A_alpha": riesz_normalization(3, 2.0),
+        "C_alpha": hls_constant(3, 2.0), "C_Nq": None, "S": ray.S,
+        "S_analytic": sobolev_constant(3), "S_alpha": ray.S_alpha, "S_q": ray.S_q,
+        "gamma_q": coeffs.gamma_q, "eta_p": coeffs.eta_p, "K_q": coeffs.K_q,
+        "K_p": coeffs.K_p, "crit_level_hls": coeffs.crit_level_hls,
+        "crit_level_sob": coeffs.crit_level_sob}
+    for key, value in expected.items():
+        assert saved[key] == value, key
+        assert printed[key] == str(value), key
+    assert saved["C_Nq"] is None and saved["S_q"] is None
     # the bubble's Sobolev quotient, its r^-1 tail cut at r_max = 200: 0.85 % low
     assert abs(saved["S"] - saved["S_analytic"]) < 2e-2 * saved["S_analytic"]
 
 
-def test_scan_threshold_subcommand(tmp_path, capsys):
-    # test_08's problem on a coarse grid and a loose bracket
+def test_constants_subcommand_with_a_subcritical_q(tmp_path, capsys, monkeypatch, q3_ground):
+    # S_q is the H1 quotient on the shot ground state's own grid, not on the
+    # bubble's; the shot ground state is the session's q3_ground
+    shots = []
+    monkeypatch.setattr("choquard_lab.cli.shoot_local_ground_state",
+                        lambda N, q: shots.append((N, q)) or q3_ground)
     cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[scan-threshold]
-n_dim = 3
-alpha = 1.0
-p = 4.0
-q = 3.0
-mode = lambda
-lam = 1.0
-r_max = 40.0
-nodes = 300
-grading = 2.5
-crit_level = 5.04401
-coupling_lo = 0.5
-coupling_hi = 16.0
-rel_tol = 0.5
-""")
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "scan-threshold"])
+    cfg.write_text(f"[constants]\n{CONFIGS['constants'].replace('q = 6.0', 'q = 3.0')}")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "constants"])
+    capsys.readouterr()
+    assert code == 0 and shots == [(3, 3.0)]
+    saved = json.loads((tmp_path / "run" / "constants.json").read_text())
+    assert all(saved[k] > 0 for k in ("C_Nq", "S_q", "K_q", "nu_bound_hls"))
+    coeffs = coefficient_table(3, 2.0, 5.0, 3.0, S_alpha=saved["S_alpha"], S=saved["S"],
+                               C_Nq=saved["C_Nq"])
+    assert (saved["K_q"], saved["nu_bound_hls"]) == (coeffs.K_q, coeffs.nu_bound_hls)
+
+
+def test_scan_threshold_subcommand(tmp_path, capsys):
+    code = run(tmp_path, "scan-threshold", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("bracket = ")
@@ -211,22 +310,7 @@ rel_tol = 0.5
 
 
 def test_asymptotics_subcommand(tmp_path, capsys):
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[asymptotics]
-n_dim = 3
-alpha = 2.0
-p = 2.0
-q = 4.0
-which = lambda
-r_max = 25.0
-nodes = 300
-grading = 2.0
-coupling_lo = 10.0
-coupling_hi = 1000.0
-count = 4
-""")
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "asymptotics"])
+    code = run(tmp_path, "asymptotics", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("fitted slope = ")
@@ -238,22 +322,16 @@ count = 4
 
 def test_multiplicity_subcommand(tmp_path, capsys):
     # on this grid the branch at nu = 1 stays incomplete: a failed-invariant
-    # report, exit code 2
-    cfg = tmp_path / "lab.ini"
-    cfg.write_text("""
-[multiplicity]
-n_dim = 3
-alpha = 2.0
-p = 5.0
-q = 3.0
-mode = normalized-hls
-a = 1.0
-r_max = 50.0
-nodes = 500
-grading = 2.0
-nus = 1.0
-""")
-    code = main(["--config", str(cfg), "multiplicity"])
+    # report, exit code 2; the persisted rows are the printed ones, every
+    # field of MultiplicityRow written by repr
+    code = run(tmp_path, "multiplicity", "--out", str(tmp_path / "run"))
     lines = capsys.readouterr().out.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("nu=1  status=incomplete")
+    with open(tmp_path / "run" / "tables" / "multiplicity.csv", newline="") as f:
+        reader = csv.DictReader(f, quotechar="'")
+        rows = list(reader)
+    assert reader.fieldnames == [fd.name for fd in fields(MultiplicityRow)]
+    assert [f"nu={float(r['nu']):.4g}  status={r['status']}  "
+            f"two_solutions={r['two_solutions']}  E_branch={float(r['branch_level']):.6g} "
+            f"E_ground={float(r['ground_level']):.6g}" for r in rows] == lines

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every name a module lists in ``__all__`` is bound in it, and every private
-top-level name is read somewhere in the package.
+every name a module lists in ``__all__`` is bound in it, every private
+top-level name is read somewhere in the package, and every defaulted
+parameter of a package function is supplied by some call in the repo.
 
 A stdlib `ast` pass stands in for a linter.  An import on a line marked
 ``# noqa: F401`` is kept on purpose, a name listed in ``__all__`` is
@@ -8,12 +9,15 @@ exported, and everything `__init__.py` imports is a re-export.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "choquard_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted(p for d in ("src", "tests", "bench")
+                 for p in (PACKAGE.parents[1] / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -108,3 +112,48 @@ def test_the_check_sees_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unsupplied_defaults(sources: dict, callers: list) -> list:
+    """(module, function, parameter) for each defaulted parameter of a
+    top-level function of `sources` that no call in `callers` supplies.
+
+    A call matches by function or attribute name and supplies a parameter by
+    keyword or by position; a ``*args`` or ``**kwargs`` call supplies all.
+    """
+    calls = defaultdict(list)
+    for src in callers:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
+
+    def supplies(call, positional, param):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, param) for k in call.keywords)
+                or param in positional[:len(call.args)])
+
+    missing = []
+    for mod, src in sources.items():
+        for fn in ast.parse(src).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            missing += [(mod, fn.name, param) for param in defaulted
+                        if not any(supplies(c, positional, param) for c in calls[fn.name])]
+    return sorted(missing)
+
+
+def test_the_check_sees_an_unsupplied_default():
+    sources = {"a": "def f(x, y=1, z=2, *, w=3):\n    pass\n"
+                    "def g(x=0, y=1):\n    pass\n"
+                    "def h(x=0):\n    pass\n"}
+    callers = ["f(0, 1)\nobj.f(0, w=4)\ng(*xs)\n", "m.h(**kw)\n"]
+    assert unsupplied_defaults(sources, callers) == [("a", "f", "z")]
+
+
+def test_every_default_is_supplied():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unsupplied_defaults(sources, [p.read_text() for p in CALLERS]) == []

@@ -71,7 +71,7 @@ class TestMultiplicityGate:
 
 class TestPersistRun:
     def _manifest(self):
-        return RunManifest(config={"q": 3.0}, code_version="0.1.0", seeds={"rng": 7})
+        return RunManifest(config={"q": 3.0}, code_version="0.1.0")
 
     def test_layout_and_round_trip(self, tmp_path):
         art = {
@@ -89,7 +89,6 @@ class TestPersistRun:
         assert (root / "tables" / "scan.csv").exists()
         m = RunManifest.from_json((root / "manifest.json").read_text())
         assert m.config == {"q": 3.0}
-        assert m.seeds == {"rng": 7}
 
     def test_deterministic_bytes(self, tmp_path):
         art = {"fits": {"gap": {"slope": -1.0, "r2": 0.99}}}
