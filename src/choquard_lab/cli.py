@@ -52,9 +52,14 @@ def _params_from(cfg):
         a=float(cfg.get("a", 1.0)), mass_coeff=float(cfg.get("mass_coeff", 1.0)))
 
 
+def _cell(v):
+    """repr of a value, a numpy scalar as the Python number it holds."""
+    return repr(v.item() if isinstance(v, np.generic) else v)
+
+
 def _csv(header, rows):
-    """CSV text: the `header` line, then one line per row, each value by repr."""
-    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    """CSV text: the `header` line, then one line per row, each value by `_cell`."""
+    return header + "\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def cmd_constants(cfg):

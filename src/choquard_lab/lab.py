@@ -119,9 +119,13 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     `xi-floor`: its descent, concentrating by scale steps, tried to go below
     the grid's resolvability floor, or, on a fine grid where a rejected scale
     step left the descent crawling to `max-iters`, its polish stepped below
-    the floor).  Warm starts run from large coupling
-    (existent side) toward small; a cold solve runs the init schedule
-    gaussian, bubble(0.5), bubble(0.1).  At most 40 couplings are solved.
+    the floor).  The first solve, at the upper end, runs the cold init
+    schedule gaussian, bubble(0.5), bubble(0.1).  Every later solve starts
+    from the converged field at the bracket's attained end, the smallest
+    coupling attained so far; when that solve does not attain, the two
+    bubble seeds run as fallback and the lower level of the two is kept.  A
+    pinned field is never a start: its descent would end at the floor at
+    once.  At most 40 couplings are solved.
     """
     schedule = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
     delta = delta_frac * abs(crit_level)
@@ -129,20 +133,18 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     if not 0 < lo < hi:
         raise InvalidParameter("need 0 < lo < hi")
     scan = []
-    warm: dict = {}
 
-    def attained(c, init_field=None):
+    def attained(c, start=None):
         params = _coupled_params(base, c)
-        if init_field is not None:
-            res = ground_state(params, grid, init=init_field)
+        if start is None:
+            res = ground_state(params, grid, schedule=schedule)
+        else:
+            res = ground_state(params, grid, init=start)
             if not res.converged or res.level >= crit_level - delta:
-                res2 = ground_state(params, grid, schedule=schedule)
+                res2 = ground_state(params, grid, schedule=schedule[1:])
                 if res2.level < res.level:
                     res = res2
-        else:
-            res = ground_state(params, grid, schedule=schedule)
         scan.append((c, res.level, res.converged, res.concentration_scale))
-        warm["field"] = res.field
         return bool(res.converged and res.level < crit_level - delta), res
 
     ok_hi, res_hi = attained(hi)
@@ -150,7 +152,8 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
         raise BracketFailure(
             f"upper endpoint {hi} not attained (level {res_hi.level:.6g} vs crit {crit_level:.6g})",
             scan_table=tuple(scan))
-    ok_lo, _ = attained(lo, init_field=warm["field"])
+    warm = res_hi.field
+    ok_lo, _ = attained(lo, warm)
     if ok_lo:
         return ThresholdResult(mode=base.mode, bracket=(lo, lo), crit_level=crit_level,
                                delta=delta, scan=tuple(scan), grid_key=grid.key,
@@ -159,9 +162,9 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     evals = 2
     while c_hi / c_lo > 1 + rel_tol and evals < 40:
         mid = float(np.sqrt(c_lo * c_hi))
-        ok, _ = attained(mid, init_field=warm.get("field"))
+        ok, res = attained(mid, warm)
         if ok:
-            c_hi = mid
+            c_hi, warm = mid, res.field
         else:
             c_lo = mid
         evals += 1

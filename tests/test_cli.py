@@ -106,6 +106,8 @@ nus = 1.0
 n_dim = 3
 a = 3.0
 q = 4.0
+p = 3.0
+alpha = 2.0
 eps_lo = 0.05
 eps_hi = 0.2
 count = 4
@@ -225,6 +227,14 @@ def test_normalized_reports_each_branchs_exit_reason(tmp_path, capsys):
                         f"defect={saved['identity_defect']:.2e}")
 
 
+def assert_plain_numbers(table):
+    """Every data field of a CSV table is a plain number, no numpy repr."""
+    for line in table.strip().splitlines()[1:]:
+        assert "np." not in line
+        for value in line.split(","):
+            float(value)
+
+
 def test_fiber_subcommand(tmp_path, capsys):
     code = run(tmp_path, "fiber", "--out", str(tmp_path / "run"))
     out = capsys.readouterr().out
@@ -232,6 +242,7 @@ def test_fiber_subcommand(tmp_path, capsys):
     assert out.startswith("t,energy")
     assert len(out.strip().splitlines()) == 13
     assert (tmp_path / "run" / "tables" / "fiber.csv").read_text() == out
+    assert_plain_numbers(out)
 
 
 def test_testfn_subcommand(tmp_path, capsys):
@@ -241,6 +252,7 @@ def test_testfn_subcommand(tmp_path, capsys):
     assert out.startswith("eps,R,")
     assert len(out.strip().splitlines()) == 5
     assert (tmp_path / "run" / "tables" / "bubbles.csv").read_text() == out
+    assert_plain_numbers(out)
 
 
 def test_error_exit_code(tmp_path, capsys):

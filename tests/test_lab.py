@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from choquard_lab import lab
 from choquard_lab.errors import BracketFailure, InvalidConfiguration, InvalidParameter
 from choquard_lab.functional import ProblemParams
 from choquard_lab.grid import make_grid
@@ -51,6 +53,45 @@ class TestThreshold:
         res = scan_threshold(base, (30.0, 60.0), crit, scan_grid, rel_tol=0.5)
         assert res.degenerate
         assert res.bracket[0] == res.bracket[1] == 30.0
+
+    def test_warm_start_follows_the_attained_end(self, monkeypatch):
+        # a step predicate with no real solves: attained from 2.45 up, pinned below
+        crit, step = 5.0, 2.45
+        calls = []
+
+        def fake_ground_state(params, grid, init="gaussian", schedule=None):
+            c = params.lam
+            calls.append((c, init, schedule))
+            ok = c >= step
+            return SimpleNamespace(converged=ok, level=crit - 1.0 if ok else crit + 0.01,
+                                   field=("field", c), concentration_scale=1.0)
+
+        monkeypatch.setattr(lab, "ground_state", fake_ground_state)
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        res = scan_threshold(base, (0.5, 16.0), crit, SimpleNamespace(key=("fake",)),
+                             rel_tol=0.15)
+
+        assert calls[0] == (16.0, "gaussian",
+                            ("gaussian", ("bubble", 0.5), ("bubble", 0.1)))
+        warm = [(c, init) for c, init, schedule in calls[1:] if schedule is None]
+        expected, smallest_attained = [], 16.0
+        for c, _ in warm:
+            expected.append((c, ("field", smallest_attained)))
+            if c >= step:
+                smallest_attained = c
+        assert warm == expected
+        # one fallback, the two bubble seeds, after each warm solve that is not attained
+        fallbacks = [schedule for _, _, schedule in calls[1:] if schedule is not None]
+        assert fallbacks == [(("bubble", 0.5), ("bubble", 0.1))] * sum(c < step for c, _ in warm)
+
+        # a plain geometric bisection on the same predicate
+        c_lo, c_hi, evals = 0.5, 16.0, 2
+        while c_hi / c_lo > 1.15:
+            mid = float(np.sqrt(c_lo * c_hi))
+            c_lo, c_hi = (c_lo, mid) if mid >= step else (mid, c_hi)
+            evals += 1
+        assert res.bracket == (c_lo, c_hi)
+        assert len(res.scan) == evals
 
     def test_modes_guarded(self, scan_grid):
         base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="general", mu=1, lam=1)
