@@ -178,14 +178,17 @@ def cmd_multiplicity(cfg):
 def cmd_testfn(cfg):
     N = int(cfg.get("n_dim", 3))
     a = float(cfg.get("a", 3.0))
-    q = float(cfg.get("q", 4.0)) if "q" in cfg else None
+    q = float(cfg["q"]) if "q" in cfg else None
     p = float(cfg["p"]) if "p" in cfg else None
     alpha = float(cfg["alpha"]) if "alpha" in cfg else None
     eps = np.geomspace(float(cfg.get("eps_lo", 0.02)), float(cfg.get("eps_hi", 0.2)),
                        int(cfg.get("count", 7)))
     radii, reports = bubble_sweep(N, a, eps, q=q, p=p, alpha=alpha)
-    table = _csv("eps,R,kinetic,sobolev_power,q_power,riesz",
-                 ((e, R, rep.kinetic, rep.sobolev_power, rep.q_power, rep.riesz)
+    # the q_power and riesz columns only when the config gives their exponents
+    cols = ["kinetic", "sobolev_power", *(["q_power"] if q is not None else []),
+            *(["riesz"] if None not in (p, alpha) else [])]
+    table = _csv(",".join(["eps", "R", *cols]),
+                 ((e, R, *(getattr(rep, c) for c in cols))
                   for e, R, rep in zip(eps, radii, reports)))
     print(table, end="")
     return 0, {"tables": {"bubbles": table}}

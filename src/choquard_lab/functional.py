@@ -363,19 +363,25 @@ def _log_root(A, B, C, e1, e2, lo, hi, floor):
     be arrays, solved together with NaN where a scalar call gives None.
     """
     scalar = np.ndim(A + B + C) == 0
-    A, B, C = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (A, B, C))
-    with np.errstate(all="ignore"):     # log(A / c) is +-inf where it over- or underflows
-        s = np.minimum(np.where((B > 0) & (e1 > 0), np.log(A / B) / e1, np.inf),
-                       np.where((C > 0) & (e2 > 0), np.log(A / C) / e2, np.inf))
-    found = np.isfinite(s) & (s >= lo)
     cap = hi + 1.0
     if scalar:
-        # Python floats: numpy's per-call overhead would be most of the cost
-        if not found[0]:
+        # Python floats: numpy's per-call overhead would be most of the cost.
+        # The log is numpy's, bit for bit the array path's (math.log differs
+        # in the last bit on about 1e-4 of arguments); -inf where A / c underflows
+        A, B, C, s = float(A), float(B), float(C), math.inf
+        for c, e in ((B, e1), (C, e2)):
+            if c > 0 and e > 0:
+                s = min(s, float(np.log(A / c)) / e if A / c > 0 else -math.inf)
+        if not lo <= s < math.inf:
             return None
-        A, B, C, s = float(A[0]), float(B[0]), float(C[0]), min(float(s[0]), cap)
+        s = min(s, cap)
         exp, every, lower, upper = math.exp, bool, min, max
     else:
+        A, B, C = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (A, B, C))
+        with np.errstate(all="ignore"):     # log(A / c) is +-inf where it over- or underflows
+            s = np.minimum(np.where((B > 0) & (e1 > 0), np.log(A / B) / e1, np.inf),
+                           np.where((C > 0) & (e2 > 0), np.log(A / C) / e2, np.inf))
+        found = np.isfinite(s) & (s >= lo)
         # a rootless entry iterates on the benign e^(e1 s) = 1 and is masked after
         A, B, C, s = (np.where(found, x, fill) for x, fill in
                       ((A, 1.0), (B, 1.0), (C, 0.0), (np.minimum(s, cap), 0.0)))

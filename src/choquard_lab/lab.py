@@ -117,14 +117,16 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     always "attains" something; pinning plus non-convergence is the desk
     signature of non-existence; such a solve's `exit_reason` reads
     `xi-floor`: its descent, concentrating by scale steps, tried to go below
-    the grid's resolvability floor, or, on a fine grid where a rejected scale
-    step left the descent crawling to `max-iters`, its polish stepped below
-    the floor).  The first solve, at the upper end, runs the cold init
-    schedule gaussian, bubble(0.5), bubble(0.1).  Every later solve starts
-    from the converged field at the bracket's attained end, the smallest
-    coupling attained so far; when that solve does not attain, the two
-    bubble seeds run as fallback and the lower level of the two is kept.  A
-    pinned field is never a start: its descent would end at the floor at
+    the grid's resolvability floor, or its polish stepped below the floor.
+    On a fine grid, test_08's n = 2000, most pinned descents hand off to the
+    polish at the descent tolerance above the floor, the rest crawl to
+    `max-iters` after a rejected scale step, and the polish's first step
+    falls below the floor).  The first solve, at the upper end, runs the
+    cold init schedule gaussian, bubble(0.5), bubble(0.1).  Every later
+    solve starts from the converged field at the bracket's attained end, the
+    smallest coupling attained so far; when that solve does not attain, the
+    two bubble seeds run as fallback and the lower level of the two is kept.
+    A pinned field is never a start: its descent would end at the floor at
     once.  At most 40 couplings are solved.
     """
     schedule = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))

@@ -47,7 +47,7 @@ _FLOW_ITERS = 150           # normalized-flow iterations
 _NEWTON_ITERS = 30
 _RESIDUAL_TOL = 1e-9        # scale-relative target for the polish
 _CONVERGED_TOL = 1e-6       # scale-relative residual gate for `converged`
-_FLOW_TOL = 1e-4            # hand-off from flow to Newton
+_FLOW_TOL = 1e-4            # hand-off from descent or flow to Newton, both solvers
 _IDENTITY_TOL = 1e-3        # Nehari/Pohozaev defect gate for `converged`
 _POSITIVITY_FLOOR = 1e-9    # Jacobian clamp where u < floor * max(u)
 _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
@@ -455,20 +455,21 @@ class _Discrete:
     def field(self, u) -> RadialField:
         return RadialField.from_values(self.grid, u)
 
-    def projected_descent(self, u, iters, tol):
+    def projected_descent(self, u, iters):
         """Preconditioned descent projected onto the solver's `fiber`, to the
-        scaled residual `tol` or `iters` iterations; returns (u, k, parts).
+        scaled residual _FLOW_TOL or `iters` iterations; returns (u, k, parts).
+        Both solvers hand off to the Newton polish there: below it one
+        Newton step covers what many descent steps would.
 
         The solver supplies `shift`, `objective`, `direction` and `trial(v)`:
         v projected onto the fiber from one `parts` mat-vec as (objective,
         below the floor, land), or None; land() gives the field and its
-        parts, or None.  Outside the endgame (scaled residual >= _FLOW_TOL)
-        a scale step comes first while xi drifts one way and `scale_arg`
-        predicts a fall, until one is rejected.  The line search halves tau
-        from 1 until a landed trial lowers the objective (the residual in
-        the endgame).  A trial below the resolvability floor ends the
-        descent: halving tau only crawls along the floor, the pinned
-        signature of a level that is not attained.
+        parts, or None.  A scale step comes first while xi drifts one way
+        and `scale_arg` predicts a fall, until one is rejected.  The line
+        search halves tau from 1 until a landed trial lowers the objective.
+        A trial below the resolvability floor ends the descent: halving tau
+        only crawls along the floor, the pinned signature of a level that is
+        not attained.
         """
         start = self.trial(u)
         landed = None if start is None else start[2]()
@@ -487,18 +488,15 @@ class _Discrete:
 
         for k in range(iters):
             # one strong-form evaluation per iterate; the start is not judged
-            # on it, so a warm start never enters the endgame at k = 0
+            # on it, so a warm start always takes at least one step
             shift = self.shift(pu)
             g, res_scaled = self.residual(u, shift, pu.conv)
-            if k == 0:
-                res_scaled = np.inf
-            elif res_scaled < tol:
+            if k > 0 and res_scaled < _FLOW_TOL:
                 return stop("tol", k)
             E0 = self.objective(pu)
             xis.append(self.xi_of(u))
             drift = np.sign(np.diff(xis[-_DRIFT_ITERATES:]))
-            if (scaling and res_scaled >= _FLOW_TOL and drift.size == _DRIFT_ITERATES - 1
-                    and abs(drift.sum()) == drift.size):
+            if scaling and drift.size == _DRIFT_ITERATES - 1 and abs(drift.sum()) == drift.size:
                 arg = self.scale_arg(pu, E0, xis[-1], concentrating=drift[0] < 0)
                 if arg is not None:
                     tried += 1
@@ -507,9 +505,8 @@ class _Discrete:
                     if scaling:
                         taken += 1
                         u, pu, E0 = step
-                        g, res_scaled = self.residual(u, shift := self.shift(pu), pu.conv)
+                        g = self.residual(u, shift := self.shift(pu), pu.conv)[0]
             d = self.direction(u, pu, g, shift)
-            endgame = res_scaled < _FLOW_TOL
             tau = 1.0
             for _ in range(40):
                 v = np.maximum(u - tau * d, 0.0)
@@ -519,9 +516,7 @@ class _Discrete:
                     E, below, land = trial
                     if below:
                         return stop("xi-floor", k)
-                    landed = land() if endgame or E <= E0 + 1e-14 * abs(E0) else None
-                    if landed is not None and (not endgame or self.residual(
-                            landed[0], self.shift(landed[1]), landed[1].conv)[1] < res_scaled):
+                    if E <= E0 + 1e-14 * abs(E0) and (landed := land()) is not None:
                         break
                 tau *= 0.5
             else:
@@ -601,8 +596,9 @@ class _FreeSolver(_Discrete):
         return (*trial[2](), trial[0])
 
     def descend(self, u):
-        """`projected_descent` on the Nehari ray; returns (u, iterations)."""
-        return self.projected_descent(u, _MAX_ITERS, _FLOW_TOL * 1e-2)[:2]
+        """`projected_descent` on the Nehari ray, handing off to `newton` at
+        _FLOW_TOL as the normalized flow does; returns (u, iterations)."""
+        return self.projected_descent(u, _MAX_ITERS)[:2]
 
     def newton(self, u):
         u, _, k, res = self.polish(u, self.params.mass_coeff, bordered=False)
@@ -724,7 +720,7 @@ class _MassSolver(_Discrete):
         """`projected_descent` to the `which` branch; returns (v, k, status, parts of v)."""
         self.which = which
         try:
-            v, k, parts = self.projected_descent(u0, _FLOW_ITERS, _FLOW_TOL)
+            v, k, parts = self.projected_descent(u0, _FLOW_ITERS)
         except NoProjection:
             return None, 0, self.exit_reason, None
         return v, k, self.exit_reason, parts

@@ -255,6 +255,17 @@ def test_testfn_subcommand(tmp_path, capsys):
     assert_plain_numbers(out)
 
 
+def test_testfn_leaves_out_the_columns_it_is_not_asked_for(tmp_path, capsys):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[testfn]\nn_dim = 3\na = 3.0\neps_lo = 0.05\neps_hi = 0.2\ncount = 3\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "testfn"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("eps,R,kinetic,sobolev_power\n")
+    assert (tmp_path / "run" / "tables" / "bubbles.csv").read_text() == out
+    assert_plain_numbers(out)
+
+
 def test_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "lab.ini"
     cfg.write_text("""

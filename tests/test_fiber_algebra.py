@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from choquard_lab.functional import (Parts, ProblemParams, _defects_from_parts,
-                                     _fiber_critical_points, _fiber_sum, _ray_root, _weights,
-                                     energy_from_parts, fiber_energy, identity_prediction,
-                                     multiplier_from_parts, scaled_parts)
+from choquard_lab.functional import (_RAY_RANGE, Parts, ProblemParams, _defects_from_parts,
+                                     _fiber_critical_points, _fiber_sum, _log_root, _ray_root,
+                                     _weights, energy_from_parts, fiber_energy,
+                                     identity_prediction, multiplier_from_parts, scaled_parts)
 from choquard_lab.grid import make_grid
 from choquard_lab.solver import _Discrete, _MassSolver
 
@@ -271,14 +271,25 @@ def ray_root_oracle(pp, parts):
 
 
 def ray_root_tolerance(pp, parts, t):
-    """1e-14 relative, plus the root's own conditioning: a relative error eps
-    in the terms of f(s) = B e^(e1 s) + C e^(e2 s) - A moves its zero in
-    s = log t by about 2 eps A / f'(s)."""
+    """1e-14 relative, plus the root's own conditioning."""
+    return (1e-14 + ray_root_conditioning(pp, parts, t)) * t
+
+
+def ray_root_conditioning(pp, parts, t):
+    """How far a relative error eps in the terms of f(s) = B e^(e1 s) +
+    C e^(e2 s) - A moves its zero in s = log t: about 2 eps A / f'(s)."""
     A = parts.kinetic + pp.mass_coeff * parts.mass
     e1, e2 = 2 * pp.p - 2, pp.q - 2
     slope = (e1 * pp.riesz_coeff * parts.riesz * t ** e1
              + e2 * pp.power_coeff * parts.power * t ** e2)
-    return (1e-14 + 8 * np.finfo(float).eps * 2 * A / slope) * t
+    return 8 * np.finfo(float).eps * 2 * A / slope
+
+
+def ray_log_root(pp, parts):
+    """s = log t of `_ray_root`, by the `_log_root` call it makes."""
+    g, (K, M, R, P) = _weights(pp), astuple(parts)
+    return _log_root(g[0] * K + g[1] * M, -(g[2] * R), -(g[3] * P), 2 * pp.p - 2, pp.q - 2,
+                     -_RAY_RANGE, _RAY_RANGE, -_RAY_RANGE - 1.0)
 
 
 def free_problems():
@@ -303,16 +314,39 @@ class TestRayRoot:
     @given(free_problems(), free_problems())
     @settings(max_examples=200, deadline=None)
     def test_arrays_solve_each_entry(self, one, two):
-        # one call over arrays of parts gives each scalar root, NaN for None
+        # one call over arrays of parts gives each scalar root (the float
+        # start) within 4 ulp in s = log t, plus the root's conditioning, and
+        # NaN exactly where it gives None
         (pp, parts), other = one, two[1]
         stacked = Parts(*(np.array(pair) for pair in zip(astuple(parts), astuple(other))))
-        roots = _ray_root(pp, stacked)
-        for t, entry in zip(roots, (parts, other)):
-            scalar = _ray_root(pp, entry)
+        roots = ray_log_root(pp, stacked)
+        for s, entry in zip(roots, (parts, other)):
+            scalar = ray_log_root(pp, entry)
             if scalar is None:
-                assert np.isnan(t)
+                assert np.isnan(s)
             else:
-                assert abs(t - scalar) <= ray_root_tolerance(pp, entry, scalar)
+                assert abs(s - scalar) <= (4 * np.spacing(abs(scalar))
+                                           + ray_root_conditioning(pp, entry, np.exp(scalar)))
+
+    @pytest.mark.parametrize("parts", [
+        Parts(1.0, 0.0, 0.0, 2.0), Parts(1.0, 0.0, 2.0, 0.0), Parts(1e-300, 0.0, 1e300, 1e300),
+        Parts(1e300, 0.0, 1e-300, 0.0),
+        *(Parts(2.0 ** e * (1 + d), 0.0, 0.0, 1.0)
+          for e, d in ((46, -1e-9), (46, 1e-9), (-46, 1e-9), (-46, -1e-9)))],
+        ids=["riesz-term-zero", "power-term-zero", "ratio-underflows", "root-above-range",
+             "just-inside-above", "just-outside-above", "just-inside-below", "just-outside-below"])
+    def test_float_start_edges(self, parts):
+        # the scalar call raises nowhere, agrees with the array call and finds
+        # the oracle's root; with one nonlinear term t = (A / c)^(1/e)
+        pp = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        scalar = ray_log_root(pp, parts)
+        array = ray_log_root(pp, Parts(*(np.array([x]) for x in astuple(parts))))[0]
+        want = ray_root_oracle(pp, parts)
+        if scalar is None:
+            assert np.isnan(array) and want is None
+        else:
+            assert abs(array - scalar) <= 4 * np.spacing(abs(scalar))
+            assert abs(np.exp(scalar) - want) <= ray_root_tolerance(pp, parts, want)
 
     @pytest.mark.parametrize("parts", [Parts(1.0, 1.0, 0.0, 0.0), Parts(0.0, 0.0, 1.0, 1.0),
                                        Parts(1e-30, 0.0, 1e30, 1e30),

@@ -573,3 +573,32 @@ class TestScaleStep:
         res = ground_state(threshold_params(lam), make_grid(*grid_args), init=init)
         assert res.converged and res.exit_reason == "tol"
         assert abs(res.level - level) <= 1e-12 * level
+
+
+class TestHandOff:
+    def test_free_descent_hands_off_at_the_flow_tolerance(self, monkeypatch):
+        # the polish starts from the first descent iterate (after the
+        # unjudged start) whose scaled residual is below _FLOW_TOL, as the
+        # normalized flow's does; the descent used to run on to 1e-6
+        calls, handed = [], []
+        residual, polish = solver_module._Discrete.residual, solver_module._Discrete.polish
+
+        def recorded_residual(self, u, shift, conv):
+            out = residual(self, u, shift, conv)
+            if not handed:
+                calls.append((u.copy(), out[1]))
+            return out
+
+        def recorded_polish(self, u, shift, bordered):
+            handed.append(u.copy())
+            return polish(self, u, shift, bordered)
+
+        monkeypatch.setattr(solver_module._Discrete, "residual", recorded_residual)
+        monkeypatch.setattr(solver_module._Discrete, "polish", recorded_polish)
+        params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=1.0, lam=1.0)
+        res = ground_state(params, make_grid(3, 25.0, 300, 2.0))
+        first = next(i for i in range(1, len(calls)) if calls[i][1] < solver_module._FLOW_TOL)
+        assert len(handed) == 1 and np.array_equal(handed[0], calls[first][0])
+        # the level the descent to 1e-6 reached
+        assert res.exit_reason == "tol" and res.converged
+        assert abs(res.level - 10.801294002283367) <= 1e-12 * 10.801294002283367
