@@ -216,7 +216,9 @@ def main(argv=None):
         logging.getLogger("choquard_lab").setLevel(logging.DEBUG)
     started = time.perf_counter()
     cp = configparser.ConfigParser()
-    cp.read(args.config or [])
+    if args.config and not cp.read(args.config):
+        print(f"error: cannot read config {args.config}", file=sys.stderr)
+        return 1
     cfg = dict(cp[args.command]) if cp.has_section(args.command) else {}
     try:
         code, artifacts = COMMANDS[args.command](cfg)

@@ -301,8 +301,8 @@ def scaled_parts(params: ProblemParams, parts: Parts, amp, arg) -> Parts:
 
 
 def fiber_energy(params: ProblemParams, parts: Parts, kind: str, t):
-    """Energy along the fiber, from the closed scaling laws of the parts."""
-    return _fiber_sum(params, _weights(params), parts, kind, np.asarray(t, dtype=float), 0)
+    """Energy along the fiber at t (a float or an array), from the parts' scaling laws."""
+    return _fiber_sum(params, _weights(params), parts, kind, t, 0)
 
 
 def _fiber_critical_points(params: ProblemParams, parts: Parts, kind: str,
@@ -359,57 +359,39 @@ def _log_root(A, B, C, e1, e2, lo, hi, floor):
 
     Newton starts right of it, at the single-term bound min log(A/c)/e over
     the terms with e > 0, so the iterates fall monotonically onto it.  They
-    are held in [floor, hi + 1], where the terms stay finite.  A, B and C may
-    be arrays, solved together with NaN where a scalar call gives None.
+    are held in [floor, hi + 1], where the terms stay finite.  Python floats:
+    numpy's per-call overhead would be most of the cost.  The start takes
+    numpy's log (math.log differs from it in the last bit on about 1e-4 of
+    arguments, and so would move roots); -inf where A / c underflows.
     """
-    scalar = np.ndim(A + B + C) == 0
+    A, B, C, s = float(A), float(B), float(C), math.inf
+    for c, e in ((B, e1), (C, e2)):
+        if c > 0 and e > 0:
+            s = min(s, float(np.log(A / c)) / e if A / c > 0 else -math.inf)
+    if not lo <= s < math.inf:
+        return None
     cap = hi + 1.0
-    if scalar:
-        # Python floats: numpy's per-call overhead would be most of the cost.
-        # The log is numpy's, bit for bit the array path's (math.log differs
-        # in the last bit on about 1e-4 of arguments); -inf where A / c underflows
-        A, B, C, s = float(A), float(B), float(C), math.inf
-        for c, e in ((B, e1), (C, e2)):
-            if c > 0 and e > 0:
-                s = min(s, float(np.log(A / c)) / e if A / c > 0 else -math.inf)
-        if not lo <= s < math.inf:
-            return None
-        s = min(s, cap)
-        exp, every, lower, upper = math.exp, bool, min, max
-    else:
-        A, B, C = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (A, B, C))
-        with np.errstate(all="ignore"):     # log(A / c) is +-inf where it over- or underflows
-            s = np.minimum(np.where((B > 0) & (e1 > 0), np.log(A / B) / e1, np.inf),
-                           np.where((C > 0) & (e2 > 0), np.log(A / C) / e2, np.inf))
-        found = np.isfinite(s) & (s >= lo)
-        # a rootless entry iterates on the benign e^(e1 s) = 1 and is masked after
-        A, B, C, s = (np.where(found, x, fill) for x, fill in
-                      ((A, 1.0), (B, 1.0), (C, 0.0), (np.minimum(s, cap), 0.0)))
-        exp, every, lower, upper = np.exp, np.all, np.minimum, np.maximum
+    s = min(s, cap)
     for _ in range(_NEWTON_ITERS):
-        tB, tC = B * exp(e1 * s), C * exp(e2 * s)
+        tB, tC = B * math.exp(e1 * s), C * math.exp(e2 * s)
         step = (tB + tC - A) / (e1 * tB + e2 * tC)
-        s = upper(lower(s - step, cap), floor)
+        s = max(min(s - step, cap), floor)
         # the steps fall monotonically; one at roundoff level ends the descent
-        if every((step <= 4e-16 * (abs(s) + 1.0)) | (s <= floor)):
+        if step <= 4e-16 * (abs(s) + 1.0) or s <= floor:
             break
-    if scalar:
-        return s if lo <= s <= hi else None
-    return np.where(found & (s >= lo) & (s <= hi), s, np.nan)
+    return s if lo <= s <= hi else None
 
 
 def _ray_root(params: ProblemParams, parts: Parts):
     """The unique t* > 0 with t* u on the Nehari manifold, or None when both
     nonlinear terms vanish, A <= 0 or t* leaves [2^-46, 2^46]: the zero of
     B e^((2p-2) s) + C e^((q-2) s) - A in s = log t, which increases since
-    `ProblemParams` admits no negative coupling.  The parts may be arrays.
+    `ProblemParams` admits no negative coupling.
     """
     g, (K, M, R, P) = _weights(params), _values(parts)
     s = _log_root(g[0] * K + g[1] * M, -(g[2] * R), -(g[3] * P), 2 * params.p - 2,
                   params.q - 2, -_RAY_RANGE, _RAY_RANGE, -_RAY_RANGE - 1.0)
-    if s is None:
-        return None
-    return np.exp(s) if isinstance(s, np.ndarray) else math.exp(s)
+    return None if s is None else math.exp(s)
 
 
 @dataclass(frozen=True)

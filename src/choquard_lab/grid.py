@@ -242,10 +242,13 @@ class RadialField:
 
     @classmethod
     def from_csv(cls, grid: RadialGrid, text: str) -> "RadialField":
+        """The field `to_csv` wrote on `grid`, whose nodes repr round-trips exactly."""
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        r = np.array([float(a) for a, _ in rows])
-        u = np.array([float(b) for _, b in rows])
-        if len(r) != grid.n + 1 or not np.allclose(r[1:], grid.r):
+        try:
+            r, u = np.array([(float(a), float(b)) for a, b in rows]).T
+        except ValueError as e:
+            raise InvalidConfiguration(f"malformed field CSV: {e}") from None
+        if len(r) != grid.n + 1 or not np.array_equal(r[1:], grid.r):
             raise IncompatibleGrid("CSV nodes do not match grid")
         return cls.from_values(grid, u[1:], origin=u[0])
 

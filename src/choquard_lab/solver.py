@@ -62,12 +62,12 @@ _STALL_STEPS = 3
 _KRYLOV_DIM = 60            # one GMRES cycle; test_08's steps take 5-13 at n = 1000, 2000
 _KRYLOV_RTOL = 1e-10        # forcing term a decade below _RESIDUAL_TOL (Eisenstat & Walker 1996)
 # Scale steps of the free descent: the dilations u(arg x) it weighs, log-spaced
-# in [1/2, 2] with arg = 1 in the middle; the iterates over which xi must move
-# one way before it dilates that way; and how far above the floor a dilation
-# may take xi.  The margin leaves the last stretch to ordinary steps, which
-# relax the shape a dilation leaves behind: with none, threshold's pinned
-# descents at lam = 0.5 (n = 1000) exit 0.1-0.2 % above the plain descent's levels.
-_SCALE_ARGS = 2.0 ** np.linspace(-1.0, 1.0, 41)
+# in [1/2, 2] and walked outward from arg = 1 as Python floats; the iterates over
+# which xi must move one way before it dilates that way; and how far above the
+# floor a dilation may take xi.  The margin leaves the last stretch to ordinary
+# steps, which relax the shape a dilation leaves behind: with none, threshold's
+# pinned descents at lam = 0.5 (n = 1000) exit 0.1-0.2 % above the plain descent's levels.
+_SCALE_ARGS = (2.0 ** np.linspace(-1.0, 1.0, 41)).tolist()
 _DRIFT_ITERATES = 3
 _SCALE_MARGIN = 1.03
 
@@ -551,34 +551,31 @@ class _FreeSolver(_Discrete):
     def nehari_t(self, parts: Parts):
         return _ray_root(self.params, parts)
 
-    def predicted_energy(self, pu: _IterateParts, arg):
-        """The energy of the Nehari projection of u(arg x), from the parts of u
-        by `scaled_parts` and the ray root: no mat-vec.  `arg` may be an
-        array; NaN where there is no projection."""
-        parts = scaled_parts(self.params, pu, 1.0, arg)
-        t = _ray_root(self.params, parts)
-        return np.nan if t is None else fiber_energy(self.params, parts, "ray", t)
-
     def scale_arg(self, pu: _IterateParts, E0, xi, concentrating: bool):
-        """The arg of _SCALE_ARGS on the side the iterates drift to whose
-        u(arg x) has the least predicted energy, with xi / arg held at or
-        above _SCALE_MARGIN times the floor; None when no arg predicts a fall
-        below E0, the energy of u.  The nearest arg is weighed alone first:
-        near the end of an attained descent it predicts no fall, and the
-        others are skipped."""
-        half = _SCALE_ARGS.size // 2
+        """The last arg of _SCALE_ARGS, walked outward from arg = 1 on the side
+        the iterates drift to, that lowers the predicted energy below E0, the
+        energy of u, and below the arg before it; xi / arg is held at or above
+        _SCALE_MARGIN times the floor.  The prediction is the energy of the
+        Nehari projection of u(arg x) from `scaled_parts` and the ray root, no
+        mat-vec; an arg without one ends the walk as a rise does."""
         if concentrating:
             cap = xi / (_SCALE_MARGIN * self.xi_floor())
             if cap <= 1.0:
                 return None
-            args = np.minimum(_SCALE_ARGS[half:], cap)
+            args = [min(arg, cap) for arg in _SCALE_ARGS if arg > 1.0]
         else:
-            args = _SCALE_ARGS[half::-1]
-        if not self.predicted_energy(pu, args[1]) < E0:
-            return None
-        E = self.predicted_energy(pu, args)
-        i = int(np.nanargmin(E))
-        return args[i] if E[i] < E0 and args[i] != 1.0 else None
+            args = [arg for arg in reversed(_SCALE_ARGS) if arg < 1.0]
+        best = None
+        for arg in args:
+            parts = scaled_parts(self.params, pu, 1.0, arg)
+            t = _ray_root(self.params, parts)
+            if t is None:
+                break
+            E = fiber_energy(self.params, parts, "ray", t)
+            if not E < E0:
+                break
+            best, E0 = arg, E
+        return best
 
     def scale_step(self, u, E0, arg):
         """The trial of u(arg x) as (field, parts, energy) if it lowers E0.

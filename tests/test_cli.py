@@ -278,6 +278,23 @@ nodes = 4
     assert "error" in err
 
 
+def test_unreadable_config_is_an_error(tmp_path, capsys):
+    # ConfigParser.read skips a file it cannot open; main does not run on defaults
+    missing = tmp_path / "missing.ini"
+    assert main(["--config", str(missing), "fiber"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot read config {missing}\n"
+
+
+def test_fiber_reports_a_malformed_field_file(tmp_path, capsys):
+    field = tmp_path / "field.csv"
+    field.write_text("r,u\n0.0,1.0\n0.5,1.0,2.0\n")
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[fiber]\n{CONFIGS['fiber']}field = {field}\n")
+    assert main(["--config", str(cfg), "fiber"]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed field CSV: ")
+
+
 def test_constants_subcommand(tmp_path, capsys):
     # q = 2* = 6 skips the shooting of the local ground state
     code = run(tmp_path, "constants", "--out", str(tmp_path / "run"))

@@ -311,23 +311,6 @@ class TestRayRoot:
             return
         assert abs(got - want) <= ray_root_tolerance(pp, parts, want)
 
-    @given(free_problems(), free_problems())
-    @settings(max_examples=200, deadline=None)
-    def test_arrays_solve_each_entry(self, one, two):
-        # one call over arrays of parts gives each scalar root (the float
-        # start) within 4 ulp in s = log t, plus the root's conditioning, and
-        # NaN exactly where it gives None
-        (pp, parts), other = one, two[1]
-        stacked = Parts(*(np.array(pair) for pair in zip(astuple(parts), astuple(other))))
-        roots = ray_log_root(pp, stacked)
-        for s, entry in zip(roots, (parts, other)):
-            scalar = ray_log_root(pp, entry)
-            if scalar is None:
-                assert np.isnan(s)
-            else:
-                assert abs(s - scalar) <= (4 * np.spacing(abs(scalar))
-                                           + ray_root_conditioning(pp, entry, np.exp(scalar)))
-
     @pytest.mark.parametrize("parts", [
         Parts(1.0, 0.0, 0.0, 2.0), Parts(1.0, 0.0, 2.0, 0.0), Parts(1e-300, 0.0, 1e300, 1e300),
         Parts(1e300, 0.0, 1e-300, 0.0),
@@ -336,17 +319,14 @@ class TestRayRoot:
         ids=["riesz-term-zero", "power-term-zero", "ratio-underflows", "root-above-range",
              "just-inside-above", "just-outside-above", "just-inside-below", "just-outside-below"])
     def test_float_start_edges(self, parts):
-        # the scalar call raises nowhere, agrees with the array call and finds
-        # the oracle's root; with one nonlinear term t = (A / c)^(1/e)
+        # the float start raises nowhere and finds the oracle's root; with one
+        # nonlinear term t = (A / c)^(1/e)
         pp = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
-        scalar = ray_log_root(pp, parts)
-        array = ray_log_root(pp, Parts(*(np.array([x]) for x in astuple(parts))))[0]
-        want = ray_root_oracle(pp, parts)
-        if scalar is None:
-            assert np.isnan(array) and want is None
+        s, want = ray_log_root(pp, parts), ray_root_oracle(pp, parts)
+        if s is None:
+            assert want is None
         else:
-            assert abs(array - scalar) <= 4 * np.spacing(abs(scalar))
-            assert abs(np.exp(scalar) - want) <= ray_root_tolerance(pp, parts, want)
+            assert abs(np.exp(s) - want) <= ray_root_tolerance(pp, parts, want)
 
     @pytest.mark.parametrize("parts", [Parts(1.0, 1.0, 0.0, 0.0), Parts(0.0, 0.0, 1.0, 1.0),
                                        Parts(1e-30, 0.0, 1e30, 1e30),

@@ -221,6 +221,21 @@ class TestField:
         assert np.array_equal(f2.values, f.values)
         assert f2.origin == f.origin
 
+    def test_csv_from_another_grid_rejected(self):
+        # nodes 1e-7 relative off pass np.allclose's rtol 1e-5, but not the
+        # exact match that repr's round trip allows
+        g, other = make_grid(3, 40.0, 1000, 2.5), make_grid(3, 40.0 * (1 + 1e-7), 1000, 2.5)
+        with pytest.raises(IncompatibleGrid):
+            RadialField.from_csv(g, gaussian(other, width=2.0).to_csv())
+
+    @pytest.mark.parametrize("row", ["0.5,1.0,2.0", "0.5", "0.5,one"])
+    def test_csv_malformed_row_rejected(self, row):
+        g = make_grid(3, 10.0, 100)
+        lines = gaussian(g, width=2.0).to_csv().splitlines()
+        lines[3] = row
+        with pytest.raises(InvalidConfiguration):
+            RadialField.from_csv(g, "\n".join(lines))
+
 
 class TestKineticForms:
     def test_finite_difference_derivative_exact_for_quadratics(self):

@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import solve_banded
 
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
-from choquard_lab.functional import (Parts, ProblemParams, compute_parts,
-                                     energy_from_parts, fiber_profile,
+from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_parts,
+                                     energy_from_parts, fiber_energy, fiber_profile,
                                      identity_prediction, mass_fiber_classify,
-                                     multiplier_from_parts)
+                                     multiplier_from_parts, scaled_parts)
 from choquard_lab.grid import gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import gaussian, talenti
 from choquard_lab import solver as solver_module
@@ -573,6 +573,41 @@ class TestScaleStep:
         res = ground_state(threshold_params(lam), make_grid(*grid_args), init=init)
         assert res.converged and res.exit_reason == "tol"
         assert abs(res.level - level) <= 1e-12 * level
+
+    @pytest.mark.parametrize("lam, schedule", [(1.0, SCHEDULE),
+                                               (4.0, ("gaussian", ("bubble", 0.1)))],
+                             ids=["pinned", "attained"])
+    def test_scale_arg_is_the_first_least_prediction(self, monkeypatch, lam, schedule):
+        # the walk outward from arg = 1 stops at the first arg that does not
+        # lower the prediction; it picks what a brute-force first argmin over
+        # the whole drift side picks, or None when nothing falls below E0
+        calls, scale_arg = [], _FreeSolver.scale_arg
+
+        def recorded(self, pu, E0, xi, concentrating):
+            got = scale_arg(self, pu, E0, xi, concentrating)
+            calls.append((self, pu, E0, xi, concentrating, got))
+            return got
+
+        def predicted(solver, pu, arg):
+            parts = scaled_parts(solver.params, pu, 1.0, arg)
+            t = _ray_root(solver.params, parts)
+            return np.inf if t is None else fiber_energy(solver.params, parts, "ray", t)
+
+        monkeypatch.setattr(_FreeSolver, "scale_arg", recorded)
+        ground_state(threshold_params(lam), make_grid(3, 40.0, 400, 2.5), schedule=schedule)
+        args = np.array(solver_module._SCALE_ARGS)
+        for solver, pu, E0, xi, concentrating, got in calls:
+            cap = xi / (solver_module._SCALE_MARGIN * solver.xi_floor())
+            if concentrating and cap <= 1.0:
+                assert got is None
+                continue
+            side = np.minimum(args[args > 1], cap) if concentrating else args[args < 1][::-1]
+            E = [predicted(solver, pu, arg) for arg in side]
+            i = int(np.argmin(E))
+            assert got == (side[i] if E[i] < E0 else None)
+        # the pinned descents concentrate; the attained ones weigh both sides
+        assert {bool(c) for *_, c, _ in calls} == ({True} if lam == 1.0 else {True, False})
+        assert any(got is not None for *_, got in calls)
 
 
 class TestHandOff:
