@@ -120,8 +120,7 @@ def kelvin(f: RadialField) -> RadialField:
     r = g.r
     if 1.0 / g.r_max >= g.r_max:
         raise InvalidParameter("grid does not overlap the transformed domain")
-    inv = 1.0 / r
-    vals = np.where(inv <= g.r_max, r ** (-(N - 2.0)) * f(np.minimum(inv, g.r_max)), 0.0)
+    vals = r ** (-(N - 2.0)) * f(1.0 / r)      # f is zero past r_max
     return RadialField.from_values(g, vals, origin=0.0)
 
 

@@ -58,9 +58,9 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
                       grid: RadialGrid, which: str = "lambda"):
     """Ground-state levels along a large-coupling scan, in the rescaled frame.
 
-    Returns (reference frame level at zero coefficient, list of ScanPoint),
-    warm-starting each solve from the previous one.  The gap column is the
-    quantity whose decay rate the scan probes.
+    Returns (reference frame level at zero coefficient, list of ScanPoint).
+    The reference solve runs the gaussian seed, each later one the previous
+    field.  The gap column is the quantity whose decay rate the scan probes.
     """
     e_coeff, e_level, weak = frame_exponents(which, p, q)
     couplings = sorted(float(c) for c in couplings)
@@ -69,13 +69,13 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
         return ProblemParams(N=N, alpha=alpha, p=p, q=q, mode="general",
                              **{"mu": 1.0, "lam": 1.0, weak: coeff})
 
-    ref = ground_state(frame_params(0.0), grid, init="gaussian")
+    ref = ground_state(frame_params(0.0), grid)
     points = []
     warm = ref.field
     # scan from the largest coupling (smallest perturbation) downward
     for c in sorted(couplings, reverse=True):
         coeff = c ** e_coeff
-        res = ground_state(frame_params(coeff), grid, init=warm)
+        res = ground_state(frame_params(coeff), grid, seeds=(warm,))
         warm = res.field
         points.append(ScanPoint(coupling=c, frame_coeff=coeff,
                                 frame_level=res.level,
@@ -122,14 +122,14 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     polish at the descent tolerance above the floor, the rest crawl to
     `max-iters` after a rejected scale step, and the polish's first step
     falls below the floor).  The first solve, at the upper end, runs the
-    cold init schedule gaussian, bubble(0.5), bubble(0.1).  Every later
-    solve starts from the converged field at the bracket's attained end, the
+    cold seeds gaussian, bubble(0.5), bubble(0.1).  Every later solve has
+    one seed, the converged field at the bracket's attained end, the
     smallest coupling attained so far; when that solve does not attain, the
     two bubble seeds run as fallback and the lower level of the two is kept.
     A pinned field is never a start: its descent would end at the floor at
     once.  At most 40 couplings are solved.
     """
-    schedule = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
+    seeds = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
     delta = delta_frac * abs(crit_level)
     lo, hi = float(coupling_range[0]), float(coupling_range[1])
     if not 0 < lo < hi:
@@ -138,14 +138,11 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
 
     def attained(c, start=None):
         params = _coupled_params(base, c)
-        if start is None:
-            res = ground_state(params, grid, schedule=schedule)
-        else:
-            res = ground_state(params, grid, init=start)
-            if not res.converged or res.level >= crit_level - delta:
-                res2 = ground_state(params, grid, schedule=schedule[1:])
-                if res2.level < res.level:
-                    res = res2
+        res = ground_state(params, grid, seeds=seeds if start is None else (start,))
+        if start is not None and (not res.converged or res.level >= crit_level - delta):
+            res2 = ground_state(params, grid, seeds=seeds[1:])
+            if res2.level < res.level:
+                res = res2
         scan.append((c, res.level, res.converged, res.concentration_scale))
         return bool(res.converged and res.level < crit_level - delta), res
 
@@ -262,7 +259,7 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
                                         lambda_nu=minus.lambda_nu))
             continue
         gs = ground_state(resc.params_effective, resc.field.grid,
-                          schedule=("gaussian", ("bubble", 0.5)))
+                          seeds=("gaussian", ("bubble", 0.5)))
         gparts = compute_parts(resc.params_effective, gs.field, use_deriv=False)
         g_no_mass = gs.level - 0.5 * gparts.mass
         u1 = resc.field.values

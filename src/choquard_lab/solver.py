@@ -237,6 +237,14 @@ def shoot_local_ground_state(N: int, q: float) -> RadialField:
 
 # ------------------------------------------------------- discrete problems
 
+def _admissible(v) -> np.ndarray:
+    """The positive part of v, zero at the Dirichlet node: the form of every
+    solver iterate, whatever made it (a seed, a step, a dilation)."""
+    v = np.maximum(v, 0.0)
+    v[-1] = 0.0
+    return v
+
+
 @dataclass(frozen=True)
 class _IterateParts(Parts):
     """The parts of a solver iterate u and conv = (G @ u^p) / W, the Riesz
@@ -329,13 +337,13 @@ class _Discrete:
         both solvers, from one strong-form evaluation.  `converged` needs the
         scaled residual below _CONVERGED_TOL, both defects of
         `_defects_from_parts` (Nehari or P_nu, and Pohozaev) below
-        _IDENTITY_TOL in absolute value, xi at or above the resolvability
-        floor and a positive shift."""
+        _IDENTITY_TOL in absolute value, a finite xi (u = 0 has no residual
+        and no defect) at or above the resolvability floor and a positive shift."""
         F, res = self.residual(u, shift, parts.conv)
         defects = _defects_from_parts(self.params, parts)
         xi = self.xi_of(u)
         ok = (res < _CONVERGED_TOL and max(abs(d) for d in defects) < _IDENTITY_TOL
-              and xi >= self.xi_floor() and shift > 0)
+              and self.xi_floor() <= xi < np.inf and shift > 0)
         return F, res, defects, xi, bool(ok)
 
     def newton_system(self, u, shift, border, conv):
@@ -429,8 +437,7 @@ class _Discrete:
             J, M = self.newton_system(u, shift, W * u if bordered else None, conv)
             rhs = np.append(-(W * F)[:-1], [0.0, -F2] if bordered else 0.0)   # Dirichlet row
             step, _ = gmres(J, rhs, rtol=_KRYLOV_RTOL, restart=_KRYLOV_DIM, maxiter=1, M=M)
-            cand = np.maximum(u + step[:n], 0.0)
-            cand[-1] = 0.0
+            cand = _admissible(u + step[:n])
             if self.xi_of(cand) < self.xi_floor():
                 return self._stop("xi-floor", *best, k, res_best)
             u, shift = cand, (shift + step[n] if bordered else shift)
@@ -445,11 +452,10 @@ class _Discrete:
         return float(np.dot(self.W, u * u))
 
     def dilate(self, u, t):
-        """t^(N/2) u(t r), which keeps the mass, by monotone cubic interpolation;
-        None when more than a tenth of the mass leaves the window."""
+        """t^(N/2) u(t r), which keeps the mass, by monotone cubic interpolation
+        (zero past r_max); None when more than a tenth of the mass leaves the window."""
         fld = RadialField.from_values(self.grid, u)
-        v = t ** (self.grid.N / 2.0) * fld(np.minimum(t * self.grid.r, self.grid.r_max))
-        v[t * self.grid.r > self.grid.r_max] = 0.0
+        v = t ** (self.grid.N / 2.0) * fld(t * self.grid.r)
         return None if t < 1.0 and self.mass(v) < 0.9 * self.mass(u) else v
 
     def field(self, u) -> RadialField:
@@ -509,9 +515,7 @@ class _Discrete:
             d = self.direction(u, pu, g, shift)
             tau = 1.0
             for _ in range(40):
-                v = np.maximum(u - tau * d, 0.0)
-                v[-1] = 0.0
-                trial = self.trial(v)
+                trial = self.trial(_admissible(u - tau * d))
                 if trial is not None:
                     E, below, land = trial
                     if below:
@@ -586,8 +590,7 @@ class _FreeSolver(_Discrete):
         v = self.dilate(u, arg)
         if v is None:
             return None
-        v[-1] = 0.0
-        trial = self.trial(v)
+        trial = self.trial(_admissible(v))
         if trial is None or trial[1] or not trial[0] < E0:
             return None
         return (*trial[2](), trial[0])
@@ -603,26 +606,31 @@ class _FreeSolver(_Discrete):
 
 
 def _initial_field(tag, grid: RadialGrid) -> tuple[str, np.ndarray]:
+    """(name, admissible start on grid) of a seed: a RadialField, "gaussian" or
+    ("bubble", eps); a start that is positive nowhere is refused."""
     if isinstance(tag, RadialField):
-        if not np.any(tag.values):
-            raise InvalidConfiguration("zero field is not a valid initialization")
-        return "supplied", tag(grid.r)
-    if tag == "gaussian":
-        return "gaussian", gaussian(grid, width=1.5).values
-    if isinstance(tag, tuple) and tag and tag[0] == "bubble":
+        name, vals = "supplied", tag(grid.r)
+    elif tag == "gaussian":
+        name, vals = "gaussian", gaussian(grid, width=1.5).values
+    elif isinstance(tag, tuple) and tag and tag[0] == "bubble":
         eps = float(tag[1])
-        vals = cutoff_bubble(grid, eps, grid.r_max / 4).values
-        return f"bubble({eps:g})", vals
-    raise InvalidConfiguration(f"unknown initialization {tag!r}")
+        name, vals = f"bubble({eps:g})", cutoff_bubble(grid, eps, grid.r_max / 4).values
+    else:
+        raise InvalidConfiguration(f"unknown initialization {tag!r}")
+    u = _admissible(vals)
+    if not np.any(u):
+        raise InvalidConfiguration(f"{name} initialization is positive nowhere on the grid")
+    return name, u
 
 
-def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
-                 schedule=None) -> GroundStateResult:
-    """Lowest-level Nehari-constrained critical point over the init schedule."""
+def ground_state(params: ProblemParams, grid: RadialGrid,
+                 seeds=("gaussian",)) -> GroundStateResult:
+    """Lowest-level Nehari-constrained critical point over `seeds` (see
+    `_initial_field`), each run through descent and polish: a converged result
+    beats an unconverged one, then the lower level wins, then the earlier seed."""
     if params.normalized:
         raise InvalidParameter("use normalized_branches for the mass-constrained modes")
-    seeds = list(schedule) if schedule is not None else [init]
-    best = None
+    results = []
     solver = _FreeSolver(params, grid)
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
@@ -636,21 +644,13 @@ def ground_state(params: ProblemParams, grid: RadialGrid, init="gaussian",
         umax = u.max()
         res_sup = float(np.max(np.abs(F[solver.nlo: solver.ncut]))) / max(umax, 1e-300)
         noninc = bool(np.all(np.diff(u) <= 1e-8 * umax + 1e-300))
-        result = GroundStateResult(params=params, field=solver.field(u),
-                                   level=energy_from_parts(params, parts),
-                                   nehari_defect=nd, pohozaev_defect=pd,
-                                   pde_residual=res_sup, pde_residual_scaled=res_scaled,
-                                   iterations=iters + k_newton, converged=converged,
-                                   init_tag=name, radially_nonincreasing=noninc,
-                                   concentration_scale=float(xi),
-                                   exit_reason=solver.exit_reason)
-        if best is None:
-            best = result
-        elif result.converged and not best.converged:
-            best = result
-        elif result.converged == best.converged and result.level < best.level:
-            best = result
-    return best
+        results.append(GroundStateResult(
+            params=params, field=solver.field(u), level=energy_from_parts(params, parts),
+            nehari_defect=nd, pohozaev_defect=pd, pde_residual=res_sup,
+            pde_residual_scaled=res_scaled, iterations=iters + k_newton, converged=converged,
+            init_tag=name, radially_nonincreasing=noninc, concentration_scale=float(xi),
+            exit_reason=solver.exit_reason))
+    return min(results, key=lambda r: (not r.converged, r.level))
 
 
 # --------------------------------------------------- normalized two-branch
@@ -863,8 +863,7 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
                             mode="mu", mu=coupling)
     solver = _FreeSolver(eff, grid)
-    u = np.maximum(vals, 0.0)
-    u[-1] = 0.0
+    u = _admissible(vals)
     parts = solver.parts(u)
     _, res_scaled = solver.residual(u, eff.mass_coeff, parts.conv)
     if res_scaled > residual_tol:

@@ -11,7 +11,8 @@ from choquard_lab.grid import make_grid
 from choquard_lab.lab import (MultiplicityRow, RunManifest, coupling_gap_scan,
                               monotonicity_scan, multiplicity_experiment,
                               persist_run, scan_threshold)
-from choquard_lab.constants import coefficient_table
+from choquard_lab.constants import (coefficient_table, interaction_bound_constant,
+                                     sobolev_constant)
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +60,9 @@ class TestThreshold:
         crit, step = 5.0, 2.45
         calls = []
 
-        def fake_ground_state(params, grid, init="gaussian", schedule=None):
+        def fake_ground_state(params, grid, seeds=("gaussian",)):
             c = params.lam
-            calls.append((c, init, schedule))
+            calls.append((c, seeds))
             ok = c >= step
             return SimpleNamespace(converged=ok, level=crit - 1.0 if ok else crit + 0.01,
                                    field=("field", c), concentration_scale=1.0)
@@ -71,9 +72,8 @@ class TestThreshold:
         res = scan_threshold(base, (0.5, 16.0), crit, SimpleNamespace(key=("fake",)),
                              rel_tol=0.15)
 
-        assert calls[0] == (16.0, "gaussian",
-                            ("gaussian", ("bubble", 0.5), ("bubble", 0.1)))
-        warm = [(c, init) for c, init, schedule in calls[1:] if schedule is None]
+        assert calls[0] == (16.0, ("gaussian", ("bubble", 0.5), ("bubble", 0.1)))
+        warm = [(c, seeds[0]) for c, seeds in calls[1:] if seeds[0][0] == "field"]
         expected, smallest_attained = [], 16.0
         for c, _ in warm:
             expected.append((c, ("field", smallest_attained)))
@@ -81,7 +81,7 @@ class TestThreshold:
                 smallest_attained = c
         assert warm == expected
         # one fallback, the two bubble seeds, after each warm solve that is not attained
-        fallbacks = [schedule for _, _, schedule in calls[1:] if schedule is not None]
+        fallbacks = [seeds for _, seeds in calls[1:] if seeds[0][0] != "field"]
         assert fallbacks == [(("bubble", 0.5), ("bubble", 0.1))] * sum(c < step for c, _ in warm)
 
         # a plain geometric bisection on the same predicate
@@ -92,6 +92,21 @@ class TestThreshold:
             evals += 1
         assert res.bracket == (c_lo, c_hi)
         assert len(res.scan) == evals
+
+    def test_scan_at_a_non_integer_exponent(self):
+        # alpha = 0.25, p = 3.25: a warm start read off a field at the nodes is
+        # about -1e-36 at the Dirichlet node, where the last cubic ends, and a
+        # negative base under u ** p is a NaN; the scan needs admissible seeds
+        N, alpha = 3, 0.25
+        S_alpha = (sobolev_constant(N)
+                   * interaction_bound_constant(N, alpha) ** (-(N - 2) / (N + alpha)))
+        crit = (2 + alpha) / (2 * (N + alpha)) * S_alpha ** ((N + alpha) / (2 + alpha))
+        base = ProblemParams(N=N, alpha=alpha, p=N + alpha, q=3.0, mode="lambda", lam=1.0)
+        res = scan_threshold(base, (0.5, 16.0), crit, make_grid(3, 40.0, 1000, 2.5),
+                             rel_tol=0.15)
+        assert not res.degenerate
+        assert res.bracket == pytest.approx((2.5381019143834664, 2.8284271247461903),
+                                            rel=1e-12)
 
     def test_modes_guarded(self, scan_grid):
         base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="general", mu=1, lam=1)

@@ -9,7 +9,7 @@ from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_pa
                                      energy_from_parts, fiber_energy, fiber_profile,
                                      identity_prediction, mass_fiber_classify,
                                      multiplier_from_parts, scaled_parts)
-from choquard_lab.grid import gradient_seminorm, integrate, make_grid
+from choquard_lab.grid import RadialField, gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import gaussian, talenti
 from choquard_lab import solver as solver_module
 from choquard_lab.solver import (NormalizedBranchResult, _FreeSolver, _MassSolver,
@@ -66,10 +66,27 @@ class TestGroundStateLocal:
     def test_zero_init_rejected(self, solve_grid):
         params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general",
                                mu=0.0, lam=1.0)
-        from choquard_lab.grid import RadialField
         z = RadialField.from_values(solve_grid, np.zeros(solve_grid.n), origin=0.0)
         with pytest.raises(InvalidConfiguration):
-            ground_state(params, solve_grid, init=z)
+            ground_state(params, solve_grid, seeds=(z,))
+
+    def test_start_positive_nowhere_rejected(self):
+        # its positive part is u = 0, a start the descent would keep
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="lambda", lam=1.0)
+        neg = RadialField.from_values(grid, -gaussian(grid, width=1.5).values, origin=-1.0)
+        with pytest.raises(InvalidConfiguration, match="positive nowhere"):
+            ground_state(params, grid, seeds=(neg,))
+
+    def test_starts_are_admissible(self):
+        # every seed kind starts as a solver iterate: nonnegative, zero at the
+        # Dirichlet node; gaussian(width=r_max/3) is 1.2e-4 there
+        grid = make_grid(3, 20.0, 200, 2.0)
+        wide = gaussian(grid, width=grid.r_max / 3)
+        below = RadialField.from_values(grid, wide.values - 1e-3, origin=1.0)
+        for tag in ("gaussian", ("bubble", 0.5), wide, below):
+            u = _initial_field(tag, grid)[1]
+            assert u[-1] == 0.0 and np.all(u >= 0.0) and np.any(u > 0.0)
 
     def test_normalized_mode_rejected(self, solve_grid):
         pp = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=0.1)
@@ -106,7 +123,7 @@ class TestGroundStateChoquard:
                                mu=1.0, lam=1.0)
         levels = []
         for tag in ("gaussian", ("bubble", 0.5), ("bubble", 0.1)):
-            res = ground_state(params, solve_grid, init=tag)
+            res = ground_state(params, solve_grid, seeds=(tag,))
             levels.append(res.level)
         spread = (max(levels) - min(levels)) / abs(min(levels))
         assert spread < 0.01
@@ -118,7 +135,7 @@ def verdict_from_fields(res):
     return bool(res.pde_residual_scaled < solver_module._CONVERGED_TOL
                 and abs(res.nehari_defect) < solver_module._IDENTITY_TOL
                 and abs(res.pohozaev_defect) < solver_module._IDENTITY_TOL
-                and res.concentration_scale >= floor and res.params.mass_coeff > 0)
+                and floor <= res.concentration_scale < np.inf and res.params.mass_coeff > 0)
 
 
 class TestVerdict:
@@ -143,6 +160,16 @@ class TestVerdict:
         res = ground_state(params, solve_grid)
         assert res.exit_reason == reason
         assert res.converged is converged
+
+    def test_zero_field_is_not_converged(self):
+        # u = 0 has no residual and no defect, and its scale is infinite
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="lambda", lam=1.0)
+        solver = _FreeSolver(params, grid)
+        u = np.zeros(grid.n)
+        _, res, defects, xi, converged = solver.verdict(u, params.mass_coeff, solver.parts(u))
+        assert res == 0.0 and defects == (0.0, 0.0) and xi == np.inf
+        assert not converged
 
     def test_normalized_branches_are_gated_on_their_defects(self, monkeypatch):
         # the P+ branch converges, and fails once no discrete state can meet
@@ -537,11 +564,41 @@ class TestNewtonKrylov:
 
 
 THRESHOLD_GRID = (3, 40.0, 1000, 2.5)       # test_08's n = 1000 grid
-SCHEDULE = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
+SEEDS = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
 
 
 def threshold_params(lam):
     return ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=lam)
+
+
+class TestSeedSelection:
+    @pytest.mark.parametrize("scripted, kept", [
+        (((False, 1.0), (True, 2.0)), 1),
+        (((True, 2.0), (True, 1.0)), 1),
+        (((False, 2.0), (False, 1.0)), 1),
+        (((True, 1.0), (False, 0.5)), 0),
+        (((True, 1.0), (True, 1.0)), 0),
+        (((False, 1.0), (False, 1.0)), 0)],
+        ids=["later-converged-beats-lower-unconverged", "lower-converged",
+             "lower-unconverged", "converged-beats-lower-unconverged",
+             "converged-tie-keeps-first", "unconverged-tie-keeps-first"])
+    def test_converged_first_then_level_then_seed_order(self, monkeypatch, scripted, kept):
+        # each seed's (converged, level) is scripted; the solves are skipped
+        script, result = list(scripted), solver_module.GroundStateResult
+
+        def scripted_result(**kw):
+            converged, level = script.pop(0)
+            return result(**{**kw, "converged": converged, "level": level})
+
+        monkeypatch.setattr(solver_module, "GroundStateResult", scripted_result)
+        monkeypatch.setattr(_FreeSolver, "descend", lambda self, u: (u, 0))
+        monkeypatch.setattr(_FreeSolver, "newton", lambda self, u: (u, 0, 0.0))
+        params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="lambda", lam=1.0)
+        seeds = ("gaussian", ("bubble", 0.5))
+        res = ground_state(params, make_grid(3, 20.0, 200, 2.0), seeds=seeds)
+        assert not script
+        assert res.init_tag == ("gaussian", "bubble(0.5)")[kept]
+        assert (res.converged, res.level) == scripted[kept]
 
 
 class TestScaleStep:
@@ -552,7 +609,7 @@ class TestScaleStep:
         grid = make_grid(*THRESHOLD_GRID)
         solver = _FreeSolver(threshold_params(2.277577269513383), grid)
         caplog.set_level("DEBUG", logger=solver_module.__name__)
-        for tag in SCHEDULE:
+        for tag in SEEDS:
             caplog.clear()
             _, k = solver.descend(_initial_field(tag, grid)[1])
             assert solver.exit_reason == "xi-floor"
@@ -570,14 +627,14 @@ class TestScaleStep:
         ids=["lam16", "lam2.83-bubble0.1"])
     def test_attained_levels_are_unchanged(self, grid_args, lam, init, level):
         # the levels the descent reached before it took scale steps
-        res = ground_state(threshold_params(lam), make_grid(*grid_args), init=init)
+        res = ground_state(threshold_params(lam), make_grid(*grid_args), seeds=(init,))
         assert res.converged and res.exit_reason == "tol"
         assert abs(res.level - level) <= 1e-12 * level
 
-    @pytest.mark.parametrize("lam, schedule", [(1.0, SCHEDULE),
+    @pytest.mark.parametrize("lam, seeds", [(1.0, SEEDS),
                                                (4.0, ("gaussian", ("bubble", 0.1)))],
                              ids=["pinned", "attained"])
-    def test_scale_arg_is_the_first_least_prediction(self, monkeypatch, lam, schedule):
+    def test_scale_arg_is_the_first_least_prediction(self, monkeypatch, lam, seeds):
         # the walk outward from arg = 1 stops at the first arg that does not
         # lower the prediction; it picks what a brute-force first argmin over
         # the whole drift side picks, or None when nothing falls below E0
@@ -594,7 +651,7 @@ class TestScaleStep:
             return np.inf if t is None else fiber_energy(solver.params, parts, "ray", t)
 
         monkeypatch.setattr(_FreeSolver, "scale_arg", recorded)
-        ground_state(threshold_params(lam), make_grid(3, 40.0, 400, 2.5), schedule=schedule)
+        ground_state(threshold_params(lam), make_grid(3, 40.0, 400, 2.5), seeds=seeds)
         args = np.array(solver_module._SCALE_ARGS)
         for solver, pu, E0, xi, concentrating, got in calls:
             cap = xi / (solver_module._SCALE_MARGIN * solver.xi_floor())
