@@ -19,8 +19,6 @@ __all__ = ["RescaleRecord", "RateFit", "rescale_family", "concentration_scale",
 #   coupling-to-frequency-hls     amp = c^(1/(q-2)),      arg = c^((2*-2)/(2(q-2)))
 #   coupling-to-frequency-sobolev amp = c^((N-2)/(2 den)), arg = c^(1/den),
 #                                 den = (N-2)(p-1) - alpha
-#   amplitude-local               amp = c^(1/(q-2)),      arg = 1
-#   amplitude-choquard            amp = c^(1/(2(p-1))),   arg = 1
 #   bubble-normalized             amp = xi^((N-2)/2),     arg = xi (peak-matched)
 
 
@@ -46,10 +44,6 @@ def _map_exponents(tag: str, N: int, p: float, q: float, alpha: float):
     if tag == "coupling-to-frequency-sobolev":
         den = (N - 2) * (p - 1) - alpha
         return (N - 2) / (2 * den), 1.0 / den
-    if tag == "amplitude-local":
-        return 1.0 / (q - 2), 0.0
-    if tag == "amplitude-choquard":
-        return 1.0 / (2 * (p - 1)), 0.0
     raise InvalidParameter(f"unknown rescale map {tag!r}")
 
 

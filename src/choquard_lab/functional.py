@@ -76,6 +76,8 @@ class ProblemParams:
             raise InvalidParameter(f"p={self.p} outside ({lo}, {hi}]")
         if not 2 < self.q <= self.two_star:
             raise InvalidParameter(f"q={self.q} outside (2, {self.two_star}]")
+        if not all(map(math.isfinite, (self.lam, self.mu, self.nu, self.a, self.mass_coeff))):
+            raise InvalidParameter("lam, mu, nu, a and mass_coeff must be finite")
         if self.lam < 0 or self.mu < 0:
             raise InvalidParameter("couplings lam and mu must be >= 0")
         if self.mode == "lambda" and self.lam <= 0:

@@ -149,8 +149,8 @@ def make_grid(N: int, r_max: float, n: int, grading: float = 2.0) -> RadialGrid:
         raise InvalidConfiguration(f"node count n={n} must be >= 16")
     if not np.isfinite(r_max) or r_max <= 0:
         raise InvalidConfiguration(f"truncation radius r_max={r_max} must be positive")
-    if grading < 1:
-        raise InvalidConfiguration(f"grading={grading} must be >= 1")
+    if not np.isfinite(grading) or grading < 1:
+        raise InvalidConfiguration(f"grading={grading} must be finite and >= 1")
     i = np.arange(1, n + 1, dtype=float)
     r = r_max * (i / n) ** grading
     panels, pw = _panels(r, N)

@@ -20,7 +20,7 @@ from .constants import CoefficientTable
 from .errors import BracketFailure, ChoquardLabError, InvalidConfiguration, InvalidParameter
 from .functional import ProblemParams, compute_parts
 from .grid import RadialGrid
-from .solver import ground_state, normalized_branches, second_solution_via_rescale
+from .solver import _best, ground_state, normalized_branches, second_solution_via_rescale
 
 __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
            "scan_threshold", "monotonicity_scan", "multiplicity_experiment",
@@ -125,9 +125,10 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     cold seeds gaussian, bubble(0.5), bubble(0.1).  Every later solve has
     one seed, the converged field at the bracket's attained end, the
     smallest coupling attained so far; when that solve does not attain, the
-    two bubble seeds run as fallback and the lower level of the two is kept.
-    A pinned field is never a start: its descent would end at the floor at
-    once.  At most 40 couplings are solved.
+    two bubble seeds run as fallback, and of the two results the solver's
+    selection key (`solver._best`: converged first, then the lower level,
+    then the warm result) keeps one.  A pinned field is never a start: its
+    descent would end at the floor at once.  At most 40 couplings are solved.
     """
     seeds = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
     delta = delta_frac * abs(crit_level)
@@ -136,23 +137,24 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
         raise InvalidParameter("need 0 < lo < hi")
     scan = []
 
-    def attained(c, start=None):
+    def attained(res):
+        return bool(res.converged and res.level < crit_level - delta)
+
+    def solve(c, start=None):
         params = _coupled_params(base, c)
         res = ground_state(params, grid, seeds=seeds if start is None else (start,))
-        if start is not None and (not res.converged or res.level >= crit_level - delta):
-            res2 = ground_state(params, grid, seeds=seeds[1:])
-            if res2.level < res.level:
-                res = res2
+        if start is not None and not attained(res):
+            res = _best((res, ground_state(params, grid, seeds=seeds[1:])))
         scan.append((c, res.level, res.converged, res.concentration_scale))
-        return bool(res.converged and res.level < crit_level - delta), res
+        return attained(res), res
 
-    ok_hi, res_hi = attained(hi)
+    ok_hi, res_hi = solve(hi)
     if not ok_hi:
         raise BracketFailure(
             f"upper endpoint {hi} not attained (level {res_hi.level:.6g} vs crit {crit_level:.6g})",
             scan_table=tuple(scan))
     warm = res_hi.field
-    ok_lo, _ = attained(lo, warm)
+    ok_lo, _ = solve(lo, warm)
     if ok_lo:
         return ThresholdResult(mode=base.mode, bracket=(lo, lo), crit_level=crit_level,
                                delta=delta, scan=tuple(scan), grid_key=grid.key,
@@ -161,7 +163,7 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     evals = 2
     while c_hi / c_lo > 1 + rel_tol and evals < 40:
         mid = float(np.sqrt(c_lo * c_hi))
-        ok, res = attained(mid, warm)
+        ok, res = solve(mid, warm)
         if ok:
             c_hi, warm = mid, res.field
         else:
@@ -230,22 +232,20 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
     Rows where a stage fails are marked and the experiment continues; rows
     outside the smallness gate are marked gated-off.
     """
-    if not params_template.normalized:
+    pt = params_template
+    if not pt.normalized:
         raise InvalidParameter("multiplicity experiment needs a normalized mode")
+    # the mode's smallness gate: nu a^power at most its bound
+    hls = pt.mode == "normalized-hls"
+    bound = None if coeffs is None else (coeffs.nu_bound_hls if hls else coeffs.nu_bound_sob)
+    power = pt.q * (1 - pt.gamma_q) if hls else 2 * pt.p * (1 - pt.eta_p)
     rows = []
     for nu in nus:
-        params = params_template.with_couplings(nu=float(nu))
-        if coeffs is not None:
-            gate = None
-            if params.mode == "normalized-hls" and coeffs.nu_bound_hls is not None:
-                if nu * params.a ** (params.q * (1 - params.gamma_q)) > coeffs.nu_bound_hls:
-                    gate = "smallness bound for the two-branch regime violated"
-            if params.mode == "normalized-sobolev" and coeffs.nu_bound_sob is not None:
-                if nu * params.a ** (2 * params.p * (1 - params.eta_p)) > coeffs.nu_bound_sob:
-                    gate = "smallness bound for the two-branch regime violated"
-            if gate:
-                rows.append(MultiplicityRow(nu=float(nu), status=f"gated-off: {gate}"))
-                continue
+        if bound is not None and nu * pt.a ** power > bound:
+            status = "gated-off: smallness bound for the two-branch regime violated"
+            rows.append(MultiplicityRow(nu=float(nu), status=status))
+            continue
+        params = pt.with_couplings(nu=float(nu))
         branches = normalized_branches(params, grid)
         minus = branches.minus
         if minus is None or not minus.converged:

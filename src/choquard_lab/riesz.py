@@ -469,6 +469,7 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
 
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:
     """Potential values at arbitrary radii (rows built on demand)."""
+    _check_same_grid(grid, g)
     return _rows(grid, alpha, np.atleast_1d(r_targets)) @ g.values
 
 

@@ -623,11 +623,17 @@ def _initial_field(tag, grid: RadialGrid) -> tuple[str, np.ndarray]:
     return name, u
 
 
+def _best(results):
+    """The one result kept among several solves of a problem: a converged
+    result beats an unconverged one, then the lower level wins, then the
+    earlier one."""
+    return min(results, key=lambda r: (not r.converged, r.level))
+
+
 def ground_state(params: ProblemParams, grid: RadialGrid,
                  seeds=("gaussian",)) -> GroundStateResult:
-    """Lowest-level Nehari-constrained critical point over `seeds` (see
-    `_initial_field`), each run through descent and polish: a converged result
-    beats an unconverged one, then the lower level wins, then the earlier seed."""
+    """Nehari-constrained critical point over `seeds` (see `_initial_field`),
+    each run through descent and polish, kept by `_best`."""
     if params.normalized:
         raise InvalidParameter("use normalized_branches for the mass-constrained modes")
     results = []
@@ -650,7 +656,7 @@ def ground_state(params: ProblemParams, grid: RadialGrid,
             pde_residual_scaled=res_scaled, iterations=iters + k_newton, converged=converged,
             init_tag=name, radially_nonincreasing=noninc, concentration_scale=float(xi),
             exit_reason=solver.exit_reason))
-    return min(results, key=lambda r: (not r.converged, r.level))
+    return _best(results)
 
 
 # --------------------------------------------------- normalized two-branch
@@ -739,28 +745,37 @@ def multiplier_check(result: NormalizedBranchResult) -> float:
                             compute_parts(params, result.field, use_deriv=False))
 
 
-def _branch_result(solver: _MassSolver, u, lam, iters, which, reason) -> NormalizedBranchResult:
-    params = solver.params
-    parts = solver.parts(u)
-    _, res, _, _, converged = solver.verdict(u, lam, parts)
-    defect = abs(_identity_defect(params, lam, parts))
-    return NormalizedBranchResult(params=params, field=solver.field(u),
-                                  branch="P+" if which == 1 else "P-",
-                                  level=energy_from_parts(params, parts), lambda_nu=float(lam),
-                                  multiplier_identity_defect=defect,
-                                  pde_residual_scaled=float(res), iterations=iters,
-                                  converged=converged, exit_reason=reason)
-
-
 def _polish_branch(solver: _MassSolver, u0, which):
-    """Flow from u0 to the `which` branch, then the bordered Newton polish;
-    returns (result, None), or (None, reason) when the flow finds no branch."""
+    """Flow from the seed u0 to the `which` branch, then the bordered Newton
+    polish; returns (result, None), or (None, reason) when the flow finds no
+    branch.  The result's exit reason is the polish's, or the flow's when the
+    polish made no step."""
     u, it_flow, status, parts = solver.flow(u0, which)
     if u is None:
         return None, status
     u, lam, it_newton, _ = solver.newton(u, solver.shift(parts))
-    reason = solver.exit_reason if it_newton else status
-    return _branch_result(solver, u, lam, it_flow + it_newton, which, reason), None
+    params = solver.params
+    parts = solver.parts(u)
+    _, res, _, _, converged = solver.verdict(u, lam, parts)
+    return NormalizedBranchResult(
+        params=params, field=solver.field(u), branch="P+" if which == 1 else "P-",
+        level=energy_from_parts(params, parts), lambda_nu=float(lam),
+        multiplier_identity_defect=abs(_identity_defect(params, lam, parts)),
+        pde_residual_scaled=float(res), iterations=it_flow + it_newton, converged=converged,
+        exit_reason=solver.exit_reason if it_newton else status), None
+
+
+def _gaussian_seed(solver: _MassSolver) -> np.ndarray | None:
+    """Normalized Gaussian seed over a width scan whose own fiber minimum sits
+    nearest a unit dilation (least |log t+|, the first width on a tie), or None
+    when no width's fiber has a minimum."""
+    best, best_obj = None, np.inf
+    for wdt in np.geomspace(1.5, solver.grid.r_max / 3.0, 6):
+        u0 = solver.normalize(gaussian(solver.grid, width=float(wdt)).values)
+        tplus = solver.fiber_level(solver.parts(u0), 1)[0]
+        if tplus is not None and (obj := abs(np.log(tplus))) < best_obj:
+            best, best_obj = u0, obj
+    return best
 
 
 def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
@@ -778,46 +793,21 @@ def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
 
 def normalized_branches(params: ProblemParams, grid: RadialGrid) -> NormalizedBranches:
     """The P+ local minimizer (when the fiber geometry admits one) and the
-    P- mountain-pass branch of the mass-constrained problem."""
+    P- mountain-pass branch of the mass-constrained problem.  Each branch is
+    one seed, one flow and one polish (`_polish_branch`): P+ from
+    `_gaussian_seed`, P- from `_bubble_seed`.  A branch's absent reason is set
+    exactly when the branch is None: its seed scan found no fiber point, or
+    its flow could not start."""
     if not params.normalized:
         raise InvalidParameter("normalized_branches needs a normalized mode")
     solver = _MassSolver(params, grid)
-
-    plus = minus = None
-    plus_reason = minus_reason = None
-
-    # P+ branch: spread seeds over a width scan, preferring those whose own
-    # fiber minimum sits at a representable dilation, then flow + polish
-    candidates = []
-    for wdt in np.geomspace(1.5, grid.r_max / 3.0, 6):
-        u0 = solver.normalize(gaussian(grid, width=float(wdt)).values)
-        tplus = solver.fiber_level(solver.parts(u0), 1)[0]
-        if tplus is not None:
-            candidates.append((abs(np.log(tplus)), u0))
-    if not candidates:
-        plus_reason = "fiber admits no local minimum at this (nu, a)"
-    else:
-        candidates.sort(key=lambda c: c[0])
-        for _, u0 in candidates[:3]:
-            cand, reason = _polish_branch(solver, u0, 1)
-            if cand is None:
-                plus_reason = reason
-                continue
-            if plus is None or (cand.converged and (not plus.converged or cand.level < plus.level)):
-                plus = cand
-                plus_reason = None
-            if plus is not None and plus.converged:
-                break
-
-    # P- branch: cutoff-bubble seed from a scale pre-scan, fiber local maximum
+    u0 = _gaussian_seed(solver)
+    plus, plus_reason = ((None, "fiber admits no local minimum at this (nu, a)") if u0 is None
+                         else _polish_branch(solver, u0, 1))
     u0 = _bubble_seed(solver)
-    if u0 is None:
-        minus_reason = "no bubble seed admits a fiber maximum"
-    else:
-        minus, minus_reason = _polish_branch(solver, u0, -1)
-
-    return NormalizedBranches(plus=plus, minus=minus,
-                              plus_absent_reason=plus_reason,
+    minus, minus_reason = ((None, "no bubble seed admits a fiber maximum") if u0 is None
+                           else _polish_branch(solver, u0, -1))
+    return NormalizedBranches(plus=plus, minus=minus, plus_absent_reason=plus_reason,
                               minus_absent_reason=minus_reason)
 
 

@@ -49,7 +49,7 @@ class TestRescaleFamily:
 
     def test_bad_coupling(self, grid3):
         with pytest.raises(InvalidParameter):
-            rescale_family(talenti(grid3), -1.0, "amplitude-local",
+            rescale_family(talenti(grid3), -1.0, "coupling-to-frequency-hls",
                            p=2.0, q=4.0, alpha=2.0)
 
 

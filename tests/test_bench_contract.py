@@ -120,7 +120,7 @@ def recorded(self, u0, which):
     return out
 solver._MassSolver.flow = recorded
 
-# on this coarse grid the P+ flows end line-search-exhausted: rejected trials
+# on this coarse grid the P+ flow ends line-search-exhausted: rejected trials
 params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)
 solver.normalized_branches(params, grid.make_grid(3, 20.0, 200, 2.0))
 print(json.dumps({"inside": inside, "flows": flows,
@@ -173,6 +173,8 @@ def test_rejected_flow_trial_costs_one_matvec_and_no_dilation():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     c = out["inside"]
+    # one flow per branch, P+ then P-
+    assert len(out["flows"]) == 2
     assert all(status != "no-fiber-point" for _, status in out["flows"])
     # the start and every accepted iterate are landed: one dilation each
     landed = sum(k + 1 for k, _ in out["flows"])

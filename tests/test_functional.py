@@ -48,6 +48,16 @@ class TestProblemParams:
         with pytest.raises(InvalidParameter):
             ProblemParams(N=3, alpha=2.0, p=p, q=q, mode=mode, **kw)
 
+    @pytest.mark.parametrize("kw", [
+        {"mode": "lambda", "lam": np.nan}, {"mode": "mu", "mu": np.nan},
+        {"mode": "general", "nu": np.nan}, {"mode": "general", "a": np.nan},
+        {"mode": "general", "mass_coeff": np.nan}],
+        ids=["lam", "mu", "nu", "a", "mass_coeff"])
+    def test_non_finite_couplings_rejected(self, kw):
+        # NaN passes every sign check (lam < 0 is False for lam = nan)
+        with pytest.raises(InvalidParameter):
+            ProblemParams(N=3, alpha=2.0, p=3.0, q=3.0, **kw)
+
     def test_derived_exponents(self):
         pp = ProblemParams(N=3, alpha=1.0, p=2.0, q=4.0)
         assert pp.two_star == 6.0

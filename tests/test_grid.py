@@ -79,6 +79,12 @@ class TestMakeGrid:
         with pytest.raises(InvalidConfiguration):
             make_grid(3, 0.0, 100)
 
+    @pytest.mark.parametrize("grading", [0.5, np.nan, np.inf])
+    def test_bad_grading_rejected(self, grading):
+        # a NaN grading built a grid of NaN nodes
+        with pytest.raises(InvalidConfiguration):
+            make_grid(3, 20.0, 100, grading)
+
     def test_low_dimension_rejected(self):
         with pytest.raises(InvalidConfiguration):
             make_grid(2, 1.0, 100)

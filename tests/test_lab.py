@@ -93,6 +93,29 @@ class TestThreshold:
         assert res.bracket == (c_lo, c_hi)
         assert len(res.scan) == evals
 
+    def test_fallback_keeps_a_converged_warm_result(self, monkeypatch):
+        # below 16 every warm solve converges pinned, every fallback stalls
+        # unconverged at a lower level: the solver's selection key keeps the
+        # converged result, where "lower level" kept the stalled one
+        crit = 5.0
+
+        def fake_ground_state(params, grid, seeds=("gaussian",)):
+            if params.lam == 16.0:
+                return SimpleNamespace(converged=True, level=crit - 1.0, field="hi",
+                                       concentration_scale=1.0)
+            if seeds[0] == "hi":
+                return SimpleNamespace(converged=True, level=crit + 0.01, field="warm",
+                                       concentration_scale=1.0)
+            return SimpleNamespace(converged=False, level=crit - 0.001, field="fallback",
+                                   concentration_scale=0.01)
+
+        monkeypatch.setattr(lab, "ground_state", fake_ground_state)
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        res = scan_threshold(base, (0.5, 16.0), crit, SimpleNamespace(key=("fake",)),
+                             rel_tol=0.15)
+        assert len(res.scan) > 2
+        assert all(row[1:] == (crit + 0.01, True, 1.0) for row in res.scan[1:])
+
     def test_scan_at_a_non_integer_exponent(self):
         # alpha = 0.25, p = 3.25: a warm start read off a field at the nodes is
         # about -1e-36 at the Dirichlet node, where the last cubic ends, and a
@@ -120,6 +143,15 @@ class TestMultiplicityGate:
                                nu=1.0, a=1.0)
         coeffs = coefficient_table(3, 2.0, 5.0, 3.0, S_alpha=7.697, C_Nq=1.0)
         # absurdly large nu exceeds the bound: gated off without solving
+        rows = multiplicity_experiment(params, [1e9], scan_grid, coeffs=coeffs)
+        assert rows[0].status.startswith("gated-off")
+        assert not rows[0].two_solutions
+
+    def test_sobolev_smallness_gate_marks_rows(self, scan_grid):
+        params = ProblemParams(N=4, alpha=1.0, p=1.4, q=4.0, mode="normalized-sobolev",
+                               nu=1.0, a=1.0)
+        coeffs = coefficient_table(4, 1.0, 1.4, 4.0, S_alpha=7.697, C_Np=1.0)
+        assert coeffs.nu_bound_sob is not None
         rows = multiplicity_experiment(params, [1e9], scan_grid, coeffs=coeffs)
         assert rows[0].status.startswith("gated-off")
         assert not rows[0].two_solutions

@@ -210,6 +210,14 @@ class TestConvolve:
         with pytest.raises(IncompatibleGrid):
             convolve(ball_grid, f, 2.0)
 
+    def test_potential_at_grid_mismatch(self):
+        # same n, other r_max: read on the wrong nodes, this Gaussian's
+        # potential at r = 1 came out 0.199 against 0.304 on its own grid
+        own, other = make_grid(3, 30.0, 400, 2.0), make_grid(3, 25.0, 400, 2.0)
+        f = RadialField.from_values(own, np.exp(-own.r ** 2))
+        with pytest.raises(IncompatibleGrid):
+            potential_at(other, f, 1.0, [1.0])
+
     def test_positive_and_nonincreasing(self, grid3):
         g = RadialField.from_values(grid3, np.exp(-grid3.r ** 2))
         D = convolve(grid3, g, 2.0)

@@ -283,6 +283,29 @@ class TestNormalizedBranches:
         monkeypatch.setattr(_MassSolver, "fiber_level", lambda self, parts, which: (None, np.nan))
         assert solver.flow(u0, 1)[:3] == (None, 0, "no-fiber-point")
 
+    def test_absent_reason_is_set_exactly_when_the_branch_is_absent(self, monkeypatch):
+        # the P+ flow here ends unconverged; a later P+ flow that cannot start
+        # once left a P+ result together with an absent reason
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        plus_calls, flow = [], _MassSolver.flow
+
+        def failing_second(self, u0, which):
+            if which == 1:
+                plus_calls.append(u0)
+                if len(plus_calls) == 2:
+                    return None, 0, "no-fiber-point", None
+            return flow(self, u0, which)
+
+        monkeypatch.setattr(_MassSolver, "flow", failing_second)
+        out = normalized_branches(params, grid)
+        for branch, reason in ((out.plus, out.plus_absent_reason),
+                               (out.minus, out.minus_absent_reason)):
+            assert (branch is None) == (reason is not None)
+        assert out.plus is not None and not out.plus.converged
+        assert len(plus_calls) == 1
+
     def test_each_flow_logs_its_exit(self, caplog, monkeypatch):
         grid = make_grid(3, 50.0, 300, 2.0)
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
