@@ -205,8 +205,10 @@ class RadialField:
         secants inside, zero at a sign change or flat secant, and the
         one-sided three-point rule with its shape fixes at both ends.  The
         cubic is summed as scipy's `PchipInterpolator` sums it, so the two
-        agree bit for bit.  Values below 1e-200 of the peak are flushed to
-        zero: the harmonic mean of their secants overflows.
+        agree bit for bit, except at r_max: there the last cubic's right
+        end misses the node value by roundoff, and the node value is
+        returned.  Values below 1e-200 of the peak are flushed to zero: the
+        harmonic mean of their secants overflows.
         """
         t = np.asarray(r_targets, dtype=float)
         x = np.concatenate(([0.0], self.grid.r))
@@ -227,7 +229,7 @@ class RadialField:
         i = np.minimum(np.searchsorted(x, t, side="right") - 1, len(h) - 1)
         s = t - x[i]
         out = y[i] + d[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
-        return np.where(inside, out, 0.0)
+        return np.where(inside, np.where(t == x[-1], y[-1], out), 0.0)
 
     def with_values(self, values, deriv=None) -> "RadialField":
         return RadialField.from_values(self.grid, values, deriv=deriv)

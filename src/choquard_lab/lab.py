@@ -18,8 +18,8 @@ import numpy as np
 
 from .constants import CoefficientTable
 from .errors import BracketFailure, ChoquardLabError, InvalidConfiguration, InvalidParameter
-from .functional import ProblemParams, compute_parts
-from .grid import RadialGrid
+from .functional import ProblemParams
+from .grid import RadialGrid, integrate
 from .solver import _best, ground_state, normalized_branches, second_solution_via_rescale
 
 __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
@@ -260,8 +260,7 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
             continue
         gs = ground_state(resc.params_effective, resc.field.grid,
                           seeds=("gaussian", ("bubble", 0.5)))
-        gparts = compute_parts(resc.params_effective, gs.field, use_deriv=False)
-        g_no_mass = gs.level - 0.5 * gparts.mass
+        g_no_mass = gs.level - 0.5 * integrate(gs.field.grid, gs.field.values ** 2)
         u1 = resc.field.values
         u2 = gs.field.values
         dist = float(np.max(np.abs(u1 - u2)) / max(np.max(np.abs(u1)), 1e-300))

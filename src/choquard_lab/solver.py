@@ -699,7 +699,8 @@ class _MassSolver(_Discrete):
         """The `which` fiber point of v on the mass sphere from one `parts`:
         the ray law normalizes and the dilation law gives the energy, so only
         landing pays a dilation and a `parts`.  No floor exit: a P- flow may
-        start below the floor and relax (HLS nu = 1, make_grid(3, 50, 1400, 2))."""
+        start below the floor and relax (HLS nu = 1 from a cutoff bubble of
+        scale 0.05, make_grid(3, 50, 1400, 2))."""
         pv = self.parts(v)
         if not pv.mass > 0:
             return None
@@ -746,10 +747,10 @@ def multiplier_check(result: NormalizedBranchResult) -> float:
 
 
 def _polish_branch(solver: _MassSolver, u0, which):
-    """Flow from the seed u0 to the `which` branch, then the bordered Newton
-    polish; returns (result, None), or (None, reason) when the flow finds no
-    branch.  The result's exit reason is the polish's, or the flow's when the
-    polish made no step."""
+    """Flow from u0 (a `_fiber_seeds` seed, or any start on the grid) to the
+    `which` branch, then the bordered Newton polish; returns (result, None),
+    or (None, reason) when the flow finds no branch.  The result's exit
+    reason is the polish's, or the flow's when the polish made no step."""
     u, it_flow, status, parts = solver.flow(u0, which)
     if u is None:
         return None, status
@@ -765,48 +766,34 @@ def _polish_branch(solver: _MassSolver, u0, which):
         exit_reason=solver.exit_reason if it_newton else status), None
 
 
-def _gaussian_seed(solver: _MassSolver) -> np.ndarray | None:
-    """Normalized Gaussian seed over a width scan whose own fiber minimum sits
-    nearest a unit dilation (least |log t+|, the first width on a tie), or None
-    when no width's fiber has a minimum."""
-    best, best_obj = None, np.inf
-    for wdt in np.geomspace(1.5, solver.grid.r_max / 3.0, 6):
-        u0 = solver.normalize(gaussian(solver.grid, width=float(wdt)).values)
-        tplus = solver.fiber_level(solver.parts(u0), 1)[0]
-        if tplus is not None and (obj := abs(np.log(tplus))) < best_obj:
-            best, best_obj = u0, obj
-    return best
-
-
-def _bubble_seed(solver: _MassSolver) -> np.ndarray | None:
-    """Cutoff-bubble seed with the best fiber-max level of its P- trial over
-    a short scale scan; the flow's start normalizes it."""
-    solver.which = -1
-    best, best_obj = None, np.inf
-    for s in (0.05, 0.1, 0.2, 0.5, 1.0):
-        vals = cutoff_bubble(solver.grid, s, solver.grid.r_max / 4).values
-        trial = solver.trial(vals)
-        if trial is not None and trial[0] < best_obj:
-            best, best_obj = vals, trial[0]
-    return best
+def _fiber_seeds(solver: _MassSolver) -> list[np.ndarray | None]:
+    """The P+ and P- seeds from the mass fiber of one normalized Gaussian g of
+    width 1.5, whose dilations t^(N/2) g(t r) are the normalized Gaussians of
+    width 1.5 / t: each seed is that Gaussian at g's first fiber minimum (P+)
+    or last fiber maximum (P-), its width capped at r_max / 3; None where the
+    fiber has no such point."""
+    grid, width = solver.grid, 1.5
+    parts = solver.parts(solver.normalize(gaussian(grid, width=width).values))
+    ts = [solver.fiber_level(parts, which)[0] for which in (1, -1)]
+    return [None if t is None else
+            solver.normalize(gaussian(grid, width=min(width / t, grid.r_max / 3.0)).values)
+            for t in ts]
 
 
 def normalized_branches(params: ProblemParams, grid: RadialGrid) -> NormalizedBranches:
     """The P+ local minimizer (when the fiber geometry admits one) and the
     P- mountain-pass branch of the mass-constrained problem.  Each branch is
-    one seed, one flow and one polish (`_polish_branch`): P+ from
-    `_gaussian_seed`, P- from `_bubble_seed`.  A branch's absent reason is set
-    exactly when the branch is None: its seed scan found no fiber point, or
-    its flow could not start."""
+    one seed from `_fiber_seeds`, one flow and one polish (`_polish_branch`).
+    A branch's absent reason is set exactly when the branch is None: the
+    seed's fiber has no point of that kind, or its flow could not start."""
     if not params.normalized:
         raise InvalidParameter("normalized_branches needs a normalized mode")
     solver = _MassSolver(params, grid)
-    u0 = _gaussian_seed(solver)
-    plus, plus_reason = ((None, "fiber admits no local minimum at this (nu, a)") if u0 is None
-                         else _polish_branch(solver, u0, 1))
-    u0 = _bubble_seed(solver)
-    minus, minus_reason = ((None, "no bubble seed admits a fiber maximum") if u0 is None
-                           else _polish_branch(solver, u0, -1))
+    plus_seed, minus_seed = _fiber_seeds(solver)
+    plus, plus_reason = ((None, "fiber admits no local minimum at this (nu, a)")
+                         if plus_seed is None else _polish_branch(solver, plus_seed, 1))
+    minus, minus_reason = ((None, "fiber admits no maximum at this (nu, a)")
+                           if minus_seed is None else _polish_branch(solver, minus_seed, -1))
     return NormalizedBranches(plus=plus, minus=minus, plus_absent_reason=plus_reason,
                               minus_absent_reason=minus_reason)
 

@@ -209,9 +209,24 @@ class TestField:
         y = np.concatenate(([f.origin], f.values))
         y[np.abs(y) < 1e-200 * np.max(np.abs(y))] = 0.0
         ref = np.nan_to_num(PchipInterpolator(x, y, extrapolate=False)(t))
+        ref[t == f.grid.r_max] = y[-1]      # the node, not the last cubic's roundoff
         got = f(t)
         assert np.array_equal(got, ref)
         assert np.all(got[t > f.grid.r_max] == 0.0)
+
+    @pytest.mark.parametrize("grid_args,width,zero_last", [
+        ((3, 20.0, 200, 2.0), 0.3, True), ((3, 20.0, 200, 2.0), 0.3, False),
+        ((4, 60.0, 1100, 3.0), 1 / 3, True), ((4, 60.0, 1100, 3.0), 0.1, False)])
+    def test_nodes_are_returned_bitwise(self, grid_args, width, zero_last):
+        # the last cubic ends at r_max a few ulps off its node: a last node of
+        # 0 read 2.5e-21 on the first grid and -6.8e-21 on the second, and a
+        # nonzero one was off by an ulp; no value here is under the flush
+        g = make_grid(*grid_args)
+        vals = gaussian(g, width=width * g.r_max).values
+        if zero_last:
+            vals[-1] = 0.0
+        f = RadialField.from_values(g, vals)
+        assert np.array_equal(f(g.r), f.values)
 
     def test_nonfinite_rejected(self):
         g = make_grid(3, 10.0, 100)

@@ -10,11 +10,11 @@ from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_pa
                                      identity_prediction, mass_fiber_classify,
                                      multiplier_from_parts, scaled_parts)
 from choquard_lab.grid import RadialField, gradient_seminorm, integrate, make_grid
-from choquard_lab.profiles import gaussian, talenti
+from choquard_lab.profiles import cutoff_bubble, gaussian, talenti
 from choquard_lab import solver as solver_module
 from choquard_lab.solver import (NormalizedBranchResult, _FreeSolver, _MassSolver,
-                                 _initial_field, ground_state, multiplier_check,
-                                 normalized_branches,
+                                 _fiber_seeds, _initial_field, _polish_branch, ground_state,
+                                 multiplier_check, normalized_branches,
                                  second_solution_via_rescale,
                                  shoot_local_ground_state)
 
@@ -239,9 +239,10 @@ class TestNormalizedBranches:
             assert abs(m - params.a ** 2) < 1e-8 * params.a ** 2
 
     def test_minus_flow_relaxes_from_below_the_floor(self, hls_norm_grid, monkeypatch):
-        # at nu = 1 the P- flow starts below the resolvability floor and
-        # relaxes above it, so the mass fiber has no floor exit: with one,
-        # this branch ended xi-floor after 0 iterations, unconverged
+        # at nu = 1 a P- flow from a narrow cutoff bubble starts below the
+        # resolvability floor and relaxes above it, so the mass fiber has no
+        # floor exit: with one, this branch ended xi-floor after 0
+        # iterations, unconverged
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                                nu=1.0, a=1.0)
         below, recording, flow, xi_of = [], [False], _MassSolver.flow, _MassSolver.xi_of
@@ -261,15 +262,18 @@ class TestNormalizedBranches:
 
         monkeypatch.setattr(_MassSolver, "flow", minus_flow)
         monkeypatch.setattr(_MassSolver, "xi_of", recorded_xi)
-        minus = normalized_branches(params, hls_norm_grid).minus
+        u0 = cutoff_bubble(hls_norm_grid, 0.05, hls_norm_grid.r_max / 4).values
+        minus, reason = _polish_branch(_MassSolver(params, hls_norm_grid), u0, -1)
+        assert reason is None
         assert minus is not None and minus.converged
         assert minus.exit_reason == "tol"
         assert any(below) and not below[-1]
 
     def test_plus_state_wider_than_the_window_is_reported_so(self, monkeypatch):
-        # at nu = 1 every seed's fiber minimum sits at a dilation t < 0.07 that
-        # moves most of the mass past r_max: the fiber point exists, landing
-        # on it leaves the window
+        # at nu = 1 the width-1.5 Gaussian's fiber minimum asks for a width
+        # far past the r_max / 3 cap, and the capped seed's own minimum sits
+        # at a dilation t < 0.07 that moves most of the mass past r_max: the
+        # fiber point exists, landing on it leaves the window
         grid = make_grid(3, 50.0, 300, 2.0)
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                                nu=1.0, a=1.0)
@@ -325,6 +329,62 @@ class TestNormalizedBranches:
         for record, (k, reason) in zip(caplog.records, exits):
             assert record.getMessage().startswith(
                 f"descent {reason} after {k} iterations: mass fiber, ")
+
+
+class TestFiberSeeds:
+    @pytest.mark.parametrize("params,grid_args", [
+        (ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0),
+         (3, 50.0, 1400, 2.0)),
+        (ProblemParams(N=4, alpha=1.0, p=1.4, q=4.0, mode="normalized-sobolev", nu=40.0,
+                       a=1.0), (4, 60.0, 1100, 3.0))])
+    def test_gaussian_widths_share_one_mass_fiber(self, params, grid_args):
+        # t^(N/2) g_w(t r) is the normalized Gaussian of width w / t, so every
+        # width w predicts the same seed width w / t, and a seed at that
+        # width is its own fiber point
+        grid = make_grid(*grid_args)
+        solver = _MassSolver(params, grid)
+        for which in (1, -1):
+            widths = []
+            for w in np.geomspace(1.5, grid.r_max / 3.0, 6):
+                u = solver.normalize(gaussian(grid, width=float(w)).values)
+                widths.append(w / solver.fiber_level(solver.parts(u), which)[0])
+            assert np.ptp(widths) < 1e-4 * np.mean(widths)
+        seeds = _fiber_seeds(solver)
+        for seed, which in zip(seeds, (1, -1)):
+            assert abs(solver.fiber_level(solver.parts(seed), which)[0] - 1.0) < 1e-3
+
+    def test_a_fiber_without_a_maximum_leaves_p_minus_absent(self, monkeypatch):
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        points = _MassSolver.fiber_points
+        monkeypatch.setattr(_MassSolver, "fiber_points",
+                            lambda self, parts: [pt for pt in points(self, parts) if pt[1] == 1])
+        out = normalized_branches(params, grid)
+        assert out.plus is not None and out.plus_absent_reason is None
+        assert out.minus is None
+        assert out.minus_absent_reason == "fiber admits no maximum at this (nu, a)"
+
+    def test_one_parts_before_the_first_flow(self, monkeypatch):
+        # both seeds come from the parts of one Gaussian
+        grid = make_grid(3, 20.0, 200, 2.0)
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        calls, at_flow = [0], []
+        parts, flow = _MassSolver.parts, _MassSolver.flow
+
+        def counted(self, u):
+            calls[0] += 1
+            return parts(self, u)
+
+        def recorded(self, u0, which):
+            at_flow.append(calls[0])
+            return flow(self, u0, which)
+
+        monkeypatch.setattr(_MassSolver, "parts", counted)
+        monkeypatch.setattr(_MassSolver, "flow", recorded)
+        normalized_branches(params, grid)
+        assert at_flow[0] == 1
 
 
 class TestNewtonFloor:
