@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .functional import Parts, ProblemParams, compute_parts, scaled_parts
-from .grid import RadialField, RadialGrid, integrate, make_grid
+from .grid import RadialField
 from .profiles import talenti_scale
 
 __all__ = ["RescaleRecord", "RateFit", "rescale_family", "concentration_scale",
@@ -33,7 +33,6 @@ class RescaleRecord:
     ledger_before: Parts
     ledger_after: Parts
     identity_defects: dict
-    mass_loss: float           # fraction of L2 mass pushed past r_max (0 when none)
 
 
 def _map_exponents(tag: str, N: int, p: float, q: float, alpha: float):
@@ -48,21 +47,21 @@ def _map_exponents(tag: str, N: int, p: float, q: float, alpha: float):
 
 
 def rescale_family(f: RadialField, coupling: float, map_tag: str,
-                   p: float, q: float, alpha: float,
-                   target_grid: RadialGrid | None = None) -> RescaleRecord:
+                   p: float, q: float, alpha: float) -> RescaleRecord:
     """Apply one of the displayed changes of variables and audit the norms.
 
     ``bubble-normalized`` extracts xi from the peak (see
     `concentration_scale`) and applies w -> xi^((N-2)/2) w(xi .); the other
-    tags use the exact coupling powers.  Identity defects compare the
-    before/after ledgers against the closed scaling laws.
+    tags use the exact coupling powers.  The map is `RadialField.rescaled`,
+    node for node onto the rescaled grid, and a stored derivative travels
+    with the field, so both ledgers use the same kinetic form.  Identity
+    defects compare the before/after ledgers against the closed scaling laws.
     """
     if coupling <= 0:
         raise InvalidParameter("coupling must be positive")
-    g = f.grid
-    N = g.N
+    N = f.grid.N
     params = ProblemParams(N, alpha, p, q)
-    before = compute_parts(params, f, use_deriv=False)
+    before = compute_parts(params, f)
     if map_tag == "bubble-normalized":
         xi = concentration_scale(f)
         amp = xi ** ((N - 2) / 2.0)
@@ -71,19 +70,8 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
         ea, eb = _map_exponents(map_tag, N, p, q, alpha)
         amp = coupling ** ea
         arg = coupling ** eb
-    if target_grid is None:
-        target_grid = g if abs(arg - 1.0) < 1e-14 else make_grid(
-            N, g.r_max / arg, g.n, g.grading)
-    vals = amp * f(arg * target_grid.r)
-    mass_loss = 0.0
-    if arg * target_grid.r_max < g.r_max * (1 - 1e-12):
-        # support truncated by the target window: measure what is lost
-        lost_mask = g.r > arg * target_grid.r_max
-        total = integrate(g, f.values ** 2)
-        lost = integrate(g, np.where(lost_mask, f.values ** 2, 0.0))
-        mass_loss = lost / total if total > 0 else 0.0
-    out = RadialField.from_values(target_grid, vals, origin=amp * f.origin)
-    after = compute_parts(params, out, use_deriv=False)
+    out = f.rescaled(amp, arg)
+    after = compute_parts(params, out)
     pred = scaled_parts(params, before, amp, arg)
     defects = {}
     for name in ("kinetic", "mass", "riesz", "power"):
@@ -93,7 +81,7 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
     return RescaleRecord(coupling=coupling, map_tag=map_tag, source=f, rescaled=out,
                          scale=float(arg), amplitude=float(amp),
                          ledger_before=before, ledger_after=after,
-                         identity_defects=defects, mass_loss=float(mass_loss))
+                         identity_defects=defects)
 
 
 def concentration_scale(f: RadialField) -> float:
@@ -127,7 +115,6 @@ class RateFit:
     r_squared: float
     window: tuple
     refit: "RateFit | None" = None
-    log_abscissa: bool = True
 
 
 def _lsq_fit(x: np.ndarray, y: np.ndarray):
@@ -162,9 +149,9 @@ def tail_exponent_fit(f: RadialField, window: tuple) -> RateFit:
 _REFIT_R2 = 0.98
 
 
-def rate_fit(couplings, values, log_abscissa: bool = True,
-             min_span_decades: float = 1.5) -> RateFit:
-    """Fit log(value) against log(coupling) (or ln coupling for log regimes).
+def rate_fit(couplings, values, min_span_decades: float = 1.5) -> RateFit:
+    """Fit log(value) against log(coupling); a logarithmic regime divides its
+    values by the log factor first and is fitted the same way.
 
     When R^2 < _REFIT_R2 and there are at least 6 samples, the two extreme
     samples are dropped and the fit is redone on the shrunken window; both
@@ -179,9 +166,9 @@ def rate_fit(couplings, values, log_abscissa: bool = True,
     order = np.argsort(c)
     c, v = c[order], v[order]
     span = np.log10(c[-1] / c[0])
-    if log_abscissa and span < min_span_decades:
+    if span < min_span_decades:
         raise InvalidParameter(f"span {span:.2f} decades < required {min_span_decades}")
-    x = np.log(c) if log_abscissa else c
+    x = np.log(c)
     if np.any(v <= 0):
         raise InvalidParameter("values must be positive for a log fit")
     y = np.log(v)
@@ -190,8 +177,6 @@ def rate_fit(couplings, values, log_abscissa: bool = True,
     if r2 < _REFIT_R2 and len(c) >= 6:
         s, i, r = _lsq_fit(x[1:-1], y[1:-1])
         refit = RateFit(abscissa=c[1:-1], ordinate=v[1:-1], slope=s, intercept=i,
-                        r_squared=r, window=(float(c[1]), float(c[-2])),
-                        log_abscissa=log_abscissa)
+                        r_squared=r, window=(float(c[1]), float(c[-2])))
     return RateFit(abscissa=c, ordinate=v, slope=slope, intercept=intercept,
-                   r_squared=r2, window=(float(c[0]), float(c[-1])), refit=refit,
-                   log_abscissa=log_abscissa)
+                   r_squared=r2, window=(float(c[0]), float(c[-1])), refit=refit)

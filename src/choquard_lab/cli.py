@@ -1,8 +1,8 @@
 """Command-line interface.
 
 One declarative INI config drives every experiment (sections per
-subcommand).  `main` reads the subcommand's section, runs its `cmd_*`
-function on it and, with --out, persists what the command returns under
+subcommand).  `main` reads the subcommand's section, each value by the
+kind of its key (`_typed`), runs its `cmd_*` function on it and, with --out, persists what the command returns under
 one run layout, next to a manifest of the config, the code version, the
 wall clock and the artifact paths.  Each `cmd_*` prints its report and
 returns (exit code, artifacts).  Exit codes: 0 success, 2 failed-invariant
@@ -25,7 +25,7 @@ from . import __version__
 from .asymptotics import rate_fit
 from .constants import (coefficient_table, gn_constant, hls_constant, rayleigh_constants,
                         riesz_normalization, sobolev_constant)
-from .errors import ChoquardLabError
+from .errors import ChoquardLabError, InvalidConfiguration
 from .functional import ProblemParams, fiber_profile
 from .grid import RadialField, integrate, make_grid
 from .lab import (MultiplicityRow, RunManifest, coupling_gap_scan, frame_exponents,
@@ -35,21 +35,35 @@ from .solver import ground_state, normalized_branches, shoot_local_ground_state
 from .testfn import bubble_sweep
 
 
+# how each config value is read: float, unless the key is listed here
+_KINDS = {"n_dim": int, "nodes": int, "t_count": int, "count": int, "mode": str,
+          "field": str, "kind": str, "which": str,
+          "nus": lambda text: [float(x) for x in text.split(",")]}
+
+
+def _typed(cfg):
+    """The config section with every value read by the kind of its key; a
+    value that does not read is an InvalidConfiguration naming the key."""
+    out = {}
+    for key, text in cfg.items():
+        try:
+            out[key] = _KINDS.get(key, float)(text)
+        except ValueError as e:
+            raise InvalidConfiguration(f"config key {key!r} = {text!r}: {e}") from None
+    return out
+
+
 def _grid_from(cfg, defaults=(3, 50.0, 1000, 2.0)):
-    N = int(cfg.get("n_dim", defaults[0]))
-    r_max = float(cfg.get("r_max", defaults[1]))
-    n = int(cfg.get("nodes", defaults[2]))
-    grading = float(cfg.get("grading", defaults[3]))
-    return make_grid(N, r_max, n, grading)
+    keys = ("n_dim", "r_max", "nodes", "grading")
+    return make_grid(*(cfg.get(key, d) for key, d in zip(keys, defaults)))
 
 
 def _params_from(cfg):
     return ProblemParams(
-        N=int(cfg.get("n_dim", 3)), alpha=float(cfg.get("alpha", 2.0)),
-        p=float(cfg.get("p", 2.0)), q=float(cfg.get("q", 4.0)),
-        mode=cfg.get("mode", "general"), lam=float(cfg.get("lam", 0.0)),
-        mu=float(cfg.get("mu", 0.0)), nu=float(cfg.get("nu", 0.0)),
-        a=float(cfg.get("a", 1.0)), mass_coeff=float(cfg.get("mass_coeff", 1.0)))
+        N=cfg.get("n_dim", 3), alpha=cfg.get("alpha", 2.0), p=cfg.get("p", 2.0),
+        q=cfg.get("q", 4.0), mode=cfg.get("mode", "general"), lam=cfg.get("lam", 0.0),
+        mu=cfg.get("mu", 0.0), nu=cfg.get("nu", 0.0), a=cfg.get("a", 1.0),
+        mass_coeff=cfg.get("mass_coeff", 1.0))
 
 
 def _cell(v):
@@ -63,10 +77,8 @@ def _csv(header, rows):
 
 
 def cmd_constants(cfg):
-    N = int(cfg.get("n_dim", 3))
-    alpha = float(cfg.get("alpha", 2.0))
-    p = float(cfg.get("p", (N + alpha) / (N - 2)))
-    q = float(cfg.get("q", 3.0))
+    N, alpha, q = cfg.get("n_dim", 3), cfg.get("alpha", 2.0), cfg.get("q", 3.0)
+    p = cfg.get("p", (N + alpha) / (N - 2))
     grid = _grid_from(cfg, (N, 400.0, 2400, 3.0))
     q_ground = C_Nq = None
     if q < 2 * N / (N - 2):
@@ -104,8 +116,7 @@ def cmd_fiber(cfg):
     source = cfg.get("field", "talenti")
     field = (talenti(grid) if source == "talenti"
              else RadialField.from_csv(grid, Path(source).read_text()))
-    ts = np.geomspace(float(cfg.get("t_min", 0.1)), float(cfg.get("t_max", 10.0)),
-                      int(cfg.get("t_count", 100)))
+    ts = np.geomspace(cfg.get("t_min", 0.1), cfg.get("t_max", 10.0), cfg.get("t_count", 100))
     prof = fiber_profile(params, field, cfg.get("kind", "ray"), ts)
     table = _csv("t,energy", zip(prof.ts, prof.energies))
     print(table, end="")
@@ -114,11 +125,12 @@ def cmd_fiber(cfg):
 
 
 def cmd_scan_threshold(cfg):
-    crit = float(cfg["crit_level"])
-    lo, hi = float(cfg.get("coupling_lo", 0.5)), float(cfg.get("coupling_hi", 64.0))
-    res = scan_threshold(_params_from(cfg), (lo, hi), crit, _grid_from(cfg),
-                         delta_frac=float(cfg.get("delta_frac", 0.005)),
-                         rel_tol=float(cfg.get("rel_tol", 0.05)))
+    if "crit_level" not in cfg:
+        raise InvalidConfiguration("config key 'crit_level' is required")
+    lo, hi = cfg.get("coupling_lo", 0.5), cfg.get("coupling_hi", 64.0)
+    res = scan_threshold(_params_from(cfg), (lo, hi), cfg["crit_level"], _grid_from(cfg),
+                         delta_frac=cfg.get("delta_frac", 0.005),
+                         rel_tol=cfg.get("rel_tol", 0.05))
     print(f"bracket = {res.bracket}")
     for c, lev, conv, xi in res.scan:
         print(f"  c={c:.6g} level={lev:.8g} converged={conv} xi={xi:.3g}")
@@ -126,14 +138,12 @@ def cmd_scan_threshold(cfg):
 
 
 def cmd_asymptotics(cfg):
-    N = int(cfg.get("n_dim", 3))
-    alpha = float(cfg.get("alpha", 2.0))
-    p = float(cfg.get("p", 2.0))
-    q = float(cfg.get("q", 4.0))
+    N, alpha = cfg.get("n_dim", 3), cfg.get("alpha", 2.0)
+    p, q = cfg.get("p", 2.0), cfg.get("q", 4.0)
     which = cfg.get("which", "lambda")
     grid = _grid_from(cfg, (N, 30.0, 900, 2.0))
-    lo, hi = float(cfg.get("coupling_lo", 10.0)), float(cfg.get("coupling_hi", 1000.0))
-    couplings = np.geomspace(lo, hi, int(cfg.get("count", 7)))
+    lo, hi = cfg.get("coupling_lo", 10.0), cfg.get("coupling_hi", 1000.0)
+    couplings = np.geomspace(lo, hi, cfg.get("count", 7))
     _, points = coupling_gap_scan(N, alpha, p, q, couplings, grid, which=which)
     fit = rate_fit([pt.coupling for pt in points], [pt.gap for pt in points])
     expected = frame_exponents(which, p, q)[0]
@@ -165,8 +175,8 @@ def cmd_normalized(cfg):
 
 
 def cmd_multiplicity(cfg):
-    nus = [float(x) for x in cfg.get("nus", "0.1,0.2,0.4").split(",")]
-    rows = multiplicity_experiment(_params_from(cfg), nus, _grid_from(cfg))
+    rows = multiplicity_experiment(_params_from(cfg), cfg.get("nus", [0.1, 0.2, 0.4]),
+                                   _grid_from(cfg))
     for row in rows:
         print(f"nu={row.nu:.4g}  status={row.status}  two_solutions={row.two_solutions}  "
               f"E_branch={row.branch_level:.6g} E_ground={row.ground_level:.6g}")
@@ -176,13 +186,9 @@ def cmd_multiplicity(cfg):
 
 
 def cmd_testfn(cfg):
-    N = int(cfg.get("n_dim", 3))
-    a = float(cfg.get("a", 3.0))
-    q = float(cfg["q"]) if "q" in cfg else None
-    p = float(cfg["p"]) if "p" in cfg else None
-    alpha = float(cfg["alpha"]) if "alpha" in cfg else None
-    eps = np.geomspace(float(cfg.get("eps_lo", 0.02)), float(cfg.get("eps_hi", 0.2)),
-                       int(cfg.get("count", 7)))
+    N, a = cfg.get("n_dim", 3), cfg.get("a", 3.0)
+    q, p, alpha = cfg.get("q"), cfg.get("p"), cfg.get("alpha")
+    eps = np.geomspace(cfg.get("eps_lo", 0.02), cfg.get("eps_hi", 0.2), cfg.get("count", 7))
     radii, reports = bubble_sweep(N, a, eps, q=q, p=p, alpha=alpha)
     # the q_power and riesz columns only when the config gives their exponents
     cols = ["kinetic", "sobolev_power", *(["q_power"] if q is not None else []),
@@ -221,7 +227,7 @@ def main(argv=None):
         return 1
     cfg = dict(cp[args.command]) if cp.has_section(args.command) else {}
     try:
-        code, artifacts = COMMANDS[args.command](cfg)
+        code, artifacts = COMMANDS[args.command](_typed(cfg))
         if args.out:
             manifest = RunManifest(config=cfg, code_version=__version__,
                                    wall_clock=time.perf_counter() - started)

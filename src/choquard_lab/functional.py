@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -67,8 +68,8 @@ class ProblemParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise InvalidParameter(f"unknown mode {self.mode!r}")
-        if self.N < 3:
-            raise InvalidParameter("N must be >= 3")
+        if not isinstance(self.N, Integral) or self.N < 3:
+            raise InvalidParameter(f"N={self.N!r} must be an integer >= 3")
         if not 0 < self.alpha < self.N:
             raise InvalidParameter(f"alpha={self.alpha} outside (0, N)")
         lo, hi = (self.N + self.alpha) / self.N, self.two_alpha_star
@@ -164,15 +165,15 @@ class EnergyBreakdown(Parts):
     pohozaev_defect: float
 
 
-def compute_parts(params: ProblemParams, u: RadialField, use_deriv: bool = True) -> Parts:
+def compute_parts(params: ProblemParams, u: RadialField) -> Parts:
     """Kinetic / mass / Riesz / power integrals of u.
 
     The kinetic term uses the stored derivative when the field carries one
-    (high-accuracy path for analytic or ODE-produced profiles) and the
+    (analytic, ODE-produced or `RadialField.rescaled` profiles) and the
     stiffness form otherwise (the form the solver is stationary for).
     """
     grid = u.grid
-    if use_deriv and u.deriv is not None:
+    if u.deriv is not None:
         K = gradient_seminorm(u)
     else:
         K = kinetic_energy(grid, u.values)

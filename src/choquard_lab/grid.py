@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from math import comb, gamma, pi
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -143,10 +144,10 @@ class RadialGrid:
 
 def make_grid(N: int, r_max: float, n: int, grading: float = 2.0) -> RadialGrid:
     """Build a graded radial grid; cluster near the origin for grading > 1."""
-    if N < 3:
-        raise InvalidConfiguration(f"dimension N={N} must be >= 3")
-    if n < 16:
-        raise InvalidConfiguration(f"node count n={n} must be >= 16")
+    if not isinstance(N, Integral) or N < 3:
+        raise InvalidConfiguration(f"dimension N={N!r} must be an integer >= 3")
+    if not isinstance(n, Integral) or n < 16:
+        raise InvalidConfiguration(f"node count n={n!r} must be an integer >= 16")
     if not np.isfinite(r_max) or r_max <= 0:
         raise InvalidConfiguration(f"truncation radius r_max={r_max} must be positive")
     if not np.isfinite(grading) or grading < 1:
@@ -233,6 +234,17 @@ class RadialField:
 
     def with_values(self, values, deriv=None) -> "RadialField":
         return RadialField.from_values(self.grid, values, deriv=deriv)
+
+    def rescaled(self, amp: float, arg: float) -> "RadialField":
+        """amp * u(arg * r) on make_grid(N, r_max / arg, n, grading), whose
+        nodes are these divided by arg: values and origin times amp, a stored
+        derivative times amp * arg, nothing interpolated.  At |arg - 1| < 1e-14
+        the grid, and so its cached kernel table, is kept."""
+        g = self.grid
+        grid = g if abs(arg - 1.0) < 1e-14 else make_grid(g.N, g.r_max / arg, g.n, g.grading)
+        deriv = None if self.deriv is None else amp * arg * self.deriv
+        return RadialField.from_values(grid, amp * self.values, deriv=deriv,
+                                       origin=amp * self.origin)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -51,6 +51,7 @@ _FLOW_TOL = 1e-4            # hand-off from descent or flow to Newton, both solv
 _IDENTITY_TOL = 1e-3        # Nehari/Pohozaev defect gate for `converged`
 _POSITIVITY_FLOOR = 1e-9    # Jacobian clamp where u < floor * max(u)
 _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
+_RESCALE_TOL = 5e-3         # scaled residual gate of a P- state rescaled to frequency 1
 # Newton stagnation: stop when the best residual has not halved in this many
 # steps, a mean contraction worse than 0.5^(1/3) ~ 0.79 per step.  That is
 # close to Deuflhard's restricted monotonicity bound 3/4 for a full Newton
@@ -742,8 +743,7 @@ def _identity_defect(params: ProblemParams, lam, parts: Parts) -> float:
 def multiplier_check(result: NormalizedBranchResult) -> float:
     """`_identity_defect` of a branch, signed, from parts recomputed from its field."""
     params = result.params
-    return _identity_defect(params, result.lambda_nu,
-                            compute_parts(params, result.field, use_deriv=False))
+    return _identity_defect(params, result.lambda_nu, compute_parts(params, result.field))
 
 
 def _polish_branch(solver: _MassSolver, u0, which):
@@ -811,26 +811,21 @@ class RescaledSolution:
     source: NormalizedBranchResult
 
 
-def second_solution_via_rescale(result: NormalizedBranchResult,
-                                residual_tol: float = 5e-3) -> RescaledSolution:
+def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolution:
     """Map a converged P- normalized solution to a frequency-1 solution.
 
     v(x) = lam^(-(N-2)/4) u(lam^(-1/2) x) solves the free problem with
     effective coupling nu * lam^(-(2N-q(N-2))/4) (HLS-critical mode) or
-    nu * lam^(-(N+alpha-p(N-2))/2) (Sobolev-critical mode).
+    nu * lam^(-(N+alpha-p(N-2))/2) (Sobolev-critical mode).  v is
+    `RadialField.rescaled`, node for node; a scaled residual above
+    _RESCALE_TOL raises RescaleInconsistency.
     """
     if not result.converged or result.lambda_nu <= 0:
         raise InvalidParameter("rescale needs a converged branch with lambda_nu > 0")
     params = result.params
     lam = result.lambda_nu
     N = params.N
-    old = result.field
-    g0 = old.grid
-    scale = np.sqrt(lam)
-    new_rmax = g0.r_max * scale
-    grid = make_grid(N, new_rmax, g0.n, g0.grading)
-    amp = lam ** (-(N - 2) / 4.0)
-    vals = amp * old(grid.r / scale)
+    v = result.field.rescaled(lam ** (-(N - 2) / 4.0), 1.0 / np.sqrt(lam))
     if params.mode == "normalized-hls":
         coupling = params.nu * lam ** (-params.gamma_exp / 4.0)
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
@@ -839,14 +834,14 @@ def second_solution_via_rescale(result: NormalizedBranchResult,
         coupling = params.nu * lam ** (-params.eta_exp / 2.0)
         eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
                             mode="mu", mu=coupling)
-    solver = _FreeSolver(eff, grid)
-    u = _admissible(vals)
+    solver = _FreeSolver(eff, v.grid)
+    u = _admissible(v.values)
     parts = solver.parts(u)
     _, res_scaled = solver.residual(u, eff.mass_coeff, parts.conv)
-    if res_scaled > residual_tol:
+    if res_scaled > _RESCALE_TOL:
         raise RescaleInconsistency(
-            f"rescaled candidate residual {res_scaled:.2e} exceeds {residual_tol:.0e}; "
-            "multiplier extraction or interpolation is inconsistent")
+            f"rescaled candidate residual {res_scaled:.2e} exceeds {_RESCALE_TOL:.0e}; "
+            "the multiplier extraction is inconsistent")
     level = energy_from_parts(eff, parts)
     return RescaledSolution(field=solver.field(u), params_effective=eff,
                             coupling=float(coupling),

@@ -36,16 +36,34 @@ class TestRescaleFamily:
         assert np.isclose(rec.scale, 0.5, rtol=1e-10)
         assert rec.identity_defects["mass"] < 1e-6
 
+    @pytest.mark.parametrize("tag", ["coupling-to-frequency-hls",
+                                     "coupling-to-frequency-sobolev", "bubble-normalized"])
+    @pytest.mark.parametrize("with_deriv", [True, False])
+    def test_values_move_node_for_node(self, grid3, tag, with_deriv):
+        # amp * u(arg r) at the rescaled nodes r / arg is amp * u(r): no interpolation,
+        # and a stored derivative travels as amp * arg * u'
+        f = (talenti(grid3, eps=0.5) if with_deriv
+             else RadialField.from_values(grid3, np.exp(-grid3.r ** 2) * (1 + grid3.r)))
+        rec = rescale_family(f, 3.0, tag, p=5.0, q=3.0, alpha=2.0)
+        out, amp, arg = rec.rescaled, rec.amplitude, rec.scale
+        assert arg != 1.0
+        np.testing.assert_allclose(out.grid.r * arg, grid3.r, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(out.values, amp * f.values)
+        assert out.origin == amp * f.origin
+        if with_deriv:
+            np.testing.assert_array_equal(out.deriv, amp * arg * f.deriv)
+        else:
+            assert out.deriv is None
+
     def test_maps_compose_to_identity(self, grid3):
         f = RadialField.from_values(grid3, np.exp(-0.5 * grid3.r ** 2))
         lam = 2.5
         fwd = rescale_family(f, lam, "coupling-to-frequency-hls",
                              p=5.0, q=3.0, alpha=2.0)
         back = rescale_family(fwd.rescaled, 1 / lam, "coupling-to-frequency-hls",
-                              p=5.0, q=3.0, alpha=2.0, target_grid=grid3)
-        keep = grid3.r < 0.9 * grid3.r_max
-        assert np.allclose(back.rescaled.values[keep], f.values[keep],
-                           rtol=1e-6, atol=1e-9)
+                              p=5.0, q=3.0, alpha=2.0)
+        np.testing.assert_allclose(back.rescaled.grid.r, grid3.r, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(back.rescaled.values, f.values, rtol=0, atol=1e-14)
 
     def test_bad_coupling(self, grid3):
         with pytest.raises(InvalidParameter):
@@ -152,13 +170,6 @@ class TestRateFit:
         fit = rate_fit(c, v)
         assert fit.refit is not None
         assert abs(fit.refit.slope - (-0.5)) < 0.05
-
-    def test_linear_regime_fit(self):
-        # value vs ln(coupling) for the logarithmic regimes
-        c = np.geomspace(1.1, 100, 8)
-        v = np.exp(0.7 * c)  # strictly: fit log v = 0.7 c + const
-        fit = rate_fit(c, v, log_abscissa=False)
-        assert np.isclose(fit.slope, 0.7, atol=1e-10)
 
 
 class TestExpectedExponents:

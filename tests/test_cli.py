@@ -278,6 +278,23 @@ nodes = 4
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, line, key", [
+    ("solve", "nodes = abc", "nodes"),
+    ("solve", "n_dim = 3.5", "n_dim"),
+    ("scan-threshold", None, "crit_level"),
+])
+def test_bad_config_value_is_an_error(tmp_path, capsys, name, line, key):
+    # a value int() or float() cannot read, or a required key left out, is
+    # outside input: one error line naming the key, no traceback
+    body = "\n".join(row for row in CONFIGS[name].splitlines()
+                     if not row.startswith(f"{key} ="))
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[{name}]\n{body}\n{line or ''}\n")
+    assert main(["--config", str(cfg), name]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: config key {key!r}") and err.count("\n") == 1
+
+
 def test_unreadable_config_is_an_error(tmp_path, capsys):
     # ConfigParser.read skips a file it cannot open; main does not run on defaults
     missing = tmp_path / "missing.ini"

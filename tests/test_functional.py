@@ -21,6 +21,10 @@ class TestProblemParams:
         with pytest.raises(InvalidParameter):
             ProblemParams(N=3, alpha=2.0, p=2.0, q=3.0, mode="bogus")
 
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(InvalidParameter, match="integer"):
+            ProblemParams(N=3.5, alpha=2.0, p=2.0, q=3.0)
+
     def test_exponent_ranges(self):
         with pytest.raises(InvalidParameter):
             ProblemParams(N=3, alpha=2.0, p=6.0, q=3.0)  # p > (N+alpha)/(N-2)
@@ -246,7 +250,7 @@ class TestMassFiberClassify:
         assert branches == ["+", "-"]
         assert pts[0].t < pts[1].t
         # the fiber level at the min is below the value at the max
-        parts = compute_parts(pp, u, use_deriv=False)
+        parts = compute_parts(pp, u)
         e_plus = fiber_energy(pp, parts, "mass", pts[0].t)
         e_minus = fiber_energy(pp, parts, "mass", pts[1].t)
         assert e_plus < 0 < e_minus

@@ -89,6 +89,12 @@ class TestMakeGrid:
         with pytest.raises(InvalidConfiguration):
             make_grid(2, 1.0, 100)
 
+    @pytest.mark.parametrize("N, n", [(3.0, 100), (3.5, 100), (3, 100.0)])
+    def test_non_integer_dimension_or_node_count_rejected(self, N, n):
+        # a float N or n must not reach math.comb in _moments or np.zeros (TypeError)
+        with pytest.raises(InvalidConfiguration, match="integer"):
+            make_grid(N, 20.0, n, 2.0)
+
     def test_nodes_increasing_weights_positive(self):
         g = make_grid(3, 50.0, 300, 2.5)
         assert np.all(np.diff(g.r) > 0)

@@ -466,8 +466,10 @@ class TestMultiplierCoefficients:
 
 
 class TestSecondSolutionRescale:
-    def test_unit_multiplier_is_identity(self, hls_norm_grid):
-        # synthetic converged branch with lambda = 1: coupling = nu, field unchanged
+    def test_unit_multiplier_is_identity(self, hls_norm_grid, monkeypatch):
+        # synthetic converged branch with lambda = 1: coupling = nu, field unchanged;
+        # the bubble does not solve this problem, so the residual gate is lifted
+        monkeypatch.setattr(solver_module, "_RESCALE_TOL", np.inf)
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                                nu=0.7, a=1.0)
         w = talenti(hls_norm_grid)
@@ -475,7 +477,7 @@ class TestSecondSolutionRescale:
                                       lambda_nu=1.0, multiplier_identity_defect=0.0,
                                       pde_residual_scaled=0.0, iterations=0,
                                       converged=True, exit_reason="tol")
-        out = second_solution_via_rescale(fake, residual_tol=np.inf)
+        out = second_solution_via_rescale(fake)
         assert np.isclose(out.coupling, 0.7, rtol=1e-14)
         assert np.allclose(out.field.values[:-1], w.values[:-1], rtol=1e-6, atol=1e-10)
 
@@ -486,6 +488,15 @@ class TestSecondSolutionRescale:
         expect = params.nu * out.minus.lambda_nu ** (-0.75)
         assert np.isclose(resc.coupling, expect, rtol=1e-13)
         assert resc.pde_residual_scaled < 5e-3
+
+    def test_values_are_the_branch_values_times_amp(self, hls_branches):
+        # v = amp * u node for node on the rescaled grid, amp = lambda_nu^(-(N-2)/4)
+        params, out = hls_branches
+        resc = second_solution_via_rescale(out.minus)
+        amp = out.minus.lambda_nu ** (-(params.N - 2) / 4.0)
+        np.testing.assert_array_equal(resc.field.values[:-1],
+                                      amp * out.minus.field.values[:-1])
+        assert resc.field.values[-1] == 0.0
 
     def test_unconverged_rejected(self, hls_norm_grid):
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
