@@ -66,6 +66,18 @@ def _params_from(cfg):
         mass_coeff=cfg.get("mass_coeff", 1.0))
 
 
+def _geomspace(cfg, lo, hi, count):
+    """np.geomspace from the config: `lo`, `hi` and `count` are (key, default)
+    pairs, and each value must be positive and finite, else an
+    InvalidConfiguration naming its key."""
+    values = [cfg.get(key, default) for key, default in (lo, hi, count)]
+    for (key, _), value in zip((lo, hi, count), values):
+        if not 0 < value < np.inf:
+            raise InvalidConfiguration(f"config key {key!r} = {value!r}: "
+                                       "must be positive and finite")
+    return np.geomspace(*values)
+
+
 def _cell(v):
     """repr of a value, a numpy scalar as the Python number it holds."""
     return repr(v.item() if isinstance(v, np.generic) else v)
@@ -114,9 +126,12 @@ def cmd_fiber(cfg):
     params = _params_from(cfg)
     grid = _grid_from(cfg)
     source = cfg.get("field", "talenti")
-    field = (talenti(grid) if source == "talenti"
-             else RadialField.from_csv(grid, Path(source).read_text()))
-    ts = np.geomspace(cfg.get("t_min", 0.1), cfg.get("t_max", 10.0), cfg.get("t_count", 100))
+    try:
+        field = (talenti(grid) if source == "talenti"
+                 else RadialField.from_csv(grid, Path(source).read_text()))
+    except OSError:
+        raise InvalidConfiguration(f"cannot read field {source}") from None
+    ts = _geomspace(cfg, ("t_min", 0.1), ("t_max", 10.0), ("t_count", 100))
     prof = fiber_profile(params, field, cfg.get("kind", "ray"), ts)
     table = _csv("t,energy", zip(prof.ts, prof.energies))
     print(table, end="")
@@ -142,8 +157,7 @@ def cmd_asymptotics(cfg):
     p, q = cfg.get("p", 2.0), cfg.get("q", 4.0)
     which = cfg.get("which", "lambda")
     grid = _grid_from(cfg, (N, 30.0, 900, 2.0))
-    lo, hi = cfg.get("coupling_lo", 10.0), cfg.get("coupling_hi", 1000.0)
-    couplings = np.geomspace(lo, hi, cfg.get("count", 7))
+    couplings = _geomspace(cfg, ("coupling_lo", 10.0), ("coupling_hi", 1000.0), ("count", 7))
     _, points = coupling_gap_scan(N, alpha, p, q, couplings, grid, which=which)
     fit = rate_fit([pt.coupling for pt in points], [pt.gap for pt in points])
     expected = frame_exponents(which, p, q)[0]
@@ -188,7 +202,7 @@ def cmd_multiplicity(cfg):
 def cmd_testfn(cfg):
     N, a = cfg.get("n_dim", 3), cfg.get("a", 3.0)
     q, p, alpha = cfg.get("q"), cfg.get("p"), cfg.get("alpha")
-    eps = np.geomspace(cfg.get("eps_lo", 0.02), cfg.get("eps_hi", 0.2), cfg.get("count", 7))
+    eps = _geomspace(cfg, ("eps_lo", 0.02), ("eps_hi", 0.2), ("count", 7))
     radii, reports = bubble_sweep(N, a, eps, q=q, p=p, alpha=alpha)
     # the q_power and riesz columns only when the config gives their exponents
     cols = ["kinetic", "sobolev_power", *(["q_power"] if q is not None else []),

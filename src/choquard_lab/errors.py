@@ -29,10 +29,6 @@ class UndefinedDefect(ChoquardLabError):
     """Stationarity defects requested for the zero field."""
 
 
-class ConstraintViolation(ChoquardLabError):
-    """Field is off the mass sphere beyond tolerance."""
-
-
 class ShootingFailure(ChoquardLabError):
     """No bisection bracket found for the shooting parameter."""
 

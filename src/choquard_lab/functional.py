@@ -30,16 +30,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (ConstraintViolation, InvalidParameter, NoProjection,
-                     UndefinedDefect)
+from .errors import InvalidParameter, NoProjection, UndefinedDefect
 from .grid import RadialField, integrate, kinetic_energy, gradient_seminorm
-from .riesz import kernel_table
+from .riesz import interaction_energy
 
 __all__ = ["ProblemParams", "EnergyBreakdown", "Parts", "compute_parts",
-           "energy_breakdown", "energy_from_parts", "stationarity_defects",
-           "multiplier_from_parts", "identity_prediction", "scaled_parts",
-           "nehari_project", "fiber_profile", "FiberProfile",
-           "mass_fiber_classify", "FiberPoint"]
+           "energy_breakdown", "energy_from_parts", "multiplier_from_parts",
+           "identity_prediction", "scaled_parts", "nehari_project", "fiber_profile",
+           "FiberProfile"]
 
 _MODES = ("lambda", "mu", "general", "normalized-hls", "normalized-sobolev")
 
@@ -178,9 +176,7 @@ def compute_parts(params: ProblemParams, u: RadialField) -> Parts:
     else:
         K = kinetic_energy(grid, u.values)
     M = integrate(grid, u.values ** 2)
-    tab = kernel_table(grid, params.alpha)
-    up = np.abs(u.values) ** params.p
-    R = tab.bilinear(up, up)
+    R = interaction_energy(grid, u, params.p, params.alpha)
     P = integrate(grid, np.abs(u.values) ** params.q)
     return Parts(kinetic=K, mass=M, riesz=R, power=P)
 
@@ -210,23 +206,21 @@ def _defects_from_parts(params: ProblemParams, parts: Parts):
 
 
 def energy_breakdown(params: ProblemParams, u: RadialField) -> EnergyBreakdown:
-    parts = compute_parts(params, u)
-    nd, pd = _defects_from_parts(params, parts)
-    return EnergyBreakdown(*_values(parts), total=energy_from_parts(params, parts),
-                           nehari_defect=nd, pohozaev_defect=pd)
+    """The four parts of u, its energy and its two defects, each defect
+    relative to the largest weighted part.
 
-
-def stationarity_defects(params: ProblemParams, u: RadialField):
-    """(nehari_defect, pohozaev_defect), both relative to the largest term.
-
-    Free modes: the Nehari identity and Lemma-type Pohozaev identity.
-    Normalized modes: the multiplier-free dilation constraint and the free
-    Pohozaev identity evaluated with the extracted Lagrange multiplier.
+    Free modes: the Nehari identity and the Pohozaev identity.  Normalized
+    modes: the multiplier-free dilation constraint and the free Pohozaev
+    identity evaluated with the extracted Lagrange multiplier.  The defects
+    of the zero field are undefined (every term vanishes), so it raises
+    `UndefinedDefect`.
     """
     if not np.any(u.values):
         raise UndefinedDefect("defects undefined for the zero field")
     parts = compute_parts(params, u)
-    return _defects_from_parts(params, parts)
+    nd, pd = _defects_from_parts(params, parts)
+    return EnergyBreakdown(*_values(parts), total=energy_from_parts(params, parts),
+                           nehari_defect=nd, pohozaev_defect=pd)
 
 
 # the four-part algebra and the fibering maps ---------------------------
@@ -412,7 +406,9 @@ def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> Fiber
     Critical points are the zeros of the exact t-derivative on the window
     [min ts, max ts], solved to roundoff by `_fiber_critical_points` however
     ts samples it; second-derivative signs classify them (+1 local min,
-    -1 local max, 0 degenerate).
+    -1 local max, 0 degenerate).  On the mass fiber these are the P+, P-
+    and P0 points of the constraint: a local minimum of t -> E(u^t) is
+    exactly positive fiber curvature on the mass sphere.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -440,28 +436,3 @@ def nehari_project(params: ProblemParams, u: RadialField):
                            f"root leaves [{math.exp(-_RAY_RANGE):.2g}, {math.exp(_RAY_RANGE):.2g}]")
     deriv = t_star * u.deriv if u.deriv is not None else None
     return t_star, u.with_values(t_star * u.values, deriv=deriv)
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    t: float
-    branch: str  # "+", "0", or "-"
-
-
-def mass_fiber_classify(params: ProblemParams, u: RadialField,
-                        mass_rtol: float = 1e-8):
-    """Critical points of the mass-preserving fiber with P+/P0/P- labels.
-
-    A local minimum of t -> E(u^t) is a P+ point (the defining second-variation
-    inequality is exactly positivity of the fiber curvature on the constraint),
-    a local maximum a P- point; curvature below 1e-9 of the fiber's term
-    scale is flagged P0.
-    """
-    if not params.normalized:
-        raise InvalidParameter("mass-fiber classification needs a normalized mode")
-    parts = compute_parts(params, u)
-    mdef = abs(parts.mass - params.a ** 2) / params.a ** 2
-    if mdef > mass_rtol:
-        raise ConstraintViolation(f"field off the mass sphere: |mass - a^2|/a^2 = {mdef:.2e}")
-    return [FiberPoint(t=t0, branch={1: "+", 0: "0", -1: "-"}[sign])
-            for t0, sign in _fiber_critical_points(params, parts, "mass")]

@@ -23,8 +23,7 @@ from .grid import RadialGrid, integrate
 from .solver import _best, ground_state, normalized_branches, second_solution_via_rescale
 
 __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
-           "scan_threshold", "monotonicity_scan", "multiplicity_experiment",
-           "persist_run", "MonotonicityReport", "MultiplicityRow"]
+           "scan_threshold", "multiplicity_experiment", "persist_run", "MultiplicityRow"]
 
 
 # ------------------------------------------------------------- frame scans
@@ -173,38 +172,6 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
                            delta=delta, scan=tuple(scan), grid_key=grid.key)
 
 
-# ------------------------------------------------------------ monotonicity
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    couplings: tuple
-    levels: tuple
-    violations: tuple       # (index, size) pairs beyond _MONOTONE_TOL
-    ok: bool
-
-
-# relative rise of the level between neighbouring couplings that counts as
-# a violation
-_MONOTONE_TOL = 1e-8
-
-
-def monotonicity_scan(N: int, alpha: float, p: float, q: float, couplings,
-                      grid: RadialGrid, which: str = "lambda") -> MonotonicityReport:
-    """Assert the ground-state level is nonincreasing in the coupling."""
-    couplings = sorted(float(c) for c in couplings)
-    if len(couplings) < 8:
-        raise InvalidParameter("monotonicity scan needs at least 8 grid points")
-    _, points = coupling_gap_scan(N, alpha, p, q, couplings, grid, which=which)
-    levels = [pt.level for pt in points]
-    viol = []
-    for i in range(len(levels) - 1):
-        rise = levels[i + 1] - levels[i]
-        if rise > _MONOTONE_TOL * max(abs(levels[i]), 1.0):
-            viol.append((i, rise))
-    return MonotonicityReport(couplings=tuple(couplings), levels=tuple(levels),
-                              violations=tuple(viol), ok=not viol)
-
-
 # ------------------------------------------------------------ multiplicity
 
 @dataclass(frozen=True)
@@ -307,8 +274,10 @@ def persist_run(manifest: RunManifest, artifacts: dict, out_root) -> Path:
     dicts or CSV strings (extension chosen accordingly).
     """
     root = Path(out_root)
-    if not root.parent.exists():
-        raise InvalidConfiguration(f"output root parent {root.parent} does not exist")
+    if not root.parent.is_dir():
+        raise InvalidConfiguration(f"output root parent {root.parent} is not a directory")
+    if root.exists() and not root.is_dir():
+        raise InvalidConfiguration(f"output root {root} is not a directory")
     root.mkdir(parents=True, exist_ok=True)
     written = {}
     for category, items in artifacts.items():

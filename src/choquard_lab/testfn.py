@@ -3,6 +3,7 @@ energy-expansion ledger used by the concentration-rate sweeps."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,11 @@ class BubbleSpec:
     a: float | None = None
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise InvalidParameter("eps must be positive")
-        if self.R < 4 * self.eps:
-            raise InvalidParameter(f"cutoff R={self.R} violates R >= 4 eps (scale separation)")
+        # written so that NaN fails each check
+        if not 0 < self.eps < math.inf:
+            raise InvalidParameter(f"eps={self.eps} must be positive and finite")
+        if not 4 * self.eps <= self.R < math.inf:
+            raise InvalidParameter(f"cutoff R={self.R} violates 4 eps <= R < inf (scale separation)")
 
 
 def bubble(spec: BubbleSpec, grid: RadialGrid) -> RadialField:
@@ -71,10 +73,10 @@ def mass_radius(N: int, a: float, eps: float) -> float:
     """Cutoff radius R_eps with ||V_eps||_2^2 = a^2 (bracketed root in log R,
     searched up to R = 1e12 eps)."""
     from scipy.optimize import brentq
-    if a <= 0:
-        raise InvalidParameter("target mass a must be positive")
-    if eps <= 0:
-        raise InvalidParameter("eps must be positive")
+    if not 0 < a < math.inf:
+        raise InvalidParameter(f"target mass a={a} must be positive and finite")
+    if not 0 < eps < math.inf:
+        raise InvalidParameter(f"eps={eps} must be positive and finite")
     lo = 4.0 * eps
     if _mass_integral(N, eps, lo) >= a ** 2:
         raise InvalidParameter(

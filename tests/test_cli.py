@@ -2,6 +2,9 @@ import configparser
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +17,8 @@ from choquard_lab.constants import (coefficient_table, hls_constant, rayleigh_co
 from choquard_lab.grid import make_grid
 from choquard_lab.lab import MultiplicityRow
 from choquard_lab.profiles import talenti
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # one config per subcommand, and the files each one writes under --out
 CONFIGS = {
@@ -310,6 +315,51 @@ def test_fiber_reports_a_malformed_field_file(tmp_path, capsys):
     cfg.write_text(f"[fiber]\n{CONFIGS['fiber']}field = {field}\n")
     assert main(["--config", str(cfg), "fiber"]) == 1
     assert capsys.readouterr().err.startswith("error: malformed field CSV: ")
+
+
+def test_fiber_reports_a_missing_field_file(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[fiber]\n{CONFIGS['fiber']}field = {missing}\n")
+    assert main(["--config", str(cfg), "fiber"]) == 1
+    assert capsys.readouterr().err == f"error: cannot read field {missing}\n"
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("fiber", "t_min", "0"), ("fiber", "t_max", "nan"),
+    ("asymptotics", "coupling_lo", "0"), ("testfn", "eps_lo", "0"), ("testfn", "count", "-2")])
+def test_a_range_end_out_of_range_is_an_error(tmp_path, capsys, name, key, value):
+    # np.geomspace cannot take a zero end or a negative count, and a NaN end
+    # gives a table of NaNs
+    body = "\n".join(row for row in CONFIGS[name].splitlines()
+                     if not row.startswith(f"{key} ="))
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[{name}]\n{body}\n{key} = {value}\n")
+    assert main(["--config", str(cfg), name]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: config key {key!r}") and err.count("\n") == 1
+
+
+def test_a_nan_bubble_scale_ends_the_run(tmp_path):
+    # a NaN eps made the mass calibration search for its bracket forever;
+    # the timeout makes a hang a failure
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[testfn]\n{CONFIGS['testfn'].replace('eps_lo = 0.05', 'eps_lo = nan')}")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "choquard_lab.cli", "--config", str(cfg),
+                           "testfn"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_an_out_root_that_is_a_file_is_an_error(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("")
+    assert run(tmp_path, "fiber", "--out", str(tmp_path / out)) == 1
+    # the fiber report's stderr line comes first; the error is the last line
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: output root ")
 
 
 def test_constants_subcommand(tmp_path, capsys):

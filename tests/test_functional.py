@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from choquard_lab.errors import (ConstraintViolation, InvalidParameter,
-                                 NoProjection, UndefinedDefect)
-from choquard_lab.functional import (FiberPoint, Parts, ProblemParams,
-                                     compute_parts, energy_breakdown,
-                                     energy_from_parts, fiber_energy,
-                                     fiber_profile, mass_fiber_classify,
-                                     nehari_project, stationarity_defects)
+from choquard_lab.errors import InvalidParameter, NoProjection, UndefinedDefect
+from choquard_lab.functional import (Parts, ProblemParams, compute_parts,
+                                     energy_breakdown, energy_from_parts,
+                                     fiber_energy, fiber_profile, nehari_project)
 from choquard_lab.grid import RadialField, integrate, make_grid
 from choquard_lab.profiles import gaussian, talenti
 
@@ -87,8 +84,9 @@ class TestEnergyBreakdown:
 
     def test_zero_field(self, grid3):
         z = RadialField.from_values(grid3, np.zeros(grid3.n), origin=0.0)
-        bd = energy_breakdown(params_lambda(), z)
-        assert bd.kinetic == bd.mass == bd.riesz == bd.power == bd.total == 0.0
+        parts = compute_parts(params_lambda(), z)
+        total = energy_from_parts(params_lambda(), parts)
+        assert parts.kinetic == parts.mass == parts.riesz == parts.power == total == 0.0
 
     def test_total_reconstructs_from_parts(self, grid3):
         u = gaussian(grid3)
@@ -101,7 +99,8 @@ class TestEnergyBreakdown:
 class TestDefects:
     def test_shooting_solution_defects(self, q4_ground):
         pp = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=0.0, lam=1.0)
-        nd, pd = stationarity_defects(pp, q4_ground)
+        bd = energy_breakdown(pp, q4_ground)
+        nd, pd = bd.nehari_defect, bd.pohozaev_defect
         assert abs(nd) < 1e-6
         assert abs(pd) < 1e-6
 
@@ -111,7 +110,7 @@ class TestDefects:
         parts = compute_parts(pp, q4_ground)
         doubled = q4_ground.with_values(2 * q4_ground.values,
                                         deriv=2 * q4_ground.deriv)
-        nd, _ = stationarity_defects(pp, doubled)
+        nd = energy_breakdown(pp, doubled).nehari_defect
         K, M, P = parts.kinetic, parts.mass, parts.power
         expect = 4 * K + 4 * M - 2 ** 4 * P
         scale = max(4 * K, 4 * M, 16 * P)
@@ -121,7 +120,7 @@ class TestDefects:
     def test_zero_field_raises(self, grid3):
         z = RadialField.from_values(grid3, np.zeros(grid3.n), origin=0.0)
         with pytest.raises(UndefinedDefect):
-            stationarity_defects(params_lambda(), z)
+            energy_breakdown(params_lambda(), z)
 
 
 class TestNehariProject:
@@ -135,7 +134,7 @@ class TestNehariProject:
         t_expect = (A / (2.0 * parts.power)) ** (1.0 / (3 - 2))
         t_star, proj = nehari_project(pp, u)
         assert np.isclose(t_star, t_expect, rtol=1e-12)
-        nd, _ = stationarity_defects(pp, proj)
+        nd = energy_breakdown(pp, proj).nehari_defect
         assert abs(nd) < 1e-12
 
     def test_choquard_only_closed_form(self, grid3):
@@ -233,6 +232,7 @@ class TestFibers:
 
 
 class TestMassFiberClassify:
+    # the P+/P0/P- points of the mass fiber are fiber_profile's signs
     def _normalized(self, grid, nu, a=1.0):
         return ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                              nu=nu, a=a)
@@ -245,24 +245,18 @@ class TestMassFiberClassify:
     def test_two_points_below_smallness(self, grid3):
         pp = self._normalized(grid3, nu=0.05)
         u = self._on_sphere(grid3)
-        pts = mass_fiber_classify(pp, u)
-        branches = [p.branch for p in pts]
-        assert branches == ["+", "-"]
-        assert pts[0].t < pts[1].t
+        prof = fiber_profile(pp, u, "mass", [1e-6, 1e6])
+        assert prof.second_derivative_signs == (1, -1)
+        t_plus, t_minus = prof.critical_ts
+        assert t_plus < t_minus
         # the fiber level at the min is below the value at the max
         parts = compute_parts(pp, u)
-        e_plus = fiber_energy(pp, parts, "mass", pts[0].t)
-        e_minus = fiber_energy(pp, parts, "mass", pts[1].t)
+        e_plus = fiber_energy(pp, parts, "mass", t_plus)
+        e_minus = fiber_energy(pp, parts, "mass", t_minus)
         assert e_plus < 0 < e_minus
 
     def test_pure_critical_single_max(self, grid3):
         pp = self._normalized(grid3, nu=0.0)
         u = self._on_sphere(grid3)
-        pts = mass_fiber_classify(pp, u)
-        assert [p.branch for p in pts] == ["-"]
-
-    def test_off_sphere_rejected(self, grid3):
-        pp = self._normalized(grid3, nu=0.1)
-        u = gaussian(grid3)  # mass != 1
-        with pytest.raises(ConstraintViolation):
-            mass_fiber_classify(pp, u)
+        prof = fiber_profile(pp, u, "mass", [1e-6, 1e6])
+        assert prof.second_derivative_signs == (-1,)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every name a module lists in ``__all__`` is bound in it, every private
-top-level name is read somewhere in the package, and every defaulted
-parameter of a package function is supplied by some call in the repo.
+top-level name is read somewhere in the package, every defaulted
+parameter of a package function is supplied by some call in the repo, and
+every error class is raised somewhere in the package.
 
 A stdlib `ast` pass stands in for a linter.  An import on a line marked
 ``# noqa: F401`` is kept on purpose, a name listed in ``__all__`` is
@@ -157,3 +158,30 @@ def test_the_check_sees_an_unsupplied_default():
 def test_every_default_is_supplied():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unsupplied_defaults(sources, [p.read_text() for p in CALLERS]) == []
+
+
+def unraised_errors(errors_source: str, sources: list) -> list:
+    """The classes of `errors_source`, its first (the base) aside, that no
+    ``raise`` statement of `sources` names."""
+    classes = [n.name for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    raised = set()
+    for src in sources:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                raised |= {exc.id} if isinstance(exc, ast.Name) else set()
+    return [name for name in classes[1:] if name not in raised]
+
+
+def test_the_check_sees_an_unraised_error():
+    errors = "class Base(Exception): pass\nclass A(Base): pass\nclass B(Base): pass\n" \
+             "class C(Base): pass\n"
+    sources = ["def f():\n    raise A('x')\n", "try:\n    pass\nexcept C:\n    raise B\n"]
+    # catching C does not raise it
+    assert unraised_errors(errors, sources) == ["C"]
+    assert unraised_errors(errors, sources[:1]) == ["B", "C"]
+
+
+def test_every_error_is_raised():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []

@@ -9,8 +9,7 @@ from choquard_lab.errors import BracketFailure, InvalidConfiguration, InvalidPar
 from choquard_lab.functional import ProblemParams
 from choquard_lab.grid import make_grid
 from choquard_lab.lab import (MultiplicityRow, RunManifest, coupling_gap_scan,
-                              monotonicity_scan, multiplicity_experiment,
-                              persist_run, scan_threshold)
+                              multiplicity_experiment, persist_run, scan_threshold)
 from choquard_lab.constants import (coefficient_table, interaction_bound_constant,
                                      sobolev_constant)
 
@@ -33,17 +32,6 @@ class TestGapScan:
     def test_bad_which(self, scan_grid):
         with pytest.raises(InvalidParameter):
             coupling_gap_scan(3, 2.0, 2.0, 4.0, [1, 2, 3, 4], scan_grid, which="nu")
-
-
-class TestMonotonicity:
-    def test_needs_eight_points(self, scan_grid):
-        with pytest.raises(InvalidParameter):
-            monotonicity_scan(3, 2.0, 2.0, 4.0, [1, 2, 3], scan_grid)
-
-    def test_lambda_scan_monotone(self, scan_grid):
-        lams = np.geomspace(5, 500, 8)
-        rep = monotonicity_scan(3, 2.0, 2.0, 4.0, lams, scan_grid, which="lambda")
-        assert rep.ok, rep.violations
 
 
 class TestThreshold:

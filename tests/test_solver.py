@@ -7,8 +7,8 @@ from scipy.linalg import solve_banded
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
 from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_parts,
                                      energy_from_parts, fiber_energy, fiber_profile,
-                                     identity_prediction, mass_fiber_classify,
-                                     multiplier_from_parts, scaled_parts)
+                                     identity_prediction, multiplier_from_parts,
+                                     scaled_parts)
 from choquard_lab.grid import RadialField, gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import cutoff_bubble, gaussian, talenti
 from choquard_lab import solver as solver_module
@@ -216,10 +216,11 @@ class TestNormalizedBranches:
 
     def test_minus_is_on_minus_branch(self, hls_branches):
         params, out = hls_branches
-        pts = mass_fiber_classify(params, out.minus.field, mass_rtol=1e-6)
-        near_one = min(pts, key=lambda p: abs(np.log(p.t)))
-        assert near_one.branch == "-"
-        assert abs(near_one.t - 1) < 1e-4
+        prof = fiber_profile(params, out.minus.field, "mass", [1e-6, 1e6])
+        t, sign = min(zip(prof.critical_ts, prof.second_derivative_signs),
+                      key=lambda pt: abs(np.log(pt[0])))
+        assert sign == -1
+        assert abs(t - 1) < 1e-4
 
     def test_multiplier_identity(self, hls_branches):
         params, out = hls_branches

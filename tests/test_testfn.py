@@ -17,6 +17,12 @@ class TestBubbleSpec:
         with pytest.raises(InvalidParameter):
             BubbleSpec(N=3, eps=-0.1, R=2.0)
 
+    @pytest.mark.parametrize("eps, R", [(np.nan, 2.0), (0.1, np.nan)], ids=["eps", "R"])
+    def test_nan_scales_rejected(self, eps, R):
+        # NaN passes every comparison-based check
+        with pytest.raises(InvalidParameter):
+            BubbleSpec(N=3, eps=eps, R=R)
+
 
 class TestBubble:
     def test_peak_value(self):
@@ -58,6 +64,13 @@ class TestMassRadius:
     def test_zero_mass_rejected(self):
         with pytest.raises(InvalidParameter):
             mass_radius(3, 0.0, 0.1)
+
+    @pytest.mark.parametrize("a, eps", [(np.nan, 0.1), (3.0, np.nan)], ids=["a", "eps"])
+    def test_nan_rejected(self, a, eps):
+        # a NaN eps made the bracket search loop forever, a NaN a ended in
+        # scipy's ValueError
+        with pytest.raises(InvalidParameter):
+            mass_radius(3, a, eps)
 
     def test_unreachable_mass_rejected(self):
         # huge eps with tiny mass: already exceeded at R = 4 eps
