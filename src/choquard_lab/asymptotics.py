@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .functional import Parts, ProblemParams, compute_parts, scaled_parts
+from .functional import ProblemParams, compute_parts, scaled_parts
 from .grid import RadialField
 from .profiles import talenti_scale
 
@@ -24,14 +24,9 @@ __all__ = ["RescaleRecord", "RateFit", "rescale_family", "concentration_scale",
 
 @dataclass(frozen=True)
 class RescaleRecord:
-    coupling: float
-    map_tag: str
-    source: RadialField
     rescaled: RadialField
     scale: float               # xi (spatial factor of the applied map)
     amplitude: float
-    ledger_before: Parts
-    ledger_after: Parts
     identity_defects: dict
 
 
@@ -78,9 +73,7 @@ def rescale_family(f: RadialField, coupling: float, map_tag: str,
         a = getattr(after, name)
         b = getattr(pred, name)
         defects[name] = abs(a - b) / max(abs(b), 1e-300)
-    return RescaleRecord(coupling=coupling, map_tag=map_tag, source=f, rescaled=out,
-                         scale=float(arg), amplitude=float(amp),
-                         ledger_before=before, ledger_after=after,
+    return RescaleRecord(rescaled=out, scale=float(arg), amplitude=float(amp),
                          identity_defects=defects)
 
 
@@ -108,13 +101,9 @@ def kelvin(f: RadialField) -> RadialField:
 
 @dataclass(frozen=True)
 class RateFit:
-    abscissa: np.ndarray
-    ordinate: np.ndarray
     slope: float
     intercept: float
     r_squared: float
-    window: tuple
-    refit: "RateFit | None" = None
 
 
 def _lsq_fit(x: np.ndarray, y: np.ndarray):
@@ -140,23 +129,12 @@ def tail_exponent_fit(f: RadialField, window: tuple) -> RateFit:
     u = f.values[mask]
     if np.any(u <= 0):
         raise InvalidParameter("field must be positive on the fit window")
-    slope, intercept, r2_ = _lsq_fit(np.log(r), np.log(u))
-    return RateFit(abscissa=r, ordinate=u, slope=slope, intercept=intercept,
-                   r_squared=r2_, window=window)
-
-
-# below this R^2 a rate fit is redone without its two extreme samples
-_REFIT_R2 = 0.98
+    return RateFit(*_lsq_fit(np.log(r), np.log(u)))
 
 
 def rate_fit(couplings, values, min_span_decades: float = 1.5) -> RateFit:
     """Fit log(value) against log(coupling); a logarithmic regime divides its
-    values by the log factor first and is fitted the same way.
-
-    When R^2 < _REFIT_R2 and there are at least 6 samples, the two extreme
-    samples are dropped and the fit is redone on the shrunken window; both
-    fits are kept in the record.
-    """
+    values by the log factor first and is fitted the same way."""
     c = np.asarray(couplings, dtype=float)
     v = np.asarray(values, dtype=float)
     if len(c) < 4:
@@ -168,15 +146,6 @@ def rate_fit(couplings, values, min_span_decades: float = 1.5) -> RateFit:
     span = np.log10(c[-1] / c[0])
     if span < min_span_decades:
         raise InvalidParameter(f"span {span:.2f} decades < required {min_span_decades}")
-    x = np.log(c)
     if np.any(v <= 0):
         raise InvalidParameter("values must be positive for a log fit")
-    y = np.log(v)
-    slope, intercept, r2 = _lsq_fit(x, y)
-    refit = None
-    if r2 < _REFIT_R2 and len(c) >= 6:
-        s, i, r = _lsq_fit(x[1:-1], y[1:-1])
-        refit = RateFit(abscissa=c[1:-1], ordinate=v[1:-1], slope=s, intercept=i,
-                        r_squared=r, window=(float(c[1]), float(c[-2])))
-    return RateFit(abscissa=c, ordinate=v, slope=slope, intercept=intercept,
-                   r_squared=r2, window=(float(c[0]), float(c[-1])), refit=refit)
+    return RateFit(*_lsq_fit(np.log(c), np.log(v)))

@@ -28,8 +28,8 @@ from .constants import (coefficient_table, gn_constant, hls_constant, rayleigh_c
 from .errors import ChoquardLabError, InvalidConfiguration
 from .functional import ProblemParams, fiber_profile
 from .grid import RadialField, integrate, make_grid
-from .lab import (MultiplicityRow, RunManifest, coupling_gap_scan, frame_exponents,
-                  multiplicity_experiment, persist_run, scan_threshold)
+from .lab import (MultiplicityRow, RunManifest, check_out_root, coupling_gap_scan,
+                  frame_exponents, multiplicity_experiment, persist_run, scan_threshold)
 from .profiles import talenti
 from .solver import ground_state, normalized_branches, shoot_local_ground_state
 from .testfn import bubble_sweep
@@ -236,18 +236,20 @@ def main(argv=None):
         logging.getLogger("choquard_lab").setLevel(logging.DEBUG)
     started = time.perf_counter()
     cp = configparser.ConfigParser()
-    if args.config and not cp.read(args.config):
-        print(f"error: cannot read config {args.config}", file=sys.stderr)
-        return 1
-    cfg = dict(cp[args.command]) if cp.has_section(args.command) else {}
     try:
+        # a config syntax error (a key given twice, no header, a bare %) is a configparser.Error
+        if args.config and not cp.read(args.config):
+            raise InvalidConfiguration(f"cannot read config {args.config}")
+        cfg = dict(cp[args.command]) if cp.has_section(args.command) else {}
+        if args.out:
+            check_out_root(args.out)
         code, artifacts = COMMANDS[args.command](_typed(cfg))
         if args.out:
             manifest = RunManifest(config=cfg, code_version=__version__,
                                    wall_clock=time.perf_counter() - started)
             persist_run(manifest, artifacts, args.out)
-    except ChoquardLabError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ChoquardLabError, configparser.Error) as e:
+        print(f"error: {' '.join(str(e).splitlines())}", file=sys.stderr)
         return 1
     print(f"# wall clock: {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return code

@@ -42,7 +42,7 @@ class RescaleInconsistency(ChoquardLabError):
 
 
 class BracketFailure(ChoquardLabError):
-    """Threshold predicate not monotone across the scan range."""
+    """Threshold scan's upper coupling does not attain; `scan_table` holds its solve."""
 
     def __init__(self, message, scan_table=None):
         super().__init__(message)

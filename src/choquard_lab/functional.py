@@ -393,7 +393,6 @@ def _ray_root(params: ProblemParams, parts: Parts):
 
 @dataclass(frozen=True)
 class FiberProfile:
-    kind: str
     ts: np.ndarray
     energies: np.ndarray
     critical_ts: tuple
@@ -417,7 +416,7 @@ def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> Fiber
         raise InvalidParameter("fiber grid must be positive")
     parts = compute_parts(params, u)
     points = _fiber_critical_points(params, parts, kind, ts.min(), ts.max())
-    return FiberProfile(kind=kind, ts=ts, energies=fiber_energy(params, parts, kind, ts),
+    return FiberProfile(ts=ts, energies=fiber_energy(params, parts, kind, ts),
                         critical_ts=tuple(t for t, _ in points),
                         second_derivative_signs=tuple(sign for _, sign in points))
 

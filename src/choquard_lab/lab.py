@@ -23,7 +23,8 @@ from .grid import RadialGrid, integrate
 from .solver import _best, ground_state, normalized_branches, second_solution_via_rescale
 
 __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
-           "scan_threshold", "multiplicity_experiment", "persist_run", "MultiplicityRow"]
+           "scan_threshold", "multiplicity_experiment", "check_out_root", "persist_run",
+           "MultiplicityRow"]
 
 
 # ------------------------------------------------------------- frame scans
@@ -31,7 +32,6 @@ __all__ = ["ThresholdResult", "RunManifest", "ScanPoint", "coupling_gap_scan",
 @dataclass(frozen=True)
 class ScanPoint:
     coupling: float
-    frame_coeff: float
     frame_level: float
     level: float            # original-frame ground-state level m(coupling)
     gap: float              # reference frame level minus frame level
@@ -76,8 +76,7 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
         coeff = c ** e_coeff
         res = ground_state(frame_params(coeff), grid, seeds=(warm,))
         warm = res.field
-        points.append(ScanPoint(coupling=c, frame_coeff=coeff,
-                                frame_level=res.level,
+        points.append(ScanPoint(coupling=c, frame_level=res.level,
                                 level=c ** e_level * res.level,
                                 gap=ref.level - res.level,
                                 converged=res.converged))
@@ -89,12 +88,9 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    mode: str
     bracket: tuple
-    crit_level: float
     delta: float
     scan: tuple            # (coupling, level, converged, xi) for every solve
-    grid_key: tuple
     degenerate: bool = False
 
 
@@ -155,8 +151,7 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     warm = res_hi.field
     ok_lo, _ = solve(lo, warm)
     if ok_lo:
-        return ThresholdResult(mode=base.mode, bracket=(lo, lo), crit_level=crit_level,
-                               delta=delta, scan=tuple(scan), grid_key=grid.key,
+        return ThresholdResult(bracket=(lo, lo), delta=delta, scan=tuple(scan),
                                degenerate=True)
     c_lo, c_hi = lo, hi
     evals = 2
@@ -168,8 +163,7 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
         else:
             c_lo = mid
         evals += 1
-    return ThresholdResult(mode=base.mode, bracket=(c_lo, c_hi), crit_level=crit_level,
-                           delta=delta, scan=tuple(scan), grid_key=grid.key)
+    return ThresholdResult(bracket=(c_lo, c_hi), delta=delta, scan=tuple(scan))
 
 
 # ------------------------------------------------------------ multiplicity
@@ -266,6 +260,17 @@ class RunManifest:
         return cls(**json.loads(text))
 
 
+def check_out_root(out_root) -> Path:
+    """The output root as a Path; an InvalidConfiguration when its parent is
+    not a directory, or when it exists and is not one."""
+    root = Path(out_root)
+    if not root.parent.is_dir():
+        raise InvalidConfiguration(f"output root parent {root.parent} is not a directory")
+    if root.exists() and not root.is_dir():
+        raise InvalidConfiguration(f"output root {root} is not a directory")
+    return root
+
+
 def persist_run(manifest: RunManifest, artifacts: dict, out_root) -> Path:
     """Deterministic run layout: manifest.json, constants.json, solves/,
     fits/, tables/.
@@ -273,11 +278,7 @@ def persist_run(manifest: RunManifest, artifacts: dict, out_root) -> Path:
     `artifacts` maps category -> {name -> payload}; payloads are JSON-able
     dicts or CSV strings (extension chosen accordingly).
     """
-    root = Path(out_root)
-    if not root.parent.is_dir():
-        raise InvalidConfiguration(f"output root parent {root.parent} is not a directory")
-    if root.exists() and not root.is_dir():
-        raise InvalidConfiguration(f"output root {root} is not a directory")
+    root = check_out_root(out_root)
     root.mkdir(parents=True, exist_ok=True)
     written = {}
     for category, items in artifacts.items():

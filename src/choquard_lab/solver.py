@@ -122,7 +122,6 @@ class NormalizedBranchResult:
 
     params: ProblemParams
     field: RadialField
-    branch: str                  # "P+" or "P-"
     level: float
     lambda_nu: float
     multiplier_identity_defect: float
@@ -759,9 +758,8 @@ def _polish_branch(solver: _MassSolver, u0, which):
     parts = solver.parts(u)
     _, res, _, _, converged = solver.verdict(u, lam, parts)
     return NormalizedBranchResult(
-        params=params, field=solver.field(u), branch="P+" if which == 1 else "P-",
-        level=energy_from_parts(params, parts), lambda_nu=float(lam),
-        multiplier_identity_defect=abs(_identity_defect(params, lam, parts)),
+        params=params, field=solver.field(u), level=energy_from_parts(params, parts),
+        lambda_nu=float(lam), multiplier_identity_defect=abs(_identity_defect(params, lam, parts)),
         pde_residual_scaled=float(res), iterations=it_flow + it_newton, converged=converged,
         exit_reason=solver.exit_reason if it_newton else status), None
 
@@ -806,9 +804,7 @@ class RescaledSolution:
     params_effective: ProblemParams
     coupling: float
     pde_residual_scaled: float
-    level: float                 # full action I at the effective coupling
     energy_no_mass: float        # E = I - 1/2 ||u||_2^2 (the comparison energy)
-    source: NormalizedBranchResult
 
 
 def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolution:
@@ -845,6 +841,5 @@ def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolut
     level = energy_from_parts(eff, parts)
     return RescaledSolution(field=solver.field(u), params_effective=eff,
                             coupling=float(coupling),
-                            pde_residual_scaled=float(res_scaled), level=float(level),
-                            energy_no_mass=float(level - 0.5 * parts.mass),
-                            source=result)
+                            pde_residual_scaled=float(res_scaled),
+                            energy_no_mass=float(level - 0.5 * parts.mass))

@@ -1,5 +1,5 @@
-"""The cutoff bubble family: construction, mass calibration, and the
-energy-expansion ledger used by the concentration-rate sweeps."""
+"""The cutoff bubble family: construction, mass calibration, and the four
+integrals of a bubble used by the concentration-rate sweeps."""
 
 from __future__ import annotations
 
@@ -20,12 +20,11 @@ __all__ = ["BubbleSpec", "bubble", "mass_radius", "bubble_report", "bubble_sweep
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """Concentration parameter, cutoff radius and optional target mass."""
+    """Concentration parameter and cutoff radius."""
 
     N: int
     eps: float
     R: float
-    a: float | None = None
 
     def __post_init__(self):
         # written so that NaN fails each check
@@ -94,20 +93,16 @@ def mass_radius(N: int, a: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class BubbleReport:
-    spec: BubbleSpec
     kinetic: float
     sobolev_power: float        # ||V||_{2*}^{2*}
     riesz: float | None         # interaction at the requested (p, alpha)
     q_power: float | None       # ||V||_q^q
-    kinetic_deviation: float    # kinetic - S^{N/2}
-    sobolev_deviation: float    # ||V||_{2*}^{2*} - S^{N/2}
 
 
-def bubble_report(V: RadialField, spec: BubbleSpec, S: float,
-                  p: float | None = None, alpha: float | None = None,
+def bubble_report(V: RadialField, p: float | None = None, alpha: float | None = None,
                   q: float | None = None) -> BubbleReport:
-    """All four integrals of a built bubble plus deviations from the leading
-    constants of the expansions."""
+    """The four integrals of a built bubble; the Riesz term needs p and
+    alpha, the q-power term q."""
     grid = V.grid
     N = grid.N
     two_star = 2.0 * N / (N - 2)
@@ -115,9 +110,7 @@ def bubble_report(V: RadialField, spec: BubbleSpec, S: float,
     sob = integrate(grid, np.abs(V.values) ** two_star)
     R = interaction_energy(grid, V, p, alpha) if (p is not None and alpha is not None) else None
     P = integrate(grid, np.abs(V.values) ** q) if q is not None else None
-    lead = S ** (N / 2.0)
-    return BubbleReport(spec=spec, kinetic=kin, sobolev_power=sob, riesz=R, q_power=P,
-                        kinetic_deviation=kin - lead, sobolev_deviation=sob - lead)
+    return BubbleReport(kinetic=kin, sobolev_power=sob, riesz=R, q_power=P)
 
 
 def bubble_sweep(N: int, a: float, eps_values, q: float | None = None,
@@ -128,17 +121,11 @@ def bubble_sweep(N: int, a: float, eps_values, q: float | None = None,
     Returns (R_eps list, reports list); rate fits over the sweep are the
     caller's business (`asymptotics.rate_fit`).
     """
-    from .constants import sobolev_constant
-    S = sobolev_constant(N)
-    radii = []
-    reports = []
+    radii, reports = [], []
     for eps in eps_values:
         R = mass_radius(N, a, eps)
         grid = make_grid(N, 2.5 * R, n, grading)
-        if grid.r[0] > eps / 4:
-            raise ResolutionError(f"grid does not resolve eps={eps} at n={n}, grading={grading}")
-        spec = BubbleSpec(N=N, eps=float(eps), R=float(R), a=a)
-        V = bubble(spec, grid)
+        V = bubble(BubbleSpec(N=N, eps=float(eps), R=float(R)), grid)
         radii.append(R)
-        reports.append(bubble_report(V, spec, S, p=p, alpha=alpha, q=q))
+        reports.append(bubble_report(V, p=p, alpha=alpha, q=q))
     return radii, reports

@@ -162,15 +162,6 @@ class TestRateFit:
         with pytest.raises(InvalidParameter):
             rate_fit([1.0, 10.0, 100.0], [1, 2, 3])
 
-    def test_refit_on_contaminated_ends(self, rng):
-        c = np.geomspace(0.01, 1000, 10)
-        v = 2.0 * c ** -0.5
-        v[0] *= 3.0
-        v[-1] *= 2.0
-        fit = rate_fit(c, v)
-        assert fit.refit is not None
-        assert abs(fit.refit.slope - (-0.5)) < 0.05
-
 
 class TestExpectedExponents:
     def test_theorem_rate_exponents(self):

@@ -217,6 +217,20 @@ nodes = 200
     assert descents and all(m.startswith("descent tol after ") for m in descents)
 
 
+def test_normalized_reports_an_absent_branch(tmp_path, capsys):
+    # HLS-critical with q = 4 at nu = 1: the Gaussian's mass fiber has a
+    # maximum and no local minimum, so there is no P+ seed
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[normalized]\nn_dim = 3\nalpha = 2.0\np = 5.0\nq = 4.0\n"
+                   "mode = normalized-hls\nnu = 1.0\na = 1.0\nr_max = 20.0\nnodes = 200\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "normalized"]) == 0
+    reason = "fiber admits no local minimum at this (nu, a)"
+    assert capsys.readouterr().out.splitlines()[0] == f"P+: absent ({reason})"
+    saved = json.loads((tmp_path / "run" / "solves" / "P+.json").read_text())
+    assert saved == {"absent_reason": reason}
+    assert not (tmp_path / "run" / "solves" / "P+_profile.csv").exists()
+
+
 def test_normalized_reports_each_branchs_exit_reason(tmp_path, capsys):
     # on this coarse grid P+ converges in the polish, while the P- flow runs
     # out of iterations and its polish makes no step
@@ -300,6 +314,18 @@ def test_bad_config_value_is_an_error(tmp_path, capsys, name, line, key):
     assert err.startswith(f"error: config key {key!r}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["[fiber]\nn_dim = 3\nn_dim = 4\n", "n_dim = 3\n",
+                                  "[fiber]\nkind = 50%\n"],
+                         ids=["duplicate-key", "no-section-header", "bad-interpolation"])
+def test_a_config_syntax_error_is_an_error(tmp_path, capsys, text):
+    # configparser's own errors end the run as one error line, not a traceback
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "fiber"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unreadable_config_is_an_error(tmp_path, capsys):
     # ConfigParser.read skips a file it cannot open; main does not run on defaults
     missing = tmp_path / "missing.ini"
@@ -357,9 +383,9 @@ def test_a_nan_bubble_scale_ends_the_run(tmp_path):
 def test_an_out_root_that_is_a_file_is_an_error(tmp_path, capsys, out):
     (tmp_path / "taken").write_text("")
     assert run(tmp_path, "fiber", "--out", str(tmp_path / out)) == 1
-    # the fiber report's stderr line comes first; the error is the last line
-    err = capsys.readouterr().err
-    assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: output root ")
+    # the root is checked before the command runs: no fiber table, one error line
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: output root ") and err.count("\n") == 1
 
 
 def test_constants_subcommand(tmp_path, capsys):

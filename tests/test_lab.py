@@ -119,6 +119,30 @@ class TestThreshold:
         assert res.bracket == pytest.approx((2.5381019143834664, 2.8284271247461903),
                                             rel=1e-12)
 
+    def test_unattained_upper_end_is_a_bracket_failure(self):
+        # lam = 1 is deep in the non-attainment regime of test_08's problem:
+        # the first solve, at the upper end, is pinned and the scan stops there
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        with pytest.raises(BracketFailure, match="upper endpoint 1.0 not attained") as info:
+            scan_threshold(base, (0.5, 1.0), 5.04401, make_grid(3, 40.0, 300, 2.5))
+        (row,) = info.value.scan_table
+        assert row[0] == 1.0 and row[1] >= 5.04401 * (1 - 0.005)
+
+    def test_mu_mode_scans_mu(self, monkeypatch):
+        # in mu mode the scanned coupling is mu, and lam stays at the base's
+        seen = []
+
+        def fake_ground_state(params, grid, seeds=("gaussian",)):
+            seen.append((params.mu, params.lam))
+            return SimpleNamespace(converged=True, level=1.0, field="f",
+                                   concentration_scale=1.0)
+
+        monkeypatch.setattr(lab, "ground_state", fake_ground_state)
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="mu", mu=1.0, lam=2.0)
+        res = scan_threshold(base, (0.5, 16.0), 5.0, SimpleNamespace(key=("fake",)))
+        assert res.degenerate
+        assert seen == [(16.0, 2.0), (0.5, 2.0)]
+
     def test_modes_guarded(self, scan_grid):
         base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="general", mu=1, lam=1)
         with pytest.raises(InvalidParameter):

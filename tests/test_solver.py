@@ -474,7 +474,7 @@ class TestSecondSolutionRescale:
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                                nu=0.7, a=1.0)
         w = talenti(hls_norm_grid)
-        fake = NormalizedBranchResult(params=params, field=w, branch="P-", level=1.0,
+        fake = NormalizedBranchResult(params=params, field=w, level=1.0,
                                       lambda_nu=1.0, multiplier_identity_defect=0.0,
                                       pde_residual_scaled=0.0, iterations=0,
                                       converged=True, exit_reason="tol")
@@ -503,7 +503,7 @@ class TestSecondSolutionRescale:
         params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
                                nu=0.7, a=1.0)
         fake = NormalizedBranchResult(params=params, field=talenti(hls_norm_grid),
-                                      branch="P-", level=1.0, lambda_nu=-0.1,
+                                      level=1.0, lambda_nu=-0.1,
                                       multiplier_identity_defect=0.0,
                                       pde_residual_scaled=0.0, iterations=0,
                                       converged=True, exit_reason="tol")

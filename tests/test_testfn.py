@@ -5,7 +5,7 @@ from choquard_lab.asymptotics import rate_fit, _lsq_fit
 from choquard_lab.errors import InvalidParameter, ResolutionError
 from choquard_lab.grid import integrate, make_grid
 from choquard_lab.profiles import talenti, talenti_peak
-from choquard_lab.testfn import BubbleSpec, bubble, bubble_report, mass_radius
+from choquard_lab.testfn import BubbleSpec, bubble, bubble_report, bubble_sweep, mass_radius
 
 
 class TestBubbleSpec:
@@ -57,7 +57,7 @@ class TestMassRadius:
         a, eps = 3.0, 0.05
         R = mass_radius(3, a, eps)
         grid = make_grid(3, 2.5 * R, 2400, 3.0)
-        V = bubble(BubbleSpec(N=3, eps=eps, R=R, a=a), grid)
+        V = bubble(BubbleSpec(N=3, eps=eps, R=R), grid)
         m = integrate(grid, V.values ** 2)
         assert abs(m - a ** 2) < 1e-6 * a ** 2
 
@@ -109,9 +109,8 @@ class TestBubbleReport:
         for eps in (0.2, 0.05):
             R = mass_radius(3, 3.0, eps)
             g = make_grid(3, 2.5 * R, 1600, 3.0)
-            V = bubble(BubbleSpec(N=3, eps=eps, R=R, a=3.0), g)
-            rep = bubble_report(V, BubbleSpec(N=3, eps=eps, R=R, a=3.0), S)
-            devs.append(abs(rep.kinetic_deviation))
+            rep = bubble_report(bubble(BubbleSpec(N=3, eps=eps, R=R), g))
+            devs.append(abs(rep.kinetic - S ** 1.5))
         assert devs[1] < devs[0]
         assert devs[1] < 0.03 * S ** 1.5
 
@@ -121,7 +120,13 @@ class TestBubbleReport:
         eps = 0.05
         R = mass_radius(3, 3.0, eps)
         g = make_grid(3, 2.5 * R, 1600, 3.0)
-        spec = BubbleSpec(N=3, eps=eps, R=R, a=3.0)
-        rep = bubble_report(bubble(spec, g), spec, S)
+        rep = bubble_report(bubble(BubbleSpec(N=3, eps=eps, R=R), g))
         # the 2*-norm correction is O((R/eps)^-N), the gradient one O((R/eps)^(2-N))
-        assert abs(rep.sobolev_deviation) < abs(rep.kinetic_deviation)
+        assert abs(rep.sobolev_power - S ** 1.5) < abs(rep.kinetic - S ** 1.5)
+
+
+class TestBubbleSweep:
+    def test_unresolved_eps_is_a_resolution_error(self):
+        # a uniform 64-node grid out to 2.5 R_eps has its first node far above eps / 4
+        with pytest.raises(ResolutionError, match="above eps/4"):
+            bubble_sweep(3, 3.0, [0.001], n=64, grading=1.0)
