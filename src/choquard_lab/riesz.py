@@ -9,20 +9,20 @@ for z <= 1/2 and whenever alpha - 1 is within 0.01 of an integer, and
 otherwise the z -> 1-z connection formula (DLMF 15.8.4), two series in
 w = 1 - z summed in numpy with w formed from max - min.  Near the diagonal,
 where the quadrature samples most, neither suffers the rounding of z to 1,
-and both are far cheaper than `hyp2f1` (the N = 3 form takes 50-75 ns a
-point, `hyp2f1` 0.3 us at alpha = 1 and about 30 us at other alpha).
+and both are far cheaper than `hyp2f1` (on a 2-core Xeon the N = 3 form
+takes 16-45 ns a point, `hyp2f1` 0.3 us at alpha = 1, about 30 us else).
 
 Quadrature rows (`_rows`), built on demand by `convolve` and `potential_at`,
-sample the kernel at the nodes; near the diagonal, where it has a kink
-(alpha = 2), a logarithmic singularity (alpha = 1) or an integrable algebraic
-one (alpha < 1), panels are product-integrated, one batched call per block of
-targets: with exact moments in N = 3, by Gauss rules on graded sub-panels for
-N >= 4.  The solvers read only the pairing int (I_alpha * f) g = f^T G g: a
-per-(grid, alpha) table holds G alone, the rows at the nodes weighted and
-symmetrized in place, and every product with it is BLAS `dsymv` on one
-triangle (`RieszKernelTable.apply`), nearly twice as fast as reading all of it
-on one memory-bound core.  The _CACHED_TABLES most recently used tables are
-kept, keyed by (grid, alpha) value.
+sample the kernel at the nodes, once per node pair at the nodes themselves;
+near the diagonal, where it has a kink (alpha = 2), a logarithmic singularity
+(alpha = 1) or an integrable algebraic one (alpha < 1), panels are
+product-integrated: by exact moments in N = 3, in one call over all targets,
+by Gauss rules on graded sub-panels, per block of targets, for N >= 4.  The
+solvers read only the pairing int (I_alpha * f) g = f^T G g: a table per
+(grid, alpha) holds G alone, the node rows weighted and symmetrized in place,
+and every product with it is BLAS `dsymv` on one triangle (`apply`), nearly
+twice as fast as reading all of it on one memory-bound core.  The
+_CACHED_TABLES most recently used tables are kept, keyed by (grid, alpha).
 """
 
 from __future__ import annotations
@@ -176,12 +176,19 @@ def _shell_average(eps: float, x, hi, lo):
     that is exact (lo > hi/2); +inf on the diagonal for eps <= 0, Gauss's
     2^(eps-1)/eps for eps > 0."""
     near = lo > 0.5 * hi
-    d = (hi[near] - lo[near]) / hi[near]
-    lm = np.log1p(-x, where=~near, out=np.empty_like(x))
-    lm[near] = np.log(d, out=np.full_like(d, -np.inf), where=d > 0)
-    lp = np.log1p(x)
-    num = lp - lm if eps == 0.0 else (np.expm1(eps * lp) - np.expm1(eps * lm)) / eps
-    return np.divide(num, 2.0 * x, out=np.ones_like(x), where=x > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):     # log(0), 0/0 at x = 0
+        lm = np.log1p(-x, out=np.empty_like(x))
+        d = np.divide(hi - lo, hi, where=near, out=np.empty_like(x))
+        np.log(d, where=near, out=lm)
+        lp = np.log1p(x, out=d)
+        if eps != 0.0:              # each power minus one, in place
+            for v in (lp, lm):
+                np.expm1(np.multiply(eps, v, out=v), out=v)
+        lp -= lm
+        lp /= eps or 1.0
+        lp /= 2.0 * x
+    lp[x == 0] = 1.0
+    return lp
 
 
 def kernel_value(N: int, alpha: float, r, s):
@@ -209,15 +216,15 @@ def kernel_value(N: int, alpha: float, r, s):
     s = np.asarray(s, dtype=float)
     hi = np.maximum(r, s)
     lo = np.minimum(r, s)
-    x = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
-    z2 = x ** 2
+    x = np.divide(lo, hi, where=hi > 0, out=np.zeros_like(hi))
     if alpha == 2.0:
-        F = np.ones_like(z2)
+        F = np.ones_like(x)
     elif N == 3:
         F = _shell_average(alpha - 1.0, x, hi, lo)
     elif kc.connection is None:
-        F = hyp2f1(kc.a, kc.b, kc.c, z2)
+        F = hyp2f1(kc.a, kc.b, kc.c, x ** 2)
     else:
+        z2 = x ** 2
         near = z2 > 0.5
         F = np.empty_like(z2)
         F[~near] = hyp2f1(kc.a, kc.b, kc.c, z2[~near])
@@ -376,8 +383,8 @@ class RieszKernelTable:
         return float(fvals @ self.apply(gvals))
 
 
-# targets per block of `_rows`: the block's kernel samples and near-panel
-# Gauss points are its only temporaries, so they take O(_BLOCK * n) memory
+# targets per block of `_rows`: a block's kernel samples (and N >= 4's
+# near-panel Gauss points) are its n-sized temporaries, O(_BLOCK * n) memory
 _BLOCK = 64
 
 
@@ -396,24 +403,33 @@ def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
 
     The kernel is sampled at the nodes, except at a node that coincides with
     the target (relative tolerance only: graded grids put distinct nodes
-    closer than any absolute one).  On the panels near each target the sampled
-    contribution is swapped for the exact one, by one product integration per
-    block of _BLOCK targets.
+    closer than any absolute one); at the grid's own nodes on one triangle,
+    mirrored, as `kernel_value` forms K(r, s) and K(s, r) alike.  The sampled
+    contributions of the panels near each target are swapped for the exact
+    ones by one product integration (per block of _BLOCK targets for N >= 4).
     """
     t = np.asarray(targets, dtype=float)
     r = grid.r
     starts, ends, idx = grid.panels
-    rows = np.empty((t.size, grid.n))
+    nodes = np.array_equal(t, r)
+    rows, near = np.empty((t.size, grid.n)), []
     for s in range(0, t.size, _BLOCK):
-        tb, blk = t[s:s + _BLOCK], rows[s:s + _BLOCK]
-        far = kernel_value(grid.N, alpha, tb[:, None], r[None, :])
-        far[np.abs(r - tb[:, None]) <= 1e-5 * np.abs(tb[:, None])] = 0.0
-        np.multiply(far, grid.w, out=blk)
+        e, c = s + _BLOCK, s if nodes else 0
+        tb, blk = t[s:e], rows[s:e]
+        blk[:, c:] = kernel_value(grid.N, alpha, tb[:, None], r[None, c:])
+        if nodes:
+            rows[e:, s:e] = blk[:, e:].T
+        # a node within 1e-5 relative of a target lies in columns a:b
+        a, b = np.searchsorted(r, [np.fmin.reduce(tb) * (1 - 2e-5), np.fmax.reduce(tb) * (1 + 2e-5)])
+        blk[:, a:b][np.abs(r[a:b] - tb[:, None]) <= 1e-5 * np.abs(tb[:, None])] = 0.0
         # row-major, so each target's panels come in ascending order
         k, p = np.nonzero(_near_mask(grid, starts, ends, tb))
-        cor = _panel_product_row(grid.N, alpha, tb[k], starts[p], ends[p], r[idx[p]])
-        k, cols = k[:, None], idx[p]
-        np.add.at(blk, (k, cols), cor - far[k, cols] * grid.panel_weights[p])
+        near.append((k + s, p, blk[k[:, None], idx[p]] * grid.panel_weights[p]))
+        blk *= grid.w
+        if grid.N > 3 or e >= t.size:
+            (k, p, sampled), near = map(np.concatenate, zip(*near)), []
+            cor = _panel_product_row(grid.N, alpha, t[k], starts[p], ends[p], r[idx[p]])
+            np.add.at(rows, (k[:, None], idx[p]), cor - sampled)
     return rows
 
 
@@ -461,9 +477,8 @@ def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
     agree to quadrature accuracy, but dividing G by the tiny origin-side
     weights would amplify its symmetrization residue pointwise."""
     _check_same_grid(grid, g)
-    rows = _rows(grid, alpha, np.concatenate(([0.0], grid.r)))
-    vals = rows[1:] @ g.values
-    origin = float(rows[0] @ g.values)
+    vals = _rows(grid, alpha, grid.r) @ g.values
+    origin = float(_rows(grid, alpha, [0.0])[0] @ g.values)
     return RadialField(grid=grid, values=vals, origin=origin)
 
 

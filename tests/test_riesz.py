@@ -606,16 +606,42 @@ class TestBatchedNearRows:
     def test_block_size_changes_no_row(self, monkeypatch, block, alpha):
         # only the connection series of N >= 4, truncated at the largest 1 - z
         # of the block, depends on the blocks; the direct branch (alpha = 1)
-        # does not
+        # does not, nor do the N = 3 node rows, sampled on one triangle and
+        # mirrored across the block edges
         grid = make_grid(4, 25.0, 120, 2.0)
         targets = np.append(grid.r, [0.0, 30.0])
-        rows = riesz._rows(grid, alpha, targets)
+        grid3 = make_grid(3, 25.0, 120, 2.0)
+        rows, nodes = riesz._rows(grid, alpha, targets), riesz._rows(grid3, alpha, grid3.r)
         monkeypatch.setattr(riesz, "_BLOCK", block)
         blocked = riesz._rows(grid, alpha, targets)
+        assert np.array_equal(riesz._rows(grid3, alpha, grid3.r), nodes)
         if alpha == 1.0:
             assert np.array_equal(blocked, rows)
         scale = np.abs(rows).max(axis=1, keepdims=True)
         assert np.all(np.abs(blocked - rows) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_node_rows_match_the_per_target_rows(self, monkeypatch, N, alpha):
+        # the rows at the nodes sample one triangle and mirror it, and batch
+        # the near corrections; built one target at a time, every sample and
+        # correction must come out the same bits.  The N >= 4 connection
+        # series is truncated per call, so there the elementwise N = 3 kernel
+        # stands in for it
+        grid = make_grid(N, 25.0, 2 * riesz._BLOCK + 7, 2.0)
+        if N > 3 and not near_integer(alpha):
+            monkeypatch.setattr(riesz, "kernel_value",
+                                lambda N, alpha, r, s: kernel_value(3, alpha, r, s))
+        single = np.vstack([riesz._rows(grid, alpha, [t]) for t in grid.r])
+        assert np.array_equal(riesz._rows(grid, alpha, grid.r), single)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_targets_with_no_near_panel(self, N):
+        # beyond every panel's reach a row is the weighted kernel samples alone
+        grid = make_grid(N, 25.0, 120, 2.0)
+        targets = np.array([60.0, 80.0])
+        expected = kernel_value(N, 1.5, targets[:, None], grid.r[None, :]) * grid.w
+        assert np.array_equal(riesz._rows(grid, 1.5, targets), expected)
 
     def test_build_peaks_at_two_tables(self):
         # G is symmetrized in place, _BLOCK rows at a time
@@ -643,7 +669,7 @@ class TestBatchedNearRows:
     def test_build_peaks_at_one_table(self):
         # the rows turn into G in place, weighted and then symmetrized
         # _BLOCK rows at a time: beyond G the build holds only per-block
-        # temporaries, about 11 arrays of _BLOCK rows
+        # temporaries, about 6 arrays of _BLOCK rows
         n = 1000
         grid = make_grid(3, 40.0, n, 2.5)
         tracemalloc.start()
@@ -653,6 +679,21 @@ class TestBatchedNearRows:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n ** 2 + 16 * 8 * riesz._BLOCK * n
+
+    def test_convolve_peaks_at_one_table(self):
+        # the node rows and the origin row are built apart: beyond the n x n
+        # rows, convolve holds only per-block temporaries, about 6 arrays of
+        # _BLOCK rows
+        n = 1000
+        grid = make_grid(3, 40.0, n, 2.5)
+        g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        tracemalloc.start()
+        try:
+            convolve(grid, g, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n ** 2 + 8 * 8 * riesz._BLOCK * n
 
     @pytest.mark.parametrize("N,alpha", [(3, 1.0), (4, 1.5), (5, 4.5)])
     def test_table_holds_one_array(self, N, alpha):
