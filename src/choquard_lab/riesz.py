@@ -12,17 +12,19 @@ where the quadrature samples most, neither suffers the rounding of z to 1,
 and both are far cheaper than `hyp2f1` (on a 2-core Xeon the N = 3 form
 takes 16-45 ns a point, `hyp2f1` 0.3 us at alpha = 1, about 30 us else).
 
-Quadrature rows (`_rows`), built on demand by `convolve` and `potential_at`,
-sample the kernel at the nodes, once per node pair at the nodes themselves;
-near the diagonal, where it has a kink (alpha = 2), a logarithmic singularity
-(alpha = 1) or an integrable algebraic one (alpha < 1), panels are
-product-integrated: by exact moments in N = 3, in one call over all targets,
-by Gauss rules on graded sub-panels, per block of targets, for N >= 4.  The
+Quadrature rows sample the kernel at the nodes, once per node pair at the
+nodes themselves; near the diagonal, where it has a kink (alpha = 2), a
+logarithmic singularity (alpha = 1) or an integrable algebraic one
+(alpha < 1), panels are product-integrated: by exact moments in N = 3, in one
+call over all targets, by Gauss rules on graded sub-panels, per block of
+targets, for N >= 4.  `convolve` and `potential_at` apply the rows to g one
+block of targets at a time (`_potential`), never holding them all.  The
 solvers read only the pairing int (I_alpha * f) g = f^T G g: a table per
-(grid, alpha) holds G alone, the node rows weighted and symmetrized in place,
-and every product with it is BLAS `dsymv` on one triangle (`apply`), nearly
-twice as fast as reading all of it on one memory-bound core.  The
-_CACHED_TABLES most recently used tables are kept, keyed by (grid, alpha).
+(grid, alpha) holds G alone, the node rows (`_rows`) weighted and symmetrized
+in place, and every product with it is BLAS `dsymv` on one triangle
+(`apply`), nearly twice as fast as reading all of it on one memory-bound
+core.  The _CACHED_TABLES most recently used tables are kept, keyed by
+(grid, alpha).
 """
 
 from __future__ import annotations
@@ -369,7 +371,7 @@ class RieszKernelTable:
     def convolve_values(self, gvals: np.ndarray) -> np.ndarray:
         # kept only because bench/tracing.py wraps it by name; ROADMAP item 1
         # deletes it together with that tracer line
-        return _rows(self.grid, self.alpha, self.grid.r) @ gvals
+        return _potential(self.grid, self.alpha, self.grid.r, gvals)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G @ x by BLAS dsymv, which reads one triangle of the symmetric G.
@@ -383,8 +385,8 @@ class RieszKernelTable:
         return float(fvals @ self.apply(gvals))
 
 
-# targets per block of `_rows`: a block's kernel samples (and N >= 4's
-# near-panel Gauss points) are its n-sized temporaries, O(_BLOCK * n) memory
+# targets per block of `_rows` and `_potential`: a block's kernel samples (and
+# N >= 4's near-panel Gauss points) are its n-sized temporaries, O(_BLOCK * n)
 _BLOCK = 64
 
 
@@ -398,39 +400,71 @@ def _near_mask(grid: RadialGrid, starts, ends, t) -> np.ndarray:
     return near
 
 
+def _block_samples(grid: RadialGrid, alpha: float, tb, c: int) -> np.ndarray:
+    """K(tb, r[c:]), zero at a node within 1e-5 relative of a target (only
+    relative: graded grids put distinct nodes closer than any absolute one)."""
+    r = grid.r[c:]
+    K = kernel_value(grid.N, alpha, tb[:, None], r)
+    a, b = np.searchsorted(r, [np.fmin.reduce(tb) * (1 - 2e-5), np.fmax.reduce(tb) * (1 + 2e-5)])
+    K[:, a:b][np.abs(r[a:b] - tb[:, None]) <= 1e-5 * np.abs(tb[:, None])] = 0.0
+    return K
+
+
+def _near_swap(grid: RadialGrid, alpha: float, t, near):
+    """(target, node) indices and the exact minus the sampled contributions of
+    the blocks' `near` (target, panel, weighted samples), which it empties."""
+    a, b, idx = grid.panels
+    k, p, sampled = map(np.concatenate, zip(*near))
+    near.clear()
+    cor = _panel_product_row(grid.N, alpha, t[k], a[p], b[p], grid.r[idx[p]])
+    return (k[:, None], idx[p]), cor - sampled
+
+
 def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
     """Quadrature rows: rows[k] @ g.values is (I_alpha * g)(targets[k]).
 
-    The kernel is sampled at the nodes, except at a node that coincides with
-    the target (relative tolerance only: graded grids put distinct nodes
-    closer than any absolute one); at the grid's own nodes on one triangle,
-    mirrored, as `kernel_value` forms K(r, s) and K(s, r) alike.  The sampled
-    contributions of the panels near each target are swapped for the exact
-    ones by one product integration (per block of _BLOCK targets for N >= 4).
+    From `_block_samples`: at the grid's own nodes on one triangle, mirrored,
+    as `kernel_value` forms K(r, s) and K(s, r) alike; the near panels by
+    `_near_swap`, in one call (per block of _BLOCK targets for N >= 4).
     """
     t = np.asarray(targets, dtype=float)
-    r = grid.r
-    starts, ends, idx = grid.panels
-    nodes = np.array_equal(t, r)
+    (starts, ends, idx), nodes = grid.panels, np.array_equal(t, grid.r)
     rows, near = np.empty((t.size, grid.n)), []
     for s in range(0, t.size, _BLOCK):
         e, c = s + _BLOCK, s if nodes else 0
-        tb, blk = t[s:e], rows[s:e]
-        blk[:, c:] = kernel_value(grid.N, alpha, tb[:, None], r[None, c:])
+        blk = rows[s:e]
+        blk[:, c:] = _block_samples(grid, alpha, t[s:e], c)
         if nodes:
             rows[e:, s:e] = blk[:, e:].T
-        # a node within 1e-5 relative of a target lies in columns a:b
-        a, b = np.searchsorted(r, [np.fmin.reduce(tb) * (1 - 2e-5), np.fmax.reduce(tb) * (1 + 2e-5)])
-        blk[:, a:b][np.abs(r[a:b] - tb[:, None]) <= 1e-5 * np.abs(tb[:, None])] = 0.0
         # row-major, so each target's panels come in ascending order
-        k, p = np.nonzero(_near_mask(grid, starts, ends, tb))
+        k, p = np.nonzero(_near_mask(grid, starts, ends, t[s:e]))
         near.append((k + s, p, blk[k[:, None], idx[p]] * grid.panel_weights[p]))
         blk *= grid.w
         if grid.N > 3 or e >= t.size:
-            (k, p, sampled), near = map(np.concatenate, zip(*near)), []
-            cor = _panel_product_row(grid.N, alpha, t[k], starts[p], ends[p], r[idx[p]])
-            np.add.at(rows, (k[:, None], idx[p]), cor - sampled)
+            np.add.at(rows, *_near_swap(grid, alpha, t, near))
     return rows
+
+
+def _potential(grid: RadialGrid, alpha: float, targets, g: np.ndarray) -> np.ndarray:
+    """`_rows(grid, alpha, targets) @ g` to roundoff, one block of rows at a
+    time: at the nodes a block adds its triangle's mirror to the rows below,
+    and samples again the near nodes left of it (the same bits in N = 3)."""
+    t = np.asarray(targets, dtype=float)
+    (starts, ends, idx), nodes = grid.panels, np.array_equal(t, grid.r)
+    wg, y, near = grid.w * g, np.zeros(t.size), []
+    for s in range(0, t.size, _BLOCK):
+        e, lo = s + _BLOCK, s if nodes else 0
+        k, p = np.nonzero(_near_mask(grid, starts, ends, t[s:e]))
+        c = idx[p].min(initial=lo)
+        K = _block_samples(grid, alpha, t[s:e], c)
+        y[s:e] += K[:, lo - c:] @ wg[lo:]
+        if nodes:
+            y[e:] += K[:, e - c:].T @ wg[s:e]
+        near.append((k + s, p, K[k[:, None], idx[p] - c] * grid.panel_weights[p]))
+        if grid.N > 3 or e >= t.size:
+            (k, cols), swap = _near_swap(grid, alpha, t, near)
+            y += np.bincount(k[:, 0], (swap * g[cols]).sum(1), t.size)
+    return y
 
 
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
@@ -473,19 +507,24 @@ def kernel_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
 def convolve(grid: RadialGrid, g: RadialField, alpha: float) -> RadialField:
     """I_alpha * g on the grid; positive whenever g is nontrivial and >= 0.
 
-    From the quadrature rows at the nodes and at r = 0, not from G: the two
-    agree to quadrature accuracy, but dividing G by the tiny origin-side
-    weights would amplify its symmetrization residue pointwise."""
+    From the quadrature rows at the nodes and at r = 0, applied to g block by
+    block (`_potential`), not from G: the two agree to quadrature accuracy, but
+    dividing G by the tiny origin-side weights would amplify its
+    symmetrization residue pointwise."""
     _check_same_grid(grid, g)
-    vals = _rows(grid, alpha, grid.r) @ g.values
-    origin = float(_rows(grid, alpha, [0.0])[0] @ g.values)
+    vals = _potential(grid, alpha, grid.r, g.values)
+    origin = float(_potential(grid, alpha, [0.0], g.values)[0])
     return RadialField(grid=grid, values=vals, origin=origin)
 
 
 def potential_at(grid: RadialGrid, g: RadialField, alpha: float, r_targets) -> np.ndarray:
-    """Potential values at arbitrary radii (rows built on demand)."""
+    """I_alpha * g at finite radii >= 0 (a number or a 1-D sequence), as
+    `convolve` forms it: at grid.r and at 0 the same bits as its values and origin."""
     _check_same_grid(grid, g)
-    return _rows(grid, alpha, np.atleast_1d(r_targets)) @ g.values
+    t = np.atleast_1d(np.asarray(r_targets, dtype=float))
+    if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0)):
+        raise InvalidParameter("r_targets must be finite radii >= 0, a number or 1-D")
+    return _potential(grid, alpha, t, g.values)
 
 
 def interaction_energy(grid: RadialGrid, u: RadialField, p: float, alpha: float) -> float:

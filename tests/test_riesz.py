@@ -279,20 +279,47 @@ class TestPotentialNearPanelEnds:
         assert np.max(np.abs(vals - vals[-1])) <= 1e-12 * vals[-1]
 
 
+def gauss_field(N, n):
+    grid = make_grid(N, 25.0, n, 2.0)
+    return grid, RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+
+
 class TestPotentialAt:
-    """`potential_at` and `convolve` share one row builder."""
+    """`potential_at` and `convolve` share one blocked accumulation."""
 
     @pytest.fixture(scope="class")
     def gauss(self):
-        grid = make_grid(3, 25.0, 400, 2.0)
-        return grid, RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
+        return gauss_field(3, 400)
 
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
     def test_matches_convolve_bit_for_bit(self, gauss, alpha):
+        for grid, g in (gauss, gauss_field(4, 150)):
+            D = convolve(grid, g, alpha)
+            assert potential_at(grid, g, alpha, [0.0])[0] == D.origin
+            assert np.array_equal(potential_at(grid, g, alpha, grid.r), D.values)
+
+    @pytest.mark.parametrize("radii", [[-1.0], [1.0, np.nan], [np.inf], [[1.0, 2.0]], -0.5],
+                             ids=["negative", "nan", "inf", "2-D", "negative-number"])
+    def test_rejects_radii_that_are_not_a_list_of_radii(self, gauss, radii):
+        # a negative or NaN radius used to come back as NaN, and 2-D input
+        # ended in a numpy broadcast error
         grid, g = gauss
+        with pytest.raises(InvalidParameter):
+            potential_at(grid, g, 1.5, radii)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_matches_the_rows(self, monkeypatch, N, alpha, block):
+        # the blocked accumulation sums each row in another order than
+        # `_rows(...) @ g`, so the two agree to roundoff, block size aside
+        grid, g = gauss_field(N, 2 * riesz._BLOCK + 7)
+        ref = riesz._rows(grid, alpha, grid.r) @ g.values
+        ref0 = riesz._rows(grid, alpha, [0.0])[0] @ g.values
+        monkeypatch.setattr(riesz, "_BLOCK", block)
         D = convolve(grid, g, alpha)
-        assert potential_at(grid, g, alpha, [0.0])[0] == D.origin
-        assert np.array_equal(potential_at(grid, g, alpha, grid.r), D.values)
+        assert np.all(np.abs(D.values - ref) <= 1e-15 * np.abs(ref).max())
+        assert abs(D.origin - ref0) <= 1e-15 * abs(ref0)
 
     def test_origin_closed_form(self, gauss):
         # (I_alpha * exp(-r^2))(0) = Gamma((N-alpha)/2) / (2^alpha Gamma(N/2)); the
@@ -680,20 +707,31 @@ class TestBatchedNearRows:
             tracemalloc.stop()
         assert peak < 8 * n ** 2 + 16 * 8 * riesz._BLOCK * n
 
-    def test_convolve_peaks_at_one_table(self):
-        # the node rows and the origin row are built apart: beyond the n x n
-        # rows, convolve holds only per-block temporaries, about 6 arrays of
-        # _BLOCK rows
+    @staticmethod
+    def potential_peak(apply):
         n = 1000
         grid = make_grid(3, 40.0, n, 2.5)
         g = RadialField.from_values(grid, np.exp(-grid.r ** 2), origin=1.0)
         tracemalloc.start()
         try:
-            convolve(grid, g, 1.0)
+            apply(grid, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n ** 2 + 8 * 8 * riesz._BLOCK * n
+        return peak, n
+
+    def test_convolve_peaks_at_one_table(self):
+        # no n x n rows: they are applied to g one block of _BLOCK targets at
+        # a time, so beyond O(n) vectors convolve holds only per-block
+        # temporaries, about 6 arrays of _BLOCK rows
+        peak, n = self.potential_peak(lambda grid, g: convolve(grid, g, 1.0))
+        assert peak < 16 * 8 * riesz._BLOCK * n
+
+    def test_potential_at_holds_no_rows(self):
+        # 2n probes: no 2n x n rows either
+        peak, n = self.potential_peak(
+            lambda grid, g: potential_at(grid, g, 1.0, np.linspace(0.0, 45.0, 2 * grid.n)))
+        assert peak < 16 * 8 * riesz._BLOCK * n
 
     @pytest.mark.parametrize("N,alpha", [(3, 1.0), (4, 1.5), (5, 4.5)])
     def test_table_holds_one_array(self, N, alpha):
