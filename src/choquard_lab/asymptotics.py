@@ -139,13 +139,13 @@ def rate_fit(couplings, values, min_span_decades: float = 1.5) -> RateFit:
     v = np.asarray(values, dtype=float)
     if len(c) < 4:
         raise InvalidParameter("rate fit needs at least 4 samples")
-    if np.any(c <= 0):
-        raise InvalidParameter("couplings must be positive")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise InvalidParameter("couplings must be finite and positive")
     order = np.argsort(c)
     c, v = c[order], v[order]
     span = np.log10(c[-1] / c[0])
     if span < min_span_decades:
         raise InvalidParameter(f"span {span:.2f} decades < required {min_span_decades}")
-    if np.any(v <= 0):
-        raise InvalidParameter("values must be positive for a log fit")
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise InvalidParameter("values must be finite and positive for a log fit")
     return RateFit(*_lsq_fit(np.log(c), np.log(v)))

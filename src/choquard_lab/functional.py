@@ -412,8 +412,8 @@ def fiber_profile(params: ProblemParams, u: RadialField, kind: str, ts) -> Fiber
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         raise InvalidParameter("empty fiber grid")
-    if np.any(ts <= 0):
-        raise InvalidParameter("fiber grid must be positive")
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise InvalidParameter("fiber grid must be finite and positive")
     parts = compute_parts(params, u)
     points = _fiber_critical_points(params, parts, kind, ts.min(), ts.max())
     return FiberProfile(ts=ts, energies=fiber_energy(params, parts, kind, ts),

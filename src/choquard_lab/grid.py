@@ -191,8 +191,8 @@ class RadialField:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.r.shape:
             raise IncompatibleGrid("value array does not match grid nodes")
-        if not np.all(np.isfinite(values)):
-            raise InvalidConfiguration("field values must be finite")
+        if not (np.all(np.isfinite(values)) and (origin is None or np.isfinite(origin))):
+            raise InvalidConfiguration("field values and origin must be finite")
         if origin is None:
             origin = _extrapolate_origin(grid.r, values)
         d = None if deriv is None else np.asarray(deriv, dtype=float)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -16,6 +17,13 @@ from .riesz import interaction_energy
 
 __all__ = ["BubbleSpec", "bubble", "mass_radius", "bubble_report", "bubble_sweep",
            "BubbleReport"]
+
+# one 20-point Gauss-Legendre rule (16 reach roundoff), on [0, arctan X] for the N >= 5
+# core and on the bridge s in [1, 2]: weights phi^2 and -2 s phi phi' = 60 s phi (s-1)^2 (2-s)^2
+_T, _W = np.polynomial.legendre.leggauss(20)
+_S = 1.5 + 0.5 * _T
+_BRIDGE = 0.5 * _W * smoothstep_cutoff(_S) ** 2
+_BRIDGE_SLOPE = 30.0 * _W * _S * smoothstep_cutoff(_S) * (_S - 1) ** 2 * (2 - _S) ** 2
 
 
 @dataclass(frozen=True)
@@ -51,44 +59,44 @@ def bubble(spec: BubbleSpec, grid: RadialGrid) -> RadialField:
     return cutoff_bubble(grid, spec.eps, spec.R)
 
 
-def _mass_integral(N: int, eps: float, R: float) -> float:
-    """||V_eps||_2^2 by adaptive quadrature of the closed-form integrand."""
-    from scipy.integrate import quad
-    c = talenti_peak(N) ** 2
-
-    def f(r):
-        w = eps ** (-(N - 2.0)) * c * (1.0 + (r / eps) ** 2) ** (-(N - 2.0))
-        return w * smoothstep_cutoff(np.array([r / R]))[0] ** 2 * r ** (N - 1)
-
-    total = 0.0
-    for lo, hi in ((0.0, eps), (eps, R), (R, 2 * R)):
-        if hi > lo:
-            val, _ = quad(f, lo, hi, limit=200)
-            total += val
-    return sphere_surface(N) * total
+def _shape(N: int, X: float):
+    """J(X) = int rho^(N-1) (1+rho^2)^(2-N) phi(rho/X)^2 drho and X J'(X) at X >= 4,
+    so that ||V_eps||_2^2 = |S^(N-1)| W_1(0)^2 eps^2 J(R/eps).  The core [0, X] is
+    closed at N = 3, 4; at N >= 5 it is sin^(N-1) cos^(N-5) over [0, arctan X]."""
+    if N == 3:
+        core = X - math.atan(X)
+    elif N == 4:
+        core = 0.5 * (math.log1p(X * X) - X * X / (1.0 + X * X))
+    else:
+        th = 0.5 * math.atan(X) * (1.0 + _T)
+        core = 0.5 * math.atan(X) * float(_W @ (np.sin(th) ** (N - 1) * np.cos(th) ** (N - 5)))
+    f = X * (X * _S) ** (3 - N) * (1.0 + (X * _S) ** -2.0) ** (2 - N)
+    return core + float(_BRIDGE @ f), float(_BRIDGE_SLOPE @ f)
 
 
 def mass_radius(N: int, a: float, eps: float) -> float:
-    """Cutoff radius R_eps with ||V_eps||_2^2 = a^2 (bracketed root in log R,
-    searched up to R = 1e12 eps)."""
-    from scipy.optimize import brentq
-    if not 0 < a < math.inf:
-        raise InvalidParameter(f"target mass a={a} must be positive and finite")
-    if not 0 < eps < math.inf:
-        raise InvalidParameter(f"eps={eps} must be positive and finite")
-    lo = 4.0 * eps
-    if _mass_integral(N, eps, lo) >= a ** 2:
-        raise InvalidParameter(
-            f"mass a={a} unreachable with separated scales at eps={eps} (already "
-            "exceeded at R = 4 eps)")
-    f = lambda lR: _mass_integral(N, eps, np.exp(lR)) - a ** 2
-    l_lo = np.log(lo)
-    l_hi = np.log(lo * 4)
-    while f(l_hi) < 0:
-        l_hi += np.log(4.0)
-        if np.exp(l_hi) > 1e12 * eps:
-            raise InvalidParameter("no cutoff radius reaches the target mass in range")
-    return float(np.exp(brentq(f, l_lo, l_hi, xtol=1e-13, rtol=1e-13)))
+    """Cutoff radius R_eps with ||V_eps||_2^2 = a^2: Newton on log J in x = log(R/eps)
+    inside the bracket [log 4, log 1e150] it narrows, bisecting a step that leaves
+    it.  At N >= 5 the mass is bounded in R; a target at or above its limit fails at once."""
+    if not (isinstance(N, Integral) and N >= 3 and 0 < a < math.inf and 0 < eps < math.inf):
+        raise InvalidParameter(f"N={N!r}, a={a}, eps={eps}: need an integer N >= 3, a, eps > 0")
+    target = 2.0 * (math.log(a) - math.log(eps)) - math.log(sphere_surface(N)
+                                                             * talenti_peak(N) ** 2)
+    lo, hi = math.log(4.0), math.log(1e150)    # (R/eps)^2 stays finite
+    x, (J, dJ) = lo, _shape(N, 4.0)
+    if not math.log(J) < target <= math.log(_shape(N, 1e150)[0]):
+        raise InvalidParameter(f"no R in [4 eps, 1e150 eps] has mass a^2 = {a * a:g} at eps={eps}")
+    for _ in range(200):
+        h = math.log(J) - target
+        lo, hi = (x, hi) if h < 0 else (lo, x)
+        dx = -h * J / dJ if dJ else math.inf
+        if abs(dx) > 1e-12 * x and not lo < x + dx < hi:
+            dx = 0.5 * (lo + hi) - x
+        x += dx
+        if abs(dx) <= 1e-12 * x:
+            return eps * math.exp(x)
+        J, dJ = _shape(N, math.exp(x))
+    raise InvalidParameter(f"cutoff radius for a={a} at eps={eps} unresolved in 200 steps")
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,9 @@ def bubble_report(V: RadialField, p: float | None = None, alpha: float | None = 
                   q: float | None = None) -> BubbleReport:
     """The four integrals of a built bubble; the Riesz term needs p and
     alpha, the q-power term q."""
-    grid = V.grid
-    N = grid.N
-    two_star = 2.0 * N / (N - 2)
+    grid, N = V.grid, V.grid.N
     kin = kinetic_energy(grid, V.values)
-    sob = integrate(grid, np.abs(V.values) ** two_star)
+    sob = integrate(grid, np.abs(V.values) ** (2.0 * N / (N - 2)))
     R = interaction_energy(grid, V, p, alpha) if (p is not None and alpha is not None) else None
     P = integrate(grid, np.abs(V.values) ** q) if q is not None else None
     return BubbleReport(kinetic=kin, sobolev_power=sob, riesz=R, q_power=P)
@@ -116,16 +122,9 @@ def bubble_report(V: RadialField, p: float | None = None, alpha: float | None = 
 def bubble_sweep(N: int, a: float, eps_values, q: float | None = None,
                  p: float | None = None, alpha: float | None = None,
                  n: int = 1600, grading: float = 3.0):
-    """Mass-calibrated bubbles across an eps grid, one adapted grid per eps.
-
-    Returns (R_eps list, reports list); rate fits over the sweep are the
-    caller's business (`asymptotics.rate_fit`).
-    """
-    radii, reports = [], []
-    for eps in eps_values:
-        R = mass_radius(N, a, eps)
-        grid = make_grid(N, 2.5 * R, n, grading)
-        V = bubble(BubbleSpec(N=N, eps=float(eps), R=float(R)), grid)
-        radii.append(R)
-        reports.append(bubble_report(V, p=p, alpha=alpha, q=q))
-    return radii, reports
+    """Mass-calibrated bubbles across an eps grid, one adapted grid per eps:
+    (R_eps list, reports list).  Rate fits are the caller's (`asymptotics.rate_fit`)."""
+    radii = [mass_radius(N, a, eps) for eps in eps_values]
+    return radii, [bubble_report(bubble(BubbleSpec(N=N, eps=float(eps), R=float(R)),
+                                        make_grid(N, 2.5 * R, n, grading)),
+                                 p=p, alpha=alpha, q=q) for eps, R in zip(eps_values, radii)]

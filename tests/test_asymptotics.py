@@ -162,6 +162,25 @@ class TestRateFit:
         with pytest.raises(InvalidParameter):
             rate_fit([1.0, 10.0, 100.0], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_coupling_rejected(self, bad, capfd):
+        # it reached lstsq, which raised LinAlgError and printed LAPACK lines
+        c = np.geomspace(0.1, 100, 6)
+        v = 3.0 / c
+        c[2] = bad
+        with pytest.raises(InvalidParameter):
+            rate_fit(c, v)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_value_rejected(self, bad):
+        # a NaN value passed `v <= 0` and fitted slope NaN with r_squared 1.0
+        c = np.geomspace(0.1, 100, 6)
+        v = 3.0 / c
+        v[2] = bad
+        with pytest.raises(InvalidParameter):
+            rate_fit(c, v)
+
 
 class TestExpectedExponents:
     def test_theorem_rate_exponents(self):

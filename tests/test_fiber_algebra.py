@@ -10,7 +10,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -60,7 +60,9 @@ def oracle_defects(pp, parts):
             first = K - cR * R - pp.nu * pp.gamma_q * P
         else:
             first = K - pp.nu * pp.eta_p * R - P
-        lam_hat = (cR * R + cP * P - K) / pp.a ** 2
+        # summed as the ray derivative K - cR R - cP P, so that both sides
+        # round the cancellation alike
+        lam_hat = -(K - cR * R - cP * P) / pp.a ** 2
         poho = (0.5 * (N - 2) * K + 0.5 * N * lam_hat * M
                 - (N + alpha) / (2 * p) * cR * R - N / q * cP * P)
         scale = max(abs(K), abs(cR * R), abs(cP * P), abs(lam_hat) * M, 1e-300)
@@ -151,6 +153,8 @@ class TestFourPartAlgebra:
             assert abs(got - oracle_energy(pp, parts, kind, t)) <= 1e-12 * size
 
     @given(problems())
+    @example((ProblemParams(N=3, alpha=3e-06, p=3.000003, q=2.000004, mode="normalized-hls",
+                            nu=0.001, a=0.5), Parts(128, 152, 128, 3)))
     @settings(max_examples=300, deadline=None)
     def test_defects_are_fiber_derivatives_at_one(self, draw):
         pp, parts = draw

@@ -230,6 +230,11 @@ class TestFibers:
         with pytest.raises(InvalidParameter):
             fiber_profile(params_lambda(), gaussian(grid3), "ray", np.array([]))
 
+    def test_infinite_fiber_point_rejected(self, grid3):
+        # it warned and returned a NaN energy
+        with pytest.raises(InvalidParameter):
+            fiber_profile(params_lambda(), gaussian(grid3), "ray", [np.inf, 1.0])
+
 
 class TestMassFiberClassify:
     # the P+/P0/P- points of the mass fiber are fiber_profile's signs

@@ -241,6 +241,19 @@ class TestField:
         with pytest.raises(InvalidConfiguration):
             RadialField.from_values(g, vals)
 
+    def test_nonfinite_origin_rejected(self):
+        g = make_grid(3, 10.0, 100)
+        with pytest.raises(InvalidConfiguration):
+            RadialField.from_values(g, np.ones(g.n), origin=np.nan)
+
+    def test_csv_nan_origin_rejected(self):
+        # the r = 0 row of a field file loaded and evaluated to NaN at r = 0
+        g = make_grid(3, 10.0, 100)
+        lines = gaussian(g, width=2.0).to_csv().splitlines()
+        lines[1] = "0.0,nan"
+        with pytest.raises(InvalidConfiguration):
+            RadialField.from_csv(g, "\n".join(lines))
+
     def test_csv_round_trip(self):
         g = make_grid(3, 10.0, 100)
         f = gaussian(g, width=2.0)

@@ -1,8 +1,9 @@
 """Start-up cost: importing the package and running what the `threshold` and
-`kernel_generic` benchmarks run, and a normalized two-branch solve, load no
-scipy subpackage those paths never call.  Each command-line process pays
-every import, so scipy.optimize, scipy.interpolate and scipy.integrate are
-imported only where they are used (shooting and the bubble calibration)."""
+`kernel_generic` benchmarks run, a normalized two-branch solve and a bubble
+sweep load no scipy subpackage those paths never call.  Each command-line
+process pays every import, so scipy.integrate is imported only where it is
+used (shooting), scipy.optimize only by a reader of `solver.brentq`, and
+scipy.interpolate never."""
 
 import json
 import os
@@ -41,8 +42,13 @@ after_run = [m for m in DEFERRED if m in sys.modules]
 branches = solver.normalized_branches(
     ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0),
     make_grid(3, 20.0, 200, 2.0))
+after_normalized = [m for m in DEFERRED if m in sys.modules]
+from choquard_lab import testfn
+radii, reports = testfn.bubble_sweep(3, 3.0, [0.05], p=3.0, alpha=2.0, n=300)
 print(json.dumps({"after_import": after_import, "after_run": after_run,
-                  "after_normalized": [m for m in DEFERRED if m in sys.modules],
+                  "after_normalized": after_normalized,
+                  "after_bubbles": [m for m in DEFERRED if m in sys.modules],
+                  "bubble": [radii[0] > 0.2, reports[0].riesz > 0],
                   "branches": [b is not None for b in (branches.plus, branches.minus)],
                   "converged": res.converged, "finite": bool(np.all(np.isfinite(P))), **calls}))
 """
@@ -63,6 +69,10 @@ def test_import_and_benchmarked_paths_skip_unused_scipy():
     # both fiber points of the mass fiber are solved without scipy.optimize
     assert out["branches"] == [True, True]
     assert out["after_normalized"] == []
+    # a mass-calibrated bubble with its four integrals, without scipy.integrate
+    # or scipy.optimize
+    assert out["bubble"] == [True, True]
+    assert out["after_bubbles"] == []
 
 
 def test_solver_brentq_resolves_on_first_access():

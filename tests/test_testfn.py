@@ -1,11 +1,41 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from choquard_lab import testfn
 from choquard_lab.asymptotics import rate_fit, _lsq_fit
 from choquard_lab.errors import InvalidParameter, ResolutionError
-from choquard_lab.grid import integrate, make_grid
+from choquard_lab.grid import integrate, make_grid, sphere_surface
 from choquard_lab.profiles import talenti, talenti_peak
 from choquard_lab.testfn import BubbleSpec, bubble, bubble_report, bubble_sweep, mass_radius
+
+
+def mp_mass(N, eps, R):
+    """||V_eps||_2^2 at 30 digits: mpmath quad of W_eps(r)^2 phi(r/R)^2 r^(N-1)
+    over [0, eps, R, 2R], with the quintic cutoff written out."""
+    with mp.workdps(30):
+        eps, R = mp.mpf(eps), mp.mpf(R)
+        c = mp.mpf(N * (N - 2)) ** (mp.mpf(N - 2) / 2)
+
+        def f(r):
+            t = min(max(r / R - 1, 0), 1)
+            phi = 1 - t ** 3 * (10 - 15 * t + 6 * t ** 2)
+            return c * eps ** (2 - N) * (1 + (r / eps) ** 2) ** (2 - N) * phi ** 2 * r ** (N - 1)
+
+        area = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
+        return area * mp.quad(f, [0, eps, R, 2 * R])
+
+
+def mass(N, eps, R):
+    return sphere_surface(N) * talenti_peak(N) ** 2 * eps ** 2 * testfn._shape(N, R / eps)[0]
+
+
+def mass_supremum(N, eps):
+    """The R -> inf mass at N >= 5: the core over [0, pi/2] in theta, a Beta integral."""
+    beta = math.gamma(N / 2) * math.gamma((N - 4) / 2) / math.gamma(N - 2)
+    return sphere_surface(N) * talenti_peak(N) ** 2 * eps ** 2 * beta / 2
 
 
 class TestBubbleSpec:
@@ -71,6 +101,42 @@ class TestMassRadius:
         # scipy's ValueError
         with pytest.raises(InvalidParameter):
             mass_radius(3, a, eps)
+
+    @pytest.mark.parametrize("N", [2, 3.5, 3.0, True], ids=["2", "3.5", "float", "bool"])
+    def test_impossible_dimension_rejected(self, N):
+        # no Talenti bubble below N = 3, and the closed core needs an integer N
+        with pytest.raises(InvalidParameter):
+            mass_radius(N, 3.0, 0.1)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("eps", [0.006, 0.05, 0.2])
+    def test_mass_matches_mpmath(self, N, eps):
+        for X in np.geomspace(4.0, 1000.0, 4):
+            ref = mp_mass(N, eps, X * eps)
+            assert float(abs(mass(N, eps, X * eps) - ref) / ref) < 1e-13
+
+    @pytest.mark.parametrize("N, a, eps", [(3, 3.0, 0.006), (3, 3.0, 0.2), (4, 1.8, 0.055),
+                                           (4, 2.2, 0.07), (5, None, 0.05)])
+    def test_radius_hits_target_mass_by_mpmath(self, N, a, eps):
+        # at N = 5 a target at 80 % of the bounded mass
+        a = a or math.sqrt(0.8 * mass_supremum(N, eps))
+        R = mass_radius(N, a, eps)
+        assert float(abs(mp_mass(N, eps, R) - a ** 2)) < 1e-13 * a ** 2
+
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_mass_above_the_bounded_limit_rejected_at_once(self, N, monkeypatch):
+        eps = 0.05
+        sup = mass_supremum(N, eps)
+        # the mass rises to sup with R, short of it by O((R/eps)^(4-N))
+        assert mass(N, eps, 1e6 * eps) < sup
+        assert mass(N, eps, 1e12 * eps) == pytest.approx(sup, rel=1e-10)
+        calls = []
+        shape = testfn._shape
+        monkeypatch.setattr(testfn, "_shape", lambda *a: calls.append(a) or shape(*a))
+        with pytest.raises(InvalidParameter):
+            mass_radius(N, math.sqrt(sup * (1 + 1e-12)), eps)
+        # the two bracket ends, and no search
+        assert len(calls) <= 2
 
     def test_unreachable_mass_rejected(self):
         # huge eps with tiny mass: already exceeded at R = 4 eps
