@@ -1,5 +1,5 @@
-"""Rescaling families, concentration-scale extraction, Kelvin transform,
-and log-log rate fits against the predicted asymptotic exponents."""
+"""Concentration-scale extraction, Kelvin transform, and log-log rate fits
+against the predicted asymptotic exponents."""
 
 from __future__ import annotations
 
@@ -8,73 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .functional import ProblemParams, compute_parts, scaled_parts
 from .grid import RadialField
 from .profiles import talenti_scale
 
-__all__ = ["RescaleRecord", "RateFit", "rescale_family", "concentration_scale",
-           "kelvin", "tail_exponent_fit", "rate_fit"]
-
-# map tags, with u_new(x) = amp * u(arg * x):
-#   coupling-to-frequency-hls     amp = c^(1/(q-2)),      arg = c^((2*-2)/(2(q-2)))
-#   coupling-to-frequency-sobolev amp = c^((N-2)/(2 den)), arg = c^(1/den),
-#                                 den = (N-2)(p-1) - alpha
-#   bubble-normalized             amp = xi^((N-2)/2),     arg = xi (peak-matched)
-
-
-@dataclass(frozen=True)
-class RescaleRecord:
-    rescaled: RadialField
-    scale: float               # xi (spatial factor of the applied map)
-    amplitude: float
-    identity_defects: dict
-
-
-def _map_exponents(tag: str, N: int, p: float, q: float, alpha: float):
-    """(amplitude exponent, argument exponent) in the coupling for each map."""
-    two_star = 2.0 * N / (N - 2)
-    if tag == "coupling-to-frequency-hls":
-        return 1.0 / (q - 2), (two_star - 2) / (2 * (q - 2))
-    if tag == "coupling-to-frequency-sobolev":
-        den = (N - 2) * (p - 1) - alpha
-        return (N - 2) / (2 * den), 1.0 / den
-    raise InvalidParameter(f"unknown rescale map {tag!r}")
-
-
-def rescale_family(f: RadialField, coupling: float, map_tag: str,
-                   p: float, q: float, alpha: float) -> RescaleRecord:
-    """Apply one of the displayed changes of variables and audit the norms.
-
-    ``bubble-normalized`` extracts xi from the peak (see
-    `concentration_scale`) and applies w -> xi^((N-2)/2) w(xi .); the other
-    tags use the exact coupling powers.  The map is `RadialField.rescaled`,
-    node for node onto the rescaled grid, and a stored derivative travels
-    with the field, so both ledgers use the same kinetic form.  Identity
-    defects compare the before/after ledgers against the closed scaling laws.
-    """
-    if coupling <= 0:
-        raise InvalidParameter("coupling must be positive")
-    N = f.grid.N
-    params = ProblemParams(N, alpha, p, q)
-    before = compute_parts(params, f)
-    if map_tag == "bubble-normalized":
-        xi = concentration_scale(f)
-        amp = xi ** ((N - 2) / 2.0)
-        arg = xi
-    else:
-        ea, eb = _map_exponents(map_tag, N, p, q, alpha)
-        amp = coupling ** ea
-        arg = coupling ** eb
-    out = f.rescaled(amp, arg)
-    after = compute_parts(params, out)
-    pred = scaled_parts(params, before, amp, arg)
-    defects = {}
-    for name in ("kinetic", "mass", "riesz", "power"):
-        a = getattr(after, name)
-        b = getattr(pred, name)
-        defects[name] = abs(a - b) / max(abs(b), 1e-300)
-    return RescaleRecord(rescaled=out, scale=float(arg), amplitude=float(amp),
-                         identity_defects=defects)
+__all__ = ["RateFit", "concentration_scale", "kelvin", "tail_exponent_fit", "rate_fit"]
 
 
 def concentration_scale(f: RadialField) -> float:

@@ -96,7 +96,7 @@ def cmd_constants(cfg):
     if q < 2 * N / (N - 2):
         q_ground = shoot_local_ground_state(N, q)
         C_Nq = gn_constant(N, q, np.sqrt(integrate(q_ground.grid, q_ground.values ** 2)))
-    ray = rayleigh_constants(grid, alpha, talenti(grid), q=q, q_ground=q_ground)
+    ray = rayleigh_constants(grid, alpha, q=q, q_ground=q_ground)
     coeffs = coefficient_table(N, alpha, p, q, S_alpha=ray.S_alpha, S=ray.S, C_Nq=C_Nq)
     report = {**asdict(coeffs), **asdict(ray), "A_alpha": riesz_normalization(N, alpha),
               "C_alpha": hls_constant(N, alpha), "C_Nq": C_Nq,

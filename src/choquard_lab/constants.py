@@ -2,7 +2,7 @@
 
 Gamma-formula constants (Riesz normalization, sharp HLS, sharp
 Gagliardo-Nirenberg, Sobolev) are evaluated in closed form; the
-Rayleigh-quotient constants are computed from supplied extremal fields.
+Rayleigh-quotient constants are computed from the extremal fields.
 The smallness thresholds K_q / K_p gate the mass-constrained two-branch
 construction.
 """
@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gamma, inf, isfinite, pi
 
-from .errors import DependencyMissing, InvalidParameter
+from .errors import InvalidParameter
 from .functional import ProblemParams
 from .grid import RadialField, RadialGrid, gradient_seminorm, integrate
-from .riesz import interaction_energy, riesz_normalization
+from .profiles import talenti
+from .riesz import _check_dimension, interaction_energy, riesz_normalization
 
 __all__ = [
     "riesz_normalization", "hls_constant", "interaction_bound_constant",
@@ -31,6 +32,7 @@ def hls_constant(N: int, alpha: float) -> float:
     exponents p = r = 2N/(N+alpha); the Riesz normalization A_alpha is not
     included (see `interaction_bound_constant`).
     """
+    _check_dimension(N)
     if not 0 < alpha < N:
         raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
     try:
@@ -51,6 +53,7 @@ def interaction_bound_constant(N: int, alpha: float) -> float:
 
 def sobolev_constant(N: int) -> float:
     """Best constant of ||grad u||_2^2 >= S ||u||_{2*}^2 on R^N."""
+    _check_dimension(N)
     return pi * N * (N - 2) * (gamma(N / 2) / gamma(N)) ** (2.0 / N)
 
 
@@ -60,19 +63,14 @@ def gn_constant(N: int, q: float, q_norm2: float) -> float:
 
     C_Nq^q = 2q/(2N-q(N-2)) * ((2N-q(N-2))/(N(q-2)))^(N(q-2)/4) / ||Q_q||_2^(q-2).
     """
+    _check_dimension(N)
     if not 2 < q < 2 * N / (N - 2):
         raise InvalidParameter(f"q={q} outside (2, 2*) for N={N}")
+    if not 0 < q_norm2 < inf:
+        raise InvalidParameter(f"||Q_q||_2 = {q_norm2} must be positive and finite")
     gam = 2 * N - q * (N - 2)
     cq = (2 * q / gam) * (gam / (N * (q - 2))) ** (N * (q - 2) / 4.0) / q_norm2 ** (q - 2)
     return cq ** (1.0 / q)
-
-
-def _h1_quotient_terms(u: RadialField):
-    kin = gradient_seminorm(u)
-    mass = integrate(u.grid, u.values ** 2)
-    if kin == 0.0 and mass == 0.0:
-        raise InvalidParameter("Rayleigh quotient of the zero field")
-    return kin, mass
 
 
 @dataclass(frozen=True)
@@ -82,34 +80,32 @@ class RayleighConstants:
     S_q: float | None
 
 
-def rayleigh_constants(grid: RadialGrid, alpha: float, w1: RadialField,
-                       q: float | None = None, q_ground: RadialField | None = None,
-                       ) -> RayleighConstants:
-    """Grid Rayleigh-quotient constants evaluated at supplied extremal fields.
+def rayleigh_constants(grid: RadialGrid, alpha: float, *, q: float | None = None,
+                       q_ground: RadialField | None = None) -> RayleighConstants:
+    """Grid Rayleigh-quotient constants evaluated at the extremal fields.
 
-    S from the Sobolev quotient of the bubble on `grid`; S_alpha from its
+    S from the Sobolev quotient of the bubble `talenti(grid)`; S_alpha from its
     HLS-critical quotient; S_q from the H1 quotient at the local ground state,
     on that field's own grid (optional, None when the field is not supplied).
     """
-    if w1 is None:
-        raise DependencyMissing("extremal bubble field required for S and S_alpha")
+    S_q = None
+    if q_ground is not None:
+        if q is None:
+            raise InvalidParameter("exponent q required with q_ground")
+        k2, m2 = gradient_seminorm(q_ground), integrate(q_ground.grid, q_ground.values ** 2)
+        if k2 == 0.0 and m2 == 0.0:
+            raise InvalidParameter("Rayleigh quotient of the zero field")
+        P = integrate(q_ground.grid, q_ground.values ** q)
+        S_q = (k2 + m2) / P ** (2.0 / q)
     N = grid.N
+    w1 = talenti(grid)
     two_star = 2 * N / (N - 2)
     kin = gradient_seminorm(w1)
-    if kin == 0.0:
-        raise InvalidParameter("Rayleigh quotient of the zero field")
     lq = integrate(grid, w1.values ** two_star)
     S = kin / lq ** (2.0 / two_star)
     t2a = (N + alpha) / (N - 2)
     D = interaction_energy(grid, w1, t2a, alpha)
     S_alpha = kin / D ** ((N - 2.0) / (N + alpha))
-    S_q = None
-    if q_ground is not None:
-        if q is None:
-            raise InvalidParameter("exponent q required with q_ground")
-        k2, m2 = _h1_quotient_terms(q_ground)
-        P = integrate(q_ground.grid, q_ground.values ** q)
-        S_q = (k2 + m2) / P ** (2.0 / q)
     return RayleighConstants(S=S, S_alpha=S_alpha, S_q=S_q)
 
 
@@ -142,6 +138,8 @@ def coefficient_table(N: int, alpha: float, p: float, q: float,
     constant and S, for p in ((N+alpha)/N, 1+(2+alpha)/N).  Outside those
     windows the corresponding entries are None.
     """
+    if not (0 < S_alpha < inf and (S is None or 0 < S < inf)):
+        raise InvalidParameter(f"S_alpha={S_alpha} and S={S} must be positive and finite")
     params = ProblemParams(N, alpha, p, q)
     t2a, gamma_q, eta_p = params.two_alpha_star, params.gamma_q, params.eta_p
     crit_level_hls = (2 + alpha) / (2 * (N + alpha)) * S_alpha ** ((N + alpha) / (2 + alpha))

@@ -17,10 +17,6 @@ class InvalidParameter(ChoquardLabError):
     """Exponent or coupling outside its admissible range."""
 
 
-class DependencyMissing(ChoquardLabError):
-    """An extremal field required by a computation was not supplied."""
-
-
 class NoProjection(ChoquardLabError):
     """Nehari projection undefined (all nonlinear terms vanish)."""
 

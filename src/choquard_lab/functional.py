@@ -25,14 +25,13 @@ the parts of a rescaled field amp * u(arg x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from numbers import Integral
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, NoProjection, UndefinedDefect
 from .grid import RadialField, integrate, kinetic_energy, gradient_seminorm
-from .riesz import interaction_energy
+from .riesz import _check_dimension, interaction_energy
 
 __all__ = ["ProblemParams", "EnergyBreakdown", "Parts", "compute_parts",
            "energy_breakdown", "energy_from_parts", "multiplier_from_parts",
@@ -66,8 +65,7 @@ class ProblemParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise InvalidParameter(f"unknown mode {self.mode!r}")
-        if not isinstance(self.N, Integral) or self.N < 3:
-            raise InvalidParameter(f"N={self.N!r} must be an integer >= 3")
+        _check_dimension(self.N)
         if not 0 < self.alpha < self.N:
             raise InvalidParameter(f"alpha={self.alpha} outside (0, N)")
         lo, hi = (self.N + self.alpha) / self.N, self.two_alpha_star
@@ -141,9 +139,6 @@ class ProblemParams:
         if self.mode == "normalized-hls":
             return self.nu
         return 1.0
-
-    def with_couplings(self, **kw) -> "ProblemParams":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -434,4 +429,4 @@ def nehari_project(params: ProblemParams, u: RadialField):
         raise NoProjection("no Nehari projection: the nonlinear terms vanish or the ray "
                            f"root leaves [{math.exp(-_RAY_RANGE):.2g}, {math.exp(_RAY_RANGE):.2g}]")
     deriv = t_star * u.deriv if u.deriv is not None else None
-    return t_star, u.with_values(t_star * u.values, deriv=deriv)
+    return t_star, RadialField.from_values(u.grid, t_star * u.values, deriv=deriv)

@@ -232,14 +232,13 @@ class RadialField:
         out = y[i] + d[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
         return np.where(inside, np.where(t == x[-1], y[-1], out), 0.0)
 
-    def with_values(self, values, deriv=None) -> "RadialField":
-        return RadialField.from_values(self.grid, values, deriv=deriv)
-
     def rescaled(self, amp: float, arg: float) -> "RadialField":
         """amp * u(arg * r) on make_grid(N, r_max / arg, n, grading), whose
         nodes are these divided by arg: values and origin times amp, a stored
         derivative times amp * arg, nothing interpolated.  At |arg - 1| < 1e-14
         the grid, and so its cached kernel table, is kept."""
+        if not 0 < arg < np.inf:
+            raise InvalidConfiguration(f"dilation arg={arg} must be positive and finite")
         g = self.grid
         grid = g if abs(arg - 1.0) < 1e-14 else make_grid(g.N, g.r_max / arg, g.n, g.grading)
         deriv = None if self.deriv is None else amp * arg * self.deriv

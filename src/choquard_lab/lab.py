@@ -96,9 +96,9 @@ class ThresholdResult:
 
 def _coupled_params(base: ProblemParams, coupling: float) -> ProblemParams:
     if base.mode == "lambda":
-        return base.with_couplings(lam=coupling)
+        return replace(base, lam=coupling)
     if base.mode == "mu":
-        return base.with_couplings(mu=coupling)
+        return replace(base, mu=coupling)
     raise InvalidParameter("threshold scans operate on the lambda or mu modes")
 
 
@@ -206,7 +206,7 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
             status = "gated-off: smallness bound for the two-branch regime violated"
             rows.append(MultiplicityRow(nu=float(nu), status=status))
             continue
-        params = pt.with_couplings(nu=float(nu))
+        params = replace(pt, nu=float(nu))
         branches = normalized_branches(params, grid)
         minus = branches.minus
         if minus is None or not minus.converged:

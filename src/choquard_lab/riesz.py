@@ -33,6 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gamma, pi
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -48,12 +49,19 @@ __all__ = ["kernel_value", "RieszKernelTable", "kernel_table", "convolve",
 _GL8 = np.polynomial.legendre.leggauss(8)
 
 
+def _check_dimension(N):
+    """InvalidParameter unless N is an integer >= 3."""
+    if not isinstance(N, Integral) or N < 3:
+        raise InvalidParameter(f"dimension N={N!r} must be an integer >= 3")
+
+
 def riesz_normalization(N: int, alpha: float) -> float:
     """A_alpha(N) = Gamma((N-alpha)/2) / (Gamma(alpha/2) pi^(N/2) 2^alpha).
 
     Gamma(alpha/2) ~ 2/alpha overflows a double near alpha = 1e-308, A_alpha
     does not: below alpha = 1e-300, 1/Gamma(alpha/2) = (alpha/2) / Gamma(1 + alpha/2).
     """
+    _check_dimension(N)
     if not 0 < alpha < N:
         raise InvalidParameter(f"alpha={alpha} outside (0, N={N})")
     if alpha < 1e-300:

@@ -33,7 +33,7 @@ from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
                          _ray_root, _values)
 from .grid import RadialField, RadialGrid, apply_stiffness, make_grid
 from .profiles import cutoff_bubble, gaussian, talenti_scale
-from .riesz import kernel_table
+from .riesz import _check_dimension, kernel_table
 
 __all__ = ["GroundStateResult", "NormalizedBranchResult", "NormalizedBranches",
            "RescaledSolution", "shoot_local_ground_state", "ground_state",
@@ -149,8 +149,7 @@ def shoot_local_ground_state(N: int, q: float) -> RadialField:
     then one dense integration sampled onto make_grid(N, 25, 1200, 2)
     together with Q'.
     """
-    if N < 3:
-        raise InvalidParameter("N must be >= 3")
+    _check_dimension(N)
     if not 2 < q < 2 * N / (N - 2):
         raise InvalidParameter(f"q={q} must be subcritical: (2, {2*N/(N-2)})")
     from scipy.integrate import solve_ivp
@@ -458,9 +457,6 @@ class _Discrete:
         v = t ** (self.grid.N / 2.0) * fld(t * self.grid.r)
         return None if t < 1.0 and self.mass(v) < 0.9 * self.mass(u) else v
 
-    def field(self, u) -> RadialField:
-        return RadialField.from_values(self.grid, u)
-
     def projected_descent(self, u, iters):
         """Preconditioned descent projected onto the solver's `fiber`, to the
         scaled residual _FLOW_TOL or `iters` iterations; returns (u, k, parts).
@@ -651,10 +647,11 @@ def ground_state(params: ProblemParams, grid: RadialGrid,
         res_sup = float(np.max(np.abs(F[solver.nlo: solver.ncut]))) / max(umax, 1e-300)
         noninc = bool(np.all(np.diff(u) <= 1e-8 * umax + 1e-300))
         results.append(GroundStateResult(
-            params=params, field=solver.field(u), level=energy_from_parts(params, parts),
-            nehari_defect=nd, pohozaev_defect=pd, pde_residual=res_sup,
-            pde_residual_scaled=res_scaled, iterations=iters + k_newton, converged=converged,
-            init_tag=name, radially_nonincreasing=noninc, concentration_scale=float(xi),
+            params=params, field=RadialField.from_values(solver.grid, u),
+            level=energy_from_parts(params, parts), nehari_defect=nd, pohozaev_defect=pd,
+            pde_residual=res_sup, pde_residual_scaled=res_scaled, iterations=iters + k_newton,
+            converged=converged, init_tag=name, radially_nonincreasing=noninc,
+            concentration_scale=float(xi),
             exit_reason=solver.exit_reason))
     return _best(results)
 
@@ -758,8 +755,9 @@ def _polish_branch(solver: _MassSolver, u0, which):
     parts = solver.parts(u)
     _, res, _, _, converged = solver.verdict(u, lam, parts)
     return NormalizedBranchResult(
-        params=params, field=solver.field(u), level=energy_from_parts(params, parts),
-        lambda_nu=float(lam), multiplier_identity_defect=abs(_identity_defect(params, lam, parts)),
+        params=params, field=RadialField.from_values(solver.grid, u),
+        level=energy_from_parts(params, parts), lambda_nu=float(lam),
+        multiplier_identity_defect=abs(_identity_defect(params, lam, parts)),
         pde_residual_scaled=float(res), iterations=it_flow + it_newton, converged=converged,
         exit_reason=solver.exit_reason if it_newton else status), None
 
@@ -839,7 +837,7 @@ def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolut
             f"rescaled candidate residual {res_scaled:.2e} exceeds {_RESCALE_TOL:.0e}; "
             "the multiplier extraction is inconsistent")
     level = energy_from_parts(eff, parts)
-    return RescaledSolution(field=solver.field(u), params_effective=eff,
+    return RescaledSolution(field=RadialField.from_values(solver.grid, u), params_effective=eff,
                             coupling=float(coupling),
                             pde_residual_scaled=float(res_scaled),
                             energy_no_mass=float(level - 0.5 * parts.mass))

@@ -18,8 +18,8 @@ from .riesz import interaction_energy
 __all__ = ["BubbleSpec", "bubble", "mass_radius", "bubble_report", "bubble_sweep",
            "BubbleReport"]
 
-# one 20-point Gauss-Legendre rule (16 reach roundoff), on [0, arctan X] for the N >= 5
-# core and on the bridge s in [1, 2]: weights phi^2 and -2 s phi phi' = 60 s phi (s-1)^2 (2-s)^2
+# one 20-point Gauss-Legendre rule (16 reach roundoff), on [0, arctan(1/X)] for the N >= 5
+# core's tail and on the bridge s in [1, 2]: weights phi^2 and -2 s phi phi' = 60 s phi (s-1)^2 (2-s)^2
 _T, _W = np.polynomial.legendre.leggauss(20)
 _S = 1.5 + 0.5 * _T
 _BRIDGE = 0.5 * _W * smoothstep_cutoff(_S) ** 2
@@ -60,42 +60,60 @@ def bubble(spec: BubbleSpec, grid: RadialGrid) -> RadialField:
 
 
 def _shape(N: int, X: float):
-    """J(X) = int rho^(N-1) (1+rho^2)^(2-N) phi(rho/X)^2 drho and X J'(X) at X >= 4,
-    so that ||V_eps||_2^2 = |S^(N-1)| W_1(0)^2 eps^2 J(R/eps).  The core [0, X] is
-    closed at N = 3, 4; at N >= 5 it is sin^(N-1) cos^(N-5) over [0, arctan X]."""
-    if N == 3:
-        core = X - math.atan(X)
-    elif N == 4:
-        core = 0.5 * (math.log1p(X * X) - X * X / (1.0 + X * X))
-    else:
-        th = 0.5 * math.atan(X) * (1.0 + _T)
-        core = 0.5 * math.atan(X) * float(_W @ (np.sin(th) ** (N - 1) * np.cos(th) ** (N - 5)))
+    """J(X) = int rho^(N-1) (1+rho^2)^(2-N) phi(rho/X)^2 drho, X J'(X) and the deficit
+    J(inf) - J(X) at X >= 4, so that ||V_eps||_2^2 = |S^(N-1)| W_1(0)^2 eps^2 J(R/eps).
+    The core [0, X] is closed at N = 3, 4, where J is unbounded and the deficit inf.  At
+    N >= 5, J(inf) = B(N/2, (N-4)/2) / 2 and the deficit is the core's tail, cos^(N-1)
+    sin^(N-5) over [0, arctan(1/X)], less the bridge: no cancellation as X grows."""
     f = X * (X * _S) ** (3 - N) * (1.0 + (X * _S) ** -2.0) ** (2 - N)
-    return core + float(_BRIDGE @ f), float(_BRIDGE_SLOPE @ f)
+    bridge, slope = float(_BRIDGE @ f), float(_BRIDGE_SLOPE @ f)
+    if N == 3:
+        return X - math.atan(X) + bridge, slope, math.inf
+    if N == 4:
+        return 0.5 * (math.log1p(X * X) - X * X / (1.0 + X * X)) + bridge, slope, math.inf
+    h = 0.5 * math.atan(1.0 / X)
+    th = h * (1.0 + _T)
+    deficit = h * float(_W @ (np.cos(th) ** (N - 1) * np.sin(th) ** (N - 5))) - bridge
+    return _limit(N) - deficit, slope, deficit
+
+
+def _limit(N: int) -> float:
+    """J(inf) at N >= 5, a Beta integral."""
+    return 0.5 * math.gamma(N / 2) * math.gamma((N - 4) / 2) / math.gamma(N - 2)
 
 
 def mass_radius(N: int, a: float, eps: float) -> float:
-    """Cutoff radius R_eps with ||V_eps||_2^2 = a^2: Newton on log J in x = log(R/eps)
-    inside the bracket [log 4, log 1e150] it narrows, bisecting a step that leaves
-    it.  At N >= 5 the mass is bounded in R; a target at or above its limit fails at once."""
+    """Cutoff radius R_eps with ||V_eps||_2^2 = a^2: Newton in x = log(R/eps) inside
+    the bracket [log 4, hi] it narrows, bisecting a step that leaves it.  Newton's
+    variable is log J at N = 3, 4.  At N >= 5 the mass is bounded in R, and it is the
+    log of the deficit J(inf) - J, near-linear in x however close the target lies to
+    the limit; a target at or above the limit fails at once."""
     if not (isinstance(N, Integral) and N >= 3 and 0 < a < math.inf and 0 < eps < math.inf):
         raise InvalidParameter(f"N={N!r}, a={a}, eps={eps}: need an integer N >= 3, a, eps > 0")
     target = 2.0 * (math.log(a) - math.log(eps)) - math.log(sphere_surface(N)
                                                              * talenti_peak(N) ** 2)
-    lo, hi = math.log(4.0), math.log(1e150)    # (R/eps)^2 stays finite
-    x, (J, dJ) = lo, _shape(N, 4.0)
-    if not math.log(J) < target <= math.log(_shape(N, 1e150)[0]):
-        raise InvalidParameter(f"no R in [4 eps, 1e150 eps] has mass a^2 = {a * a:g} at eps={eps}")
+    # (R/eps)^2 stays finite, and at N >= 5 the deficit ~ (R/eps)^(4-N) above 1e-150
+    lo, hi = math.log(4.0), math.log(1e150) / max(1, N - 4)
+    x, (J, dJ, D) = lo, _shape(N, 4.0)
+    if N < 5:
+        found = math.log(J) < target <= math.log(_shape(N, math.exp(hi))[0])
+    else:
+        D_t = _limit(N) - math.exp(target)
+        found = 0 < D_t < D
+    if not found:
+        raise InvalidParameter(f"no R in [4 eps, {math.exp(hi):.3g} eps] has mass"
+                               f" a^2 = {a * a:g} at eps={eps}")
     for _ in range(200):
-        h = math.log(J) - target
+        # h rises with x; slope is dh/dx
+        h, slope = (math.log(J) - target, dJ / J) if N < 5 else (math.log(D_t / D), dJ / D)
         lo, hi = (x, hi) if h < 0 else (lo, x)
-        dx = -h * J / dJ if dJ else math.inf
+        dx = -h / slope if slope else math.inf
         if abs(dx) > 1e-12 * x and not lo < x + dx < hi:
             dx = 0.5 * (lo + hi) - x
         x += dx
         if abs(dx) <= 1e-12 * x:
             return eps * math.exp(x)
-        J, dJ = _shape(N, math.exp(x))
+        J, dJ, D = _shape(N, math.exp(x))
     raise InvalidParameter(f"cutoff radius for a={a} at eps={eps} unresolved in 200 steps")
 
 

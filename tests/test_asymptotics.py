@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from choquard_lab.asymptotics import (concentration_scale, kelvin, rate_fit,
-                                      rescale_family, tail_exponent_fit)
+                                      tail_exponent_fit)
 from choquard_lab.errors import InvalidParameter
 from choquard_lab.grid import RadialField, gradient_seminorm, make_grid
 from choquard_lab.profiles import talenti, talenti_peak
@@ -11,64 +11,6 @@ from choquard_lab.profiles import talenti, talenti_peak
 @pytest.fixture(scope="module")
 def tail_grid():
     return make_grid(3, 80.0, 1500, 2.0)
-
-
-class TestRescaleFamily:
-    def test_identity_at_unit_coupling(self, grid3):
-        f = talenti(grid3)
-        rec = rescale_family(f, 1.0, "coupling-to-frequency-hls",
-                             p=5.0, q=3.0, alpha=2.0)
-        assert rec.scale == 1.0 and rec.amplitude == 1.0
-        assert np.allclose(rec.rescaled.values, f.values, rtol=1e-12)
-
-    def test_norm_ledger_identities(self, grid3):
-        # the recomputed integrals match the closed scaling laws
-        f = RadialField.from_values(grid3, np.exp(-grid3.r ** 2) * (1 + grid3.r))
-        rec = rescale_family(f, 3.0, "coupling-to-frequency-hls",
-                             p=5.0, q=3.0, alpha=2.0)
-        for name, d in rec.identity_defects.items():
-            assert d < 1e-6, (name, d)
-
-    def test_bubble_normalized_mass_identity(self, grid3):
-        # xi^2 ||w~||_2^2 = ||w||_2^2 within interpolation tolerance
-        f = talenti(grid3, eps=0.5)
-        rec = rescale_family(f, 1.0, "bubble-normalized", p=5.0, q=3.0, alpha=2.0)
-        assert np.isclose(rec.scale, 0.5, rtol=1e-10)
-        assert rec.identity_defects["mass"] < 1e-6
-
-    @pytest.mark.parametrize("tag", ["coupling-to-frequency-hls",
-                                     "coupling-to-frequency-sobolev", "bubble-normalized"])
-    @pytest.mark.parametrize("with_deriv", [True, False])
-    def test_values_move_node_for_node(self, grid3, tag, with_deriv):
-        # amp * u(arg r) at the rescaled nodes r / arg is amp * u(r): no interpolation,
-        # and a stored derivative travels as amp * arg * u'
-        f = (talenti(grid3, eps=0.5) if with_deriv
-             else RadialField.from_values(grid3, np.exp(-grid3.r ** 2) * (1 + grid3.r)))
-        rec = rescale_family(f, 3.0, tag, p=5.0, q=3.0, alpha=2.0)
-        out, amp, arg = rec.rescaled, rec.amplitude, rec.scale
-        assert arg != 1.0
-        np.testing.assert_allclose(out.grid.r * arg, grid3.r, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(out.values, amp * f.values)
-        assert out.origin == amp * f.origin
-        if with_deriv:
-            np.testing.assert_array_equal(out.deriv, amp * arg * f.deriv)
-        else:
-            assert out.deriv is None
-
-    def test_maps_compose_to_identity(self, grid3):
-        f = RadialField.from_values(grid3, np.exp(-0.5 * grid3.r ** 2))
-        lam = 2.5
-        fwd = rescale_family(f, lam, "coupling-to-frequency-hls",
-                             p=5.0, q=3.0, alpha=2.0)
-        back = rescale_family(fwd.rescaled, 1 / lam, "coupling-to-frequency-hls",
-                              p=5.0, q=3.0, alpha=2.0)
-        np.testing.assert_allclose(back.rescaled.grid.r, grid3.r, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(back.rescaled.values, f.values, rtol=0, atol=1e-14)
-
-    def test_bad_coupling(self, grid3):
-        with pytest.raises(InvalidParameter):
-            rescale_family(talenti(grid3), -1.0, "coupling-to-frequency-hls",
-                           p=2.0, q=4.0, alpha=2.0)
 
 
 class TestConcentrationScale:

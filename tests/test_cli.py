@@ -16,7 +16,6 @@ from choquard_lab.constants import (coefficient_table, hls_constant, rayleigh_co
                                     riesz_normalization, sobolev_constant)
 from choquard_lab.grid import make_grid
 from choquard_lab.lab import MultiplicityRow
-from choquard_lab.profiles import talenti
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -397,7 +396,7 @@ def test_constants_subcommand(tmp_path, capsys):
     saved = json.loads((tmp_path / "run" / "constants.json").read_text())
     printed = dict(line.split(None, 1) for line in out.splitlines()[1:])
     grid = make_grid(3, 200.0, 800, 3.0)
-    ray = rayleigh_constants(grid, 2.0, talenti(grid))
+    ray = rayleigh_constants(grid, 2.0)
     coeffs = coefficient_table(3, 2.0, 5.0, 6.0, S_alpha=ray.S_alpha, S=ray.S)
     expected = {
         "N": 3, "alpha": 2.0, "p": 5.0, "q": 6.0, "A_alpha": riesz_normalization(3, 2.0),

@@ -12,7 +12,6 @@ from choquard_lab.constants import (coefficient_table, gn_constant, hls_constant
                                     riesz_normalization, sobolev_constant)
 from choquard_lab.errors import InvalidParameter
 from choquard_lab.grid import RadialField, integrate, make_grid
-from choquard_lab.profiles import talenti
 
 
 class TestGammaFormulas:
@@ -35,6 +34,11 @@ class TestGammaFormulas:
         assert np.isclose(sobolev_constant(3), 3 * pi * (sqrt(pi) / 4) ** (2 / 3),
                           rtol=1e-13)
         assert abs(sobolev_constant(3) - 5.478) < 5e-3
+
+    def test_sobolev_constant_needs_n_above_two(self):
+        # N = 2 returned 0.0
+        with pytest.raises(InvalidParameter):
+            sobolev_constant(2)
 
     def test_range_guards(self):
         with pytest.raises(InvalidParameter):
@@ -61,13 +65,13 @@ class TestGammaFormulas:
 
 class TestRayleigh:
     def test_sobolev_quotient_of_bubble(self, grid3_wide):
-        ray = rayleigh_constants(grid3_wide, 2.0, talenti(grid3_wide))
+        ray = rayleigh_constants(grid3_wide, 2.0)
         assert abs(ray.S - sobolev_constant(3)) < 0.005 * sobolev_constant(3)
 
-    def test_zero_field_guarded(self, grid3_wide):
-        z = RadialField.from_values(grid3_wide, np.zeros(grid3_wide.n), origin=0.0)
+    def test_zero_q_ground_guarded(self, grid3):
+        z = RadialField.from_values(grid3, np.zeros(grid3.n), origin=0.0)
         with pytest.raises(InvalidParameter):
-            rayleigh_constants(grid3_wide, 2.0, z)
+            rayleigh_constants(grid3, 2.0, q=4.0, q_ground=z)
 
     def test_sq_dilation_stationarity(self, q4_ground):
         # Pohozaev: the H1 quotient is stationary under dilations at the ground state
@@ -85,8 +89,7 @@ class TestRayleigh:
         assert abs(dq) < 1e-3 * quotient(1.0)
 
     def test_sq_value_from_ground_state(self, q4_ground):
-        ray = rayleigh_constants(q4_ground.grid, 2.0, talenti(q4_ground.grid),
-                                 q=4.0, q_ground=q4_ground)
+        ray = rayleigh_constants(q4_ground.grid, 2.0, q=4.0, q_ground=q4_ground)
         # S_q = ||Q||_{H1}^2 / ||Q||_q^2 with Nehari makes S_q^(q/(q-2)) = ||Q||^2
         from choquard_lab.grid import gradient_seminorm
         K = gradient_seminorm(q4_ground)
@@ -95,6 +98,12 @@ class TestRayleigh:
 
 
 class TestCoefficientTable:
+    @pytest.mark.parametrize("S_alpha", [-1.0, np.nan])
+    def test_s_alpha_must_be_positive_and_finite(self, S_alpha):
+        # -1 made crit_level_hls complex, (-0.283-0.283j), and NaN passed through
+        with pytest.raises(InvalidParameter):
+            coefficient_table(3, 2.0, 2.0, 4.0, S_alpha=S_alpha)
+
     def test_gamma_q_example(self):
         tab = coefficient_table(3, 2.0, 2.0, 4.0, S_alpha=7.7)
         assert np.isclose(tab.gamma_q, 0.75, rtol=1e-14)
@@ -182,6 +191,12 @@ class TestCoefficientTable:
 
 
 class TestGNConstant:
+    @pytest.mark.parametrize("q_norm2", [-1.0, 0.0])
+    def test_norm_must_be_positive(self, q_norm2):
+        # -1 returned 0.937 and 0 divided by zero
+        with pytest.raises(InvalidParameter):
+            gn_constant(3, 4.0, q_norm2)
+
     def test_saturation_at_ground_state(self, q4_ground):
         g = q4_ground.grid
         from choquard_lab.grid import gradient_seminorm

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,8 @@ class TestDefects:
         # u = 2 Q: nehari defect = 4K + 4M - 2^q P against the scaled parts
         pp = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=0.0, lam=1.0)
         parts = compute_parts(pp, q4_ground)
-        doubled = q4_ground.with_values(2 * q4_ground.values,
-                                        deriv=2 * q4_ground.deriv)
+        doubled = RadialField.from_values(q4_ground.grid, 2 * q4_ground.values,
+                                          deriv=2 * q4_ground.deriv)
         nd = energy_breakdown(pp, doubled).nehari_defect
         K, M, P = parts.kinetic, parts.mass, parts.power
         expect = 4 * K + 4 * M - 2 ** 4 * P
@@ -145,7 +147,7 @@ class TestNehariProject:
         parts = compute_parts(pp, u)
         A = parts.kinetic + parts.mass
         mu = A / (4.0 * parts.riesz)
-        pp = pp.with_couplings(mu=mu)
+        pp = replace(pp, mu=mu)
         t_star, _ = nehari_project(pp, u)
         assert np.isclose(t_star, 2.0, rtol=1e-12)
 
@@ -157,7 +159,7 @@ class TestNehariProject:
         u = gaussian(grid3)
         parts = compute_parts(pp, u)
         A = parts.kinetic + parts.mass
-        pp = pp.with_couplings(mu=0.5 * A / parts.riesz, lam=0.5 * A / parts.power)
+        pp = replace(pp, mu=0.5 * A / parts.riesz, lam=0.5 * A / parts.power)
         t_star, _ = nehari_project(pp, u)
         # brute-force bisection oracle on 2 t^2 = t^4 + t^3
         f = lambda t: t ** 4 + t ** 3 - 2 * t ** 2
@@ -245,7 +247,7 @@ class TestMassFiberClassify:
     def _on_sphere(self, grid, a=1.0, width=3.0):
         u = gaussian(grid, width=width)
         m = integrate(grid, u.values ** 2)
-        return u.with_values(u.values * np.sqrt(a ** 2 / m))
+        return RadialField.from_values(grid, u.values * np.sqrt(a ** 2 / m))
 
     def test_two_points_below_smallness(self, grid3):
         pp = self._normalized(grid3, nu=0.05)

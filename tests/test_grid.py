@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from math import gamma, pi
 from scipy.interpolate import PchipInterpolator
 
+from choquard_lab.asymptotics import concentration_scale
 from choquard_lab.errors import IncompatibleGrid, InvalidConfiguration
+from choquard_lab.functional import ProblemParams, compute_parts, scaled_parts
 from choquard_lab.grid import (RadialField, derivative_values, gradient_seminorm,
                                integrate, kinetic_energy, make_grid)
-from choquard_lab.profiles import gaussian
+from choquard_lab.profiles import gaussian, talenti
 
 
 def ball_volume(N, R):
@@ -275,6 +277,61 @@ class TestField:
         lines[3] = row
         with pytest.raises(InvalidConfiguration):
             RadialField.from_csv(g, "\n".join(lines))
+
+
+class TestRescaled:
+    """amp * u(arg r), node for node on make_grid(N, r_max / arg, n, grading)."""
+
+    @staticmethod
+    def bump(grid):
+        return RadialField.from_values(grid, np.exp(-grid.r ** 2) * (1 + grid.r))
+
+    @pytest.mark.parametrize("amp,arg", [(3.0, 9.0), (3 ** 0.25, 3 ** 0.5), (0.5 ** 0.5, 0.5)],
+                             ids=["arg=9", "arg=sqrt3", "arg=0.5"])
+    @pytest.mark.parametrize("with_deriv", [True, False], ids=["deriv", "no-deriv"])
+    def test_values_move_node_for_node(self, grid3, amp, arg, with_deriv):
+        # amp * u(arg r) at the rescaled nodes r / arg is amp * u(r): no interpolation,
+        # and a stored derivative travels as amp * arg * u'
+        f = talenti(grid3, eps=0.5) if with_deriv else self.bump(grid3)
+        out = f.rescaled(amp, arg)
+        np.testing.assert_allclose(out.grid.r * arg, grid3.r, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(out.values, amp * f.values)
+        assert out.origin == amp * f.origin
+        if with_deriv:
+            np.testing.assert_array_equal(out.deriv, amp * arg * f.deriv)
+        else:
+            assert out.deriv is None
+
+    def test_round_trip(self, grid3):
+        f = RadialField.from_values(grid3, np.exp(-0.5 * grid3.r ** 2))
+        back = f.rescaled(2.5, 6.25).rescaled(1 / 2.5, 1 / 6.25)
+        np.testing.assert_allclose(back.grid.r, grid3.r, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bubble", [False, True], ids=["bump", "bubble"])
+    def test_parts_follow_the_scaling_laws(self, grid3, bubble):
+        # the parts recomputed on the rescaled grid match the closed scaling laws
+        params = ProblemParams(3, 2.0, 5.0, 3.0)
+        f = talenti(grid3, eps=0.5) if bubble else self.bump(grid3)
+        amp, arg = (0.5 ** 0.5, 0.5) if bubble else (3.0, 9.0)
+        after = compute_parts(params, f.rescaled(amp, arg))
+        pred = scaled_parts(params, compute_parts(params, f), amp, arg)
+        for name in ("kinetic", "mass", "riesz", "power"):
+            a, b = getattr(after, name), getattr(pred, name)
+            assert abs(a - b) < 1e-6 * abs(b), (name, a, b)
+
+    def test_peak_matched_scale_lands_on_the_unit_bubble(self, grid3):
+        # xi from the peak, and xi^((N-2)/2) W_eps(xi r) = W_1(r) at eps = xi
+        f = talenti(grid3, eps=0.5)
+        xi = concentration_scale(f)
+        assert np.isclose(xi, 0.5, rtol=1e-10)
+        out = f.rescaled(xi ** 0.5, xi)
+        np.testing.assert_allclose(out.values, talenti(out.grid).values, rtol=1e-12, atol=0)
+
+    def test_nonpositive_arg_rejected(self, grid3):
+        # arg = 0 divided r_max by zero
+        with pytest.raises(InvalidConfiguration):
+            self.bump(grid3).rescaled(1.0, 0.0)
 
 
 class TestKineticForms:

@@ -179,6 +179,12 @@ class TestKernelValue:
         with pytest.raises(InvalidParameter):
             kernel_value(3, 0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("N", [2, 4.5])
+    def test_dimension_must_be_an_integer_above_two(self, N):
+        # N = 2 returned 1.505 and N = 4.5 returned 0.0591
+        with pytest.raises(InvalidParameter):
+            kernel_value(N, 1.5, 1.0, 2.0)
+
 
 @pytest.fixture(scope="module")
 def ball_grid():

@@ -41,6 +41,11 @@ class TestShooting:
         with pytest.raises(InvalidParameter):
             shoot_local_ground_state(3, 6.0)
 
+    def test_non_integer_dimension_rejected_before_shooting(self):
+        # N = 3.5 was shot for 2.9 s before the grid rejected it
+        with pytest.raises(InvalidParameter):
+            shoot_local_ground_state(3.5, 3.0)
+
     def test_positive_decaying(self, q4_ground):
         assert q4_ground.origin > 1
         assert np.all(q4_ground.values >= 0)

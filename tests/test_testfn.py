@@ -135,8 +135,22 @@ class TestMassRadius:
         monkeypatch.setattr(testfn, "_shape", lambda *a: calls.append(a) or shape(*a))
         with pytest.raises(InvalidParameter):
             mass_radius(N, math.sqrt(sup * (1 + 1e-12)), eps)
-        # the two bracket ends, and no search
-        assert len(calls) <= 2
+        # the bracket's lower end against the closed limit, and no search
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("N", [5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
+    def test_target_near_the_bounded_limit(self, N, gap, monkeypatch):
+        # Newton on log J took 10 to 54 _shape calls this close to the limit,
+        # 54 at N = 5 and gap 1e-12; on the log of the deficit it takes a few
+        eps = 0.05
+        a = math.sqrt(mass_supremum(N, eps) * (1 - gap))
+        calls = []
+        shape = testfn._shape
+        monkeypatch.setattr(testfn, "_shape", lambda *a: calls.append(a) or shape(*a))
+        R = mass_radius(N, a, eps)
+        assert len(calls) <= 12
+        assert float(abs(mp_mass(N, eps, R) - a ** 2)) < 1e-13 * a ** 2
 
     def test_unreachable_mass_rejected(self):
         # huge eps with tiny mass: already exceeded at R = 4 eps
