@@ -138,8 +138,9 @@ def coefficient_table(N: int, alpha: float, p: float, q: float,
     constant and S, for p in ((N+alpha)/N, 1+(2+alpha)/N).  Outside those
     windows the corresponding entries are None.
     """
-    if not (0 < S_alpha < inf and (S is None or 0 < S < inf)):
-        raise InvalidParameter(f"S_alpha={S_alpha} and S={S} must be positive and finite")
+    if not (0 < S_alpha < inf and all(c is None or 0 < c < inf for c in (S, C_Nq, C_Np))):
+        raise InvalidParameter(f"S_alpha={S_alpha}, S={S}, C_Nq={C_Nq} and C_Np={C_Np} "
+                               "must be positive and finite")
     params = ProblemParams(N, alpha, p, q)
     t2a, gamma_q, eta_p = params.two_alpha_star, params.gamma_q, params.eta_p
     crit_level_hls = (2 + alpha) / (2 * (N + alpha)) * S_alpha ** ((N + alpha) / (2 + alpha))

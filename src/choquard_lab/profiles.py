@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .grid import RadialField, RadialGrid
 
 __all__ = ["talenti_peak", "talenti_scale", "talenti", "hls_extremizer", "gaussian",
@@ -13,6 +14,10 @@ __all__ = ["talenti_peak", "talenti_scale", "talenti", "hls_extremizer", "gaussi
 
 
 def talenti_peak(N: int) -> float:
+    """W_1(0) = [N(N-2)]^((N-2)/4); InvalidParameter from N = 145 on, where
+    its square, the scale of the bubble's mass, overflows a double."""
+    if (N - 2.0) / 2.0 * np.log(N * (N - 2.0)) > np.log(np.finfo(float).max):
+        raise InvalidParameter(f"the bubble's peak overflows a double at N={N}")
     return (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
 
 

@@ -19,12 +19,13 @@ logarithmic singularity (alpha = 1) or an integrable algebraic one
 call over all targets, by Gauss rules on graded sub-panels, per block of
 targets, for N >= 4.  `convolve` and `potential_at` apply the rows to g one
 block of targets at a time (`_potential`), never holding them all.  The
-solvers read only the pairing int (I_alpha * f) g = f^T G g: a table per
-(grid, alpha) holds G alone, the node rows (`_rows`) weighted and symmetrized
-in place, and every product with it is BLAS `dsymv` on one triangle
-(`apply`), nearly twice as fast as reading all of it on one memory-bound
-core.  The _CACHED_TABLES most recently used tables are kept, keyed by
-(grid, alpha).
+solvers read only the pairing int (I_alpha * f) g = f^T G g, G the node rows
+(`_rows`) weighted and symmetrized in place (`_dense_table`).  A table per
+(grid, alpha) holds G as a HODLR matrix (`_compress`): dense diagonal leaves
+and off-diagonal blocks of rank about 20, accurate to roundoff, so that every
+product (`apply`) is a few batched matmuls over under a fifth of G's n^2
+entries (n = 1000).  The _CACHED_TABLES most recently used tables are kept,
+keyed by (grid, alpha).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dsymv
+from scipy.linalg import qr
 from scipy.special import hyp2f1
 
 from .errors import InvalidParameter
@@ -370,11 +371,14 @@ def _panel_product_row(N: int, alpha: float, t, a, b, nodes) -> np.ndarray:
 @dataclass(frozen=True)
 class RieszKernelTable:
     """The cached pairing table of one (grid, alpha): int (I_alpha*f) g =
-    f^T G g, G exactly symmetric; `apply` reads one triangle of it."""
+    f^T G g, G as a HODLR matrix (`_compress`): on the nodes padded to 2^L m,
+    diagonal `leaves` (2^L, m, m) and, per level l, `factors[l]` (2^l, 2, b, k),
+    the U and V of each upper block U V^T (b nodes square), mirrored as V U^T."""
 
     grid: RadialGrid
     alpha: float
-    G: np.ndarray
+    leaves: np.ndarray
+    factors: tuple
 
     def convolve_values(self, gvals: np.ndarray) -> np.ndarray:
         # kept only because bench/tracing.py wraps it by name; ROADMAP item 1
@@ -382,12 +386,17 @@ class RieszKernelTable:
         return _potential(self.grid, self.alpha, self.grid.r, gvals)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """G @ x by BLAS dsymv, which reads one triangle of the symmetric G.
-
-        G.T is the Fortran-ordered view of the C-ordered G, so f2py passes it
-        without a copy; G itself would be copied, n^2 doubles, on every call.
-        """
-        return dsymv(1.0, self.G.T, x)
+        """G @ x to roundoff: one batched product over the symmetric leaves, as
+        x^T L (numpy's faster form), and two per level, [x_upper^T U,
+        x_lower^T V] and then U and V times the other's."""
+        P, m, _ = self.leaves.shape
+        xp = np.zeros(P * m)
+        xp[:x.size] = x
+        y = (xp.reshape(P, 1, m) @ self.leaves).ravel()
+        for F in self.factors:
+            c = xp.reshape(len(F), 2, 1, -1) @ F
+            y += (F @ c.transpose(0, 1, 3, 2)[:, ::-1]).ravel()
+        return y[:x.size]
 
     def bilinear(self, fvals: np.ndarray, gvals: np.ndarray) -> float:
         return float(fvals @ self.apply(gvals))
@@ -475,10 +484,10 @@ def _potential(grid: RadialGrid, alpha: float, targets, g: np.ndarray) -> np.nda
     return y
 
 
-def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
-    # the rows at the nodes turn into G in place: weighted, then
-    # G <- (G + G.T) / 2, _BLOCK rows (and columns) at a time: the block rows
-    # from the diagonal on, and their mirror columns
+def _dense_table(grid: RadialGrid, alpha: float) -> np.ndarray:
+    """G, the rows at the nodes turned into it in place: weighted, then
+    G <- (G + G.T) / 2, _BLOCK rows (and columns) at a time: the block rows
+    from the diagonal on, and their mirror columns."""
     G = _rows(grid, alpha, grid.r)
     G *= grid.weights_full[:, None]
     for s in range(0, grid.n, _BLOCK):
@@ -487,7 +496,71 @@ def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
         sym *= 0.5
         G[s:e, s:] = sym
         G[s:, s:e] = sym.T
-    return RieszKernelTable(grid=grid, alpha=alpha, G=G)
+    return G
+
+
+# leaves of at most _LEAF nodes; an off-diagonal block's range is sketched by
+# _SKETCH columns at first and cut at _TRUNCATE (`_low_rank`)
+_LEAF, _TRUNCATE, _SKETCH = 125, 1e-15, 32
+
+
+def _low_rank(B: np.ndarray):
+    """U, V with B = U V^T to roundoff: U = D_r Q and V = B^T D_r^-1 Q, Q an
+    orthonormal basis of the range of D_r^-1 B D_c^-1, B with its rows and then
+    its columns scaled to a largest entry of 1 (so that the small entries of a
+    kernel falling as a power keep their relative accuracy).  Q is the column-
+    pivoted QR of a seeded random sketch (Halko, Martinsson & Tropp, SIAM Rev.
+    53, 2011), cut at |R_jj| < _TRUNCATE |R_00|, widened while the cut comes
+    within 8 of its width."""
+    dr, dc = np.empty(len(B)), np.zeros(B.shape[1])
+    for s in range(0, len(B), _BLOCK):      # _BLOCK rows of |B| at a time
+        A = np.abs(B[s:s + _BLOCK])
+        d = A.max(axis=1, initial=0.0)
+        d[d == 0] = 1.0
+        dr[s:s + _BLOCK] = d
+        A /= d[:, None]
+        np.fmax(dc, A.max(axis=0, initial=0.0), out=dc)
+    dc[dc == 0] = 1.0
+    k = _SKETCH
+    while True:
+        k = min(k, *B.shape)
+        omega = np.random.default_rng(0).uniform(-1.0, 1.0, (B.shape[1], k))
+        Q, R, _ = qr(B @ (omega / dc[:, None]) / dr[:, None], mode="economic",
+                     pivoting=True, check_finite=False)
+        d = np.abs(np.diag(R))
+        r = np.count_nonzero(d > _TRUNCATE * d.max(initial=0.0))
+        if r < k - 8 or k == min(B.shape):
+            Q = Q[:, :r]
+            return dr[:, None] * Q, B.T @ (Q / dr[:, None])
+        k *= 2
+
+
+def _compress(G: np.ndarray):
+    """(leaves, factors) of `RieszKernelTable` from G, m = ceil(n / 2^L) <= _LEAF,
+    each block `_low_rank`, its factors zero-padded to its level's largest rank."""
+    n = len(G)
+    L = (-(-n // _LEAF) - 1).bit_length()       # the least L with n <= 2^L _LEAF
+    m = -(-n // 2 ** L)
+    leaves = np.zeros((2 ** L, m, m))
+    for i in range(2 ** L):
+        blk = G[i * m:(i + 1) * m, i * m:(i + 1) * m]
+        leaves[i, :len(blk), :len(blk)] = blk
+    factors = []
+    for level in range(L):
+        b = m << (L - level - 1)
+        UV = [_low_rank(G[2 * i * b:(2 * i + 1) * b, (2 * i + 1) * b:(2 * i + 2) * b])
+              for i in range(2 ** level)]
+        F = np.zeros((2 ** level, 2, b, max(U.shape[1] for U, _ in UV)))
+        for i, (U, V) in enumerate(UV):
+            F[i, 0, :len(U), :U.shape[1]] = U
+            F[i, 1, :len(V), :V.shape[1]] = V
+        factors.append(F)
+    return leaves, tuple(factors)
+
+
+def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
+    leaves, factors = _compress(_dense_table(grid, alpha))
+    return RieszKernelTable(grid=grid, alpha=alpha, leaves=leaves, factors=factors)
 
 
 # tables kept, least recently used evicted first: the multiplicity pipeline

@@ -104,6 +104,13 @@ class TestCoefficientTable:
         with pytest.raises(InvalidParameter):
             coefficient_table(3, 2.0, 2.0, 4.0, S_alpha=S_alpha)
 
+    @pytest.mark.parametrize("C_Nq,C_Np", [(-1.0, None), (np.nan, None),
+                                           (None, -1.0), (None, np.nan)])
+    def test_gn_constants_must_be_positive_and_finite(self, C_Nq, C_Np):
+        # C_Nq = -1 made K_q complex, (-0.209+0.039j), and NaN passed through
+        with pytest.raises(InvalidParameter):
+            coefficient_table(3, 2.0, 2.0, 3.0, S_alpha=7.7, C_Nq=C_Nq, C_Np=C_Np)
+
     def test_gamma_q_example(self):
         tab = coefficient_table(3, 2.0, 2.0, 4.0, S_alpha=7.7)
         assert np.isclose(tab.gamma_q, 0.75, rtol=1e-14)

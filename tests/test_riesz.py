@@ -597,7 +597,7 @@ class TestBatchedNearRows:
         # N = 3: every pair against the 50-digit closed form; N >= 4: the
         # graded Gauss rule pair by pair
         grid = make_grid(N, 25.0, 120, 2.0)
-        tab = riesz._build_table(grid, alpha)
+        G = riesz._dense_table(grid, alpha)
         if N == 3:
             M = assert_shell_rows(grid, alpha, np.append(grid.r, 0.0))[0][:-1]
         else:
@@ -606,8 +606,8 @@ class TestBatchedNearRows:
             assert_close_to_max(riesz._rows(grid, alpha, [0.0])[0],
                                 rows_oracle(grid, alpha, [0.0])[0], name="origin")
         WM = grid.weights_full[:, None] * M
-        assert_close_to_max(tab.G, 0.5 * (WM + WM.T), name="G")
-        assert np.array_equal(tab.G, tab.G.T)
+        assert_close_to_max(G, 0.5 * (WM + WM.T), name="G")
+        assert np.array_equal(G, G.T)
 
     @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.5, 1.5])
     def test_potential_at_matches_the_oracle_rows(self, alpha):
@@ -741,10 +741,19 @@ class TestBatchedNearRows:
 
     @pytest.mark.parametrize("N,alpha", [(3, 1.0), (4, 1.5), (5, 4.5)])
     def test_table_holds_one_array(self, N, alpha):
+        # n <= _LEAF: a hierarchy of depth 0, its one leaf G itself
         grid = make_grid(N, 25.0, 120, 2.0)
         tab = riesz._build_table(grid, alpha)
-        arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) == 8 * grid.n ** 2
+        assert tab.factors == ()
+        assert np.array_equal(tab.leaves[0], riesz._dense_table(grid, alpha))
+
+    def test_compressed_table_holds_a_fifth_of_G(self):
+        # threshold's grid: the leaves are an eighth of G, the factors of
+        # rank about 20 less than a sixteenth
+        grid = make_grid(3, 40.0, 1000, 2.5)
+        tab = riesz._build_table(grid, 1.0)
+        nbytes = tab.leaves.nbytes + sum(F.nbytes for F in tab.factors)
+        assert nbytes < 8 * grid.n ** 2 / 5
 
 
 class TestExactShellRows:
@@ -824,29 +833,62 @@ def positive_field(grid):
     return np.exp(-grid.r ** 2) + 0.3 * np.exp(-(grid.r - 5.0) ** 2)
 
 
-def assert_same_product(tab, x):
+def assert_same_product(tab, G, x):
     """apply(x) equals G @ x up to the rounding of a length-n dot product,
     n eps (|G| |x|) in each entry: the two sum in different orders."""
-    bound = x.size * np.finfo(float).eps * (np.abs(tab.G) @ np.abs(x))
-    assert np.all(np.abs(tab.apply(x) - tab.G @ x) <= bound)
+    bound = x.size * np.finfo(float).eps * (np.abs(G) @ np.abs(x))
+    assert np.all(np.abs(tab.apply(x) - G @ x) <= bound)
+
+
+def table_and_G(grid, alpha):
+    """The table `_build_table` makes, and the dense G it compresses."""
+    G = riesz._dense_table(grid, alpha)
+    return riesz.RieszKernelTable(grid, alpha, *riesz._compress(G)), G
+
+
+# (N, alpha, n): every N at alpha = 0.1 to N - 0.5 on n = 400 (ids N-alpha,
+# a hierarchy of depth 2); threshold's grid (n = 1000, depth 3),
+# multiplicity's (n = 1100, not 2^L times a leaf: padded to 1104) and
+# n = 1600 (depth 4)
+APPLY_CASES = [(N, alpha, 400) for N in (3, 4, 5)
+               for alpha in (0.1, 0.3, 0.5, 1.0, 1.5, 2.0, N - 0.5)] + [
+    (3, 1.0, 1000), (4, 1.0, 1100), (3, 1.5, 1600)]
+APPLY_GRIDS = {400: (25.0, 2.0), 1000: (40.0, 2.5), 1100: (60.0, 3.0), 1600: (25.0, 2.0)}
 
 
 class TestApply:
-    """`RieszKernelTable.apply`, the one product with G: BLAS dsymv on one
-    triangle of the symmetric table."""
+    """`RieszKernelTable.apply`, the one product with G, through its HODLR
+    form: leaves and low-rank off-diagonal blocks, against the dense G."""
 
-    @pytest.mark.parametrize("N,alpha", [(N, alpha) for N in (3, 4, 5)
-                                         for alpha in (0.3, 0.5, 1.0, 1.5, 2.0, N - 0.5)])
-    def test_matches_the_dense_product(self, N, alpha):
-        grid = make_grid(N, 25.0, 400, 2.0)
-        tab = riesz._build_table(grid, alpha)
-        for x in (positive_field(grid), np.random.default_rng(7).standard_normal(grid.n)):
-            assert_same_product(tab, x)
+    @pytest.mark.parametrize("N,alpha,n", APPLY_CASES,
+                             ids=[f"{N}-{alpha}" + (f"-n{n}" if n != 400 else "")
+                                  for N, alpha, n in APPLY_CASES])
+    def test_matches_the_dense_product(self, N, alpha, n):
+        # a positive field, a signed one, and positive bubbles concentrated
+        # at xi = r[24] (the solvers' scale floor) and r[100]
+        r_max, grading = APPLY_GRIDS[n]
+        grid = make_grid(N, r_max, n, grading)
+        tab, G = table_and_G(grid, alpha)
+        bubbles = [(1.0 + (grid.r / xi) ** 2) ** -2.0 for xi in grid.r[[24, 100]]]
+        for x in (positive_field(grid), np.random.default_rng(7).standard_normal(grid.n),
+                  *bubbles):
+            assert_same_product(tab, G, x)
         x = positive_field(grid)
         assert tab.bilinear(x, x) == float(x @ tab.apply(x))
 
+    def test_padding_that_fills_whole_leaves(self, monkeypatch):
+        # past n = 8000 the padding to 2^L m nodes can exceed a leaf; with
+        # leaves of 2, n = 9 pads to 16 and the last three leaves hold none
+        monkeypatch.setattr(riesz, "_LEAF", 2)
+        i = np.arange(9.0)
+        G = 1.0 / (1.0 + np.abs(i[:, None] - i))
+        leaves, factors = riesz._compress(G)
+        assert leaves.shape == (8, 2, 2) and not leaves[5:].any()
+        tab = riesz.RieszKernelTable(None, 1.0, leaves, factors)
+        assert_same_product(tab, G, np.random.default_rng(3).standard_normal(9))
+
     def test_makes_no_copy_of_the_table(self, grid3_table2):
-        # f2py copies a C-ordered matrix argument, n^2 doubles, without a word
+        # beyond x padded and the product, only the per-level coefficients
         x = positive_field(grid3_table2.grid)
         grid3_table2.apply(x)
         tracemalloc.start()
@@ -881,12 +923,12 @@ class TestTableProperties:
     def test_symmetric_pairing(self, config, seed):
         N, alpha, n = config
         grid = make_grid(N, 25.0, n, 2.0)
-        tab = riesz._build_table(grid, alpha)
-        assert np.array_equal(tab.G, tab.G.T)
+        tab, G = table_and_G(grid, alpha)
+        assert np.array_equal(G, G.T)
         f, g = np.random.default_rng(seed).random((2, n))
         s1, s2 = tab.bilinear(f, g), tab.bilinear(g, f)
         assert abs(s1 - s2) <= 1e-14 * abs(s1)
-        assert_same_product(tab, g)
+        assert_same_product(tab, G, g)
 
 
 class TestTableAgainstDirectKernel:

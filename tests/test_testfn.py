@@ -102,6 +102,14 @@ class TestMassRadius:
         with pytest.raises(InvalidParameter):
             mass_radius(3, a, eps)
 
+    def test_overflowing_peak_rejected(self):
+        # the mass scales with talenti_peak(N)^2, which passes the largest
+        # double at N = 145: N = 150 raised a bare OverflowError
+        assert np.isfinite(talenti_peak(144) ** 2)
+        for call in (lambda: mass_radius(150, 1.0, 0.1), lambda: talenti_peak(145)):
+            with pytest.raises(InvalidParameter):
+                call()
+
     @pytest.mark.parametrize("N", [2, 3.5, 3.0, True], ids=["2", "3.5", "float", "bool"])
     def test_impossible_dimension_rejected(self, N):
         # no Talenti bubble below N = 3, and the closed core needs an integer N
