@@ -7,10 +7,12 @@ In N = 3, F is elementary at every alpha (Newton's shell theorem).  For
 N >= 4 it has two branches, chosen from z and alpha alone: scipy's `hyp2f1`
 for z <= 1/2 and whenever alpha - 1 is within 0.01 of an integer, and
 otherwise the z -> 1-z connection formula (DLMF 15.8.4), two series in
-w = 1 - z summed in numpy with w formed from max - min.  Near the diagonal,
-where the quadrature samples most, neither suffers the rounding of z to 1,
-and both are far cheaper than `hyp2f1` (on a 2-core Xeon the N = 3 form
-takes 16-45 ns a point, `hyp2f1` 0.3 us at alpha = 1, about 30 us else).
+w = 1 - z summed in numpy with w formed from max - min, every term at every
+point, so that a value never depends on the other points of a call.  Near
+the diagonal, where the quadrature samples most, neither suffers the
+rounding of z to 1, and both are far cheaper than `hyp2f1` (on a 2-core
+Xeon the N = 3 form takes 16-45 ns a point, `hyp2f1` 0.3 us at alpha = 1,
+about 30 us else).
 
 Quadrature rows sample the kernel at the nodes, once per node pair at the
 nodes themselves; near the diagonal, where it has a kink (alpha = 2), a
@@ -19,13 +21,16 @@ logarithmic singularity (alpha = 1) or an integrable algebraic one
 call over all targets, by Gauss rules on graded sub-panels, per block of
 targets, for N >= 4.  `convolve` and `potential_at` apply the rows to g one
 block of targets at a time (`_potential`), never holding them all.  The
-solvers read only the pairing int (I_alpha * f) g = f^T G g, G the node rows
-(`_rows`) weighted and symmetrized in place (`_dense_table`).  A table per
-(grid, alpha) holds G as a HODLR matrix (`_compress`): dense diagonal leaves
-and off-diagonal blocks of rank about 20, accurate to roundoff, so that every
+solvers read only the pairing int (I_alpha * f) g = f^T G g, G_ij =
+(W_i R_ij + W_j R_ji) / 2 with R the rows at the nodes and W the node weights.
+A table per (grid, alpha) holds G as a HODLR matrix: dense diagonal leaves and
+off-diagonal blocks of rank about 20, accurate to roundoff, so that every
 product (`apply`) is a few batched matmuls over under a fifth of G's n^2
-entries (n = 1000).  The _CACHED_TABLES most recently used tables are kept,
-keyed by (grid, alpha).
+entries (n = 1000).  The build forms each block from its own kernel samples
+and near-panel swaps (`_table_block`) and compresses it before the next
+(`_compress`), so no array holds G whole: its largest is the first
+off-diagonal block, (n/2)^2 entries.  The _CACHED_TABLES most recently used
+tables are kept, keyed by (grid, alpha).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.special import hyp2f1
 
-from .errors import InvalidParameter
+from .errors import IncompatibleGrid, InvalidParameter
 from .grid import _I, _J, RadialField, RadialGrid, _check_same_grid, sphere_surface
 
 __all__ = ["kernel_value", "RieszKernelTable", "kernel_table", "convolve",
@@ -139,12 +144,11 @@ def _series_coefficients(a: float, b: float, eps: float) -> np.ndarray:
 
 
 def _sum_series(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Both series of `coefs` at w, by Horner, to the last term that matters."""
-    terms = np.abs(coefs).max(axis=1) * w.max(initial=0.0) ** np.arange(len(coefs))
-    K = np.flatnonzero(terms >= _SERIES_TOL)[-1] + 1
+    """Both series of `coefs` at w, by Horner, every term summed: a value
+    depends on its own w alone, not on the other points of the call."""
     S = np.empty((2, w.size))
-    S[:] = coefs[K - 1, :, None]
-    for ck in coefs[:K - 1, :, None][::-1]:
+    S[:] = coefs[-1, :, None]
+    for ck in coefs[:-1, :, None][::-1]:
         S *= w
         S += ck
     return S
@@ -180,16 +184,17 @@ def _connection_branch(con: _Connection, hi, lo):
     return F
 
 
-def _shell_average(eps: float, x, hi, lo):
+def _shell_average(eps: float, x, hi, lo, lm):
     """F(x^2) at N = 3, x = lo/hi: a - b = 1/2 makes it elementary (DLMF §15.4),
     [(1+x)^eps - (1-x)^eps] / (2 eps x), artanh(x)/x at eps = 0.  Each power
     minus one is expm1(eps log(1 +- x)), with log(1 - x) from hi - lo where
     that is exact (lo > hi/2); +inf on the diagonal for eps <= 0, Gauss's
-    2^(eps-1)/eps for eps > 0."""
-    near = lo > 0.5 * hi
+    2^(eps-1)/eps for eps > 0.  Written into lo, with lm as scratch."""
+    near = lo > np.multiply(hi, 0.5, out=lm)
     with np.errstate(divide="ignore", invalid="ignore"):     # log(0), 0/0 at x = 0
-        lm = np.log1p(-x, out=np.empty_like(x))
-        d = np.divide(hi - lo, hi, where=near, out=np.empty_like(x))
+        np.log1p(np.negative(x, out=lm), out=lm)
+        d = np.subtract(hi, lo, out=lo)
+        np.divide(d, hi, where=near, out=d)
         np.log(d, where=near, out=lm)
         lp = np.log1p(x, out=d)
         if eps != 0.0:              # each power minus one, in place
@@ -197,7 +202,7 @@ def _shell_average(eps: float, x, hi, lo):
                 np.expm1(np.multiply(eps, v, out=v), out=v)
         lp -= lm
         lp /= eps or 1.0
-        lp /= 2.0 * x
+        lp /= np.multiply(x, 2.0, out=lm)
     lp[x == 0] = 1.0
     return lp
 
@@ -222,16 +227,26 @@ def kernel_value(N: int, alpha: float, r, s):
     On the diagonal K is +inf for alpha <= 1 and finite for alpha > 1; the
     quadrature rows never use it there (product integration takes over).
     """
-    kc = _kernel_constants(N, alpha)
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
-    hi = np.maximum(r, s)
-    lo = np.minimum(r, s)
-    x = np.divide(lo, hi, where=hi > 0, out=np.zeros_like(hi))
+    shape = np.broadcast_shapes(r.shape, s.shape)
+    return _kernel(N, alpha, r, s, *(np.empty(shape) for _ in range(4)))[()]
+
+
+def _kernel(N: int, alpha: float, r, s, out, *work):
+    """`kernel_value` written into out, the broadcast shape of r and s, with
+    three more arrays of that shape in work for its temporaries (N = 3 makes
+    no other float array of that size)."""
+    kc = _kernel_constants(N, alpha)
+    hi = np.maximum(r, s, out=out)
+    lo = np.minimum(r, s, out=work[0])
+    x = work[1]
+    x.fill(0.0)
+    np.divide(lo, hi, where=hi > 0, out=x)
     if alpha == 2.0:
-        F = np.ones_like(x)
+        F = None
     elif N == 3:
-        F = _shell_average(alpha - 1.0, x, hi, lo)
+        F = _shell_average(alpha - 1.0, x, hi, lo, work[2])
     elif kc.connection is None:
         F = hyp2f1(kc.a, kc.b, kc.c, x ** 2)
     else:
@@ -240,7 +255,11 @@ def kernel_value(N: int, alpha: float, r, s):
         F = np.empty_like(z2)
         F[~near] = hyp2f1(kc.a, kc.b, kc.c, z2[~near])
         F[near] = _connection_branch(kc.connection, hi[near], lo[near])
-    return kc.pref * hi ** (alpha - N) * F
+    hi **= alpha - N
+    hi *= kc.pref
+    if F is not None:
+        hi *= F
+    return out
 
 
 # distances L / 4^k (k = 1..13) of the graded cut points from the singular end
@@ -371,9 +390,10 @@ def _panel_product_row(N: int, alpha: float, t, a, b, nodes) -> np.ndarray:
 @dataclass(frozen=True)
 class RieszKernelTable:
     """The cached pairing table of one (grid, alpha): int (I_alpha*f) g =
-    f^T G g, G as a HODLR matrix (`_compress`): on the nodes padded to 2^L m,
-    diagonal `leaves` (2^L, m, m) and, per level l, `factors[l]` (2^l, 2, b, k),
-    the U and V of each upper block U V^T (b nodes square), mirrored as V U^T."""
+    f^T G g, G (see the module) as a HODLR matrix, built block by block
+    (`_build_table`): on the nodes padded to 2^L m, diagonal `leaves`
+    (2^L, m, m) and, per level l, `factors[l]` (2^l, 2, b, k), the U and V of
+    each upper block U V^T (b nodes square), mirrored as V U^T."""
 
     grid: RadialGrid
     alpha: float
@@ -388,23 +408,38 @@ class RieszKernelTable:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G @ x to roundoff: one batched product over the symmetric leaves, as
         x^T L (numpy's faster form), and two per level, [x_upper^T U,
-        x_lower^T V] and then U and V times the other's."""
+        x_lower^T V] and then U and V times the other's.  IncompatibleGrid
+        unless x holds one value per node."""
         P, m, _ = self.leaves.shape
         xp = np.zeros(P * m)
-        xp[:x.size] = x
+        xp[:self.grid.n] = self._on_grid(x)
         y = (xp.reshape(P, 1, m) @ self.leaves).ravel()
         for F in self.factors:
             c = xp.reshape(len(F), 2, 1, -1) @ F
             y += (F @ c.transpose(0, 1, 3, 2)[:, ::-1]).ravel()
-        return y[:x.size]
+        return y[:self.grid.n]
 
     def bilinear(self, fvals: np.ndarray, gvals: np.ndarray) -> float:
-        return float(fvals @ self.apply(gvals))
+        return float(self._on_grid(fvals) @ self.apply(gvals))
+
+    def _on_grid(self, x):
+        if np.shape(x) != (self.grid.n,):
+            raise IncompatibleGrid(f"{np.shape(x)} values on a grid of {self.grid.n} nodes")
+        return x
 
 
-# targets per block of `_rows` and `_potential`: a block's kernel samples (and
-# N >= 4's near-panel Gauss points) are its n-sized temporaries, O(_BLOCK * n)
+# targets per block of `_potential`: a block's kernel samples (and N >= 4's
+# near-panel Gauss points) are its n-sized temporaries, O(_BLOCK * n), the
+# samples and the kernel's own in one `_workspace` per loop
 _BLOCK = 64
+
+
+def _workspace(width: int) -> np.ndarray:
+    """Scratch for the `_block_samples` of up to _BLOCK targets and `width`
+    nodes (or as many entries otherwise shaped): the samples and three arrays
+    for the kernel's temporaries, which the caller may reuse once it holds
+    the samples."""
+    return np.empty((4, _BLOCK * width))
 
 
 def _near_mask(grid: RadialGrid, starts, ends, t) -> np.ndarray:
@@ -417,86 +452,59 @@ def _near_mask(grid: RadialGrid, starts, ends, t) -> np.ndarray:
     return near
 
 
-def _block_samples(grid: RadialGrid, alpha: float, tb, c: int) -> np.ndarray:
-    """K(tb, r[c:]), zero at a node within 1e-5 relative of a target (only
-    relative: graded grids put distinct nodes closer than any absolute one)."""
-    r = grid.r[c:]
-    K = kernel_value(grid.N, alpha, tb[:, None], r)
+def _block_samples(grid: RadialGrid, alpha: float, tb, cols: slice, work) -> np.ndarray:
+    """K(tb, r[cols]) in work[0] (`_workspace`), zero at a node within 1e-5
+    relative of a target (only relative: graded grids put distinct nodes
+    closer than any absolute one)."""
+    r = grid.r[cols]
+    K, *tmp = (v[:tb.size * r.size].reshape(tb.size, r.size) for v in work)
+    _kernel(grid.N, alpha, tb[:, None], r, K, *tmp)
     a, b = np.searchsorted(r, [np.fmin.reduce(tb) * (1 - 2e-5), np.fmax.reduce(tb) * (1 + 2e-5)])
     K[:, a:b][np.abs(r[a:b] - tb[:, None]) <= 1e-5 * np.abs(tb[:, None])] = 0.0
     return K
 
 
-def _near_swap(grid: RadialGrid, alpha: float, t, near):
-    """(target, node) indices and the exact minus the sampled contributions of
-    the blocks' `near` (target, panel, weighted samples), which it empties."""
-    a, b, idx = grid.panels
-    k, p, sampled = map(np.concatenate, zip(*near))
-    near.clear()
-    cor = _panel_product_row(grid.N, alpha, t[k], a[p], b[p], grid.r[idx[p]])
-    return (k[:, None], idx[p]), cor - sampled
-
-
-def _rows(grid: RadialGrid, alpha: float, targets) -> np.ndarray:
-    """Quadrature rows: rows[k] @ g.values is (I_alpha * g)(targets[k]).
-
-    From `_block_samples`: at the grid's own nodes on one triangle, mirrored,
-    as `kernel_value` forms K(r, s) and K(s, r) alike; the near panels by
-    `_near_swap`, in one call (per block of _BLOCK targets for N >= 4).
-    """
-    t = np.asarray(targets, dtype=float)
-    (starts, ends, idx), nodes = grid.panels, np.array_equal(t, grid.r)
-    rows, near = np.empty((t.size, grid.n)), []
+def _near_panels(grid: RadialGrid, alpha: float, t):
+    """(k, p, cor): the near panels p of each target k (`_near_mask`), k and
+    then p ascending, and their exact contributions cor, (pairs, 3), from
+    `_panel_product_row`: in one call for N = 3, per block of _BLOCK targets
+    for N >= 4.  A row takes cor in place of its weighted samples there."""
+    starts, ends, idx = grid.panels
+    exact = lambda k, p: _panel_product_row(grid.N, alpha, t[k], starts[p], ends[p],
+                                            grid.r[idx[p]])
+    k, p, cor = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros((0, 3))]
     for s in range(0, t.size, _BLOCK):
-        e, c = s + _BLOCK, s if nodes else 0
-        blk = rows[s:e]
-        blk[:, c:] = _block_samples(grid, alpha, t[s:e], c)
-        if nodes:
-            rows[e:, s:e] = blk[:, e:].T
-        # row-major, so each target's panels come in ascending order
-        k, p = np.nonzero(_near_mask(grid, starts, ends, t[s:e]))
-        near.append((k + s, p, blk[k[:, None], idx[p]] * grid.panel_weights[p]))
-        blk *= grid.w
-        if grid.N > 3 or e >= t.size:
-            np.add.at(rows, *_near_swap(grid, alpha, t, near))
-    return rows
+        kb, pb = np.nonzero(_near_mask(grid, starts, ends, t[s:s + _BLOCK]))
+        k.append(kb + s)
+        p.append(pb)
+        if grid.N > 3:
+            cor.append(exact(kb + s, pb))
+    k, p = np.concatenate(k), np.concatenate(p)
+    return k, p, np.concatenate(cor) if grid.N > 3 else exact(k, p)
 
 
 def _potential(grid: RadialGrid, alpha: float, targets, g: np.ndarray) -> np.ndarray:
-    """`_rows(grid, alpha, targets) @ g` to roundoff, one block of rows at a
-    time: at the nodes a block adds its triangle's mirror to the rows below,
-    and samples again the near nodes left of it (the same bits in N = 3)."""
+    """(I_alpha * g)(targets), one block of _BLOCK targets at a time: the
+    weighted kernel samples at the nodes applied to g, with the near panels
+    swapped for `_near_panels`.  At the nodes a block samples one triangle and
+    adds its mirror to the rows below, and samples again the near nodes left
+    of it (the same bits)."""
     t = np.asarray(targets, dtype=float)
-    (starts, ends, idx), nodes = grid.panels, np.array_equal(t, grid.r)
-    wg, y, near = grid.w * g, np.zeros(t.size), []
+    idx, nodes = grid.panels.nodes, np.array_equal(t, grid.r)
+    k, p, cor = _near_panels(grid, alpha, t)
+    wg, y, work = grid.w * g, np.zeros(t.size), _workspace(grid.n)
     for s in range(0, t.size, _BLOCK):
         e, lo = s + _BLOCK, s if nodes else 0
-        k, p = np.nonzero(_near_mask(grid, starts, ends, t[s:e]))
-        c = idx[p].min(initial=lo)
-        K = _block_samples(grid, alpha, t[s:e], c)
+        a, b = np.searchsorted(k, (s, e))
+        kb, cols = k[a:b] - s, idx[p[a:b]]
+        c = cols.min(initial=lo)
+        K = _block_samples(grid, alpha, t[s:e], slice(c, None), work)
         y[s:e] += K[:, lo - c:] @ wg[lo:]
         if nodes:
             y[e:] += K[:, e - c:].T @ wg[s:e]
-        near.append((k + s, p, K[k[:, None], idx[p] - c] * grid.panel_weights[p]))
-        if grid.N > 3 or e >= t.size:
-            (k, cols), swap = _near_swap(grid, alpha, t, near)
-            y += np.bincount(k[:, 0], (swap * g[cols]).sum(1), t.size)
+        swap = cor[a:b] - K[kb[:, None], cols - c] * grid.panel_weights[p[a:b]]
+        y[s:e] += np.bincount(kb, (swap * g[cols]).sum(1), len(K))
     return y
-
-
-def _dense_table(grid: RadialGrid, alpha: float) -> np.ndarray:
-    """G, the rows at the nodes turned into it in place: weighted, then
-    G <- (G + G.T) / 2, _BLOCK rows (and columns) at a time: the block rows
-    from the diagonal on, and their mirror columns."""
-    G = _rows(grid, alpha, grid.r)
-    G *= grid.weights_full[:, None]
-    for s in range(0, grid.n, _BLOCK):
-        e = s + _BLOCK
-        sym = G[s:e, s:] + G[s:, s:e].T
-        sym *= 0.5
-        G[s:e, s:] = sym
-        G[s:, s:e] = sym.T
-    return G
 
 
 # leaves of at most _LEAF nodes; an off-diagonal block's range is sketched by
@@ -535,31 +543,74 @@ def _low_rank(B: np.ndarray):
         k *= 2
 
 
-def _compress(G: np.ndarray):
-    """(leaves, factors) of `RieszKernelTable` from G, m = ceil(n / 2^L) <= _LEAF,
-    each block `_low_rank`, its factors zero-padded to its level's largest rank."""
-    n = len(G)
+def _compress(n: int, block):
+    """(leaves, factors) of `RieszKernelTable` for n nodes from block(rows,
+    cols), the block G[rows, cols] for slices within [0, n), m = ceil(n / 2^L)
+    <= _LEAF.  Each block is formed and compressed (`_low_rank`) before the
+    next, its factors zero-padded to its level's largest rank; the largest
+    block comes first, before the table holds anything."""
     L = (-(-n // _LEAF) - 1).bit_length()       # the least L with n <= 2^L _LEAF
     m = -(-n // 2 ** L)
-    leaves = np.zeros((2 ** L, m, m))
-    for i in range(2 ** L):
-        blk = G[i * m:(i + 1) * m, i * m:(i + 1) * m]
-        leaves[i, :len(blk), :len(blk)] = blk
+    span = lambda a, b: slice(min(a, n), min(b, n))
     factors = []
     for level in range(L):
         b = m << (L - level - 1)
-        UV = [_low_rank(G[2 * i * b:(2 * i + 1) * b, (2 * i + 1) * b:(2 * i + 2) * b])
+        UV = [_low_rank(block(span(2 * i * b, (2 * i + 1) * b),
+                              span((2 * i + 1) * b, (2 * i + 2) * b)))
               for i in range(2 ** level)]
         F = np.zeros((2 ** level, 2, b, max(U.shape[1] for U, _ in UV)))
         for i, (U, V) in enumerate(UV):
             F[i, 0, :len(U), :U.shape[1]] = U
             F[i, 1, :len(V), :V.shape[1]] = V
         factors.append(F)
+    leaves = np.zeros((2 ** L, m, m))
+    for i in range(2 ** L):
+        blk = block(span(i * m, (i + 1) * m), span(i * m, (i + 1) * m))
+        leaves[i, :len(blk), :len(blk)] = blk
     return leaves, tuple(factors)
 
 
+def _table_block(grid: RadialGrid, alpha: float, near, rows: slice, cols: slice,
+                 work) -> np.ndarray:
+    """G[rows, cols], rows the same as cols or left of them, as many rows at a
+    time as `work` holds: G_ij = (W_i R_ij + W_j R_ji) / 2, R_ij the row of
+    target i at node j, K_ij w_j with the near-panel swaps of target i.  K is
+    sampled at (i, j) alone and stands in for K_ji, the kernel being
+    symmetric.  near: the near entries (`_build_table`) by target and by node."""
+    W, w, c0 = grid.weights_full, grid.w, cols.start
+    B = np.empty((rows.stop - rows.start, cols.stop - c0))
+    step = work.shape[1] // max(B.shape[1], 1)
+    for s in range(rows.start, rows.stop, step):
+        e = min(s + step, rows.stop)
+        K = _block_samples(grid, alpha, grid.r[s:e], cols, work)
+        R, RT = (v[:K.size].reshape(K.shape) for v in work[1:3])
+        np.multiply(K, w[cols], out=R)          # R[i, j] = R_ij
+        np.multiply(K, w[s:e, None], out=RT)    # RT[i, j] = R_ji
+        for X, (tgt, nod, cor, pw) in zip((R, RT), near):
+            a, b = np.searchsorted(tgt, (s, e))
+            here = (c0 <= nod[a:b]) & (nod[a:b] < cols.stop)
+            i, j = tgt[a:b][here] - s, nod[a:b][here] - c0
+            np.add.at(X, (i, j), cor[a:b][here] - K[i, j] * pw[a:b][here])
+        R *= W[s:e, None]
+        RT *= W[cols]
+        out = np.add(R, RT, out=B[s - rows.start:e - rows.start])
+        out *= 0.5
+    return B
+
+
 def _build_table(grid: RadialGrid, alpha: float) -> RieszKernelTable:
-    leaves, factors = _compress(_dense_table(grid, alpha))
+    """The table of (grid, alpha), assembled and compressed block by block
+    (`_compress`, `_table_block`): no array holds G whole."""
+    k, p, cor = _near_panels(grid, alpha, grid.r)
+    entries = (np.repeat(k, 3), grid.panels.nodes[p].ravel(), cor.ravel(),
+               grid.panel_weights[p].ravel())
+    # (target, node, exact contribution, panel weight), and with target and
+    # node swapped, ordered by node; each entry's panels stay ascending
+    by_node = np.argsort(entries[1], kind="stable")
+    swapped = tuple(v[by_node] for v in (entries[1], entries[0], *entries[2:]))
+    work = _workspace(-(-grid.n // 2))      # the widest off-diagonal block's
+    leaves, factors = _compress(grid.n, lambda rows, cols: _table_block(
+        grid, alpha, (entries, swapped), rows, cols, work))
     return RieszKernelTable(grid=grid, alpha=alpha, leaves=leaves, factors=factors)
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,6 +20,8 @@ from choquard_lab.grid import RadialField, integrate, make_grid, sphere_surface
 from choquard_lab.profiles import hls_extremizer
 from choquard_lab.riesz import (convolve, interaction_energy, kernel_table,
                                 kernel_value, potential_at, riesz_normalization)
+from dense_oracle import compress, dense_table
+from dense_oracle import rows as dense_rows
 
 
 def kernel_bruteforce(N, alpha, r, s):
@@ -43,6 +46,13 @@ def kernel_direct(N, alpha, r, s):
     else:
         F = hyp2f1((N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0, z2)
     return pref * hi ** (alpha - N) * F
+
+
+def kernel_direct_into(N, alpha, r, s, out, *work):
+    """`kernel_direct` in the form of `riesz._kernel`, which `kernel_value`
+    and the table's samples call."""
+    out[...] = kernel_direct(N, alpha, r, s)
+    return out
 
 
 def kernel_mpmath(N, alpha, hi, lo):
@@ -116,11 +126,13 @@ class TestKernelValue:
     def test_against_mpmath(self, point):
         # N = 3, the closed form, and N >= 4, the connection branch, to 1e-13
         # all the way to the diagonal; where kernel_value keeps hyp2f1 (N >= 4)
-        # it is the direct call, bit for bit
+        # it is the direct call, bit for bit, on an array (kernel_value takes
+        # numpy's array loops for a number too, whose power can differ from
+        # its scalar power by an ulp)
         N, alpha, hi, lo = point
         kv = kernel_value(N, alpha, hi, lo)
         if N > 3 and (near_integer(alpha) or (lo / hi) ** 2 <= 0.5):
-            assert kv == kernel_direct(N, alpha, hi, lo)
+            assert kv == kernel_direct(N, alpha, [hi], [lo])[0]
         if N == 3 or not near_integer(alpha):
             exact = kernel_mpmath(N, alpha, hi, lo)
             assert abs(kv - exact) <= 1e-13 * abs(exact)
@@ -318,10 +330,10 @@ class TestPotentialAt:
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_matches_the_rows(self, monkeypatch, N, alpha, block):
         # the blocked accumulation sums each row in another order than
-        # `_rows(...) @ g`, so the two agree to roundoff, block size aside
+        # `dense_rows(...) @ g`, so the two agree to roundoff, block size aside
         grid, g = gauss_field(N, 2 * riesz._BLOCK + 7)
-        ref = riesz._rows(grid, alpha, grid.r) @ g.values
-        ref0 = riesz._rows(grid, alpha, [0.0])[0] @ g.values
+        ref = dense_rows(grid, alpha, grid.r) @ g.values
+        ref0 = dense_rows(grid, alpha, [0.0])[0] @ g.values
         monkeypatch.setattr(riesz, "_BLOCK", block)
         D = convolve(grid, g, alpha)
         assert np.all(np.abs(D.values - ref) <= 1e-15 * np.abs(ref).max())
@@ -454,7 +466,7 @@ def near_pairs(grid, targets):
 
 def rows_oracle(grid, alpha, targets, pair_row=panel_product_row_oracle):
     """Quadrature rows assembled one (target, near panel) pair at a time from
-    `pair_row`: the oracle of the blocked `riesz._rows`."""
+    `pair_row`: the oracle of the blocked `dense_rows`."""
     t = np.asarray(targets, dtype=float)
     far = kernel_value(grid.N, alpha, t[:, None], grid.r[None, :])
     far[np.isclose(grid.r[None, :], t[:, None], atol=0.0)] = 0.0
@@ -548,7 +560,7 @@ def shell_tol(alpha):
 
 def assert_shell_rows(grid, alpha, targets):
     """`riesz._panel_product_row` on every near pair of the targets within
-    shell_tol of `shell_row_mpmath`, and each row of `riesz._rows` within the
+    shell_tol of `shell_row_mpmath`, and each row of `dense_rows` within the
     sum of its pairs' bounds, plus assembly rounding, of the row assembled from
     the reference; returns the reference rows and their bounds."""
     pairs = list(near_pairs(grid, targets))
@@ -561,7 +573,7 @@ def assert_shell_rows(grid, alpha, targets):
     rows = rows_oracle(grid, alpha, targets, pair_row=shell_row_mpmath)
     bound = 1e-14 * np.abs(rows).max(axis=1)
     np.add.at(bound, [p[0] for p in pairs], shell_tol(alpha) * scale)
-    assert np.all(np.abs(riesz._rows(grid, alpha, targets) - rows) <= bound[:, None])
+    assert np.all(np.abs(dense_rows(grid, alpha, targets) - rows) <= bound[:, None])
     return rows, bound
 
 
@@ -597,13 +609,13 @@ class TestBatchedNearRows:
         # N = 3: every pair against the 50-digit closed form; N >= 4: the
         # graded Gauss rule pair by pair
         grid = make_grid(N, 25.0, 120, 2.0)
-        G = riesz._dense_table(grid, alpha)
+        G = dense_table(grid, alpha)
         if N == 3:
             M = assert_shell_rows(grid, alpha, np.append(grid.r, 0.0))[0][:-1]
         else:
             M = rows_oracle(grid, alpha, grid.r)
-            assert_close_to_max(riesz._rows(grid, alpha, grid.r), M, name="M")
-            assert_close_to_max(riesz._rows(grid, alpha, [0.0])[0],
+            assert_close_to_max(dense_rows(grid, alpha, grid.r), M, name="M")
+            assert_close_to_max(dense_rows(grid, alpha, [0.0])[0],
                                 rows_oracle(grid, alpha, [0.0])[0], name="origin")
         WM = grid.weights_full[:, None] * M
         assert_close_to_max(G, 0.5 * (WM + WM.T), name="G")
@@ -637,36 +649,26 @@ class TestBatchedNearRows:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_block_size_changes_no_row(self, monkeypatch, block, alpha):
-        # only the connection series of N >= 4, truncated at the largest 1 - z
-        # of the block, depends on the blocks; the direct branch (alpha = 1)
-        # does not, nor do the N = 3 node rows, sampled on one triangle and
-        # mirrored across the block edges
+        # every kernel value depends on its own point alone (the N >= 4
+        # connection series sums all its terms), and the N = 3 node rows are
+        # sampled on one triangle and mirrored across the block edges
         grid = make_grid(4, 25.0, 120, 2.0)
         targets = np.append(grid.r, [0.0, 30.0])
         grid3 = make_grid(3, 25.0, 120, 2.0)
-        rows, nodes = riesz._rows(grid, alpha, targets), riesz._rows(grid3, alpha, grid3.r)
+        rows, nodes = dense_rows(grid, alpha, targets), dense_rows(grid3, alpha, grid3.r)
         monkeypatch.setattr(riesz, "_BLOCK", block)
-        blocked = riesz._rows(grid, alpha, targets)
-        assert np.array_equal(riesz._rows(grid3, alpha, grid3.r), nodes)
-        if alpha == 1.0:
-            assert np.array_equal(blocked, rows)
-        scale = np.abs(rows).max(axis=1, keepdims=True)
-        assert np.all(np.abs(blocked - rows) <= 1e-15 * scale)
+        assert np.array_equal(dense_rows(grid3, alpha, grid3.r), nodes)
+        assert np.array_equal(dense_rows(grid, alpha, targets), rows)
 
     @pytest.mark.parametrize("N", [3, 4, 5])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_node_rows_match_the_per_target_rows(self, monkeypatch, N, alpha):
+    def test_node_rows_match_the_per_target_rows(self, N, alpha):
         # the rows at the nodes sample one triangle and mirror it, and batch
         # the near corrections; built one target at a time, every sample and
-        # correction must come out the same bits.  The N >= 4 connection
-        # series is truncated per call, so there the elementwise N = 3 kernel
-        # stands in for it
+        # correction must come out the same bits
         grid = make_grid(N, 25.0, 2 * riesz._BLOCK + 7, 2.0)
-        if N > 3 and not near_integer(alpha):
-            monkeypatch.setattr(riesz, "kernel_value",
-                                lambda N, alpha, r, s: kernel_value(3, alpha, r, s))
-        single = np.vstack([riesz._rows(grid, alpha, [t]) for t in grid.r])
-        assert np.array_equal(riesz._rows(grid, alpha, grid.r), single)
+        single = np.vstack([dense_rows(grid, alpha, [t]) for t in grid.r])
+        assert np.array_equal(dense_rows(grid, alpha, grid.r), single)
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_targets_with_no_near_panel(self, N):
@@ -674,10 +676,10 @@ class TestBatchedNearRows:
         grid = make_grid(N, 25.0, 120, 2.0)
         targets = np.array([60.0, 80.0])
         expected = kernel_value(N, 1.5, targets[:, None], grid.r[None, :]) * grid.w
-        assert np.array_equal(riesz._rows(grid, 1.5, targets), expected)
+        assert np.array_equal(dense_rows(grid, 1.5, targets), expected)
 
     def test_build_peaks_at_two_tables(self):
-        # G is symmetrized in place, _BLOCK rows at a time
+        # the build never holds G whole, so it stays well under two tables
         grid = make_grid(3, 40.0, 1000, 2.5)
         tracemalloc.start()
         try:
@@ -688,8 +690,8 @@ class TestBatchedNearRows:
         assert peak < 2.5 * 8 * grid.n ** 2
 
     def test_build_peaks_at_three_tables(self):
-        # no transposed copy of G: the per-block temporaries are O(n) rows,
-        # not n x n
+        # no transposed copy of G or of a block: the per-block temporaries
+        # are O(n) rows, not n x n
         grid = make_grid(3, 40.0, 1000, 2.5)
         tracemalloc.start()
         try:
@@ -700,9 +702,9 @@ class TestBatchedNearRows:
         assert peak < 3.5 * 8 * grid.n ** 2
 
     def test_build_peaks_at_one_table(self):
-        # the rows turn into G in place, weighted and then symmetrized
-        # _BLOCK rows at a time: beyond G the build holds only per-block
-        # temporaries, about 6 arrays of _BLOCK rows
+        # beyond the largest block, a quarter of G, the build holds only a
+        # workspace of _BLOCK rows and per-block temporaries, which sum to
+        # less than one table plus 16 arrays of _BLOCK rows
         n = 1000
         grid = make_grid(3, 40.0, n, 2.5)
         tracemalloc.start()
@@ -712,6 +714,20 @@ class TestBatchedNearRows:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n ** 2 + 16 * 8 * riesz._BLOCK * n
+
+    def test_build_holds_one_block_of_G(self):
+        # each block is formed and compressed before the next: beyond the
+        # largest block, (n/2)^2 entries, the build holds only a workspace of
+        # 4 arrays of _BLOCK n/2 entries and per-block temporaries
+        n = 2000
+        grid = make_grid(3, 40.0, n, 2.5)
+        tracemalloc.start()
+        try:
+            riesz._build_table(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n // 2) ** 2 + 16 * 8 * riesz._BLOCK * n
 
     @staticmethod
     def potential_peak(apply):
@@ -745,7 +761,25 @@ class TestBatchedNearRows:
         grid = make_grid(N, 25.0, 120, 2.0)
         tab = riesz._build_table(grid, alpha)
         assert tab.factors == ()
-        assert np.array_equal(tab.leaves[0], riesz._dense_table(grid, alpha))
+        assert np.array_equal(tab.leaves[0], dense_table(grid, alpha))
+
+    @pytest.mark.parametrize("N,alpha,n", [(3, 0.1, 1000), (3, 1.0, 1000), (3, 2.0, 1000),
+                                           (3, 1.0, 120), (3, 2.0, 1100), (4, 0.3, 400),
+                                           (4, 1.5, 400), (4, 1.0, 1100), (5, 0.5, 400),
+                                           (5, 4.5, 400)])
+    def test_block_build_is_the_compressed_oracle(self, N, alpha, n):
+        # each block from its own kernel samples and near-panel swaps: the
+        # same bits as the dense G compressed block by block, on threshold's
+        # grid (n = 1000), a depth-0 grid (n = 120) and one padded to whole
+        # leaves (n = 1100, to 1104)
+        r_max, grading = {120: (25.0, 2.0), **APPLY_GRIDS}[n]
+        grid = make_grid(N, r_max, n, grading)
+        tab = riesz._build_table(grid, alpha)
+        leaves, factors = compress(dense_table(grid, alpha))
+        assert np.array_equal(tab.leaves, leaves)
+        assert len(tab.factors) == len(factors)
+        for F, ref in zip(tab.factors, factors):
+            assert np.array_equal(F, ref)
 
     def test_compressed_table_holds_a_fifth_of_G(self):
         # threshold's grid: the leaves are an eighth of G, the factors of
@@ -799,8 +833,8 @@ class TestExactShellRows:
     def test_rows_continuous_at_the_origin(self, alpha):
         # the rows at t = r[1] 10^-k, k = 1..14, approach the origin row
         grid = make_grid(3, 25.0, 400, 2.0)
-        origin = riesz._rows(grid, alpha, [0.0])[0]
-        rows = riesz._rows(grid, alpha, grid.r[1] * 10.0 ** -np.arange(1, 15))
+        origin = dense_rows(grid, alpha, [0.0])[0]
+        rows = dense_rows(grid, alpha, grid.r[1] * 10.0 ** -np.arange(1, 15))
         gap = np.abs(rows - origin).max(axis=1) / np.abs(origin).max()
         assert np.all(gap[1:] <= gap[:-1] + 1e-15)
         assert gap[-1] <= 1e-13
@@ -841,9 +875,8 @@ def assert_same_product(tab, G, x):
 
 
 def table_and_G(grid, alpha):
-    """The table `_build_table` makes, and the dense G it compresses."""
-    G = riesz._dense_table(grid, alpha)
-    return riesz.RieszKernelTable(grid, alpha, *riesz._compress(G)), G
+    """The table `_build_table` makes, and the dense G it stands for."""
+    return riesz._build_table(grid, alpha), dense_table(grid, alpha)
 
 
 # (N, alpha, n): every N at alpha = 0.1 to N - 0.5 on n = 400 (ids N-alpha,
@@ -882,10 +915,24 @@ class TestApply:
         monkeypatch.setattr(riesz, "_LEAF", 2)
         i = np.arange(9.0)
         G = 1.0 / (1.0 + np.abs(i[:, None] - i))
-        leaves, factors = riesz._compress(G)
+        leaves, factors = compress(G)
         assert leaves.shape == (8, 2, 2) and not leaves[5:].any()
-        tab = riesz.RieszKernelTable(None, 1.0, leaves, factors)
+        tab = riesz.RieszKernelTable(SimpleNamespace(n=9), 1.0, leaves, factors)
         assert_same_product(tab, G, np.random.default_rng(3).standard_normal(9))
+
+    @pytest.mark.parametrize("n,size", [(1000, 600), (1000, 1001), (1100, 1099),
+                                        (1100, 1101), (1100, 1104)])
+    def test_rejects_values_off_the_grid(self, n, size):
+        # a shorter vector used to be zero-padded, and on a grid padded to
+        # whole leaves (1100 nodes in 1104) so did one up to the padding,
+        # where the dense G @ x raised
+        r_max, grading = APPLY_GRIDS[n]
+        tab = kernel_table(make_grid(3, r_max, n, grading), 1.0)
+        x, ok = np.ones(size), np.ones(n)
+        for call in (lambda: tab.apply(x), lambda: tab.bilinear(x, ok),
+                     lambda: tab.bilinear(ok, x), lambda: tab.apply(ok[:, None])):
+            with pytest.raises(IncompatibleGrid):
+                call()
 
     def test_makes_no_copy_of_the_table(self, grid3_table2):
         # beyond x padded and the product, only the per-level coefficients
@@ -937,17 +984,17 @@ class TestTableAgainstDirectKernel:
 
     @staticmethod
     def arrays(grid, alpha):
-        # G as `_build_table` forms it from M, bit for bit, without a second
+        # G as `dense_table` forms it from M, bit for bit, without a second
         # build of M (TestBatchedNearRows checks the build itself)
-        M = riesz._rows(grid, alpha, grid.r)
+        M = dense_rows(grid, alpha, grid.r)
         WM = grid.weights_full[:, None] * M
         return {"M": M, "G": 0.5 * (WM + WM.T),
-                "origin_row": riesz._rows(grid, alpha, [0.0])[0]}
+                "origin_row": dense_rows(grid, alpha, [0.0])[0]}
 
     def tables(self, grid, alpha):
         new = self.arrays(grid, alpha)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(riesz, "kernel_value", kernel_direct)
+            mp.setattr(riesz, "_kernel", kernel_direct_into)
             old = self.arrays(grid, alpha)
         return new, old
 

@@ -11,13 +11,13 @@ from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_pa
                                      scaled_parts)
 from choquard_lab.grid import RadialField, gradient_seminorm, integrate, make_grid
 from choquard_lab.profiles import cutoff_bubble, gaussian, talenti
-from choquard_lab import riesz
 from choquard_lab import solver as solver_module
 from choquard_lab.solver import (NormalizedBranchResult, _FreeSolver, _MassSolver,
                                  _fiber_seeds, _initial_field, _polish_branch, ground_state,
                                  multiplier_check, normalized_branches,
                                  second_solution_via_rescale,
                                  shoot_local_ground_state)
+from dense_oracle import dense_table
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +544,7 @@ def dense_jacobian(solver, u, shift, border, conv):
             diag_nl = np.where(mask, (p.p - 1) * conv * um ** (p.p - 2), 0.0)
         # the nonlocal part of W * d[conv(u^p) u^(p-1)] is p D1 G D1, since
         # conv = (G @ u^p) / W: G carries the weights itself
-        Jnl = D1[:, None] * riesz._dense_table(solver.grid, p.alpha)
+        Jnl = D1[:, None] * dense_table(solver.grid, p.alpha)
         Jnl *= D1[None, :]
         Jnl *= p.p * p.riesz_coeff
         Jn -= Jnl
