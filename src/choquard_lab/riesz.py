@@ -7,12 +7,12 @@ In N = 3, F is elementary at every alpha (Newton's shell theorem).  For
 N >= 4 it has two branches, chosen from z and alpha alone: scipy's `hyp2f1`
 for z <= 1/2 and whenever alpha - 1 is within 0.01 of an integer, and
 otherwise the z -> 1-z connection formula (DLMF 15.8.4), two series in
-w = 1 - z summed in numpy with w formed from max - min, every term at every
-point, so that a value never depends on the other points of a call.  Near
-the diagonal, where the quadrature samples most, neither suffers the
-rounding of z to 1, and both are far cheaper than `hyp2f1` (on a 2-core
-Xeon the N = 3 form takes 16-45 ns a point, `hyp2f1` 0.3 us at alpha = 1,
-about 30 us else).
+w = 1 - z summed in numpy with w formed from max - min, the later terms only
+where a point's own w needs them, so that a value never depends on the other
+points of a call.  Near the diagonal, where the quadrature samples most,
+neither suffers the rounding of z to 1, and both are far cheaper than
+`hyp2f1` (on a 2-core Xeon the N = 3 form takes 16-45 ns a point, `hyp2f1`
+0.3 us at alpha = 1, about 30 us else).
 
 Quadrature rows sample the kernel at the nodes, once per node pair at the
 nodes themselves; near the diagonal, where it has a kink (alpha = 2), a
@@ -28,9 +28,9 @@ off-diagonal blocks of rank about 20, accurate to roundoff, so that every
 product (`apply`) is a few batched matmuls over under a fifth of G's n^2
 entries (n = 1000).  The build forms each block from its own kernel samples
 and near-panel swaps (`_table_block`) and compresses it before the next
-(`_compress`), so no array holds G whole: its largest is the first
-off-diagonal block, (n/2)^2 entries.  The _CACHED_TABLES most recently used
-tables are kept, keyed by (grid, alpha).
+(`_compress`, by numpy's SVD of a random sketch), so no array holds G whole:
+its largest is the first off-diagonal block, (n/2)^2 entries.  The
+_CACHED_TABLES most recently used tables are kept, keyed by (grid, alpha).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.special import hyp2f1
 
 from .errors import IncompatibleGrid, InvalidParameter
@@ -79,8 +78,9 @@ def riesz_normalization(N: int, alpha: float) -> float:
 # alpha - 1 closer than this to an integer keeps the direct branch: the
 # connection coefficients have poles there
 _INTEGER_GAP = 0.01
-# series terms below this no longer change an O(1) sum in double precision
-_SERIES_TOL = 2.0 ** -56
+# series terms below this no longer change an O(1) sum in double precision;
+# every point sums the first _SHALLOW terms, all a w below about 0.07 needs
+_SERIES_TOL, _SHALLOW = 2.0 ** -56, 16
 
 
 class _Connection(NamedTuple):
@@ -143,15 +143,26 @@ def _series_coefficients(a: float, b: float, eps: float) -> np.ndarray:
             return np.array(rows)
 
 
-def _sum_series(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Both series of `coefs` at w, by Horner, every term summed: a value
-    depends on its own w alone, not on the other points of the call."""
-    S = np.empty((2, w.size))
-    S[:] = coefs[-1, :, None]
-    for ck in coefs[:-1, :, None][::-1]:
+def _horner(S: np.ndarray, coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """S w^K + both series of the K rows of `coefs` at w, by Horner, in S."""
+    for ck in coefs[::-1, :, None]:
         S *= w
         S += ck
     return S
+
+
+def _sum_series(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Both series of `coefs` at w, by Horner: the first _SHALLOW terms at
+    every point, and all the terms at the points whose own w needs a later one
+    (max|coefs[k]| w^k >= _SERIES_TOL for some k >= _SHALLOW), so that a value
+    depends on its own w alone."""
+    k = np.arange(_SHALLOW, len(coefs))
+    with np.errstate(divide="ignore"):          # a zero coefficient is never needed
+        reach = (_SERIES_TOL / np.abs(coefs[_SHALLOW:]).max(axis=1)) ** (1.0 / k)
+    S = np.zeros((2, w.size))
+    deep = np.flatnonzero(w >= reach.min(initial=np.inf))
+    S[:, deep] = _horner(np.zeros((2, deep.size)), coefs[_SHALLOW:], w[deep])
+    return _horner(S, coefs[:_SHALLOW], w)
 
 
 @lru_cache(maxsize=64)
@@ -516,10 +527,10 @@ def _low_rank(B: np.ndarray):
     """U, V with B = U V^T to roundoff: U = D_r Q and V = B^T D_r^-1 Q, Q an
     orthonormal basis of the range of D_r^-1 B D_c^-1, B with its rows and then
     its columns scaled to a largest entry of 1 (so that the small entries of a
-    kernel falling as a power keep their relative accuracy).  Q is the column-
-    pivoted QR of a seeded random sketch (Halko, Martinsson & Tropp, SIAM Rev.
-    53, 2011), cut at |R_jj| < _TRUNCATE |R_00|, widened while the cut comes
-    within 8 of its width."""
+    kernel falling as a power keep their relative accuracy).  Q holds the left
+    singular vectors of a seeded random sketch of that range (Halko, Martinsson
+    & Tropp, SIAM Rev. 53, 2011), cut at s_j < _TRUNCATE s_0, the sketch
+    widened while the cut comes within 8 of its width."""
     dr, dc = np.empty(len(B)), np.zeros(B.shape[1])
     for s in range(0, len(B), _BLOCK):      # _BLOCK rows of |B| at a time
         A = np.abs(B[s:s + _BLOCK])
@@ -533,10 +544,8 @@ def _low_rank(B: np.ndarray):
     while True:
         k = min(k, *B.shape)
         omega = np.random.default_rng(0).uniform(-1.0, 1.0, (B.shape[1], k))
-        Q, R, _ = qr(B @ (omega / dc[:, None]) / dr[:, None], mode="economic",
-                     pivoting=True, check_finite=False)
-        d = np.abs(np.diag(R))
-        r = np.count_nonzero(d > _TRUNCATE * d.max(initial=0.0))
+        Q, sv, _ = np.linalg.svd(B @ (omega / dc[:, None]) / dr[:, None], full_matrices=False)
+        r = np.count_nonzero(sv > _TRUNCATE * sv.max(initial=0.0))
         if r < k - 8 or k == min(B.shape):
             Q = Q[:, :r]
             return dr[:, None] * Q, B.T @ (Q / dr[:, None])

@@ -20,10 +20,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
+from math import copysign, hypot
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
                      RescaleInconsistency, ShootingFailure)
@@ -244,6 +243,73 @@ def _admissible(v) -> np.ndarray:
     return v
 
 
+def _first_order(c):
+    """The solver of y_0 = b_0, y_i = b_i + c_(i-1) y_(i-1) for the
+    coefficients c: y = P cumsum(b / P), P the running product of c.  P
+    restarts at 1 wherever it would leave [e^-300, e^300], so that no b / P
+    overflows, and the chunk that starts there carries the value before it."""
+    n = c.size + 1
+    P, chunks, s = np.ones(n), [], 0
+    while s < n:
+        p = np.cumprod(c[s:])
+        out = np.flatnonzero(~((np.exp(-300.0) < np.abs(p)) & (np.abs(p) < np.exp(300.0))))
+        e = s + 1 + (out[0] if out.size else p.size)
+        P[s + 1:e] = p[:e - s - 1]
+        chunks.append((s, e))
+        s = e
+
+    def solve(b):
+        y = b / P
+        for s, e in chunks:
+            if s:
+                y[s] += c[s - 1] * y[s - 1]
+            np.cumsum(y[s:e], out=y[s:e])
+            y[s:e] *= P[s:e]
+        return y
+    return solve
+
+
+def _gmres(A, b, M):
+    """One cycle of left-preconditioned GMRES (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986) for A x = b from x = 0, the callables A and M
+    applied to vectors: modified Gram-Schmidt, Givens rotations of the
+    Hessenberg columns and a back-substitution.  Stops when |M r| <=
+    _KRYLOV_RTOL |M b|, on a breakdown (the space holds the solution) or
+    after _KRYLOV_DIM iterations.  Returns (x, iterations)."""
+    r = M(b)
+    beta = float(np.linalg.norm(r))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V = np.empty((_KRYLOV_DIM + 1, b.size))
+    H = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM))    # column j from iteration j, rotated
+    g = np.zeros(_KRYLOV_DIM + 1)                   # beta e_1, rotated
+    g[0], V[0], rotations = beta, r * (1.0 / beta), []
+    for j in range(_KRYLOV_DIM):
+        w = M(A(V[j]))
+        h0 = np.linalg.norm(w)
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        h1 = np.linalg.norm(w)
+        breakdown = h1 <= np.finfo(float).eps * h0
+        if not breakdown:
+            H[j + 1, j], V[j + 1] = h1, w * (1.0 / h1)
+        for i, (c, s) in enumerate(rotations):
+            H[i, j], H[i + 1, j] = c * H[i, j] + s * H[i + 1, j], c * H[i + 1, j] - s * H[i, j]
+        f, h = float(H[j, j]), float(H[j + 1, j])
+        rho = copysign(hypot(f, h), f)
+        c, s = (f / rho, h / rho) if rho else (1.0, 0.0)
+        rotations.append((c, s))
+        H[j, j], H[j + 1, j], g[j], g[j + 1] = rho, 0.0, c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= _KRYLOV_RTOL * beta or breakdown:
+            break
+    k = j + 1
+    y = g[:k]
+    for i in range(k - 1, -1, -1):
+        y[i] = (y[i] - H[i, i + 1:k] @ y[i + 1:k]) / H[i, i]
+    return y @ V[:k], k
+
+
 @dataclass(frozen=True)
 class _IterateParts(Parts):
     """The parts of a solver iterate u and conv = (G @ u^p) / W, the Riesz
@@ -274,7 +340,7 @@ class _Discrete:
         # resolvability floor -- below it the stiffness/weight ratio amplifies
         # roundoff on graded grids and no trusted structure lives there anyway
         self.nlo = min(_MIN_SCALE_NODES, grid.n // 4)
-        self._factored = (None, None, None)     # (shift, d, e) of solve_shifted
+        self._factored = (None,) * 4    # (shift, pivots, two sweeps) of solve_shifted
 
     def xi_of(self, u):
         """Talenti-matched concentration scale from the peak value."""
@@ -346,9 +412,10 @@ class _Discrete:
         return F, res, defects, xi, bool(ok)
 
     def newton_system(self, u, shift, border, conv):
-        """(J, M) at u: J v is the Jacobian of W * grad(., shift), Dirichlet at the
-        last node, bordered by a KKT constraint gradient `border` (or None); M is
-        the factored A + s W, with a Schur complement on the border row."""
+        """(J, M) at u, two callables on vectors: J v is the Jacobian of
+        W * grad(., shift), Dirichlet at the last node, bordered by a KKT
+        constraint gradient `border` (or None); M is the factored A + s W, with
+        a Schur complement on the border row."""
         p, n, W = self.params, self.n, self.W
         mask = u > _POSITIVITY_FLOOR * max(u.max(), 1e-300)
         um = np.where(mask, u, 1.0)
@@ -384,9 +451,7 @@ class _Discrete:
                 x = self.solve_shifted(s, r[:n])
                 y = (border @ x - r[n]) / (border @ z)
                 return np.append(x - y * z, y)
-
-        m = n + (border is not None)
-        return tuple(LinearOperator((m, m), matvec=f, dtype=float) for f in (matvec, precond))
+        return matvec, precond
 
     def kappa(self, lam, kinetic):
         """lam floored at 0.02 K / a^2, so that A + kappa W is SPD when lam <= 0."""
@@ -394,28 +459,38 @@ class _Discrete:
 
     def solve_shifted(self, shift, rhs):
         """(A + shift W) x = rhs with Dirichlet at the last node, by the LDL^T
-        factors of the SPD tridiagonal, kept for the last shift used."""
+        factors of the SPD tridiagonal, kept for the last shift used: the
+        pivots d from one loop, LinAlgError unless each is > 0, and each unit
+        bidiagonal sweep a first-order recurrence (`_first_order`)."""
         if self._factored[0] != shift:
-            diag = np.append(self.Ad[:-1] + shift * self.W[:-1], 1.0)
-            d, e, info = dpttrf(diag, np.append(self.Ao[:-1], 0.0))
-            if info:
-                raise np.linalg.LinAlgError(f"A + {shift:g} W is not positive definite")
-            self._factored = (shift, d, e)
-        return dpttrs(*self._factored[1:], np.append(rhs[:-1], 0.0))[0]
+            e = self.Ao[:-1]        # x = 0 at the Dirichlet node: the leading block
+            d, di = [], 1.0         # d_i = a_i - e_(i-1)^2 / d_(i-1)
+            for ai, e2 in zip((self.Ad[:-1] + shift * self.W[:-1]).tolist(),
+                              [0.0] + (e * e).tolist()):
+                di = ai - e2 / di
+                if not di > 0:
+                    raise np.linalg.LinAlgError(f"A + {shift:g} W is not positive definite")
+                d.append(di)
+            d = np.array(d)
+            l = e / d[:-1]
+            self._factored = (shift, d, _first_order(-l), _first_order(-l[::-1]))
+        _, d, lower, upper = self._factored
+        z = lower(rhs[:-1]) / d
+        return np.append(upper(z[::-1])[::-1], 0.0)
 
     def polish(self, u, shift, bordered: bool):
         """Newton on the strong form at `shift`; `bordered` adds the mass
         constraint, with the shift as its multiplier (a KKT system).  Each step
-        is one GMRES cycle on `newton_system`, whose preconditioned J is the
-        identity minus a compact operator: the Krylov count does not grow with
-        n (Campbell, Ipsen, Kelley & Meyer, BIT 36, 1996).
+        is one GMRES cycle (`_gmres`) on `newton_system`, whose preconditioned
+        J is the identity minus a compact operator: the Krylov count does not
+        grow with n (Campbell, Ipsen, Kelley & Meyer, BIT 36, 1996).
 
         Returns (u, shift, steps, residual) of the best iterate.  Newton on
         the strong form is not residual-monotone (positive-part clipping
         re-shapes the tail): keep the best iterate, tolerate the early
         transient, and stop on genuine blow-up, on stagnation (the best
-        residual not halved in _STALL_STEPS steps), on a Krylov breakdown
-        or on a step below the resolvability floor.
+        residual not halved in _STALL_STEPS steps) or on a step below the
+        resolvability floor.
         """
         n, W = self.n, self.W
         a2 = self.params.a ** 2 if bordered else None
@@ -435,7 +510,7 @@ class _Discrete:
                 return self._stop("newton-stalled", *best, k, res_best)
             J, M = self.newton_system(u, shift, W * u if bordered else None, conv)
             rhs = np.append(-(W * F)[:-1], [0.0, -F2] if bordered else 0.0)   # Dirichlet row
-            step, _ = gmres(J, rhs, rtol=_KRYLOV_RTOL, restart=_KRYLOV_DIM, maxiter=1, M=M)
+            step, _ = _gmres(J, rhs, M)
             cand = _admissible(u + step[:n])
             if self.xi_of(cand) < self.xi_floor():
                 return self._stop("xi-floor", *best, k, res_best)

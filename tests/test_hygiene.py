@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every name a module lists in ``__all__`` is bound in it, every private
 top-level name is read somewhere in the package, every defaulted
-parameter of a package function is supplied by some call in the repo, and
-every error class is raised somewhere in the package.
+parameter of a package function is supplied by some call in the repo,
+every error class is raised somewhere in the package, and the only scipy
+subpackage a module imports at its top level is ``scipy.special``.
 
 A stdlib `ast` pass stands in for a linter.  An import on a line marked
 ``# noqa: F401`` is kept on purpose, a name listed in ``__all__`` is
@@ -185,3 +186,31 @@ def test_the_check_sees_an_unraised_error():
 def test_every_error_is_raised():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def top_level_scipy_imports(source: str) -> list:
+    """(line, module) for each import of a scipy module other than
+    ``scipy.special`` among the module's top-level statements; an import
+    inside a function runs only when that function is called."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [(node.lineno, node.module)] if node.module != "scipy" else [
+                (node.lineno, f"scipy.{a.name}") for a in node.names]
+    return [(line, mod) for line, mod in found
+            if mod.split(".")[0] == "scipy" and mod.split(".")[:2] != ["scipy", "special"]]
+
+
+def test_the_check_sees_a_top_level_scipy_import():
+    src = ("import numpy as np\nimport scipy.linalg\nfrom scipy.special import gamma\n"
+           "from scipy import sparse, special\nfrom scipy.sparse.linalg import gmres\n"
+           "def f():\n    from scipy.integrate import quad\n")
+    assert top_level_scipy_imports(src) == [(2, "scipy.linalg"), (4, "scipy.sparse"),
+                                            (5, "scipy.sparse.linalg")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_top_level_scipy_imports_are_scipy_special(path):
+    assert top_level_scipy_imports(path.read_text()) == []

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from choquard_lab.errors import InvalidConfiguration, InvalidParameter
 from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_parts,
@@ -591,30 +593,30 @@ def newton_state(params, grid):
 
 
 def counting_gmres(monkeypatch):
-    """Replace the solver's `gmres` by one that records the Krylov
-    iterations of each call; returns the list of counts."""
-    counts, gmres = [], solver_module.gmres
+    """Wrap the solver's `_gmres` to record the Krylov iterations of each
+    call; returns the list of counts."""
+    counts, gmres_cycle = [], solver_module._gmres
 
-    def counted(A, b, **kw):
-        calls = []
-        out = gmres(A, b, callback=calls.append, callback_type="pr_norm", **kw)
-        counts.append(len(calls))
-        return out
+    def counted(A, b, M):
+        x, k = gmres_cycle(A, b, M)
+        counts.append(k)
+        return x, k
 
-    monkeypatch.setattr(solver_module, "gmres", counted)
+    monkeypatch.setattr(solver_module, "_gmres", counted)
     return counts
 
 
 LAMBDA16 = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=16.0)
+NEWTON_SETUPS = pytest.mark.parametrize("params", [
+    LAMBDA16,
+    # p < 2: the regularized u^(p-2) diagonal
+    ProblemParams(N=3, alpha=2.0, p=1.8, q=4.0, mode="general", mu=1.0, lam=1.0),
+    ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)],
+    ids=["free-p4", "free-p-below-2", "bordered"])
 
 
 class TestNewtonKrylov:
-    @pytest.mark.parametrize("params", [
-        LAMBDA16,
-        # p < 2: the regularized u^(p-2) diagonal
-        ProblemParams(N=3, alpha=2.0, p=1.8, q=4.0, mode="general", mu=1.0, lam=1.0),
-        ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)],
-        ids=["free-p4", "free-p-below-2", "bordered"])
+    @NEWTON_SETUPS
     def test_product_matches_the_dense_jacobian(self, params, rng):
         solver, u, shift, border, conv = newton_state(params, make_grid(3, 40.0, 300, 2.5))
         J_dense = dense_jacobian(solver, u, shift, border, conv)
@@ -622,17 +624,51 @@ class TestNewtonKrylov:
         for _ in range(3):
             v = rng.standard_normal(J_dense.shape[0])
             ref = J_dense @ v
-            assert np.max(np.abs(J.matvec(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(J(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @NEWTON_SETUPS
+    def test_gmres_cycle_matches_scipys(self, params):
+        # the Newton step of the polish, against scipy's restarted GMRES run
+        # for one cycle with the same tolerance: the same iterations, the same
+        # step to roundoff
+        solver, u, shift, border, conv = newton_state(params, make_grid(3, 40.0, 300, 2.5))
+        J, M = solver.newton_system(u, shift, border, conv)
+        F, _ = solver.residual(u, shift, conv)
+        tail = [0.0] if border is None else [0.0, -0.5 * (solver.mass(u) - params.a ** 2)]
+        rhs = np.append(-(solver.W * F)[:-1], tail)
+        step, k = solver_module._gmres(J, rhs, M)
+        op = lambda f: LinearOperator((rhs.size, rhs.size), matvec=f, dtype=float)
+        calls = []
+        ref, _ = gmres(op(J), rhs, rtol=solver_module._KRYLOV_RTOL, maxiter=1,
+                       restart=solver_module._KRYLOV_DIM, M=op(M), callback=calls.append,
+                       callback_type="pr_norm")
+        assert k == len(calls) > 1
+        assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_factored_solve_matches_a_banded_solve(self, rng):
-        solver = _FreeSolver(LAMBDA16, make_grid(3, 40.0, 300, 2.5))
         # the first shift twice (the second call reuses its factors), then a
-        # new shift and back
-        for shift in (1.0, 1.0, 0.37, 1.0):
-            rhs = rng.standard_normal(solver.n)
-            ref = banded_solve(solver, shift, rhs)
-            x = solver.solve_shifted(shift, rhs)
-            assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # new shift and back; then large shifts on the threshold grid and one
+        # on a wide N = 4 grid, where the running products of the multipliers
+        # l fall below e^-300 at least twice, so that the sweeps restart in
+        # several chunks and carry a value across each restart
+        for grid_args, shifts in (((3, 40.0, 300, 2.5), (1.0, 1.0, 0.37, 1.0)),
+                                  ((3, 40.0, 1000, 2.5), (1e4, 1e6)),
+                                  ((4, 240.0, 1400, 3.0), (16.0,))):
+            solver = _FreeSolver(LAMBDA16, make_grid(*grid_args))
+            for shift in shifts:
+                if shift > 1.0:
+                    _, l, _ = dpttrf(solver.Ad[:-1] + shift * solver.W[:-1], solver.Ao[:-1])
+                    logs = np.log(np.abs(l))
+                    assert logs.sum() < -2 * (300 + np.max(np.abs(logs)))
+                rhs = rng.standard_normal(solver.n)
+                ref = banded_solve(solver, shift, rhs)
+                x = solver.solve_shifted(shift, rhs)
+                assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # an indefinite A + shift W: each pivot is tested with `not d > 0`,
+        # which a NaN pivot fails too
+        for shift in (-1.0, -16.0, np.nan):
+            with pytest.raises(np.linalg.LinAlgError):
+                solver.solve_shifted(shift, np.ones(solver.n))
 
     def test_krylov_iterations_do_not_grow_with_n(self, monkeypatch):
         # the tridiagonal-preconditioned Jacobian is the identity minus a

@@ -3,7 +3,8 @@
 sweep load no scipy subpackage those paths never call.  Each command-line
 process pays every import, so scipy.integrate is imported only where it is
 used (shooting), scipy.optimize only by a reader of `solver.brentq`, and
-scipy.interpolate never."""
+scipy.interpolate, scipy.linalg and scipy.sparse never: the table
+compression, the preconditioner and the Newton solve use numpy alone."""
 
 import json
 import os
@@ -12,7 +13,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-DEFERRED = ("scipy.optimize", "scipy.interpolate", "scipy.integrate")
+DEFERRED = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.linalg",
+            "scipy.sparse")
 
 CHILD = """
 import importlib, json, pkgutil, sys
