@@ -1,12 +1,16 @@
 """Energies, constraint functionals and fibering maps.
 
-Four problem modes share one parts-based implementation:
+Equation (P) has two nonlinear terms, the Riesz interaction R and the
+q-power P.  A problem mode says which of them carries a coupling, and
+whether the mass is fixed; `_MODES` is that table:
 
 * ``lambda``  : I(u) = 1/2 (K + M) - R/(2p) - (lam/q) P
 * ``mu``      : I(u) = 1/2 (K + M) - (mu/2p) R - P/q
 * ``general`` : I(u) = 1/2 (K + mc M) - (mu/2p) R - (lam/q) P
 * ``normalized-hls`` / ``normalized-sobolev`` : mass-constrained energies
-  with the critical term carrying coefficient one.
+  1/2 K - R/(2p) - (nu/q) P with p = 2_alpha^* (HLS-critical) and
+  1/2 K - (nu/2p) R - P/q with q = 2^* (Sobolev-critical): the term left
+  uncoupled is the critical one.
 
 K, M, R, P are the four integrals (kinetic, mass, Riesz interaction,
 q-power).  Every energy-type quantity is one sum over them,
@@ -38,17 +42,23 @@ __all__ = ["ProblemParams", "EnergyBreakdown", "Parts", "compute_parts",
            "identity_prediction", "scaled_parts", "nehari_project", "fiber_profile",
            "FiberProfile"]
 
-_MODES = ("lambda", "mu", "general", "normalized-hls", "normalized-sobolev")
+# mode -> the fields holding the couplings of the Riesz and of the power term;
+# None is a coefficient of one
+_MODES = {"lambda": (None, "lam"), "mu": ("mu", None), "general": ("mu", "lam"),
+          "normalized-hls": (None, "nu"), "normalized-sobolev": ("nu", None)}
 
 
 @dataclass(frozen=True)
 class ProblemParams:
     """Problem family: dimension, Riesz order, exponents and couplings.
 
-    ``mass_coeff`` scales the L2 term of the free energies; rescaled frames
-    (small-coupling studies) use values != 1.  The couplings ``lam``, ``mu``
-    and ``nu`` are nonnegative in every mode.  Derived exponents are
-    recomputed on access, never stored.
+    ``mode`` names a row of `_MODES`: the fields whose values couple the
+    Riesz and the power term, the other term carrying coefficient one.  A
+    ``lambda`` or ``mu`` mode needs its one coupling positive, and a
+    normalized mode needs its uncoupled term critical (p = 2_alpha^* or
+    q = 2^*).  ``mass_coeff`` scales the L2 term of the free energies.  The
+    couplings ``lam``, ``mu`` and ``nu`` are nonnegative in every mode.
+    Derived exponents are recomputed on access, never stored.
     """
 
     N: int
@@ -75,18 +85,18 @@ class ProblemParams:
             raise InvalidParameter(f"q={self.q} outside (2, {self.two_star}]")
         if not all(map(math.isfinite, (self.lam, self.mu, self.nu, self.a, self.mass_coeff))):
             raise InvalidParameter("lam, mu, nu, a and mass_coeff must be finite")
-        if self.lam < 0 or self.mu < 0:
-            raise InvalidParameter("couplings lam and mu must be >= 0")
-        if self.mode == "lambda" and self.lam <= 0:
-            raise InvalidParameter("lambda mode needs lam > 0")
-        if self.mode == "mu" and self.mu <= 0:
-            raise InvalidParameter("mu mode needs mu > 0")
-        if self.mode == "normalized-hls" and self.p != self.two_alpha_star:
-            raise InvalidParameter("normalized-hls mode requires p = (N+alpha)/(N-2)")
-        if self.mode == "normalized-sobolev" and self.q != self.two_star:
-            raise InvalidParameter("normalized-sobolev mode requires q = 2N/(N-2)")
-        if self.normalized and (self.nu < 0 or self.a <= 0):
-            raise InvalidParameter("normalized modes need nu >= 0 and a > 0")
+        if min(self.lam, self.mu, self.nu) < 0:
+            raise InvalidParameter("couplings lam, mu and nu must be >= 0")
+        if self.normalized and self.a <= 0:
+            raise InvalidParameter("normalized modes need a > 0")
+        couplings = _MODES[self.mode]
+        if None in couplings:
+            k = couplings.index(None)       # 0: the Riesz term is uncoupled, 1: the power term
+            if self.normalized and (self.p, self.q)[k] != (self.two_alpha_star, self.two_star)[k]:
+                raise InvalidParameter(f"{self.mode} mode requires "
+                                       f"{('p = (N+alpha)/(N-2)', 'q = 2N/(N-2)')[k]}")
+            if not self.normalized and getattr(self, couplings[1 - k]) <= 0:
+                raise InvalidParameter(f"{self.mode} mode needs {couplings[1 - k]} > 0")
 
     # derived exponents -------------------------------------------------
     @property
@@ -106,39 +116,21 @@ class ProblemParams:
         return (self.N * self.p - self.N - self.alpha) / (2.0 * self.p)
 
     @property
-    def gamma_exp(self) -> float:
-        return 2.0 * self.N - (self.N - 2) * self.q
-
-    @property
-    def eta_exp(self) -> float:
-        return self.N + self.alpha - self.p * (self.N - 2)
-
-    @property
     def normalized(self) -> bool:
         return self.mode.startswith("normalized")
 
-    # energy coefficients ----------------------------------------------
+    # energy coefficients: lookups in the mode's row of `_MODES` ---------
     @property
     def riesz_coeff(self) -> float:
-        if self.mode == "lambda":
-            return 1.0
-        if self.mode in ("mu", "general"):
-            return self.mu
-        if self.mode == "normalized-hls":
-            return 1.0
-        return self.nu
+        return self._coeff(0)
 
     @property
     def power_coeff(self) -> float:
-        if self.mode == "lambda":
-            return self.lam
-        if self.mode == "mu":
-            return 1.0
-        if self.mode == "general":
-            return self.lam
-        if self.mode == "normalized-hls":
-            return self.nu
-        return 1.0
+        return self._coeff(1)
+
+    def _coeff(self, term: int) -> float:
+        name = _MODES[self.mode][term]
+        return 1.0 if name is None else getattr(self, name)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import CoefficientTable
 from .errors import BracketFailure, ChoquardLabError, InvalidConfiguration, InvalidParameter
-from .functional import ProblemParams
+from .functional import _MODES, ProblemParams
 from .grid import RadialGrid, integrate
 from .solver import _best, ground_state, normalized_branches, second_solution_via_rescale
 
@@ -95,11 +95,11 @@ class ThresholdResult:
 
 
 def _coupled_params(base: ProblemParams, coupling: float) -> ProblemParams:
-    if base.mode == "lambda":
-        return replace(base, lam=coupling)
-    if base.mode == "mu":
-        return replace(base, mu=coupling)
-    raise InvalidParameter("threshold scans operate on the lambda or mu modes")
+    """base with the one coupling of its free mode (`_MODES`) set to `coupling`."""
+    coupled = [name for name in _MODES[base.mode] if name is not None]
+    if base.normalized or len(coupled) != 1:
+        raise InvalidParameter("threshold scans operate on the lambda or mu modes")
+    return replace(base, **{coupled[0]: coupling})
 
 
 def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float,
@@ -196,8 +196,9 @@ def multiplicity_experiment(params_template: ProblemParams, nus, grid: RadialGri
     pt = params_template
     if not pt.normalized:
         raise InvalidParameter("multiplicity experiment needs a normalized mode")
-    # the mode's smallness gate: nu a^power at most its bound
-    hls = pt.mode == "normalized-hls"
+    # the mode's smallness gate, nu a^power at most its bound, is the HLS one
+    # when the table leaves the Riesz term uncoupled (critical)
+    hls = _MODES[pt.mode][0] is None
     bound = None if coeffs is None else (coeffs.nu_bound_hls if hls else coeffs.nu_bound_sob)
     power = pt.q * (1 - pt.gamma_q) if hls else 2 * pt.p * (1 - pt.eta_p)
     rows = []

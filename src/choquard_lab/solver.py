@@ -29,7 +29,7 @@ from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
 from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
                          fiber_energy, identity_prediction, multiplier_from_parts,
                          scaled_parts, _defects_from_parts, _fiber_critical_points,
-                         _ray_root, _values)
+                         _fiber_exponents, _MODES, _ray_root, _values)
 from .grid import RadialField, RadialGrid, apply_stiffness, make_grid
 from .profiles import cutoff_bubble, gaussian, talenti_scale
 from .riesz import _check_dimension, kernel_table
@@ -883,9 +883,12 @@ class RescaledSolution:
 def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolution:
     """Map a converged P- normalized solution to a frequency-1 solution.
 
-    v(x) = lam^(-(N-2)/4) u(lam^(-1/2) x) solves the free problem with
-    effective coupling nu * lam^(-(2N-q(N-2))/4) (HLS-critical mode) or
-    nu * lam^(-(N+alpha-p(N-2))/2) (Sobolev-critical mode).  v is
+    v(x) = lam^(-(N-2)/4) u(lam^(-1/2) x) solves the free problem of the mode
+    that leaves the same term uncoupled (`lambda` for HLS-critical, `mu` for
+    Sobolev-critical).  The map multiplies each part by a power of lam, read
+    off the exponent rows of `scaled_parts`; the coupling is nu times lam to
+    the kinetic part's power minus the coupled part's:
+    nu * lam^(-(2N-q(N-2))/4) or nu * lam^(-(N+alpha-p(N-2))/2).  v is
     `RadialField.rescaled`, node for node; a scaled residual above
     _RESCALE_TOL raises RescaleInconsistency.
     """
@@ -895,14 +898,13 @@ def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolut
     lam = result.lambda_nu
     N = params.N
     v = result.field.rescaled(lam ** (-(N - 2) / 4.0), 1.0 / np.sqrt(lam))
-    if params.mode == "normalized-hls":
-        coupling = params.nu * lam ** (-params.gamma_exp / 4.0)
-        eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
-                            mode="lambda", lam=coupling)
-    else:
-        coupling = params.nu * lam ** (-params.eta_exp / 2.0)
-        eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q,
-                            mode="mu", mu=coupling)
+    k = _MODES[params.mode].index(None)      # 0: the Riesz term is uncoupled, 1: the power term
+    mode = next(m for m, c in _MODES.items() if c[k] is None and not m.startswith("normalized"))
+    expo = [-(N - 2) / 4.0 * r + d / 2.0 for r, d in
+            zip(_fiber_exponents(params, "ray"), _fiber_exponents(params, "dilation"))]
+    coupling = getattr(params, _MODES[params.mode][1 - k]) * lam ** (expo[0] - expo[3 - k])
+    eff = ProblemParams(N=N, alpha=params.alpha, p=params.p, q=params.q, mode=mode,
+                        **{_MODES[mode][1 - k]: coupling})
     solver = _FreeSolver(eff, v.grid)
     u = _admissible(v.values)
     parts = solver.parts(u)

@@ -41,7 +41,9 @@ class TestProblemParams:
         ("mu", {"mu": -1.0}), ("mu", {"mu": 1.0, "lam": -1.0}),
         ("general", {"mu": -1.0, "lam": 1.0}), ("general", {"mu": 1.0, "lam": -1.0}),
         ("normalized-hls", {"nu": 0.1, "lam": -1.0}),
-        ("normalized-sobolev", {"nu": 0.1, "mu": -1.0})])
+        ("normalized-sobolev", {"nu": 0.1, "mu": -1.0}),
+        ("lambda", {"lam": 1.0, "nu": -1.0}), ("mu", {"mu": 1.0, "nu": -1.0}),
+        ("general", {"nu": -1.0})])
     def test_negative_couplings_rejected(self, mode, kw):
         # a negative coupling can give the ray fiber a maximum and a minimum
         # (general, p = q = 3, mu = -1: at t ~ 0.2 and t ~ 2.1 for parts
@@ -67,8 +69,17 @@ class TestProblemParams:
         assert pp.two_alpha_star == 4.0
         assert np.isclose(pp.gamma_q, 0.75)
         assert np.isclose(pp.eta_p, 0.5)
-        assert pp.gamma_exp == 2 * 3 - 1 * 4
-        assert pp.eta_exp == 3 + 1 - 2 * 1
+
+    @pytest.mark.parametrize("mode,p,q,coeffs", [
+        ("lambda", 3.0, 3.0, (1.0, 0.3)), ("mu", 3.0, 3.0, (0.7, 1.0)),
+        ("general", 3.0, 3.0, (0.7, 0.3)), ("normalized-hls", 5.0, 3.0, (1.0, 1.1)),
+        ("normalized-sobolev", 2.0, 6.0, (1.1, 1.0))],
+        ids=["lambda", "mu", "general", "normalized-hls", "normalized-sobolev"])
+    def test_mode_coefficients(self, mode, p, q, coeffs):
+        # (riesz_coeff, power_coeff) written out by hand, with lam, mu and nu
+        # distinct so a coefficient read from the wrong field shows
+        pp = ProblemParams(N=3, alpha=2.0, p=p, q=q, mode=mode, lam=0.3, mu=0.7, nu=1.1)
+        assert (pp.riesz_coeff, pp.power_coeff) == coeffs
 
 
 class TestEnergyBreakdown:

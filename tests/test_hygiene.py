@@ -2,8 +2,10 @@
 every name a module lists in ``__all__`` is bound in it, every private
 top-level name is read somewhere in the package, every defaulted
 parameter of a package function is supplied by some call in the repo,
-every error class is raised somewhere in the package, and the only scipy
-subpackage a module imports at its top level is ``scipy.special``.
+every error class is raised somewhere in the package, the only scipy
+subpackage a module imports at its top level is ``scipy.special``, and no
+module but ``functional.py`` compares a ``.mode``: what a problem mode
+means is written once, in its table ``functional._MODES``.
 
 A stdlib `ast` pass stands in for a linter.  An import on a line marked
 ``# noqa: F401`` is kept on purpose, a name listed in ``__all__`` is
@@ -214,3 +216,24 @@ def test_the_check_sees_a_top_level_scipy_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_top_level_scipy_imports_are_scipy_special(path):
     assert top_level_scipy_imports(path.read_text()) == []
+
+
+def mode_comparisons(source: str) -> list:
+    """Lines of the comparisons (==, in, ...) that have a ``.mode`` attribute
+    on either side."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Compare)
+                   and any(isinstance(x, ast.Attribute) and x.attr == "mode"
+                           for x in [n.left, *n.comparators])})
+
+
+def test_the_check_sees_a_mode_comparison():
+    # a lookup keyed by the mode is no comparison
+    src = ("if p.mode == 'lambda':\n    pass\ny = 'mu' != q.mode\n"
+           "z = table[p.mode] is None\nw = p.mode in ('mu', 'lambda')\n")
+    assert mode_comparisons(src) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "functional.py"],
+                         ids=lambda p: p.name)
+def test_only_functional_compares_a_mode(path):
+    assert mode_comparisons(path.read_text()) == []

@@ -490,6 +490,25 @@ class TestSecondSolutionRescale:
         assert np.isclose(out.coupling, 0.7, rtol=1e-14)
         assert np.allclose(out.field.values[:-1], w.values[:-1], rtol=1e-6, atol=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.3, 0.77, 1.9, 7.3])
+    def test_sobolev_coupling_exponent(self, lam, monkeypatch):
+        # synthetic converged Sobolev-critical branch (N=4, alpha=1, p=1.4):
+        # mu = nu * lambda_nu^(-(N + alpha - p(N-2))/2); the gaussian solves
+        # nothing, so the residual gate is lifted
+        monkeypatch.setattr(solver_module, "_RESCALE_TOL", np.inf)
+        params = ProblemParams(N=4, alpha=1.0, p=1.4, q=4.0, mode="normalized-sobolev",
+                               nu=0.5, a=1.0)
+        fake = NormalizedBranchResult(params=params, field=gaussian(make_grid(4, 20.0, 200, 2.0)),
+                                      level=1.0, lambda_nu=lam,
+                                      multiplier_identity_defect=0.0,
+                                      pde_residual_scaled=0.0, iterations=0,
+                                      converged=True, exit_reason="tol")
+        out = second_solution_via_rescale(fake)
+        expect = 0.5 * lam ** (-(4 + 1.0 - 1.4 * (4 - 2)) / 2)
+        assert out.params_effective.mode == "mu"
+        assert out.params_effective.mu == out.coupling
+        assert np.isclose(out.coupling, expect, rtol=1e-14, atol=0.0)
+
     def test_coupling_exponent_audit(self, hls_branches):
         # N=3, q=3: lam = nu * lambda_nu^(-(2N - q(N-2))/4) = nu lambda_nu^(-3/4)
         params, out = hls_branches
