@@ -4,9 +4,9 @@ The reduced radial kernel is the exact angular average of
 A_alpha(N) |x-y|^(alpha-N) over a sphere, evaluated in closed form through
 a Gauss hypergeometric function F of z = (min/max)^2 (see `kernel_value`).
 In N = 3, F is elementary at every alpha (Newton's shell theorem).  For
-N >= 4 it has two branches, chosen from z and alpha alone: scipy's `hyp2f1`
-for z <= 1/2 and whenever alpha - 1 is within 0.01 of an integer, and
-otherwise the z -> 1-z connection formula (DLMF 15.8.4), two series in
+N >= 4 it has two branches, chosen from z alone: scipy's `hyp2f1` for
+z <= 1/2, and above it the z -> 1-z connection formula (DLMF 15.8.4, with
+its integer alpha - 1 limit, 15.8.10, in one form: `_Connection`), series in
 w = 1 - z summed in numpy with w formed from max - min, the later terms only
 where a point's own w needs them, so that a value never depends on the other
 points of a call.  Near the diagonal, where the quadrature samples most,
@@ -75,9 +75,6 @@ def riesz_normalization(N: int, alpha: float) -> float:
     return gamma((N - alpha) / 2) / (gamma(alpha / 2) * pi ** (N / 2) * 2 ** alpha)
 
 
-# alpha - 1 closer than this to an integer keeps the direct branch: the
-# connection coefficients have poles there
-_INTEGER_GAP = 0.01
 # series terms below this no longer change an O(1) sum in double precision;
 # every point sums the first _SHALLOW terms, all a w below about 0.07 needs
 _SERIES_TOL, _SHALLOW = 2.0 ** -56, 16
@@ -86,22 +83,23 @@ _SERIES_TOL, _SHALLOW = 2.0 ** -56, 16
 class _Connection(NamedTuple):
     """DLMF 15.8.4 for F(a, b; c; z) with eps = c - a - b = alpha - 1, w = 1 - z:
 
-        F = A1 S1 + A2 w^eps S2,   S1 = F(a, b; 1-eps; w),  S2 = F(b+eps, a+eps; 1+eps; w),
+        F = A1 S1 + A2 w^eps S2,   S1 = F(a, b; 1-eps; w),  S2 = F(a+eps, b+eps; 1+eps; w),
 
-    rearranged as F = A1 (S1 - S2) + S2 (B0 + A2 expm1(eps log w)) with
-    B0 = A1 + A2.  Near an integer eps, A1 and A2 are large and of opposite
-    sign, and so are the two terms of the textbook form; in this one every
-    term stays of the size of F.  The coefficients of S1 - S2 are differenced
-    with the factor eps taken out, and B0 is fixed by continuity with `hyp2f1`
-    at z = 1/2 instead of being formed from the cancelling A1 + A2.
+    regrouped about m = max(round(eps), 0), d = eps - m, as F = A1 H +
+    w^m [sigma Dd + S2 (T0 + A2d E_d(w))]: H is S1's first m terms, Dd_j =
+    (s1_(m+j) / s1_m - s2_j) / d with s1, s2 the coefficients of S1 and S2,
+    E_d = `_E`, sigma = A1 s1_m d and A2d = A2 d.  Where A1 s1_m and A2 have
+    opposite poles (d = 0, DLMF 15.8.10) sigma, A2d and T0 = A1 s1_m + A2 have
+    none, and T0 is fixed by continuity with `hyp2f1` at z = 1/2.
 
-    coefs[k]: the k-th coefficients of S1 - S2 and of S2.
+    coefs[k]: the k-th coefficients of A1 H + w^m sigma Dd and of w^m S2;
+    A1: Gauss's value F(1), +inf for alpha <= 1.
     """
 
-    eps: float
+    d: float
     A1: float
-    A2: float
-    B0: float
+    A2d: float
+    T0: float
     coefs: np.ndarray
 
 
@@ -110,35 +108,35 @@ class _KernelConstants(NamedTuple):
 
     pref: A_alpha |S^(N-1)|, which is A_alpha |S^(N-2)| B((N-1)/2, 1/2);
     (a, b, c): the parameters of F.
-    `connection` is None where alpha keeps the direct branch, else the
-    `_Connection` of (N, alpha).
     """
 
     pref: float
     a: float
     b: float
     c: float
-    connection: _Connection | None
 
 
-def _series_coefficients(a: float, b: float, eps: float) -> np.ndarray:
-    """Rows k of [coefficient of S1 - S2, coefficient of S2] (see `_Connection`),
-    up to where every term at w = 1/2 is below _SERIES_TOL and the next ones
-    shrink by a factor of at most 3/4 per step."""
-    d, c2 = 0.0, 1.0
-    rows = [(d, c2)]
-    k = 0
+def _series_coefficients(a: float, b: float, alpha: float, m: int) -> np.ndarray:
+    """Rows j of [Dd_j, s2_j] (see `_Connection`), up to where every term at
+    w = 1/2 is below _SERIES_TOL and the next ones shrink by a factor of at
+    most 3/4 per step; S2's from alpha itself, which cancels nothing as alpha -> 0."""
+    d, a2 = alpha - 1.0 - m, a + alpha - 1.0
+    p, q, D = 1.0, 1.0, 0.0
+    rows = [(D, q)]
+    j = 0
     while True:
-        A, B, C = a + k, b + k, 1.0 + k
-        r1 = A * B / ((C - eps) * C)
-        r2 = (A + eps) * (B + eps) / ((C + eps) * C)
-        # r1 - r2, with the factor eps taken out by hand
-        dr = (eps * (2 * A * B - (A + B) * C + eps * (A + B - C) + eps * eps)
-              / ((C - eps) * (C + eps) * C))
-        d, c2 = d * r1 + c2 * dr, c2 * r2
-        rows.append((d, c2))
-        k += 1
-        if (max(abs(d), abs(c2)) * 0.5 ** k < _SERIES_TOL
+        A, B, C, M = a + m + j, b + m + j, 1.0 + j, 1.0 + m + j
+        r1 = A * B / ((C - d) * M)
+        r2 = (a2 + j) * (0.5 * alpha + j) / ((alpha + j) * C)
+        if d < -0.5:
+            D = (p * r1 - q * r2) / d
+        else:       # r1 - r2, with the factor d taken out by hand
+            D = D * r1 + q * ((A * B * (C + M) - (A + B) * C * M + d * (A + B - C) * M
+                               + d * d * M) / ((C - d) * M * (M + d) * C))
+        p, q = p * r1, q * r2
+        rows.append((D, q))
+        j += 1
+        if (max(abs(D), abs(q)) * 0.5 ** j < _SERIES_TOL
                 and max(abs(r1), abs(r2)) <= 1.5):
             return np.array(rows)
 
@@ -170,28 +168,39 @@ def _kernel_constants(N: int, alpha: float) -> _KernelConstants:
     """The constants of (N, alpha), computed once; InvalidParameter unless
     0 < alpha < N."""
     pref = riesz_normalization(N, alpha) * sphere_surface(N)
-    a, b, c = (N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0
+    return _KernelConstants(pref, (N - alpha) / 2.0, 1.0 - alpha / 2.0, N / 2.0)
+
+
+@lru_cache(maxsize=64)
+def _connection(N: int, alpha: float) -> _Connection:
+    """The `_Connection` of (N, alpha), computed once."""
+    _, a, b, c = _kernel_constants(N, alpha)
     eps = alpha - 1.0
-    if N == 3 or abs(eps - round(eps)) < _INTEGER_GAP:
-        return _KernelConstants(pref, a, b, c, None)
-    A1 = gamma(c) * gamma(eps) / (gamma(c - a) * gamma(c - b))
-    A2 = gamma(c) * gamma(-eps) / (gamma(a) * gamma(b))
-    coefs = _series_coefficients(a, b, eps)
+    m = max(round(eps), 0)
+    d, poch = eps - m, np.prod(np.arange(m) - eps)       # prod_(k<m) (k - eps)
+    A1 = gamma(c) * gamma(eps) / (gamma(alpha / 2) * gamma(c - b)) if eps > 0 else np.inf
+    k, h = np.arange(m), np.arange(m - 1)
+    head = A1 * np.cumprod(np.r_[1.0, (a + h) * (b + h) / ((1 - eps + h) * (1 + h))])[:m]
+    # Gamma(alpha) / Gamma(alpha/2) as Gamma(1 + alpha) / (2 Gamma(1 + alpha/2))
+    sigma = (gamma(c) * gamma(1 + alpha) * np.prod((a + k) * (b + k) / (1 + k))
+             / (2 * poch * gamma(1 + alpha / 2) * gamma(c - b)))
+    # 1/Gamma(b) = 0 at an even alpha (b = 1 - alpha/2 = 0, -1, ...)
+    A2d = 0.0 if alpha % 2 == 0 else -gamma(c) * gamma(1 - d) / (poch * gamma(a) * gamma(b))
+    coefs = np.vstack([np.c_[head, np.zeros(m)],
+                       _series_coefficients(a, b, alpha, m) * [sigma, 1.0]])
     coefs.flags.writeable = False
-    D, S2 = _sum_series(coefs, np.array([0.5]))[:, 0]
-    B0 = (hyp2f1(a, b, c, 0.5) - A1 * D) / S2 - A2 * np.expm1(-eps * np.log(2.0))
-    return _KernelConstants(pref, a, b, c, _Connection(eps, A1, A2, B0, coefs))
+    G, S = _sum_series(coefs, np.array([0.5]))[:, 0]
+    T0 = (hyp2f1(a, b, c, 0.5) - G) / S - A2d * _E(d, -np.log(2.0))
+    return _Connection(d, A1, A2d, T0, coefs)
 
 
 def _connection_branch(con: _Connection, hi, lo):
     """F((lo/hi)^2) through DLMF 15.8.4, for lo/hi > 1/sqrt(2)."""
     w = ((hi - lo) / hi) * ((hi + lo) / hi)      # hi - lo is exact here
-    D, S2 = _sum_series(con.coefs, w)
+    G, S = _sum_series(con.coefs, w)
     logw = np.log(w, out=np.zeros_like(w), where=w > 0)
-    F = con.A1 * D + S2 * (con.B0 + con.A2 * np.expm1(con.eps * logw))
-    # on the diagonal w^eps vanishes for alpha > 1, leaving Gauss's value A1,
-    # and diverges for alpha < 1
-    F[w == 0] = con.A1 if con.eps > 0 else np.inf
+    F = G + S * (con.T0 + con.A2d * _E(con.d, logw))
+    F[w == 0] = con.A1      # w^eps is 0 there for alpha > 1, +inf for alpha <= 1
     return F
 
 
@@ -229,14 +238,15 @@ def kernel_value(N: int, alpha: float, r, s):
       - 1 at alpha = 2;
       - at N = 3, the elementary `_shell_average`, within 1e-14 relative of
         the exact value at every alpha and up to the diagonal;
-      - for N >= 4, scipy's `hyp2f1` at z <= 1/2, and at every z when
-        alpha - 1 lies within 0.01 of an integer (alpha = 1, 3, ...);
-      - otherwise, for z > 1/2, the z -> 1-z connection formula
+      - for N >= 4, scipy's `hyp2f1` at z <= 1/2;
+      - for N >= 4 and z > 1/2, the z -> 1-z connection formula
         F = A1 F(a, b; 2-alpha; w) + A2 w^(alpha-1) F(c-a, c-b; alpha; w)
-        (DLMF 15.8.4, see `_Connection`) with w = 1 - z formed from
+        (DLMF 15.8.4), regrouped so that it holds at every alpha, integer
+        alpha - 1 included (`_Connection`), with w = 1 - z formed from
         max - min, within 1e-13 relative of the exact value up to the diagonal.
-    On the diagonal K is +inf for alpha <= 1 and finite for alpha > 1; the
-    quadrature rows never use it there (product integration takes over).
+    On the diagonal K is +inf for alpha <= 1 and finite for alpha > 1 (and
+    +inf at r = s = 0); the quadrature rows never use it there (product
+    integration takes over).
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -258,15 +268,14 @@ def _kernel(N: int, alpha: float, r, s, out, *work):
         F = None
     elif N == 3:
         F = _shell_average(alpha - 1.0, x, hi, lo, work[2])
-    elif kc.connection is None:
-        F = hyp2f1(kc.a, kc.b, kc.c, x ** 2)
     else:
         z2 = x ** 2
         near = z2 > 0.5
         F = np.empty_like(z2)
         F[~near] = hyp2f1(kc.a, kc.b, kc.c, z2[~near])
-        F[near] = _connection_branch(kc.connection, hi[near], lo[near])
-    hi **= alpha - N
+        F[near] = _connection_branch(_connection(N, alpha), hi[near], lo[near])
+    with np.errstate(divide="ignore"):          # +inf at r = s = 0
+        hi **= alpha - N
     hi *= kc.pref
     if F is not None:
         hi *= F
@@ -283,8 +292,7 @@ def _refined_pieces(t, a, b):
     inside, and each part is cut at distances L / 4^k (k = 1..13, L its length)
     from its end nearest t; an unused cut leaves an empty piece.  A cut within
     1e-11 |end| of that end is unused, and a target within 1e-11 relative of a
-    panel end counts as sitting there: closer, the direct `hyp2f1` branch of
-    `kernel_value` overflows (z rounds to 1), or Gauss points round onto t.
+    panel end counts as sitting there: closer, Gauss points round onto t.
     """
     near = lambda end: np.abs(t - end) <= 1e-11 * np.abs(end)
     t = np.where(near(a), a, np.where(near(b), b, t))

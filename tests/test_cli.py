@@ -365,6 +365,17 @@ def test_a_range_end_out_of_range_is_an_error(tmp_path, capsys, name, key, value
     assert err.startswith(f"error: config key {key!r}") and err.count("\n") == 1
 
 
+def test_a_nan_rel_tol_is_an_error(tmp_path, capsys):
+    # scan_threshold took rel_tol = nan from the config and returned the
+    # unrefined coupling range as its bracket
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[scan-threshold]\n{CONFIGS['scan-threshold']}".replace(
+        "rel_tol = 0.5", "rel_tol = nan"))
+    assert main(["--config", str(cfg), "scan-threshold"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: need finite rel_tol > 0")
+
+
 def test_a_nan_bubble_scale_ends_the_run(tmp_path):
     # a NaN eps made the mass calibration search for its bracket forever;
     # the timeout makes a hang a failure

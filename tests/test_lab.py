@@ -143,6 +143,28 @@ class TestThreshold:
         assert res.degenerate
         assert seen == [(16.0, 2.0), (0.5, 2.0)]
 
+    @pytest.mark.parametrize("rel_tol, delta_frac", [
+        (np.nan, 0.005), (0.0, 0.005), (-0.1, 0.005), (np.inf, 0.005),
+        (0.05, np.nan), (0.05, -0.01), (0.05, np.inf)])
+    def test_tolerances_guarded(self, monkeypatch, rel_tol, delta_frac):
+        # rel_tol = nan returned the unrefined range (0.5, 16.0) as the bracket
+        # after 2 solves, and a negative delta counted levels above crit as
+        # attained; the scan now stops before its first solve
+        monkeypatch.setattr(lab, "ground_state", lambda *a, **k: pytest.fail("solved"))
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        with pytest.raises(InvalidParameter, match="rel_tol"):
+            scan_threshold(base, (0.5, 16.0), 5.0, SimpleNamespace(key=("fake",)),
+                           delta_frac=delta_frac, rel_tol=rel_tol)
+
+    def test_zero_delta_is_a_valid_tolerance(self, monkeypatch):
+        # delta_frac = 0: attained means strictly below crit
+        monkeypatch.setattr(lab, "ground_state", lambda *a, **k: SimpleNamespace(
+            converged=True, level=4.0, field="f", concentration_scale=1.0))
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        res = scan_threshold(base, (0.5, 16.0), 5.0, SimpleNamespace(key=("fake",)),
+                             delta_frac=0.0)
+        assert res.degenerate and res.delta == 0.0
+
     def test_modes_guarded(self, scan_grid):
         base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="general", mu=1, lam=1)
         with pytest.raises(InvalidParameter):
