@@ -31,6 +31,7 @@ from .grid import RadialField, integrate, make_grid
 from .lab import (MultiplicityRow, RunManifest, check_out_root, coupling_gap_scan,
                   frame_exponents, multiplicity_experiment, persist_run, scan_threshold)
 from .profiles import talenti
+from .riesz import _check_dimension
 from .solver import ground_state, normalized_branches, shoot_local_ground_state
 from .testfn import bubble_sweep
 
@@ -90,6 +91,7 @@ def _csv(header, rows):
 
 def cmd_constants(cfg):
     N, alpha, q = cfg.get("n_dim", 3), cfg.get("alpha", 2.0), cfg.get("q", 3.0)
+    _check_dimension(N)         # before the default p divides by N - 2
     p = cfg.get("p", (N + alpha) / (N - 2))
     grid = _grid_from(cfg, (N, 400.0, 2400, 3.0))
     q_ground = C_Nq = None

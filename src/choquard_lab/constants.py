@@ -47,8 +47,13 @@ def hls_constant(N: int, alpha: float) -> float:
 
 def interaction_bound_constant(N: int, alpha: float) -> float:
     """Sharp bound for the A_alpha-normalized interaction:
-    int (I_alpha*g) g <= this * ||g||_{2N/(N+alpha)}^2."""
-    return riesz_normalization(N, alpha) * hls_constant(N, alpha)
+    int (I_alpha*g) g <= this * ||g||_{2N/(N+alpha)}^2.  Below alpha = 1e-300,
+    where Gamma(alpha/2) overflows the HLS constant, it is cancelled by hand."""
+    A = riesz_normalization(N, alpha)       # checks N and alpha
+    if alpha < 1e-300:
+        return (gamma((N - alpha) / 2) / gamma((N + alpha) / 2) / (4 * pi) ** (alpha / 2)
+                * (gamma(N / 2) / gamma(N)) ** (-alpha / N))
+    return A * hls_constant(N, alpha)
 
 
 def sobolev_constant(N: int) -> float:

@@ -60,9 +60,12 @@ def coupling_gap_scan(N: int, alpha: float, p: float, q: float, couplings,
     Returns (reference frame level at zero coefficient, list of ScanPoint).
     The reference solve runs the gaussian seed, each later one the previous
     field.  The gap column is the quantity whose decay rate the scan probes.
+    InvalidParameter unless every coupling is finite and > 0.
     """
     e_coeff, e_level, weak = frame_exponents(which, p, q)
     couplings = sorted(float(c) for c in couplings)
+    if not all(0 < c < np.inf for c in couplings):      # NaN included
+        raise InvalidParameter(f"couplings must be finite and > 0: {couplings}")
 
     def frame_params(coeff):
         return ProblemParams(N=N, alpha=alpha, p=p, q=q, mode="general",

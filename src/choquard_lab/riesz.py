@@ -251,7 +251,12 @@ def kernel_value(N: int, alpha: float, r, s):
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     shape = np.broadcast_shapes(r.shape, s.shape)
-    return _kernel(N, alpha, r, s, *(np.empty(shape) for _ in range(4)))[()]
+    if not alpha < 1e-300:
+        return _kernel(N, alpha, r, s, *(np.empty(shape) for _ in range(4)))[()]
+    with np.errstate(invalid="ignore"):     # A_alpha underflows to 0 against the diagonal +inf
+        K = _kernel(N, alpha, r, s, *(np.empty(shape) for _ in range(4)))
+    K[r == s] = np.inf
+    return K[()]
 
 
 def _kernel(N: int, alpha: float, r, s, out, *work):

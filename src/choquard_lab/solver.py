@@ -322,9 +322,7 @@ class _Discrete:
     """Grid-bound arrays and the strong form shared by the free and
     normalized solvers; `shift` is the coefficient of u in the gradient
     (`mass_coeff` for the free modes, the multiplier for the normalized).
-    `exit_reason` is why the last descent or polish stopped."""
-
-    exit_reason = ""
+    Each stage returns why it stopped as the last element of its tuple."""
 
     def __init__(self, params: ProblemParams, grid: RadialGrid):
         self.params = params
@@ -485,9 +483,9 @@ class _Discrete:
         J is the identity minus a compact operator: the Krylov count does not
         grow with n (Campbell, Ipsen, Kelley & Meyer, BIT 36, 1996).
 
-        Returns (u, shift, steps, residual) of the best iterate.  Newton on
-        the strong form is not residual-monotone (positive-part clipping
-        re-shapes the tail): keep the best iterate, tolerate the early
+        Returns (u, shift, steps, residual, reason) of the best iterate.
+        Newton on the strong form is not residual-monotone (positive-part
+        clipping re-shapes the tail): keep the best iterate, tolerate the early
         transient, and stop on genuine blow-up, on stagnation (the best
         residual not halved in _STALL_STEPS steps) or on a step below the
         resolvability floor.
@@ -500,27 +498,22 @@ class _Discrete:
             F, res = self.residual(u, shift, conv)
             F2 = 0.5 * (self.mass(u) - a2) if bordered else 0.0
             if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
-                return self._stop("newton-blowup", *best, k, res_best)
+                return *best, k, res_best, "newton-blowup"
             if res < res_best:
                 best, res_best = (u, shift), res
             if res < _RESIDUAL_TOL and (not bordered or abs(F2) < 1e-13 * a2):
-                return self._stop("tol", u, shift, k, res)
+                return u, shift, k, res, "tol"
             bests.append(res_best)
             if k >= _STALL_STEPS and res_best > 0.5 * bests[k - _STALL_STEPS]:
-                return self._stop("newton-stalled", *best, k, res_best)
+                return *best, k, res_best, "newton-stalled"
             J, M = self.newton_system(u, shift, W * u if bordered else None, conv)
             rhs = np.append(-(W * F)[:-1], [0.0, -F2] if bordered else 0.0)   # Dirichlet row
             step, _ = _gmres(J, rhs, M)
             cand = _admissible(u + step[:n])
             if self.xi_of(cand) < self.xi_floor():
-                return self._stop("xi-floor", *best, k, res_best)
+                return *best, k, res_best, "xi-floor"
             u, shift = cand, (shift + step[n] if bordered else shift)
-        return self._stop("max-iters", *best, _NEWTON_ITERS, res_best)
-
-    def _stop(self, reason, *out):
-        """Record why the stage stopped and pass its return values through."""
-        self.exit_reason = reason
-        return out
+        return *best, _NEWTON_ITERS, res_best, "max-iters"
 
     def mass(self, u):
         return float(np.dot(self.W, u * u))
@@ -534,9 +527,10 @@ class _Discrete:
 
     def projected_descent(self, u, iters):
         """Preconditioned descent projected onto the solver's `fiber`, to the
-        scaled residual _FLOW_TOL or `iters` iterations; returns (u, k, parts).
-        Both solvers hand off to the Newton polish there: below it one
-        Newton step covers what many descent steps would.
+        scaled residual _FLOW_TOL or `iters` iterations; returns (u, k, parts,
+        reason), or (None, 0, None, reason) when the start has no fiber point.
+        Both solvers hand off to the Newton polish there: below it one Newton
+        step covers what many descent steps would.
 
         The solver supplies `shift`, `objective`, `direction` and `trial(v)`:
         v projected onto the fiber from one `parts` mat-vec as (objective,
@@ -551,8 +545,7 @@ class _Discrete:
         start = self.trial(u)
         landed = None if start is None else start[2]()
         if landed is None:
-            self._stop("no-fiber-point" if start is None else "fiber-point-outside-window")
-            raise NoProjection(f"initial field: {self.exit_reason} on its {self.fiber} fiber")
+            return None, 0, None, "no-fiber-point" if start is None else "fiber-point-outside-window"
         u, pu = landed
         xis, scaling, tried, taken = [], True, 0, 0
 
@@ -561,7 +554,7 @@ class _Discrete:
                 _log.debug("descent %s after %d iterations: %s fiber, %d of %d scale steps "
                            "taken, xi %.4g against the floor %.4g", reason, k, self.fiber,
                            taken, tried, self.xi_of(u), self.xi_floor())
-            return self._stop(reason, u, k, pu)
+            return u, k, pu, reason
 
         for k in range(iters):
             # one strong-form evaluation per iterate; the start is not judged
@@ -668,12 +661,17 @@ class _FreeSolver(_Discrete):
 
     def descend(self, u):
         """`projected_descent` on the Nehari ray, handing off to `newton` at
-        _FLOW_TOL as the normalized flow does; returns (u, iterations)."""
-        return self.projected_descent(u, _MAX_ITERS)[:2]
+        _FLOW_TOL as the normalized flow does; returns (u, iterations, reason).
+        A start with no point on the ray raises NoProjection: a free problem
+        has no absent branch."""
+        u, k, _, reason = self.projected_descent(u, _MAX_ITERS)
+        if u is None:
+            raise NoProjection(f"initial field: {reason} on its ray fiber")
+        return u, k, reason
 
     def newton(self, u):
-        u, _, k, res = self.polish(u, self.params.mass_coeff, bordered=False)
-        return u, k, res
+        u, _, k, res, reason = self.polish(u, self.params.mass_coeff, bordered=False)
+        return u, k, res, reason
 
 
 def _initial_field(tag, grid: RadialGrid) -> tuple[str, np.ndarray]:
@@ -711,11 +709,11 @@ def ground_state(params: ProblemParams, grid: RadialGrid,
     solver = _FreeSolver(params, grid)
     for tag in seeds:
         name, u0 = _initial_field(tag, grid)
-        u, iters = solver.descend(u0)
+        u, iters, reason = solver.descend(u0)
         k_newton = 0
-        if solver.exit_reason != "xi-floor":
+        if reason != "xi-floor":
             # the polish would reject its first step at the floor
-            u, k_newton, _ = solver.newton(u)
+            u, k_newton, _, reason = solver.newton(u)
         parts = solver.parts(u)
         F, res_scaled, (nd, pd), xi, converged = solver.verdict(u, params.mass_coeff, parts)
         umax = u.max()
@@ -726,8 +724,7 @@ def ground_state(params: ProblemParams, grid: RadialGrid,
             level=energy_from_parts(params, parts), nehari_defect=nd, pohozaev_defect=pd,
             pde_residual=res_sup, pde_residual_scaled=res_scaled, iterations=iters + k_newton,
             converged=converged, init_tag=name, radially_nonincreasing=noninc,
-            concentration_scale=float(xi),
-            exit_reason=solver.exit_reason))
+            concentration_scale=float(xi), exit_reason=reason))
     return _best(results)
 
 
@@ -793,13 +790,11 @@ class _MassSolver(_Discrete):
         return None
 
     def flow(self, u0, which):
-        """`projected_descent` to the `which` branch; returns (v, k, status, parts of v)."""
+        """`projected_descent` to the `which` branch; returns (v, k, status,
+        parts of v), v and its parts None when u0 has no fiber point."""
         self.which = which
-        try:
-            v, k, parts = self.projected_descent(u0, _FLOW_ITERS)
-        except NoProjection:
-            return None, 0, self.exit_reason, None
-        return v, k, self.exit_reason, parts
+        v, k, parts, status = self.projected_descent(u0, _FLOW_ITERS)
+        return v, k, status, parts
 
     def newton(self, u, lam):
         return self.polish(u, lam, bordered=True)
@@ -825,7 +820,7 @@ def _polish_branch(solver: _MassSolver, u0, which):
     u, it_flow, status, parts = solver.flow(u0, which)
     if u is None:
         return None, status
-    u, lam, it_newton, _ = solver.newton(u, solver.shift(parts))
+    u, lam, it_newton, _, reason = solver.newton(u, solver.shift(parts))
     params = solver.params
     parts = solver.parts(u)
     _, res, _, _, converged = solver.verdict(u, lam, parts)
@@ -834,7 +829,7 @@ def _polish_branch(solver: _MassSolver, u0, which):
         level=energy_from_parts(params, parts), lambda_nu=float(lam),
         multiplier_identity_defect=abs(_identity_defect(params, lam, parts)),
         pde_residual_scaled=float(res), iterations=it_flow + it_newton, converged=converged,
-        exit_reason=solver.exit_reason if it_newton else status), None
+        exit_reason=reason if it_newton else status), None
 
 
 def _fiber_seeds(solver: _MassSolver) -> list[np.ndarray | None]:

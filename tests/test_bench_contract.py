@@ -26,11 +26,11 @@ from choquard_lab.profiles import gaussian
 g = grid.make_grid(3, 20.0, 200, 2.0)
 free = solver._FreeSolver(ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general",
                                         mu=1.0, lam=1.0), g)
-_, k_free, _ = free.newton(gaussian(g, width=1.5).values)
+_, k_free, _, _ = free.newton(gaussian(g, width=1.5).values)
 params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=6.0, a=1.0)
 mass = solver._MassSolver(params, g)
 u = mass.normalize(gaussian(g, width=1.5).values)
-_, _, k_mass, _ = mass.newton(u, multiplier_from_parts(params, mass.parts(u)))
+_, _, k_mass, _, _ = mass.newton(u, multiplier_from_parts(params, mass.parts(u)))
 print(json.dumps({"k": k_free + k_mass,
                   "newton_iters": tracer.value["solver.newton_iters"],
                   "newton_calls": tracer.count["solver.newton"],
@@ -51,9 +51,9 @@ from choquard_lab.profiles import gaussian
 g = grid.make_grid(3, 20.0, 200, 2.0)
 free = solver._FreeSolver(ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=4.0),
                           g)
-u, iters = free.descend(gaussian(g, width=1.5).values)
+u, iters, _ = free.descend(gaussian(g, width=1.5).values)
 descent = dict(tracer.count)
-_, k, _ = free.newton(u)
+_, k, _, _ = free.newton(u)
 print(json.dumps({"iters": iters, "descent": descent, "k": k,
                   "newton_conv_p": tracer.count["riesz.matvec.conv_p"]
                                    - descent.get("riesz.matvec.conv_p", 0)}))

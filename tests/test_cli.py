@@ -376,6 +376,15 @@ def test_a_nan_rel_tol_is_an_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: need finite rel_tol > 0")
 
 
+def test_constants_in_two_dimensions_is_an_error(tmp_path, capsys):
+    # the default p = (N + alpha) / (N - 2) divided by zero before any check
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[constants]\n{CONFIGS['constants'].replace('n_dim = 3', 'n_dim = 2')}")
+    assert main(["--config", str(cfg), "constants"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: dimension N=2 must be an integer >= 3\n"
+
+
 def test_a_nan_bubble_scale_ends_the_run(tmp_path):
     # a NaN eps made the mass calibration search for its bracket forever;
     # the timeout makes a hang a failure

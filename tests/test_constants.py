@@ -56,6 +56,17 @@ class TestGammaFormulas:
             # one unit in the last place of a subnormal result
             assert abs(riesz_normalization(N, alpha) - exact) <= max(1e-13 * exact, 5e-324)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-308, 1e-301])
+    def test_interaction_bound_where_gamma_overflows(self, alpha):
+        # Gamma(alpha/2) cancels between A_alpha and the HLS constant; the
+        # product raised "the HLS constant overflows" below about 1e-307
+        a = mpmath.mpf(alpha)
+        for N in (3, 4, 5):
+            exact = float(mpmath.gamma((N - a) / 2) / mpmath.gamma((N + a) / 2)
+                          * (4 * mpmath.pi) ** (-a / 2)
+                          * (mpmath.gamma(mpmath.mpf(N) / 2) / mpmath.gamma(N)) ** (-a / N))
+            assert abs(interaction_bound_constant(N, alpha) - exact) <= 1e-15 * exact
+
     @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 2e-308])
     def test_hls_constant_overflow_raises(self, alpha):
         # the constant grows like |S^(N-1)| / alpha, beyond the largest double

@@ -6,10 +6,11 @@ import pytest
 
 from choquard_lab import lab
 from choquard_lab.errors import BracketFailure, InvalidConfiguration, InvalidParameter
-from choquard_lab.functional import ProblemParams
+from choquard_lab.functional import _MODES, Parts, ProblemParams, scaled_parts
 from choquard_lab.grid import make_grid
 from choquard_lab.lab import (MultiplicityRow, RunManifest, coupling_gap_scan,
-                              multiplicity_experiment, persist_run, scan_threshold)
+                              frame_exponents, multiplicity_experiment, persist_run,
+                              scan_threshold)
 from choquard_lab.constants import (coefficient_table, interaction_bound_constant,
                                      sobolev_constant)
 
@@ -32,6 +33,35 @@ class TestGapScan:
     def test_bad_which(self, scan_grid):
         with pytest.raises(InvalidParameter):
             coupling_gap_scan(3, 2.0, 2.0, 4.0, [1, 2, 3, 4], scan_grid, which="nu")
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_couplings_guarded_before_any_solve(self, monkeypatch, scan_grid, bad):
+        # 0 raised ZeroDivisionError (0.0 ** e_coeff), -1 a TypeError from a
+        # complex power, and inf was scanned with a zero weak coefficient
+        monkeypatch.setattr(lab, "ground_state", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(InvalidParameter, match="couplings must be finite and > 0"):
+            coupling_gap_scan(3, 2.0, 2.5, 4.0, [1.0, bad, 4.0], scan_grid)
+
+    @pytest.mark.parametrize("which", ["lambda", "mu"])
+    def test_frame_exponents_are_the_scaling_laws(self, rng, which):
+        # u = amp v with amp = c^(e_l/2) takes the `which`-mode energy at
+        # coupling c to c^e_l times the frame's: the kinetic, mass and
+        # coupled terms scale by c^e_l, the weak term by c^(e_l + e_c)
+        k = _MODES[which].index(None)           # the uncoupled term: 0 Riesz, 1 power
+        for _ in range(40):
+            N = int(rng.integers(3, 6))
+            alpha = float(rng.uniform(0.05, N - 0.05))
+            p = float(rng.uniform((N + alpha) / N, (N + alpha) / (N - 2)))
+            q = float(rng.uniform(2.0, 2.0 * N / (N - 2)))
+            c = float(10.0 ** rng.uniform(-1.0, 2.0))
+            orig = ProblemParams(N=N, alpha=alpha, p=p, q=q, mode=which,
+                                 **{_MODES[which][1 - k]: c})
+            e_c, e_l, _ = frame_exponents(which, p, q)
+            f = scaled_parts(orig, Parts(1.0, 1.0, 1.0, 1.0), c ** (e_l / 2), 1.0)
+            coupled, weak = (f.power, f.riesz) if k == 0 else (f.riesz, f.power)
+            for got, want in ((f.kinetic, c ** e_l), (f.mass, c ** e_l),
+                              (c * coupled, c ** e_l), (weak, c ** (e_l + e_c))):
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (N, alpha, p, q, c)
 
 
 class TestThreshold:

@@ -156,6 +156,14 @@ class TestKernelValue:
         # raised a RuntimeWarning first
         assert kernel_value(N, alpha, 0.0, 0.0) == np.inf
 
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_diagonal_at_the_smallest_alpha(self, N):
+        # A_alpha |S^(N-1)| underflows to 0 at alpha = 5e-324, and 0 * inf
+        # made the diagonal NaN with a RuntimeWarning
+        kv = kernel_value(N, 5e-324, [1.0, 1.0, 0.0, 2.0], [0.999, 1.0, 0.0, 1.0])
+        assert kv[1] == kv[2] == np.inf
+        assert 0.0 <= kv[0] < np.inf and 0.0 <= kv[3] < np.inf
+
     @pytest.mark.parametrize("alpha", [1e-300, 0.5, 1.0, 1.5, 2.0, 2.5, 3 - 1e-9])
     def test_origin_is_the_far_field_power(self, alpha):
         # x = lo/hi = 0: F = 1 exactly, so K(0, s) = pref s^(alpha-3)
@@ -1035,8 +1043,12 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("N, alpha", [
         *((N, a) for N in (3, 4) for a in (1.0, 1.3, 2.0)), (4, 3.0), (5, 1.0), (5, 2.5),
         pytest.param(5, 0.5, marks=pytest.mark.xfail(
-            strict=True, reason="the N >= 4 graded near rule depends on absolute r "
-                                "(7.8e-10 of the maximum), not the kernel"))])
+            strict=True, reason="only diagonal entries differ (rows 162-399, up to 7.8e-10 "
+                                "of the maximum; every other entry within 9e-15): "
+                                "`_refined_pieces` cuts about 1.5e-10 t from each target, "
+                                "the cuts' rounding moves the two grids' scaled gaps apart "
+                                "by up to 1.9e-6 relative, and |s - t|^(alpha - 1) carries "
+                                "that into the target's own entry"))])
     def test_rescaled_grid_scales_the_table(self, N, alpha):
         G = dense_table(make_grid(N, 25.0, 400, 2.0), alpha)
         for arg in (2.82, 3.0):

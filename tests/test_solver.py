@@ -408,7 +408,7 @@ class TestNewtonFloor:
         solver = _MassSolver(params, grid)
         u = solver.normalize(gaussian(grid).values)
         lam = multiplier_from_parts(params, solver.parts(u))
-        u_out, lam_out, k, _ = solver.newton(u, lam)
+        u_out, lam_out, k, _, _ = solver.newton(u, lam)
         assert k == 0
         assert u_out is u and lam_out == lam
 
@@ -442,11 +442,11 @@ class TestNewtonStagnation:
         params = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=4.0)
         monkeypatch.setattr(solver_module, "_RESIDUAL_TOL", 0.0)
         solver = solver_module._FreeSolver(params, grid)
-        u, _ = solver.descend(gaussian(grid, width=1.5).values)
-        u_stall, k_stall, res_stall = solver.newton(u)
+        u, _, _ = solver.descend(gaussian(grid, width=1.5).values)
+        u_stall, k_stall, res_stall, _ = solver.newton(u)
         monkeypatch.setattr(solver_module, "_STALL_STEPS", solver_module._NEWTON_ITERS,
                             raising=False)
-        u_full, k_full, res_full = solver.newton(u)
+        u_full, k_full, res_full, _ = solver.newton(u)
         assert k_full == solver_module._NEWTON_ITERS
         assert res_stall < 1e-12 and res_full < 1e-12
         assert np.max(np.abs(u_stall - u_full)) < 1e-12 * np.max(u_full)
@@ -698,9 +698,9 @@ class TestNewtonKrylov:
         for n in (250, 500, 1000, 2000):
             grid = make_grid(3, 40.0, n, 2.5)
             solver = _FreeSolver(LAMBDA16, grid)
-            u, _ = solver.descend(gaussian(grid, width=1.5).values)
+            u, _, _ = solver.descend(gaussian(grid, width=1.5).values)
             counts.clear()
-            _, k, _ = solver.newton(u * (1 + 0.05 * np.exp(-grid.r)))
+            _, k, _, _ = solver.newton(u * (1 + 0.05 * np.exp(-grid.r)))
             assert k == len(counts) > 0
             per_n[n] = max(counts)
         assert all(c <= per_n[250] + 2 for c in per_n.values()), per_n
@@ -711,11 +711,11 @@ class TestNewtonKrylov:
         monkeypatch.setattr(solver_module, "_NEWTON_ITERS", 1)
         tracemalloc.start()
         try:
-            _, k, _ = solver.newton(u)
+            _, k, _, reason = solver.newton(u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert k == 1 and solver.exit_reason == "max-iters"
+        assert k == 1 and reason == "max-iters"
         assert peak < n * n * 8 / 4
 
 
@@ -747,8 +747,8 @@ class TestSeedSelection:
             return result(**{**kw, "converged": converged, "level": level})
 
         monkeypatch.setattr(solver_module, "GroundStateResult", scripted_result)
-        monkeypatch.setattr(_FreeSolver, "descend", lambda self, u: (u, 0))
-        monkeypatch.setattr(_FreeSolver, "newton", lambda self, u: (u, 0, 0.0))
+        monkeypatch.setattr(_FreeSolver, "descend", lambda self, u: (u, 0, "tol"))
+        monkeypatch.setattr(_FreeSolver, "newton", lambda self, u: (u, 0, 0.0, "tol"))
         params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="lambda", lam=1.0)
         seeds = ("gaussian", ("bubble", 0.5))
         res = ground_state(params, make_grid(3, 20.0, 200, 2.0), seeds=seeds)
@@ -767,8 +767,8 @@ class TestScaleStep:
         caplog.set_level("DEBUG", logger=solver_module.__name__)
         for tag in SEEDS:
             caplog.clear()
-            _, k = solver.descend(_initial_field(tag, grid)[1])
-            assert solver.exit_reason == "xi-floor"
+            _, k, reason = solver.descend(_initial_field(tag, grid)[1])
+            assert reason == "xi-floor"
             assert k <= 60, (tag, k)
             # one debug line per descent: its exit, iterations and scale steps
             (record,) = caplog.records
