@@ -26,7 +26,8 @@ class UndefinedDefect(ChoquardLabError):
 
 
 class ShootingFailure(ChoquardLabError):
-    """No bisection bracket found for the shooting parameter."""
+    """The collocation solve for the local ground state failed or left a
+    profile that is not positive."""
 
 
 class ResolutionError(ChoquardLabError):

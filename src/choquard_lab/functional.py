@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NoProjection, UndefinedDefect
+from .errors import IncompatibleGrid, InvalidParameter, NoProjection, UndefinedDefect
 from .grid import RadialField, integrate, kinetic_energy, gradient_seminorm
 from .riesz import _check_dimension, interaction_energy
 
@@ -156,8 +156,11 @@ def compute_parts(params: ProblemParams, u: RadialField) -> Parts:
     The kinetic term uses the stored derivative when the field carries one
     (analytic, ODE-produced or `RadialField.rescaled` profiles) and the
     stiffness form otherwise (the form the solver is stationary for).
+    IncompatibleGrid unless u's grid is in the dimension of params.
     """
     grid = u.grid
+    if grid.N != params.N:
+        raise IncompatibleGrid(f"a field in N = {grid.N} for a problem in N = {params.N}")
     if u.deriv is not None:
         K = gradient_seminorm(u)
     else:

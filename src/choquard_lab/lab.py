@@ -127,15 +127,17 @@ def scan_threshold(base: ProblemParams, coupling_range: tuple, crit_level: float
     selection key (`solver._best`: converged first, then the lower level,
     then the warm result) keeps one.  A pinned field is never a start: its
     descent would end at the floor at once.  At most 40 couplings are solved.
-    InvalidParameter unless 0 < lo < hi, rel_tol > 0 and delta_frac >= 0.
+    InvalidParameter unless 0 < lo < hi, rel_tol > 0, delta_frac >= 0 and
+    crit_level is finite.
     """
     seeds = ("gaussian", ("bubble", 0.5), ("bubble", 0.1))
     delta = delta_frac * abs(crit_level)
     lo, hi = float(coupling_range[0]), float(coupling_range[1])
     if not 0 < lo < hi:
         raise InvalidParameter("need 0 < lo < hi")
-    if not (0 < rel_tol < np.inf and 0 <= delta_frac < np.inf):     # NaN included
-        raise InvalidParameter(f"need finite rel_tol > 0 and delta_frac >= 0: {rel_tol}, {delta_frac}")
+    if not (0 < rel_tol < np.inf and 0 <= delta_frac < np.inf and np.isfinite(crit_level)):
+        raise InvalidParameter("need finite rel_tol > 0, delta_frac >= 0 and crit_level: "
+                               f"{rel_tol}, {delta_frac}, {crit_level}")
     scan = []
 
     def attained(res):

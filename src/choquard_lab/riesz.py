@@ -246,10 +246,13 @@ def kernel_value(N: int, alpha: float, r, s):
         max - min, within 1e-13 relative of the exact value up to the diagonal.
     On the diagonal K is +inf for alpha <= 1 and finite for alpha > 1 (and
     +inf at r = s = 0); the quadrature rows never use it there (product
-    integration takes over).
+    integration takes over).  InvalidParameter unless every radius is
+    finite and >= 0, as for `potential_at`'s targets.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
+    if not (np.all(np.isfinite(r) & (r >= 0)) and np.all(np.isfinite(s) & (s >= 0))):
+        raise InvalidParameter("radii must be finite and >= 0")
     shape = np.broadcast_shapes(r.shape, s.shape)
     if not alpha < 1e-300:
         return _kernel(N, alpha, r, s, *(np.empty(shape) for _ in range(4)))[()]

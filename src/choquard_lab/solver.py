@@ -1,6 +1,6 @@
-"""Solution objects: local ground states by shooting, Nehari-constrained
-descent for the free problems, the two mass-constrained branches, and the
-second-solution rescaling.
+"""Solution objects: local ground states by one collocation solve,
+Nehari-constrained descent for the free problems, the two mass-constrained
+branches, and the second-solution rescaling.
 
 Both solvers run one descent, `_Discrete.projected_descent`: a
 preconditioned gradient step with positive-part truncation, projected onto
@@ -24,8 +24,8 @@ from math import copysign, hypot
 
 import numpy as np
 
-from .errors import (InvalidConfiguration, InvalidParameter, NoProjection,
-                     RescaleInconsistency, ShootingFailure)
+from .errors import (IncompatibleGrid, InvalidConfiguration, InvalidParameter,
+                     NoProjection, RescaleInconsistency, ShootingFailure)
 from .functional import (ProblemParams, Parts, compute_parts, energy_from_parts,
                          fiber_energy, identity_prediction, multiplier_from_parts,
                          scaled_parts, _defects_from_parts, _fiber_critical_points,
@@ -138,99 +138,47 @@ class NormalizedBranches:
     minus_absent_reason: str | None = None
 
 
-# ---------------------------------------------------------------- shooting
+# ------------------------------------------------------ local ground state
 
 def shoot_local_ground_state(N: int, q: float) -> RadialField:
-    """Positive decaying solution of -Q'' - (N-1)/r Q' + Q = Q^(q-1).
+    """Positive decaying solution Q of -Q'' - (N-1)/r Q' + Q = Q^(q-1) on
+    make_grid(N, 25, 1200, 2), with Q' as its derivative and Q(0) as its origin.
 
-    Bisection on Q(0) between the crossing (overshoot) and the
-    turn-back-up (undershoot) behaviors, each integration running to r = 40,
-    then one dense integration sampled onto make_grid(N, 25, 1200, 2)
-    together with Q'.
+    Stage one picks the branch: the lab's `ground_state` of the local problem
+    (mu = 0, no Riesz table) on make_grid(N, 40, 1200, 4), whose floor lies
+    below Q's scale near 2*, seeded with the q -> 2 limit e^(N/2 - (q-2) r^2/4)
+    (the Gausson: Bialynicki-Birula & Mycielski, Ann. Phys. 100, 1976), which
+    keeps the descent off the floor near q = 2, where a Gaussian seed ends.
+    Stage two is one collocation solve (`solve_bvp`, tol 1e-7) for (Q, Q') from
+    that field on 0 and the nodes of make_grid(N, 40, 1200, 2), coarse enough
+    at the origin for the node cap: Q'(0) = 0, and at r = 40, where Q is linear
+    even near q = 2, the log-derivative of the decaying mode r^(1-N/2) K_(N/2-1).
+    The positive radial solution is unique (Kwong, ARMA 105, 1989), so Q is
+    the ODE's, not the lab discretization's.  ShootingFailure when the solve
+    fails or Q is not positive.
     """
     _check_dimension(N)
     if not 2 < q < 2 * N / (N - 2):
         raise InvalidParameter(f"q={q} must be subcritical: (2, {2*N/(N-2)})")
-    from scipy.integrate import solve_ivp
-    span = 40.0
-
-    def rhs(r, y):
-        Q, P = y
-        return [P, Q - np.sign(Q) * abs(Q) ** (q - 1) - (N - 1) / r * P]
-
-    def start(b):
-        r0 = 1e-8
-        return r0, [b + (b - b ** (q - 1)) * r0 ** 2 / (2 * N),
-                    (b - b ** (q - 1)) * r0 / N]
-
-    def classify(b):
-        r0, y0 = start(b)
-        cross = lambda r, y: y[0]
-        cross.terminal, cross.direction = True, -1
-        turn = lambda r, y: y[1]
-        turn.terminal, turn.direction = True, 1
-        sol = solve_ivp(rhs, (r0, span), y0, events=[cross, turn],
-                        rtol=1e-12, atol=1e-14)
-        if sol.t_events[0].size:
-            return 1
-        if sol.t_events[1].size:
-            return -1
-        return 0
-
-    b_hi = 2.0
-    while classify(b_hi) != 1:
-        b_hi *= 1.6
-        if b_hi > 1e4:
-            raise ShootingFailure("no overshoot bracket below Q(0) = 1e4")
-    b_lo = 1.0 + 1e-8
-    while classify(b_lo) == 1:
-        b_lo = 1.0 + (b_lo - 1.0) / 2
-        if b_lo - 1.0 < 1e-14:
-            raise ShootingFailure("no undershoot bracket above Q(0)=1")
-    for _ in range(200):
-        mid = 0.5 * (b_lo + b_hi)
-        if b_hi - b_lo < 1e-13 * b_hi:
-            break
-        c = classify(mid)
-        if c == 1:
-            b_hi = mid
-        else:
-            b_lo = mid
-    b = 0.5 * (b_lo + b_hi)
-    r0, y0 = start(b)
-    floor = lambda r, y: y[0] - 1e-15
-    floor.terminal, floor.direction = True, -1
-    sol = solve_ivp(rhs, (r0, span), y0, events=[floor], rtol=1e-12, atol=1e-16,
-                    dense_output=True)
-    grid = make_grid(N, 25.0, 1200, 2.0)
-    r_end = sol.t[-1]
-    vals = np.zeros(grid.n)
-    derivs = np.zeros(grid.n)
-    inside = grid.r <= r_end
-    interp = sol.sol(grid.r[inside])
-    vals[inside] = np.maximum(interp[0], 0.0)
-    derivs[inside] = interp[1]
-    # splice the decaying far-field mode (r^(1-N/2) K_(N/2-1)(r)) beyond the
-    # point where the profile is small: bisection error excites the growing
-    # mode exponentially and would pollute the tail otherwise
-    from scipy.special import kv, kvp
-    nu = N / 2.0 - 1.0
-    mode = lambda rr: rr ** (1 - N / 2.0) * kv(nu, rr)
-    dmode = lambda rr: ((1 - N / 2.0) * rr ** (-N / 2.0) * kv(nu, rr)
-                        + rr ** (1 - N / 2.0) * kvp(nu, rr))
-    small = np.nonzero(vals < 1e-4 * b)[0]
-    first_tail = None
-    for i in small:
-        if grid.r[i] > 5.0:
-            first_tail = i
-            break
-    if first_tail is not None and 0 < first_tail < grid.n:
-        rm = grid.r[first_tail - 1]
-        A = vals[first_tail - 1] / mode(rm)
-        tail_r = grid.r[first_tail:]
-        vals[first_tail:] = A * mode(tail_r)
-        derivs[first_tail:] = A * dmode(tail_r)
-    return RadialField.from_values(grid, vals, deriv=derivs, origin=b)
+    from scipy.integrate import solve_bvp
+    from scipy.special import kve
+    grid = make_grid(N, 40.0, 1200, 4.0)
+    gausson = RadialField.from_values(grid, np.exp(N / 2 - (q - 2) * grid.r ** 2 / 4))
+    seed = ground_state(ProblemParams(N=N, alpha=2.0, p=(N + 2) / (N - 2), q=q, lam=1.0),
+                        grid, seeds=(gausson,)).field
+    r = np.concatenate(([0.0], make_grid(N, 40.0, 1200, 2.0).r))
+    Q = seed(r)
+    # (r^(1-N/2) K_(N/2-1))' / (r^(1-N/2) K_(N/2-1)) = -K_(N/2) / K_(N/2-1)
+    slope = -kve(N / 2, r[-1]) / kve(N / 2 - 1, r[-1])
+    sol = solve_bvp(lambda x, y: np.vstack((y[1], y[0] - np.sign(y[0]) * np.abs(y[0]) ** (q - 1))),
+                    lambda ya, yb: np.array((ya[1], yb[1] - slope * yb[0])),
+                    r, np.vstack((Q, np.gradient(Q, r))), S=np.diag([0.0, 1.0 - N]),
+                    tol=1e-7, bc_tol=1e-7, max_nodes=100000)
+    out = make_grid(N, 25.0, 1200, 2.0)
+    vals, derivs = sol.sol(out.r)
+    if sol.status != 0 or not (sol.y[0, 0] > 0 and np.all(vals > 0)):
+        raise ShootingFailure(f"no positive profile at N={N}, q={q}: {sol.message}")
+    return RadialField.from_values(out, vals, deriv=derivs, origin=sol.y[0, 0])
 
 
 # ------------------------------------------------------- discrete problems
@@ -325,6 +273,8 @@ class _Discrete:
     Each stage returns why it stopped as the last element of its tuple."""
 
     def __init__(self, params: ProblemParams, grid: RadialGrid):
+        if grid.N != params.N:
+            raise IncompatibleGrid(f"a grid in N = {grid.N} for a problem in N = {params.N}")
         self.params = params
         self.grid = grid
         self.W = grid.weights_full

@@ -1,5 +1,6 @@
-"""Shared fixtures: standard grids, kernel tables and shooting solutions are
-expensive, so they are built once per session and reused."""
+"""Shared fixtures: standard grids and kernel tables are expensive, so they
+are built once per session and reused, as are the two local ground states
+(one collocation solve each) that several modules read."""
 
 import numpy as np
 import pytest

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from choquard_lab.errors import InvalidParameter, NoProjection, UndefinedDefect
+from choquard_lab.errors import IncompatibleGrid, InvalidParameter, NoProjection, UndefinedDefect
 from choquard_lab.functional import (Parts, ProblemParams, compute_parts,
                                      energy_breakdown, energy_from_parts,
                                      fiber_energy, fiber_profile, nehari_project)
@@ -107,6 +107,14 @@ class TestEnergyBreakdown:
         bd = energy_breakdown(pp, u)
         manual = (0.5 * (bd.kinetic + bd.mass) - 0.3 / 4 * bd.riesz - 0.9 / 4 * bd.power)
         assert np.isclose(bd.total, manual, rtol=1e-12)
+
+    @pytest.mark.parametrize("report", [compute_parts, energy_breakdown])
+    def test_field_in_another_dimension_rejected(self, report):
+        # an N = 4 field under N = 3 params returned the four parts of a
+        # hybrid problem
+        pp = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=1.0, lam=1.0)
+        with pytest.raises(IncompatibleGrid):
+            report(pp, gaussian(make_grid(4, 20.0, 300, 2.0)))
 
 
 class TestDefects:

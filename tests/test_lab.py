@@ -186,6 +186,15 @@ class TestThreshold:
             scan_threshold(base, (0.5, 16.0), 5.0, SimpleNamespace(key=("fake",)),
                            delta_frac=delta_frac, rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("crit", [np.nan, np.inf, -np.inf])
+    def test_crit_level_guarded(self, monkeypatch, crit):
+        # crit = nan ran the three-seed cold solve at the upper end, then
+        # raised BracketFailure("... vs crit nan")
+        monkeypatch.setattr(lab, "ground_state", lambda *a, **k: pytest.fail("solved"))
+        base = ProblemParams(N=3, alpha=1.0, p=4.0, q=3.0, mode="lambda", lam=1.0)
+        with pytest.raises(InvalidParameter, match="crit_level"):
+            scan_threshold(base, (0.5, 16.0), crit, SimpleNamespace(key=("fake",)))
+
     def test_zero_delta_is_a_valid_tolerance(self, monkeypatch):
         # delta_frac = 0: attained means strictly below crit
         monkeypatch.setattr(lab, "ground_state", lambda *a, **k: SimpleNamespace(

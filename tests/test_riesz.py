@@ -203,6 +203,16 @@ class TestKernelValue:
         with pytest.raises(InvalidParameter):
             kernel_value(3, 0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
+    def test_radii_must_be_finite_and_nonnegative(self, N, radius):
+        # r = -1 returned 0.1748 (N = 3, alpha = 1) and 0.0966 (N = 4,
+        # alpha = 1.5), and a NaN radius returned NaN
+        alpha = 1.0 if N == 3 else 1.5
+        for r, s in ((radius, 2.0), (2.0, radius), ([1.0, radius], 2.0)):
+            with pytest.raises(InvalidParameter, match="radii"):
+                kernel_value(N, alpha, r, s)
+
     @pytest.mark.parametrize("N", [2, 4.5])
     def test_dimension_must_be_an_integer_above_two(self, N):
         # N = 2 returned 1.505 and N = 4.5 returned 0.0591

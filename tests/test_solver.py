@@ -6,7 +6,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from choquard_lab.errors import InvalidConfiguration, InvalidParameter
+from choquard_lab.errors import (IncompatibleGrid, InvalidConfiguration, InvalidParameter,
+                                 ShootingFailure)
 from choquard_lab.functional import (Parts, ProblemParams, _ray_root, compute_parts,
                                      energy_from_parts, fiber_energy, fiber_profile,
                                      identity_prediction, multiplier_from_parts,
@@ -55,6 +56,46 @@ class TestShooting:
         assert q4_ground.values[-1] < 1e-8
         assert q4_ground.values[-1] <= 1e-10 * q4_ground.origin
 
+    @pytest.mark.parametrize("N,q", [(4, 2.24), (3, 2.5)])
+    def test_solves_the_ode_in_the_tail(self, N, q):
+        # the central-difference residual of the stored (Q, Q') on r in (8, 20),
+        # relative to |Q| + Q^(q-1); a linear tail splice, which drops
+        # Q^(q-1), read 1.07 and 0.138 here
+        Q = shoot_local_ground_state(N, q)
+        r, u, du = Q.grid.r, Q.values, Q.deriv
+        tail = (r > 8.0) & (r < 20.0)
+        res = np.abs(np.gradient(du, r) + (N - 1) / r * du - u + u ** (q - 1))
+        res = np.maximum(res, np.abs(np.gradient(u, r) - du))
+        assert np.max(res[tail] / (u + u ** (q - 1))[tail]) < 1e-3
+
+    @pytest.mark.parametrize("N,q,origin", [
+        (3, 3.0, 4.191682954441612), (3, 4.0, 4.33738767997562),
+        (4, 2.24, 7.446970839817096), (5, 2.8, 19.131017416480027)])
+    def test_origin_pinned(self, N, q, origin):
+        # Q(0) from a bisection on Q(0) between overshoot and undershoot,
+        # each integration to r = 40 at rtol 1e-12
+        assert abs(shoot_local_ground_state(N, q).origin - origin) < 1e-8 * origin
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("f", [0.03, 0.99])
+    def test_positive_near_both_ends(self, N, f):
+        # q at 3 % and 99 % of the way from 2 to 2*
+        Q = shoot_local_ground_state(N, 2 + f * 4 / (N - 2))
+        assert Q.origin > 0 and np.all(Q.values > 0)
+
+    def test_failed_collocation_raises(self, monkeypatch):
+        import scipy.integrate
+        solve_bvp = scipy.integrate.solve_bvp
+
+        def failing(*args, **kwargs):
+            sol = solve_bvp(*args, **kwargs)
+            sol.status, sol.message = 1, "The maximum number of mesh nodes is exceeded."
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_bvp", failing)
+        with pytest.raises(ShootingFailure, match="mesh nodes"):
+            shoot_local_ground_state(3, 3.0)
+
 
 class TestGroundStateLocal:
     def test_level_matches_shooting_identity(self, q4_ground, solve_grid):
@@ -100,6 +141,12 @@ class TestGroundStateLocal:
         pp = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls", nu=0.1)
         with pytest.raises(InvalidParameter):
             ground_state(pp, solve_grid)
+
+    def test_grid_in_another_dimension_rejected(self):
+        # returned level 28.38 (exit xi-floor) for a hybrid N = 3 / N = 4 problem
+        params = ProblemParams(N=3, alpha=2.0, p=2.0, q=4.0, mode="general", mu=1.0, lam=1.0)
+        with pytest.raises(IncompatibleGrid):
+            ground_state(params, make_grid(4, 20.0, 300, 2.0))
 
 
 class TestGroundStateChoquard:
@@ -207,6 +254,13 @@ def hls_branches(hls_norm_grid):
 
 
 class TestNormalizedBranches:
+    def test_grid_in_another_dimension_rejected(self):
+        # solved a hybrid problem: N = 3 exponents on an N = 4 grid and table
+        params = ProblemParams(N=3, alpha=2.0, p=5.0, q=3.0, mode="normalized-hls",
+                               nu=6.0, a=1.0)
+        with pytest.raises(IncompatibleGrid):
+            normalized_branches(params, make_grid(4, 20.0, 300, 2.0))
+
     def test_plus_branch(self, hls_branches):
         params, out = hls_branches
         assert out.plus is not None, out.plus_absent_reason
@@ -670,10 +724,12 @@ class TestNewtonKrylov:
         # on a wide N = 4 grid, where the running products of the multipliers
         # l fall below e^-300 at least twice, so that the sweeps restart in
         # several chunks and carry a value across each restart
-        for grid_args, shifts in (((3, 40.0, 300, 2.5), (1.0, 1.0, 0.37, 1.0)),
-                                  ((3, 40.0, 1000, 2.5), (1e4, 1e6)),
-                                  ((4, 240.0, 1400, 3.0), (16.0,))):
-            solver = _FreeSolver(LAMBDA16, make_grid(*grid_args))
+        lambda16_n4 = ProblemParams(N=4, alpha=1.0, p=2.0, q=3.0, mode="lambda", lam=16.0)
+        for params, grid_args, shifts in (
+                (LAMBDA16, (3, 40.0, 300, 2.5), (1.0, 1.0, 0.37, 1.0)),
+                (LAMBDA16, (3, 40.0, 1000, 2.5), (1e4, 1e6)),
+                (lambda16_n4, (4, 240.0, 1400, 3.0), (16.0,))):
+            solver = _FreeSolver(params, make_grid(*grid_args))
             for shift in shifts:
                 if shift > 1.0:
                     _, l, _ = dpttrf(solver.Ad[:-1] + shift * solver.W[:-1], solver.Ao[:-1])

@@ -2,9 +2,10 @@
 `kernel_generic` benchmarks run, a normalized two-branch solve and a bubble
 sweep load no scipy subpackage those paths never call.  Each command-line
 process pays every import, so scipy.integrate is imported only where it is
-used (shooting), scipy.optimize only by a reader of `solver.brentq`, and
-scipy.interpolate, scipy.linalg and scipy.sparse never: the table
-compression, the preconditioner and the Newton solve use numpy alone."""
+used (the local ground state's collocation solve), scipy.optimize only by a
+reader of `solver.brentq`, and scipy.interpolate, scipy.linalg and
+scipy.sparse never: the table compression, the preconditioner and the Newton
+solve use numpy alone."""
 
 import json
 import os
