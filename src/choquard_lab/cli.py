@@ -118,7 +118,7 @@ def cmd_solve(cfg):
     return (0 if res.converged else 2), {"solves": {
         "ground_state": {
             "level": res.level, "converged": res.converged,
-            "residual_scaled": res.pde_residual_scaled, "residual_sup": res.pde_residual,
+            "residual_scaled": res.pde_residual_scaled,
             "exit_reason": res.exit_reason, "nehari": res.nehari_defect,
             "pohozaev": res.pohozaev_defect},
         "profile": res.field.to_csv()}}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
-from math import copysign, hypot
+from math import copysign, hypot, sqrt
 
 import numpy as np
 
@@ -44,20 +44,17 @@ __all__ = ["GroundStateResult", "NormalizedBranchResult", "NormalizedBranches",
 _MAX_ITERS = 400            # descent iterations
 _FLOW_ITERS = 150           # normalized-flow iterations
 _NEWTON_ITERS = 30
-_RESIDUAL_TOL = 1e-9        # scale-relative target for the polish
-_CONVERGED_TOL = 1e-6       # scale-relative residual gate for `converged`
-_FLOW_TOL = 1e-4            # hand-off from descent or flow to Newton, both solvers
+_RESIDUAL_TOL = 1e-9        # target of the polish, on the one residual `_Discrete.residual`
+_CONVERGED_TOL = 1e-6       # residual gate for `converged`
+_FLOW_TOL = 1e-4            # residual of the hand-off from descent or flow to Newton
 _IDENTITY_TOL = 1e-3        # Nehari/Pohozaev defect gate for `converged`
 _POSITIVITY_FLOOR = 1e-9    # Jacobian clamp where u < floor * max(u)
 _MIN_SCALE_NODES = 24       # resolvability floor: xi >= r[_MIN_SCALE_NODES]
-_RESCALE_TOL = 5e-3         # scaled residual gate of a P- state rescaled to frequency 1
 # Newton stagnation: stop when the best residual has not halved in this many
 # steps, a mean contraction worse than 0.5^(1/3) ~ 0.79 per step.  That is
 # close to Deuflhard's restricted monotonicity bound 3/4 for a full Newton
 # step (Newton Methods for Nonlinear Problems, 2004), read on the residual
-# instead of on simplified corrections, which would cost a solve each.  On
-# test_08's n = 2000 grid converged polishes reach their attainable residual
-# (1e-9 to 1e-8, above _RESIDUAL_TOL) in one step, then wander in that range.
+# instead of on simplified corrections, which would cost a solve each.
 _STALL_STEPS = 3
 _KRYLOV_DIM = 60            # one GMRES cycle; test_08's steps take 5-13 at n = 1000, 2000
 _KRYLOV_RTOL = 1e-10        # forcing term a decade below _RESIDUAL_TOL (Eisenstat & Walker 1996)
@@ -88,11 +85,11 @@ def __getattr__(name):
 class GroundStateResult:
     """A free-mode critical point from `ground_state`.
 
-    `converged` is the one verdict of both solvers, `_Discrete.verdict`;
-    `pde_residual` is reported and does not gate.  `exit_reason` is why the
-    last stage stopped: the descent's `tol`, `line-search-exhausted`,
-    `xi-floor` or `max-iters`, or Newton's `tol`, `newton-stalled`,
-    `newton-blowup`, `xi-floor` or `max-iters`.
+    `converged` is the one verdict of both solvers, `_Discrete.verdict`,
+    which gates `pde_residual_scaled`.  `exit_reason` is why the last stage
+    stopped: the descent's `tol`, `line-search-exhausted`, `xi-floor` or
+    `max-iters`, or Newton's `tol`, `newton-stalled`, `newton-blowup`,
+    `xi-floor` or `max-iters`.
     """
 
     params: ProblemParams
@@ -100,8 +97,7 @@ class GroundStateResult:
     level: float
     nehari_defect: float
     pohozaev_defect: float
-    pde_residual: float          # max|F| / max|u| on the window
-    pde_residual_scaled: float   # max|F| / max term scale on the window
+    pde_residual_scaled: float   # the dual residual of `_Discrete.residual`
     iterations: int
     converged: bool
     init_tag: str
@@ -283,12 +279,7 @@ class _Discrete:
         self.Ao = grid.stiff_off * sa
         self.tab = kernel_table(grid, params.alpha) if params.riesz_coeff != 0 else None
         self.n = grid.n
-        self.ncut = int(np.searchsorted(grid.r, 0.95 * grid.r_max))
-        # residual window: drop the last 5% of radius, and start at the
-        # resolvability floor -- below it the stiffness/weight ratio amplifies
-        # roundoff on graded grids and no trusted structure lives there anyway
-        self.nlo = min(_MIN_SCALE_NODES, grid.n // 4)
-        self._factored = (None,) * 4    # (shift, pivots, two sweeps) of solve_shifted
+        self._factored = {}     # (shift, pivots, two sweeps) of `factors`, by slot
 
     def xi_of(self, u):
         """Talenti-matched concentration scale from the peak value."""
@@ -326,38 +317,36 @@ class _Discrete:
         return _IterateParts(*_values(scaled_parts(self.params, parts, t, 1.0)), conv=conv)
 
     def residual(self, u, shift, conv):
-        """The strong form F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1)
-        and its scaled residual: max |F| over the largest sum of the four term
-        sizes, both on the residual window; `conv` is conv(u^p)."""
+        """The strong form F(u) = -lap u + shift u - cR conv(u^p) u^(p-1) - cP u^(q-1),
+        `conv` = conv(u^p), and its residual sqrt(g' P^-1 g / u' P u), g = W F and
+        P = A + W: the dual (H^-1) norm of F over the H^1 norm of u, on every node
+        (Verfuerth, A Posteriori Error Estimation Techniques for Finite Element
+        Methods, 2013)."""
         p = self.params
-        term = apply_stiffness(self.Ad, self.Ao, u) / self.W
-        F = term + shift * u
-        size = np.abs(term) + abs(shift) * np.abs(u)
+        Au = apply_stiffness(self.Ad, self.Ao, u)
+        F = Au / self.W + shift * u
         if conv is not None:
-            term = p.riesz_coeff * conv * u ** (p.p - 1)
-            F -= term
-            size += np.abs(term)
+            F -= p.riesz_coeff * conv * u ** (p.p - 1)
         if p.power_coeff:
-            term = p.power_coeff * u ** (p.q - 1)
-            F -= term
-            size += np.abs(term)
-        window = slice(self.nlo, self.ncut)
-        return F, float(np.max(np.abs(F[window]))) / max(float(np.max(size[window])), 1e-300)
+            F -= p.power_coeff * u ** (p.q - 1)
+        # g' P^-1 g = z' D^-1 z with z = L^-1 g, for P = L D L' (`factors`)
+        d, lower, _ = self.factors(1.0)
+        z = lower((self.W * F)[:-1])
+        return F, sqrt(float(z @ (z / d)) / max(float(u @ Au) + self.mass(u), 1e-300))
 
     def verdict(self, u, shift, parts: _IterateParts):
-        """(F, scaled residual, defects, xi, converged) of u at `shift`
-        (`mass_coeff`, or the multiplier lambda): the convergence verdict of
-        both solvers, from one strong-form evaluation.  `converged` needs the
-        scaled residual below _CONVERGED_TOL, both defects of
-        `_defects_from_parts` (Nehari or P_nu, and Pohozaev) below
-        _IDENTITY_TOL in absolute value, a finite xi (u = 0 has no residual
+        """(residual, defects, xi, converged) of u at `shift` (`mass_coeff`, or
+        the multiplier lambda): the convergence verdict of both solvers, from
+        one `residual`.  `converged` needs the residual below _CONVERGED_TOL,
+        both defects of `_defects_from_parts` (Nehari or P_nu, and Pohozaev)
+        below _IDENTITY_TOL in absolute value, a finite xi (u = 0 has no residual
         and no defect) at or above the resolvability floor and a positive shift."""
-        F, res = self.residual(u, shift, parts.conv)
+        res = self.residual(u, shift, parts.conv)[1]
         defects = _defects_from_parts(self.params, parts)
         xi = self.xi_of(u)
         ok = (res < _CONVERGED_TOL and max(abs(d) for d in defects) < _IDENTITY_TOL
               and self.xi_floor() <= xi < np.inf and shift > 0)
-        return F, res, defects, xi, bool(ok)
+        return res, defects, xi, bool(ok)
 
     def newton_system(self, u, shift, border, conv):
         """(J, M) at u, two callables on vectors: J v is the Jacobian of
@@ -405,12 +394,14 @@ class _Discrete:
         """lam floored at 0.02 K / a^2, so that A + kappa W is SPD when lam <= 0."""
         return max(lam, 0.02 * kinetic / self.params.a ** 2)
 
-    def solve_shifted(self, shift, rhs):
-        """(A + shift W) x = rhs with Dirichlet at the last node, by the LDL^T
-        factors of the SPD tridiagonal, kept for the last shift used: the
-        pivots d from one loop, LinAlgError unless each is > 0, and each unit
-        bidiagonal sweep a first-order recurrence (`_first_order`)."""
-        if self._factored[0] != shift:
+    def factors(self, shift):
+        """(d, lower, upper): LDL^T of the SPD tridiagonal A + shift W with
+        Dirichlet at the last node, the pivots d from one loop (LinAlgError
+        unless each is > 0) and each unit bidiagonal sweep a first-order
+        recurrence (`_first_order`).  The unit shift's, `residual`'s norm, are
+        kept beside the last other shift's: a flow's kappa does not evict them."""
+        slot = shift == 1.0
+        if self._factored.get(slot, (None,))[0] != shift:
             e = self.Ao[:-1]        # x = 0 at the Dirichlet node: the leading block
             d, di = [], 1.0         # d_i = a_i - e_(i-1)^2 / d_(i-1)
             for ai, e2 in zip((self.Ad[:-1] + shift * self.W[:-1]).tolist(),
@@ -421,8 +412,12 @@ class _Discrete:
                 d.append(di)
             d = np.array(d)
             l = e / d[:-1]
-            self._factored = (shift, d, _first_order(-l), _first_order(-l[::-1]))
-        _, d, lower, upper = self._factored
+            self._factored[slot] = (shift, d, _first_order(-l), _first_order(-l[::-1]))
+        return self._factored[slot][1:]
+
+    def solve_shifted(self, shift, rhs):
+        """(A + shift W) x = rhs with Dirichlet at the last node, by `factors`."""
+        d, lower, upper = self.factors(shift)
         z = lower(rhs[:-1]) / d
         return np.append(upper(z[::-1])[::-1], 0.0)
 
@@ -443,27 +438,33 @@ class _Discrete:
         n, W = self.n, self.W
         a2 = self.params.a ** 2 if bordered else None
         best, res_best, bests = (u, shift), np.inf, []
+
+        def stop(u, shift, k, res, reason):
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("newton %s after %d steps: residual %.3g", reason, k, res)
+            return u, shift, k, res, reason
+
         for k in range(_NEWTON_ITERS):
             conv = self.conv_of(u)      # the step's one mat-vec
             F, res = self.residual(u, shift, conv)
             F2 = 0.5 * (self.mass(u) - a2) if bordered else 0.0
             if not np.isfinite(res) or (k > 5 and res > 1e6 * res_best):
-                return *best, k, res_best, "newton-blowup"
+                return stop(*best, k, res_best, "newton-blowup")
             if res < res_best:
                 best, res_best = (u, shift), res
             if res < _RESIDUAL_TOL and (not bordered or abs(F2) < 1e-13 * a2):
-                return u, shift, k, res, "tol"
+                return stop(u, shift, k, res, "tol")
             bests.append(res_best)
             if k >= _STALL_STEPS and res_best > 0.5 * bests[k - _STALL_STEPS]:
-                return *best, k, res_best, "newton-stalled"
+                return stop(*best, k, res_best, "newton-stalled")
             J, M = self.newton_system(u, shift, W * u if bordered else None, conv)
             rhs = np.append(-(W * F)[:-1], [0.0, -F2] if bordered else 0.0)   # Dirichlet row
             step, _ = _gmres(J, rhs, M)
             cand = _admissible(u + step[:n])
             if self.xi_of(cand) < self.xi_floor():
-                return *best, k, res_best, "xi-floor"
+                return stop(*best, k, res_best, "xi-floor")
             u, shift = cand, (shift + step[n] if bordered else shift)
-        return *best, _NEWTON_ITERS, res_best, "max-iters"
+        return stop(*best, _NEWTON_ITERS, res_best, "max-iters")
 
     def mass(self, u):
         return float(np.dot(self.W, u * u))
@@ -477,7 +478,7 @@ class _Discrete:
 
     def projected_descent(self, u, iters):
         """Preconditioned descent projected onto the solver's `fiber`, to the
-        scaled residual _FLOW_TOL or `iters` iterations; returns (u, k, parts,
+        residual _FLOW_TOL or `iters` iterations; returns (u, k, parts,
         reason), or (None, 0, None, reason) when the start has no fiber point.
         Both solvers hand off to the Newton polish there: below it one Newton
         step covers what many descent steps would.
@@ -510,8 +511,8 @@ class _Discrete:
             # one strong-form evaluation per iterate; the start is not judged
             # on it, so a warm start always takes at least one step
             shift = self.shift(pu)
-            g, res_scaled = self.residual(u, shift, pu.conv)
-            if k > 0 and res_scaled < _FLOW_TOL:
+            g, res = self.residual(u, shift, pu.conv)
+            if k > 0 and res < _FLOW_TOL:
                 return stop("tol", k)
             E0 = self.objective(pu)
             xis.append(self.xi_of(u))
@@ -665,14 +666,12 @@ def ground_state(params: ProblemParams, grid: RadialGrid,
             # the polish would reject its first step at the floor
             u, k_newton, _, reason = solver.newton(u)
         parts = solver.parts(u)
-        F, res_scaled, (nd, pd), xi, converged = solver.verdict(u, params.mass_coeff, parts)
-        umax = u.max()
-        res_sup = float(np.max(np.abs(F[solver.nlo: solver.ncut]))) / max(umax, 1e-300)
-        noninc = bool(np.all(np.diff(u) <= 1e-8 * umax + 1e-300))
+        res, (nd, pd), xi, converged = solver.verdict(u, params.mass_coeff, parts)
+        noninc = bool(np.all(np.diff(u) <= 1e-8 * u.max() + 1e-300))
         results.append(GroundStateResult(
             params=params, field=RadialField.from_values(solver.grid, u),
             level=energy_from_parts(params, parts), nehari_defect=nd, pohozaev_defect=pd,
-            pde_residual=res_sup, pde_residual_scaled=res_scaled, iterations=iters + k_newton,
+            pde_residual_scaled=res, iterations=iters + k_newton,
             converged=converged, init_tag=name, radially_nonincreasing=noninc,
             concentration_scale=float(xi), exit_reason=reason))
     return _best(results)
@@ -773,7 +772,7 @@ def _polish_branch(solver: _MassSolver, u0, which):
     u, lam, it_newton, _, reason = solver.newton(u, solver.shift(parts))
     params = solver.params
     parts = solver.parts(u)
-    _, res, _, _, converged = solver.verdict(u, lam, parts)
+    res, _, _, converged = solver.verdict(u, lam, parts)
     return NormalizedBranchResult(
         params=params, field=RadialField.from_values(solver.grid, u),
         level=energy_from_parts(params, parts), lambda_nu=float(lam),
@@ -834,8 +833,8 @@ def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolut
     off the exponent rows of `scaled_parts`; the coupling is nu times lam to
     the kinetic part's power minus the coupled part's:
     nu * lam^(-(2N-q(N-2))/4) or nu * lam^(-(N+alpha-p(N-2))/2).  v is
-    `RadialField.rescaled`, node for node; a scaled residual above
-    _RESCALE_TOL raises RescaleInconsistency.
+    `RadialField.rescaled`, node for node; a residual (`_Discrete.residual`)
+    at or above _CONVERGED_TOL raises RescaleInconsistency.
     """
     if not result.converged or result.lambda_nu <= 0:
         raise InvalidParameter("rescale needs a converged branch with lambda_nu > 0")
@@ -853,13 +852,13 @@ def second_solution_via_rescale(result: NormalizedBranchResult) -> RescaledSolut
     solver = _FreeSolver(eff, v.grid)
     u = _admissible(v.values)
     parts = solver.parts(u)
-    _, res_scaled = solver.residual(u, eff.mass_coeff, parts.conv)
-    if res_scaled > _RESCALE_TOL:
+    _, res = solver.residual(u, eff.mass_coeff, parts.conv)
+    if not res < _CONVERGED_TOL:
         raise RescaleInconsistency(
-            f"rescaled candidate residual {res_scaled:.2e} exceeds {_RESCALE_TOL:.0e}; "
+            f"rescaled candidate residual {res:.2e} is not below {_CONVERGED_TOL:.0e}; "
             "the multiplier extraction is inconsistent")
     level = energy_from_parts(eff, parts)
     return RescaledSolution(field=RadialField.from_values(solver.grid, u), params_effective=eff,
                             coupling=float(coupling),
-                            pde_residual_scaled=float(res_scaled),
+                            pde_residual_scaled=res,
                             energy_no_mass=float(level - 0.5 * parts.mass))

@@ -184,7 +184,6 @@ nodes = 900
     saved = json.loads((tmp_path / "run" / "solves" / "ground_state.json").read_text())
     assert saved["converged"] and saved["exit_reason"] == "tol"
     assert saved["residual_scaled"] < 1e-6
-    assert saved["residual_sup"] != saved["residual_scaled"]
     printed = float(out.split("residual = ")[1].split()[0])
     assert printed == float(f"{saved['residual_scaled']:.3e}")
     assert "exit = tol" in out
@@ -212,7 +211,8 @@ nodes = 200
     assert main(["--config", str(cfg), "-v", "solve"]) == 0
     assert capsys.readouterr().out == quiet
     descents = [r.getMessage() for r in caplog.records
-                if r.name == "choquard_lab.solver" and r.levelno == logging.DEBUG]
+                if r.name == "choquard_lab.solver" and r.levelno == logging.DEBUG
+                and r.getMessage().startswith("descent")]
     assert descents and all(m.startswith("descent tol after ") for m in descents)
 
 
